@@ -16,7 +16,7 @@ agree:
 
 The command line front end lives in dnzeta.cli (installed as the
 `dnzeta` script) and exposes each route plus a `verify` subcommand that
-re-runs the headline identities.
+re-runs the headline identities stated in dnzeta.claims.
 """
 
 from dnzeta.errors import (
@@ -52,7 +52,6 @@ from dnzeta.zeta_reg import (
 from dnzeta.dn_explicit import (
     AnnulusGeometry,
     CylinderGeometry,
-    DnBlock,
     annulus_block,
     annulus_det_prime,
     annulus_eigenvalues,
@@ -105,10 +104,7 @@ from dnzeta.numeric_dn import (
     conformal_family,
     convergence_table_to_csv,
     derivative_identity_check,
-    factor_from_json,
-    factor_to_json,
     k_convergence_table,
-    kernel_projector,
     kernel_vector,
     multiplication_matrix,
 )
@@ -123,7 +119,6 @@ __all__ = [
     "CylinderGeometry",
     "DetReport",
     "DiscGeometry",
-    "DnBlock",
     "DnZetaError",
     "DomainError",
     "EigenSequence",
@@ -162,12 +157,9 @@ __all__ = [
     "enumerate_primitive_classes",
     "eta_constant",
     "exponent_estimate",
-    "factor_from_json",
-    "factor_to_json",
     "functional_equation_rhs",
     "hyp2f1",
     "k_convergence_table",
-    "kernel_projector",
     "kernel_vector",
     "length_spectrum_relation",
     "log_barnes_g",

@@ -1,0 +1,296 @@
+"""The headline claims, stated once.
+
+Each verify suite is a function returning its checks; SUITES maps the
+suite names, in run order, to those functions.  `dnzeta verify` renders
+the checks and `tests/test_acceptance.py` asserts each one, so a seed,
+tolerance or frozen oracle constant lives here and nowhere else.
+
+A check is (name, max_err, tolerance, passed).  passed is max_err <=
+tolerance except for the K-convergence table, which also passes when
+the residuals shrink with K.
+"""
+
+from __future__ import annotations
+
+import cmath
+import functools
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from .det_engine import (
+    SurfaceTopology,
+    functional_equation_rhs,
+    log_dirichlet_det,
+    theorem4_pipeline,
+    zero_volume_cylinder_numeric,
+)
+from .dn_explicit import (
+    AnnulusGeometry,
+    CylinderGeometry,
+    annulus_det_prime,
+    cylinder_det_prime,
+    cylinder_scattering_mode0,
+    disc_det_prime,
+)
+from .hyperbolic import (
+    GroupPresentation,
+    LengthSpectrum,
+    MobiusTransform,
+    SpectrumEntry,
+    enumerate_primitive_classes,
+)
+from .numeric_dn import ConformalFactor, DiscGeometry, k_convergence_table
+from .specfun import log_barnes_g, log_gamma, riemann_zeta, zeta_derivative
+from .zeta_dyn import check_rz_identity, ruelle, ruelle_limit_order, selberg
+from .zeta_reg import EigenSequence, combine, log_det, required_tail_length
+
+_SEED = 20260818
+_LN_2PI = math.log(2.0 * math.pi)
+# eta = 2 zeta'(-1) - 1/4 + log(2 pi)/2 and zeta'(-1), to 20 digits
+_ETA = 0.33809624580377088335
+_ZETA_PRIME_MINUS1 = -0.16542114370045092921
+# log det' of the eps_n = e^-n perturbed sequence, frozen from an
+# independent Euler-Maclaurin continuation of the spectral zeta function
+_EULER_MACLAURIN_LOG_DET = 1.4364986403401920
+
+ANNULUS_MODULI = (1.5, 2.0, math.e, 10.0, 100.0)
+DISC_RADII = (0.5, 1.0, 7.0)
+SCATTERING_LENGTHS = (1.0, 2.5)
+CONFORMAL_DISC = DiscGeometry(1.0)
+CONFORMAL_FACTOR = ConformalFactor((0.0, 0.3, 0.0))
+K_LADDER = (16, 32, 64)
+RESIDUAL_TOLERANCE = 1e-6
+NOISE_FLOOR = 1e-9
+
+
+class Check(NamedTuple):
+    name: str
+    max_err: float
+    tolerance: float
+    passed: bool
+
+
+def _check(name: str, err: float, tol: float) -> Check:
+    return Check(name, float(err), float(tol), bool(err <= tol))
+
+
+def _cyclic_spectrum(ell: float) -> LengthSpectrum:
+    window = 10.0 * ell
+    return LengthSpectrum(
+        entries=(SpectrumEntry(length=ell, multiplicity=2),),
+        cutoff=window,
+        complete_up_to=window,
+    )
+
+
+def schottky_pair() -> GroupPresentation:
+    # Two hyperbolic dilations with separated axes (translation lengths
+    # 2.0 and 2.4; the second axis moved off the first by a conjugation).
+    def dilation(length: float) -> np.ndarray:
+        lam = math.exp(0.5 * length)
+        return np.array([[lam, 0.0], [0.0, 1.0 / lam]])
+
+    conj = np.array([[3.0, -3.0], [1.0, 1.0]]) / math.sqrt(6.0)
+    m2 = conj @ dilation(2.4) @ np.linalg.inv(conj)
+    g1 = dilation(2.0)
+    return GroupPresentation(
+        (
+            MobiusTransform(g1[0, 0], g1[0, 1], g1[1, 0], g1[1, 1]),
+            MobiusTransform(m2[0, 0], m2[0, 1], m2[1, 0], m2[1, 1]),
+        )
+    )
+
+
+def _appendix() -> list[Check]:
+    checks = []
+    for rho in ANNULUS_MODULI:
+        report = annulus_det_prime(AnnulusGeometry(rho))
+        target = 2.0 * math.pi / math.log(rho)
+        err = abs(report.ratio - target) / target
+        checks.append(_check(f"annulus rho={rho:g}: det'/ell = 2pi/ln(rho)", err, 1e-12))
+    for radius in DISC_RADII:
+        report = disc_det_prime(radius)
+        checks.append(_check(f"disc radius={radius:g}: det' = boundary length", abs(report.ratio - 1.0), 1e-12))
+    return checks
+
+
+def _bridge() -> list[Check]:
+    checks = []
+    rng = np.random.default_rng(_SEED)
+    worst = 0.0
+    for _ in range(10):
+        ell = float(rng.uniform(0.1, 20.0))
+        rho = CylinderGeometry(ell).bridge_rho
+        worst = max(worst, abs(ell / math.pi - 2.0 * math.pi / math.log(rho)))
+    checks.append(_check("cylinder<->annulus identity (10 random ell)", worst, 1e-12))
+    for ell in SCATTERING_LENGTHS:
+        lim = ruelle_limit_order(_cyclic_spectrum(ell), ell)
+        got = (2.0 / math.pi) * lim
+        want = cylinder_det_prime(CylinderGeometry(ell)).value
+        checks.append(_check(f"scattering route ell={ell:g}: (2/pi) lim = 2 ell^2/pi", abs(got - want) / want, 1e-10))
+    for eps in (1e-2, 1e-3, 1e-4):
+        val = cylinder_scattering_mode0(1.0 - eps)
+        err = abs(val / (0.5 * math.pi * eps * eps) - 1.0)
+        checks.append(_check(f"mode-0 Taylor |1-lambda|={eps:g}", err, 10.0 * eps))
+    for ell in (1.0, 3.0):
+        checks.append(_check(f"zero volume cylinder ell={ell:g}", abs(zero_volume_cylinder_numeric(ell)), 1e-8))
+    return checks
+
+
+def _random_eigen_sequence(rng, multiplicity=None, with_corrections=True) -> EigenSequence:
+    power = float(rng.uniform(0.5, 3.0))
+    prefactor = float(rng.uniform(0.2, 5.0))
+    rate = float(rng.uniform(0.5, 2.0))
+    bound = float(rng.uniform(0.0, 0.8)) if with_corrections else 0.0
+    n_tail = required_tail_length(bound, rate) if with_corrections else 0
+    eps = tuple(bound * math.exp(-rate * (n + 1)) * float(rng.uniform(-1.0, 1.0)) for n in range(n_tail))
+    head = tuple(
+        (float(rng.uniform(0.1, 10.0)), int(rng.integers(1, 4))) for _ in range(int(rng.integers(0, 4)))
+    )
+    m = int(rng.integers(1, 4)) if multiplicity is None else multiplicity
+    return EigenSequence(
+        power=power, prefactor=prefactor, corrections=eps,
+        decay_rate=rate, decay_bound=bound, head=head, tail_multiplicity=m,
+    )
+
+
+def _lemma() -> list[Check]:
+    checks = []
+    rng = np.random.default_rng(_SEED)
+    worst = 0.0
+    for _ in range(1000):
+        m = int(rng.integers(1, 4))
+        u = _random_eigen_sequence(rng, multiplicity=m)
+        v = _random_eigen_sequence(rng, multiplicity=m)
+        lu = log_det(u).log_value
+        lv = log_det(v).log_value
+        lw = log_det(combine(u, v)).log_value
+        worst = max(worst, abs(lw - lu - lv) / (1.0 + abs(lu) + abs(lv)))
+    checks.append(_check("additivity log det'(uv) = log det'(u) + log det'(v) (1000 random)", worst, 1e-12))
+    worst = 0.0
+    for _ in range(1000):
+        seq = _random_eigen_sequence(rng, with_corrections=False)
+        closed = seq.tail_multiplicity * 0.5 * (seq.power * _LN_2PI - math.log(seq.prefactor))
+        closed += sum(m * math.log(lam) for lam, m in seq.head)
+        got = log_det(seq).log_value
+        worst = max(worst, abs(got - closed) / (1.0 + abs(closed)))
+    checks.append(_check("closed-form equivalence for pure power sequences (1000 random)", worst, 1e-12))
+    n_tail = required_tail_length(1.0, 1.0)
+    eps = tuple(math.exp(-(n + 1.0)) for n in range(n_tail))
+    seq = EigenSequence(power=1.0, prefactor=1.0, corrections=eps, decay_rate=1.0, decay_bound=1.0)
+    err = abs(log_det(seq).log_value - _EULER_MACLAURIN_LOG_DET)
+    checks.append(_check("eps_n = e^-n sequence vs Euler-Maclaurin continuation oracle", err, 1e-9))
+    return checks
+
+
+def _functional() -> list[Check]:
+    checks = []
+    # Gamma recurrence log Gamma(z+1) = log Gamma(z) + log z.
+    worst = 0.0
+    for z in (0.7, 2.3, 6.5, complex(1.4, 2.2)):
+        diff = log_gamma(z + 1).value - log_gamma(z).value - cmath.log(z)
+        worst = max(worst, abs(diff))
+    checks.append(_check("Gamma recurrence", worst, 1e-9))
+    # Barnes recurrence log G(z+1) = log Gamma(z) + log G(z).
+    worst = 0.0
+    for z in (0.8, 2.5, 5.25):
+        diff = log_barnes_g(z + 1).value - log_gamma(z).value - log_barnes_g(z).value
+        worst = max(worst, abs(diff))
+    checks.append(_check("Barnes G recurrence", worst, 1e-9))
+    checks.append(_check("zeta(0) = -1/2", abs(riemann_zeta(0.0).value - (-0.5)), 1e-9))
+    checks.append(_check("zeta'(0) = -ln(2 pi)/2", abs(zeta_derivative(0.0).value - (-0.5 * _LN_2PI)), 1e-9))
+    checks.append(_check("zeta'(-1)", abs(zeta_derivative(-1.0).value - _ZETA_PRIME_MINUS1), 1e-9))
+    # Ruelle/Selberg interlocking: R(lam) = Z(lam)/Z(lam+1).
+    worst = 0.0
+    for lam in (1.5, 2.5):
+        worst = max(worst, check_rz_identity(_cyclic_spectrum(1.0), lam, 0.0))
+    checks.append(_check("R = Z(lam)/Z(lam+1), cyclic spectrum", worst, 1e-14))
+    spectrum = enumerate_primitive_classes(schottky_pair(), 12.0)
+    worst_excess = 0.0
+    for lam in (1.5, 2.0, 3.0):
+        residual = check_rz_identity(spectrum, lam, 0.55)
+        budget = (
+            ruelle(spectrum, lam, 0.55).tail_bound
+            + selberg(spectrum, lam, 0.55).tail_bound
+            + selberg(spectrum, lam + 1.0, 0.55).tail_bound
+            + 1e-13
+        )
+        worst_excess = max(worst_excess, residual - budget)
+    checks.append(_check("R = Z(lam)/Z(lam+1), Schottky pair within tail bounds", worst_excess, 0.0))
+    # Functional-equation bracket: antisymmetric under lam -> 1 - lam.
+    zero = lambda _s: 0.0
+    topo = SurfaceTopology(genus=0, boundary_components=3)  # chi = -1
+    worst = 0.0
+    for lam in (0.3, 0.8, complex(0.4, 1.1)):
+        worst = max(
+            worst,
+            abs(functional_equation_rhs(lam, topo, zero) + functional_equation_rhs(1.0 - lam, topo, zero)),
+        )
+    checks.append(_check("functional bracket reflection antisymmetry", worst, 1e-13))
+    checks.append(
+        _check(
+            "functional equation at the symmetry point",
+            abs(functional_equation_rhs(0.5, topo, zero)),
+            0.0,
+        )
+    )
+    return checks
+
+
+def _theorem4() -> list[Check]:
+    rng = np.random.default_rng(_SEED)
+    worst_pipeline = 0.0
+    worst_dirichlet = 0.0
+    for _ in range(1000):
+        chi = -int(rng.integers(1, 6))
+        topo = SurfaceTopology(genus=0, boundary_components=2 - chi)
+        ell = float(rng.uniform(0.1, 20.0))
+        zp = float(rng.uniform(0.2, 5.0))
+        z0 = float(rng.uniform(0.2, 5.0))
+        report = theorem4_pipeline(zp, z0, topo, ell)
+        worst_pipeline = max(worst_pipeline, report.error_estimate / abs(report.ratio))
+        direct = math.log(z0) - chi * _ETA - ell / 8.0
+        err = abs(log_dirichlet_det(1.0, z0, topo, ell) - direct) / (1.0 + abs(direct))
+        worst_dirichlet = max(worst_dirichlet, err)
+    return [
+        _check("theorem4 two-path agreement (1000 random)", worst_pipeline, 1e-12),
+        _check("dirichlet det at lambda=1 two-path agreement (1000 random)", worst_dirichlet, 1e-12),
+    ]
+
+
+@functools.cache
+def k_table() -> tuple[tuple[int, float], ...]:
+    """(K, residual) rows of the conformal derivative identity on the unit disc.
+
+    Computed once per process: the numericdn suite checks these rows and
+    `dnzeta verify` prints them.
+    """
+    grid = np.linspace(0.0, 1.0, 11)
+    return k_convergence_table(CONFORMAL_DISC, CONFORMAL_FACTOR, grid, K_LADDER)
+
+
+def _numericdn() -> list[Check]:
+    residuals = [r for _, r in k_table()]
+    monotone = all(residuals[i + 1] <= residuals[i] * (1.0 + 1e-9) for i in range(len(residuals) - 1))
+    at_floor = all(r <= NOISE_FLOOR for r in residuals)
+    return [
+        _check("conformal derivative identity residual at K=64", residuals[-1], RESIDUAL_TOLERANCE),
+        Check(
+            "K-convergence table monotone or at the 1e-9 noise floor",
+            max(residuals),
+            NOISE_FLOOR,
+            bool(monotone or at_floor),
+        ),
+    ]
+
+
+SUITES = {
+    "appendix": _appendix,
+    "bridge": _bridge,
+    "lemma": _lemma,
+    "functional": _functional,
+    "theorem4": _theorem4,
+    "numericdn": _numericdn,
+}

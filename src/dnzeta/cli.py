@@ -3,7 +3,8 @@
 Subcommands mirror the library modules: closed-form geometry reports
 (annulus, disc, cylinder), length-spectrum enumeration to a file,
 dynamical zeta evaluation over lambda grids, the normalized-determinant
-and doubling pipelines (detdn, theorem4), and self-verification suites.
+and doubling pipelines (detdn, theorem4), and the self-verification
+suites of dnzeta.claims (verify).
 
 Output contract.  JSON is the canonical machine format and carries a
 "schema": 1 field plus a 12-hex config fingerprint; CSV is provided for
@@ -20,52 +21,38 @@ failed), reported with the violated invariant's name.
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-import numpy as np
-
-from .det_engine import (
-    SurfaceTopology,
-    functional_equation_rhs,
-    log_dirichlet_det,
-    theorem2_value,
-    theorem4_pipeline,
-    zero_volume_cylinder_numeric,
-)
+from .claims import SUITES, k_table
+from .det_engine import SurfaceTopology, theorem2_value, theorem4_pipeline
 from .dn_explicit import (
     AnnulusGeometry,
     CylinderGeometry,
     annulus_det_prime,
     annulus_eigenvalues,
     cylinder_det_prime,
-    cylinder_scattering_mode0,
     disc_det_prime,
 )
 from .errors import DnZetaError, DomainError
 from .hyperbolic import (
     GroupPresentation,
-    LengthSpectrum,
     MobiusTransform,
-    SpectrumEntry,
     enumerate_primitive_classes,
     spectrum_from_json,
     spectrum_to_json,
     translation_length,
 )
-from .numeric_dn import ConformalFactor, DiscGeometry, convergence_table_to_csv, k_convergence_table
-from .specfun import log_barnes_g, log_gamma, riemann_zeta, zeta_derivative
-from .zeta_dyn import check_rz_identity, ruelle, ruelle_limit_order, selberg, selberg_boundary
-from .zeta_reg import EigenSequence, combine, log_det, required_tail_length
+from .numeric_dn import convergence_table_to_csv
+from .zeta_dyn import ruelle, selberg, selberg_boundary
 
-_LN_2PI = math.log(2.0 * math.pi)
-_SEED = 20260818
-_SUITES = ("appendix", "bridge", "lemma", "functional", "theorem4", "numericdn", "all")
 _KINDS = ("ruelle", "selberg", "selberg-g0")
+# Most rows one invocation lists (lambda grid points, annulus modes).
+_MAX_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -107,17 +94,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit_json(doc: dict, config: RunConfig) -> None:
-    doc = dict(doc)
-    doc["schema"] = 1
-    doc["fingerprint"] = config.fingerprint
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+class _Output(NamedTuple):
+    """What a subcommand prints: its document, plain lines, csv text if any, exit code."""
+
+    doc: dict
+    lines: list[str]
+    csv: str | None = None
+    code: int = 0
 
 
-def _emit_plain(lines, config: RunConfig) -> None:
-    for line in lines:
-        sys.stdout.write(line + "\n")
-    sys.stdout.write(f"fingerprint: {config.fingerprint}\n")
+def _emit(out: _Output, config: RunConfig) -> None:
+    if config.fmt == "json":
+        doc = dict(out.doc, schema=1, fingerprint=config.fingerprint)
+        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    elif config.fmt == "plain":
+        sys.stdout.write("\n".join(out.lines + [f"fingerprint: {config.fingerprint}"]) + "\n")
+    else:
+        sys.stdout.write(f"# fingerprint: {config.fingerprint}\n" + out.csv)
 
 
 def _report_doc(report) -> dict:
@@ -142,7 +135,7 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def _parse_lambda_spec(text: str) -> tuple[list[complex], bool]:
+def _parse_lambda_spec(text: str) -> list[complex]:
     """Single value (real or complex) or inclusive grid A:B:STEP."""
     if ":" in text:
         parts = text.split(":")
@@ -159,16 +152,18 @@ def _parse_lambda_spec(text: str) -> tuple[list[complex], bool]:
         if b < a - 1e-12:
             raise DomainError(f"lambda grid end {b} lies before start {a}")
         ratio = (b - a) / step
+        if not ratio <= _MAX_ROWS - 1:
+            raise DomainError(f"lambda grid {text!r} has more than {_MAX_ROWS} points")
         count = int(round(ratio))
         if abs(a + count * step - b) > 1e-12 * max(1.0, abs(b)):
             count = int(math.floor(ratio))
-        return [complex(a + i * step, 0.0) for i in range(count + 1)], True
+        return [complex(a + i * step, 0.0) for i in range(count + 1)]
     try:
-        return [complex(float(text), 0.0)], False
+        return [complex(float(text), 0.0)]
     except ValueError:
         pass
     try:
-        return [complex(text)], False
+        return [complex(text)]
     except ValueError as exc:
         raise DomainError(f"could not parse lambda value {text!r}") from exc
 
@@ -211,62 +206,51 @@ def _load_generators(path: str) -> GroupPresentation:
 # ---------------------------------------------------------------- subcommands
 
 
-def _run_annulus(args, config: RunConfig) -> int:
+def _run_annulus(args, config: RunConfig) -> _Output:
+    if args.modes is not None and not 0 <= args.modes < _MAX_ROWS:
+        raise DomainError(f"--modes must lie in 0..{_MAX_ROWS - 1}, got {args.modes}")
     geom = AnnulusGeometry(args.rho)
     report = annulus_det_prime(geom)
     modes = []
     if args.modes is not None:
-        if args.modes < 0:
-            raise DomainError(f"--modes must be >= 0, got {args.modes}")
         modes.append({"n": 0, "eigenvalues": [0.0, (1.0 + geom.rho) / (geom.rho * geom.alpha)]})
         for n in range(1, args.modes + 1):
             lam_plus, lam_minus = annulus_eigenvalues(geom, n)
             modes.append({"n": n, "eigenvalues": [lam_plus, lam_minus]})
-    if config.fmt == "plain":
-        lines = [f"rho = {_fmt(geom.rho)}", f"boundary_length = {_fmt(geom.boundary_length)}"]
-        lines += _report_lines(report)
-        for row in modes:
-            eigs = ", ".join(_fmt(v) for v in row["eigenvalues"])
-            lines.append(f"mode {row['n']}: {eigs}")
-        _emit_plain(lines, config)
-    else:
-        doc = {
-            "subcommand": "annulus",
-            "geometry": {"rho": geom.rho, "alpha": geom.alpha, "boundary_length": geom.boundary_length},
-            "report": _report_doc(report),
-        }
-        if modes:
-            doc["modes"] = modes
-        _emit_json(doc, config)
-    return 0
+    lines = [f"rho = {_fmt(geom.rho)}", f"boundary_length = {_fmt(geom.boundary_length)}"]
+    lines += _report_lines(report)
+    for row in modes:
+        eigs = ", ".join(_fmt(v) for v in row["eigenvalues"])
+        lines.append(f"mode {row['n']}: {eigs}")
+    doc = {
+        "subcommand": "annulus",
+        "geometry": {"rho": geom.rho, "alpha": geom.alpha, "boundary_length": geom.boundary_length},
+        "report": _report_doc(report),
+    }
+    if modes:
+        doc["modes"] = modes
+    return _Output(doc, lines)
 
 
-def _run_disc(args, config: RunConfig) -> int:
+def _run_disc(args, config: RunConfig) -> _Output:
     report = disc_det_prime(args.radius)
-    if config.fmt == "plain":
-        _emit_plain([f"radius = {_fmt(args.radius)}"] + _report_lines(report), config)
-    else:
-        _emit_json({"subcommand": "disc", "radius": args.radius, "report": _report_doc(report)}, config)
-    return 0
+    doc = {"subcommand": "disc", "radius": args.radius, "report": _report_doc(report)}
+    return _Output(doc, [f"radius = {_fmt(args.radius)}"] + _report_lines(report))
 
 
-def _run_cylinder(args, config: RunConfig) -> int:
+def _run_cylinder(args, config: RunConfig) -> _Output:
     geom = CylinderGeometry(args.ell)
     report = cylinder_det_prime(geom)
-    if config.fmt == "plain":
-        lines = [f"ell = {_fmt(geom.ell)}", f"bridge_rho = {_fmt(geom.bridge_rho)}"]
-        _emit_plain(lines + _report_lines(report), config)
-    else:
-        doc = {
-            "subcommand": "cylinder",
-            "geometry": {"ell": geom.ell, "bridge_rho": geom.bridge_rho},
-            "report": _report_doc(report),
-        }
-        _emit_json(doc, config)
-    return 0
+    doc = {
+        "subcommand": "cylinder",
+        "geometry": {"ell": geom.ell, "bridge_rho": geom.bridge_rho},
+        "report": _report_doc(report),
+    }
+    lines = [f"ell = {_fmt(geom.ell)}", f"bridge_rho = {_fmt(geom.bridge_rho)}"]
+    return _Output(doc, lines + _report_lines(report))
 
 
-def _run_spectrum(args, config: RunConfig) -> int:
+def _run_spectrum(args, config: RunConfig) -> _Output:
     group = _load_generators(args.generators)
     if args.cutoff is not None:
         cutoff = float(args.cutoff)
@@ -287,16 +271,12 @@ def _run_spectrum(args, config: RunConfig) -> int:
         "complete_up_to": spectrum.complete_up_to,
         "out": args.out,
     }
-    if config.fmt == "plain":
-        lines = [f"{k} = {v}" for k, v in sorted(summary.items()) if k != "subcommand"]
-        _emit_plain(lines, config)
-    else:
-        _emit_json(summary, config)
-    return 0
+    lines = [f"{k} = {v}" for k, v in sorted(summary.items()) if k != "subcommand"]
+    return _Output(summary, lines)
 
 
-def _run_zeta(args, config: RunConfig) -> int:
-    grid, _ = _parse_lambda_spec(args.lam)
+def _run_zeta(args, config: RunConfig) -> _Output:
+    grid = _parse_lambda_spec(args.lam)
     spectrum = spectrum_from_json(_read_text(args.spectrum))
     if args.kind == "selberg-g0":
         if not args.boundary:
@@ -318,42 +298,35 @@ def _run_zeta(args, config: RunConfig) -> int:
             zv = selberg_boundary(boundary, spectrum, lam, args.delta_hint)
         rows.append((lam, zv))
 
-    if config.fmt == "csv":
-        out = [f"# fingerprint: {config.fingerprint}", "re_lambda,im_lambda,log_abs,arg,tail_bound"]
-        for lam, zv in rows:
-            out.append(
-                f"{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(zv.log_value.real)},"
-                f"{_fmt(zv.log_value.imag)},{_fmt(zv.tail_bound)}"
-            )
-        sys.stdout.write("\n".join(out) + "\n")
-    elif config.fmt == "plain":
-        lines = [f"kind = {args.kind}", f"spectrum = {args.spectrum}"]
-        for lam, zv in rows:
-            lines.append(
-                f"lambda {_fmt(lam.real)}{lam.imag:+.17g}j: log_re={_fmt(zv.log_value.real)} "
-                f"log_im={_fmt(zv.log_value.imag)} tail_bound={_fmt(zv.tail_bound)}"
-            )
-        _emit_plain(lines, config)
-    else:
-        doc = {
-            "subcommand": "zeta",
-            "kind": args.kind,
-            "delta_hint": args.delta_hint,
-            "rows": [
-                {
-                    "lambda": {"re": lam.real, "im": lam.imag},
-                    "log_value": {"re": zv.log_value.real, "im": zv.log_value.imag},
-                    "tail_bound": zv.tail_bound,
-                    "convergence_abscissa_used": zv.convergence_abscissa_used,
-                }
-                for lam, zv in rows
-            ],
-        }
-        _emit_json(doc, config)
-    return 0
+    doc = {
+        "subcommand": "zeta",
+        "kind": args.kind,
+        "delta_hint": args.delta_hint,
+        "rows": [
+            {
+                "lambda": {"re": lam.real, "im": lam.imag},
+                "log_value": {"re": zv.log_value.real, "im": zv.log_value.imag},
+                "tail_bound": zv.tail_bound,
+                "convergence_abscissa_used": zv.convergence_abscissa_used,
+            }
+            for lam, zv in rows
+        ],
+    }
+    lines = [f"kind = {args.kind}", f"spectrum = {args.spectrum}"]
+    csv = ["re_lambda,im_lambda,log_abs,arg,tail_bound"]
+    for lam, zv in rows:
+        lines.append(
+            f"lambda {_fmt(lam.real)}{lam.imag:+.17g}j: log_re={_fmt(zv.log_value.real)} "
+            f"log_im={_fmt(zv.log_value.imag)} tail_bound={_fmt(zv.tail_bound)}"
+        )
+        csv.append(
+            f"{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(zv.log_value.real)},"
+            f"{_fmt(zv.log_value.imag)},{_fmt(zv.tail_bound)}"
+        )
+    return _Output(doc, lines, "\n".join(csv) + "\n")
 
 
-def _run_detdn(args, config: RunConfig) -> int:
+def _run_detdn(args, config: RunConfig) -> _Output:
     topo = _topology_from_chi(args.chi)
     if args.chi > 0:
         report = theorem2_value(topo)
@@ -365,276 +338,43 @@ def _run_detdn(args, config: RunConfig) -> int:
         if args.limit is None:
             raise DomainError("chi < 0 needs --limit from an external continuation")
         report = theorem2_value(topo, supplied_limit=args.limit)
-    if config.fmt == "plain":
-        _emit_plain([f"chi = {args.chi}"] + _report_lines(report), config)
-    else:
-        _emit_json({"subcommand": "detdn", "chi": args.chi, "report": _report_doc(report)}, config)
-    return 0
+    doc = {"subcommand": "detdn", "chi": args.chi, "report": _report_doc(report)}
+    return _Output(doc, [f"chi = {args.chi}"] + _report_lines(report))
 
 
-def _run_theorem4(args, config: RunConfig) -> int:
+def _run_theorem4(args, config: RunConfig) -> _Output:
     topo = _topology_from_chi(args.chi)
     report = theorem4_pipeline(args.zg1, args.zg01, topo, args.ell)
-    if config.fmt == "plain":
-        _emit_plain([f"chi = {args.chi}", f"ell = {_fmt(args.ell)}"] + _report_lines(report), config)
-    else:
-        _emit_json({"subcommand": "theorem4", "chi": args.chi, "report": _report_doc(report)}, config)
-    return 0
+    doc = {"subcommand": "theorem4", "chi": args.chi, "report": _report_doc(report)}
+    return _Output(doc, [f"chi = {args.chi}", f"ell = {_fmt(args.ell)}"] + _report_lines(report))
 
 
-# ---------------------------------------------------------------- verify suites
-
-
-def _check(name: str, err: float, tol: float) -> dict:
-    return {"name": name, "max_err": float(err), "tolerance": float(tol), "passed": bool(err <= tol)}
-
-
-def _cyclic_spectrum(ell: float) -> LengthSpectrum:
-    window = 10.0 * ell
-    return LengthSpectrum(
-        entries=(SpectrumEntry(length=ell, multiplicity=2),),
-        cutoff=window,
-        complete_up_to=window,
-    )
-
-
-def _schottky_pair() -> GroupPresentation:
-    # Two hyperbolic dilations with separated axes (translation lengths
-    # 2.0 and 2.4; the second axis moved off the first by a conjugation).
-    def dilation(length: float) -> np.ndarray:
-        lam = math.exp(0.5 * length)
-        return np.array([[lam, 0.0], [0.0, 1.0 / lam]])
-
-    p, q = -3.0, 3.0
-    conj = np.array([[q, p], [1.0, 1.0]]) / math.sqrt(q - p)
-    m2 = conj @ dilation(2.4) @ np.linalg.inv(conj)
-    g1 = dilation(2.0)
-    return GroupPresentation(
-        (
-            MobiusTransform(g1[0, 0], g1[0, 1], g1[1, 0], g1[1, 1]),
-            MobiusTransform(m2[0, 0], m2[0, 1], m2[1, 0], m2[1, 1]),
-        )
-    )
-
-
-def _suite_appendix() -> list[dict]:
+def _run_verify(args, config: RunConfig) -> _Output:
+    order = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
-    for rho in (1.5, 2.0, math.e, 10.0, 100.0):
-        report = annulus_det_prime(AnnulusGeometry(rho))
-        target = 2.0 * math.pi / math.log(rho)
-        err = abs(report.ratio - target) / target
-        checks.append(_check(f"annulus rho={rho:g}: det'/ell = 2pi/ln(rho)", err, 1e-12))
-    for radius in (0.5, 1.0, 7.0):
-        report = disc_det_prime(radius)
-        checks.append(_check(f"disc radius={radius:g}: det' = boundary length", abs(report.ratio - 1.0), 1e-12))
-    return checks
-
-
-def _suite_bridge() -> list[dict]:
-    checks = []
-    rng = np.random.default_rng(_SEED)
-    worst = 0.0
-    for _ in range(10):
-        ell = float(rng.uniform(0.1, 20.0))
-        rho = CylinderGeometry(ell).bridge_rho
-        worst = max(worst, abs(ell / math.pi - 2.0 * math.pi / math.log(rho)))
-    checks.append(_check("cylinder<->annulus identity (10 random ell)", worst, 1e-12))
-    for ell in (1.0, 2.5):
-        lim = ruelle_limit_order(_cyclic_spectrum(ell), ell)
-        got = (2.0 / math.pi) * lim
-        want = cylinder_det_prime(CylinderGeometry(ell)).value
-        checks.append(_check(f"scattering route ell={ell:g}: (2/pi) lim = 2 ell^2/pi", abs(got - want) / want, 1e-10))
-    for eps in (1e-2, 1e-3, 1e-4):
-        val = cylinder_scattering_mode0(1.0 - eps)
-        err = abs(val / (0.5 * math.pi * eps * eps) - 1.0)
-        checks.append(_check(f"mode-0 Taylor |1-lambda|={eps:g}", err, 10.0 * eps))
-    for ell in (1.0, 3.0):
-        checks.append(_check(f"zero volume cylinder ell={ell:g}", abs(zero_volume_cylinder_numeric(ell)), 1e-8))
-    return checks
-
-
-def _random_eigen_sequence(rng, multiplicity=None, with_corrections=True):
-    power = float(rng.uniform(0.5, 3.0))
-    prefactor = float(rng.uniform(0.2, 5.0))
-    rate = float(rng.uniform(0.5, 2.0))
-    bound = float(rng.uniform(0.0, 0.8)) if with_corrections else 0.0
-    n_tail = required_tail_length(bound, rate) if with_corrections else 0
-    eps = tuple(bound * math.exp(-rate * (n + 1)) * float(rng.uniform(-1.0, 1.0)) for n in range(n_tail))
-    head = tuple(
-        (float(rng.uniform(0.1, 10.0)), int(rng.integers(1, 4))) for _ in range(int(rng.integers(0, 4)))
-    )
-    m = int(rng.integers(1, 4)) if multiplicity is None else multiplicity
-    return EigenSequence(
-        power=power, prefactor=prefactor, corrections=eps,
-        decay_rate=rate, decay_bound=bound, head=head, tail_multiplicity=m,
-    )
-
-
-def _suite_lemma() -> list[dict]:
-    checks = []
-    rng = np.random.default_rng(_SEED)
-    worst = 0.0
-    for _ in range(1000):
-        m = int(rng.integers(1, 4))
-        u = _random_eigen_sequence(rng, multiplicity=m)
-        v = _random_eigen_sequence(rng, multiplicity=m)
-        lu = log_det(u).log_value
-        lv = log_det(v).log_value
-        lw = log_det(combine(u, v)).log_value
-        worst = max(worst, abs(lw - lu - lv) / (1.0 + abs(lu) + abs(lv)))
-    checks.append(_check("additivity log det'(uv) = log det'(u) + log det'(v) (1000 random)", worst, 1e-12))
-    worst = 0.0
-    for _ in range(1000):
-        seq = _random_eigen_sequence(rng, with_corrections=False)
-        closed = seq.tail_multiplicity * 0.5 * (seq.power * _LN_2PI - math.log(seq.prefactor))
-        closed += sum(m * math.log(lam) for lam, m in seq.head)
-        got = log_det(seq).log_value
-        worst = max(worst, abs(got - closed) / (1.0 + abs(closed)))
-    checks.append(_check("closed-form equivalence for pure power sequences (1000 random)", worst, 1e-12))
-    n_tail = required_tail_length(1.0, 1.0)
-    eps = tuple(math.exp(-(n + 1.0)) for n in range(n_tail))
-    seq = EigenSequence(power=1.0, prefactor=1.0, corrections=eps, decay_rate=1.0, decay_bound=1.0)
-    err = abs(log_det(seq).log_value - 1.4364986403401920)
-    checks.append(_check("eps_n = e^-n sequence vs Euler-Maclaurin continuation oracle", err, 1e-9))
-    return checks
-
-
-def _suite_functional() -> list[dict]:
-    checks = []
-    # Gamma recurrence log Gamma(z+1) = log Gamma(z) + log z.
-    worst = 0.0
-    for z in (0.7, 2.3, 6.5, complex(1.4, 2.2)):
-        diff = log_gamma(z + 1).value - log_gamma(z).value - cmath.log(z)
-        worst = max(worst, abs(diff))
-    checks.append(_check("Gamma recurrence", worst, 1e-9))
-    # Barnes recurrence log G(z+1) = log Gamma(z) + log G(z).
-    worst = 0.0
-    for z in (0.8, 2.5, 5.25):
-        diff = log_barnes_g(z + 1).value - log_gamma(z).value - log_barnes_g(z).value
-        worst = max(worst, abs(diff))
-    checks.append(_check("Barnes G recurrence", worst, 1e-9))
-    checks.append(_check("zeta(0) = -1/2", abs(riemann_zeta(0.0).value - (-0.5)), 1e-9))
-    checks.append(_check("zeta'(0) = -ln(2 pi)/2", abs(zeta_derivative(0.0).value - (-0.5 * _LN_2PI)), 1e-9))
-    checks.append(_check("zeta'(-1)", abs(zeta_derivative(-1.0).value - (-0.16542114370045092921)), 1e-9))
-    # Ruelle/Selberg interlocking: R(lam) = Z(lam)/Z(lam+1).
-    worst = 0.0
-    for lam in (1.5, 2.5):
-        worst = max(worst, check_rz_identity(_cyclic_spectrum(1.0), lam, 0.0))
-    checks.append(_check("R = Z(lam)/Z(lam+1), cyclic spectrum", worst, 1e-14))
-    spectrum = enumerate_primitive_classes(_schottky_pair(), 12.0)
-    worst_excess = 0.0
-    for lam in (1.5, 2.0, 3.0):
-        residual = check_rz_identity(spectrum, lam, 0.55)
-        budget = (
-            ruelle(spectrum, lam, 0.55).tail_bound
-            + selberg(spectrum, lam, 0.55).tail_bound
-            + selberg(spectrum, lam + 1.0, 0.55).tail_bound
-            + 1e-13
-        )
-        worst_excess = max(worst_excess, residual - budget)
-    checks.append(_check("R = Z(lam)/Z(lam+1), Schottky pair within tail bounds", worst_excess, 0.0))
-    # Functional-equation bracket: antisymmetric under lam -> 1 - lam.
-    zero = lambda _s: 0.0
-    topo = _topology_from_chi(-1)
-    worst = 0.0
-    for lam in (0.3, 0.8, complex(0.4, 1.1)):
-        worst = max(
-            worst,
-            abs(functional_equation_rhs(lam, topo, zero) + functional_equation_rhs(1.0 - lam, topo, zero)),
-        )
-    checks.append(_check("functional bracket reflection antisymmetry", worst, 1e-13))
-    checks.append(
-        _check(
-            "functional equation at the symmetry point",
-            abs(functional_equation_rhs(0.5, topo, zero)),
-            0.0,
-        )
-    )
-    return checks
-
-
-def _suite_theorem4() -> list[dict]:
-    checks = []
-    rng = np.random.default_rng(_SEED)
-    worst_pipeline = 0.0
-    worst_dirichlet = 0.0
-    for _ in range(1000):
-        chi = -int(rng.integers(1, 6))
-        topo = _topology_from_chi(chi)
-        ell = float(rng.uniform(0.1, 20.0))
-        zp = float(rng.uniform(0.2, 5.0))
-        z0 = float(rng.uniform(0.2, 5.0))
-        report = theorem4_pipeline(zp, z0, topo, ell)
-        worst_pipeline = max(worst_pipeline, report.error_estimate / abs(report.ratio))
-        direct = math.log(z0) - chi * 0.33809624580377088335 - ell / 8.0
-        err = abs(log_dirichlet_det(1.0, z0, topo, ell) - direct) / (1.0 + abs(direct))
-        worst_dirichlet = max(worst_dirichlet, err)
-    checks.append(_check("theorem4 two-path agreement (1000 random)", worst_pipeline, 1e-12))
-    checks.append(_check("dirichlet det at lambda=1 two-path agreement (1000 random)", worst_dirichlet, 1e-12))
-    return checks
-
-
-def _suite_numericdn() -> tuple[list[dict], tuple]:
-    omega = ConformalFactor((0.0, 0.3, 0.0))
-    grid = np.linspace(0.0, 1.0, 11)
-    rows = k_convergence_table(DiscGeometry(1.0), omega, grid, (16, 32, 64))
-    residuals = [r for _, r in rows]
-    checks = [_check("conformal derivative identity residual at K=64", residuals[-1], 1e-6)]
-    monotone = all(residuals[i + 1] <= residuals[i] * (1.0 + 1e-9) for i in range(len(residuals) - 1))
-    at_floor = all(r <= 1e-9 for r in residuals)
-    table = {
-        "name": "K-convergence table monotone or at the 1e-9 noise floor",
-        "max_err": max(residuals),
-        "tolerance": 1e-9,
-        "passed": bool(monotone or at_floor),
-    }
-    checks.append(table)
-    return checks, rows
-
-
-def _run_verify(args, config: RunConfig) -> int:
-    suites = {
-        "appendix": _suite_appendix,
-        "bridge": _suite_bridge,
-        "lemma": _suite_lemma,
-        "functional": _suite_functional,
-        "theorem4": _suite_theorem4,
-    }
-    order = [args.suite] if args.suite != "all" else list(suites) + ["numericdn"]
-    checks: list[dict] = []
-    table_rows = None
     for name in order:
         if config.verbosity:
             sys.stderr.write(f"[dnzeta] verify suite {name}\n")
-        if name == "numericdn":
-            suite_checks, table_rows = _suite_numericdn()
-            checks.extend(suite_checks)
-        else:
-            checks.extend(suites[name]())
-    all_passed = all(c["passed"] for c in checks)
-
-    if config.fmt == "csv":
-        if table_rows is None:
-            raise DomainError("csv output for verify applies to the numericdn suite only")
-        sys.stdout.write(f"# fingerprint: {config.fingerprint}\n")
-        sys.stdout.write(convergence_table_to_csv(table_rows))
-    elif config.fmt == "json":
-        doc = {"subcommand": "verify", "suite": args.suite, "checks": checks, "passed": all_passed}
-        if table_rows is not None:
-            doc["k_table"] = [{"k": k, "residual": r} for k, r in table_rows]
-        _emit_json(doc, config)
-    else:
-        lines = []
-        for c in checks:
-            status = "PASS" if c["passed"] else "FAIL"
-            lines.append(f"{status}  {c['name']}  max_err={c['max_err']:.3e}  tol={c['tolerance']:.3e}")
-        if table_rows is not None:
-            for k, r in table_rows:
-                lines.append(f"table K={k}: residual={r:.3e}")
-        n_pass = sum(1 for c in checks if c["passed"])
-        lines.append(f"suite {args.suite}: {n_pass}/{len(checks)} passed")
-        _emit_plain(lines, config)
-    return 0 if all_passed else 2
+        checks.extend(SUITES[name]())
+    all_passed = all(c.passed for c in checks)
+    doc = {
+        "subcommand": "verify",
+        "suite": args.suite,
+        "checks": [c._asdict() for c in checks],
+        "passed": all_passed,
+    }
+    lines = []
+    for c in checks:
+        status = "PASS" if c.passed else "FAIL"
+        lines.append(f"{status}  {c.name}  max_err={c.max_err:.3e}  tol={c.tolerance:.3e}")
+    csv = None
+    if "numericdn" in order:
+        rows = k_table()
+        doc["k_table"] = [{"k": k, "residual": r} for k, r in rows]
+        lines += [f"table K={k}: residual={r:.3e}" for k, r in rows]
+        csv = convergence_table_to_csv(rows)
+    lines.append(f"suite {args.suite}: {sum(c.passed for c in checks)}/{len(checks)} passed")
+    return _Output(doc, lines, csv, 0 if all_passed else 2)
 
 
 # ---------------------------------------------------------------- wiring
@@ -693,7 +433,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ell", type=float, required=True)
 
     p = add_parser("verify", help="self-verification suites")
-    p.add_argument("--suite", choices=_SUITES, required=True)
+    p.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     return parser
 
 
@@ -727,7 +467,8 @@ def _config_from_args(args) -> RunConfig:
     fmt = getattr(args, "format", None)
     if fmt is None:
         fmt = "plain" if args.subcommand == "verify" else "json"
-    if fmt == "csv" and args.subcommand not in ("zeta", "verify"):
+    csv_ok = args.subcommand == "zeta" or (args.subcommand == "verify" and args.suite in ("numericdn", "all"))
+    if fmt == "csv" and not csv_ok:
         raise DomainError("csv output applies to lambda grids and the numericdn table only")
     return RunConfig(
         subcommand=args.subcommand,
@@ -750,7 +491,9 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         if config.verbosity:
             sys.stderr.write(f"[dnzeta] {args.subcommand} fingerprint={config.fingerprint}\n")
-        return _DISPATCH[args.subcommand](args, config)
+        out = _DISPATCH[args.subcommand](args, config)
+        _emit(out, config)
+        return out.code
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

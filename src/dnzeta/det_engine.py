@@ -30,13 +30,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError
 from .reports import DetReport
 from .specfun import eta_constant, log_barnes_g, log_gamma
 
 _LN_2PI = math.log(2.0 * math.pi)
+# 32-point Gauss-Legendre rule on [-1, 1] for the cylinder volume integrals
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,7 @@ def _cylinder_volume_fit(ell: float):
     vols = []
     for eps in eps_grid:
         r_max = math.log(2.0 / eps)
-        vol, _ = quad(
-            lambda r: ell * math.cosh(r), -r_max, r_max, epsabs=1e-13, epsrel=1e-13
-        )
-        vols.append(vol)
+        vols.append(r_max * float(np.dot(_GL_WEIGHTS, ell * np.cosh(r_max * _GL_NODES))))
     design = np.column_stack([1.0 / eps_grid, np.ones_like(eps_grid), eps_grid])
     coef, _, rank, _ = np.linalg.lstsq(design, np.array(vols), rcond=None)
     if rank < 3:

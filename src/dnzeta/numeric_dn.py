@@ -42,7 +42,6 @@ matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -117,22 +116,6 @@ class ConformalFactor:
         if th.shape == ():
             return float(out)
         return out
-
-
-def factor_to_json(factor: ConformalFactor) -> str:
-    """Serialize as a bare JSON list [c0, a1, b1, ...]."""
-    return json.dumps(list(factor.coefficients))
-
-
-def factor_from_json(text: str) -> ConformalFactor:
-    """Parse a JSON list of Fourier coefficients."""
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise DomainError("conformal factor JSON must be a list of numbers")
-    for c in data:
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise DomainError(f"conformal factor entries must be numbers, got {c!r}")
-    return ConformalFactor(tuple(float(c) for c in data))
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,6 +278,18 @@ def conformal_family(op: TruncatedOperator, omega0: ConformalFactor, t: float) -
     return TruncatedOperator(k=op.k, matrix=mat, geometry="disc")
 
 
+def _split_kernel(op: TruncatedOperator, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues outside the kernel, unit kernel eigenvector) of op."""
+    w, vecs = np.linalg.eigh(op.matrix)
+    small = np.flatnonzero(np.abs(w) < threshold)
+    if small.size != 1:
+        raise TruncationError(
+            f"expected a one-dimensional numerical kernel below {threshold}, "
+            f"found {small.size} eigenvalues"
+        )
+    return np.delete(w, small[0]), np.ascontiguousarray(vecs[:, small[0]])
+
+
 def kernel_vector(op: TruncatedOperator, threshold: float = _KERNEL_THRESHOLD) -> np.ndarray:
     """Unit eigenvector of the unique eigenvalue below threshold.
 
@@ -303,20 +298,7 @@ def kernel_vector(op: TruncatedOperator, threshold: float = _KERNEL_THRESHOLD) -
     anything other than exactly one near-zero eigenvalue means the
     truncation has polluted it.
     """
-    w, vecs = np.linalg.eigh(op.matrix)
-    small = np.flatnonzero(np.abs(w) < threshold)
-    if small.size != 1:
-        raise TruncationError(
-            f"expected a one-dimensional numerical kernel below {threshold}, "
-            f"found {small.size} eigenvalues"
-        )
-    return np.ascontiguousarray(vecs[:, small[0]])
-
-
-def kernel_projector(op: TruncatedOperator, threshold: float = _KERNEL_THRESHOLD) -> np.ndarray:
-    """Rank-one orthogonal projector onto the numerical kernel."""
-    v = kernel_vector(op, threshold)
-    return np.outer(v, v)
+    return _split_kernel(op, threshold)[1]
 
 
 def boundary_length(geometry, omega0: ConformalFactor, t: float, n_nodes: int = _QUAD_NODES) -> float:
@@ -345,19 +327,11 @@ def boundary_length(geometry, omega0: ConformalFactor, t: float, n_nodes: int = 
 
 def _pseudo_log_det(op: TruncatedOperator, prev_kernel: np.ndarray | None) -> tuple[float, np.ndarray]:
     """(sum of log nonzero eigenvalues, kernel vector), tracked in t."""
-    w, vecs = np.linalg.eigh(op.matrix)
-    small = np.flatnonzero(np.abs(w) < _KERNEL_THRESHOLD)
-    if small.size != 1:
-        raise TruncationError(
-            f"kernel tracking failure: {small.size} eigenvalues below "
-            f"{_KERNEL_THRESHOLD} (need exactly 1)"
-        )
-    kernel = np.ascontiguousarray(vecs[:, small[0]])
+    nonzero, kernel = _split_kernel(op, _KERNEL_THRESHOLD)
     if prev_kernel is not None and abs(float(kernel @ prev_kernel)) < _CONTINUITY_FLOOR:
         raise TruncationError(
             "kernel tracking failure: eigenvector direction jumped between grid points"
         )
-    nonzero = np.delete(w, small[0])
     if np.any(nonzero <= 0.0):
         raise TruncationError(
             "kernel tracking failure: nonpositive eigenvalue outside the kernel"

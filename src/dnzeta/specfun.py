@@ -1,13 +1,15 @@
 """Double-precision special function kernel.
 
-Provides principal-branch log Gamma, log Barnes G, the Riemann zeta
-function and its s-derivative, the Gauss hypergeometric function 2F1,
-and the boundary heat-coefficient constant eta.
+Provides log Gamma, log Barnes G, the Riemann zeta function and its
+s-derivative, the Gauss hypergeometric function 2F1, and the boundary
+heat-coefficient constant eta.
 
 All routines work in ordinary complex doubles with compensated
 summation and return an :class:`EvalResult` carrying the value together
-with a defensible absolute error estimate.  Branch convention:
-principal logarithms throughout; on the negative real axis values are
+with a defensible absolute error estimate.  Branch convention: log Gamma
+and log G are the continuous branches that satisfy their recurrences,
+not the principal logarithms of Gamma and G, from which they can
+differ by multiples of 2 pi i.  On the negative real axis values are
 the limits from the upper half plane.  Certified domains are listed per
 function; outside them the routines raise rather than silently degrade.
 """
@@ -85,7 +87,11 @@ _STIRLING_CUT = 10.0
 
 
 def log_gamma(z: complex) -> EvalResult:
-    """Principal-branch log Gamma.
+    """log Gamma on the branch continuous off the negative real axis.
+
+    This is the branch of mpmath.loggamma, fixed by log Gamma(z+1) =
+    log Gamma(z) + log z; it is not the principal log of Gamma(z)
+    (at z = 30+5i the two differ by 3 * 2 pi i).
 
     Uses the ascending recurrence until Re z >= 10, then the Stirling
     series with Bernoulli corrections.  Certified for |z| <= 60 away
@@ -132,9 +138,12 @@ _BARNES_CUT = 11.0
 
 
 def log_barnes_g(z: complex) -> EvalResult:
-    """Principal-branch log of the Barnes G function.
+    """log of the Barnes G function on the branch fixed by its recurrence.
 
-    Satisfies log G(z+1) = log Gamma(z) + log G(z) with log G(1) = 0.
+    Satisfies log G(z+1) = log Gamma(z) + log G(z) with log G(1) = 0,
+    with log Gamma on the branch of log_gamma; this is not the principal
+    log of G(z) (at z = 30+5i the two differ by 55 * 2 pi i).
+
     Computed by the descending recurrence until Re z >= 11, then the
     large-z asymptotic series whose constant term is zeta'(-1)
     (computed internally, not hardcoded).  Certified for |z| <= 40 away

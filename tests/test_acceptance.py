@@ -1,251 +1,167 @@
-"""Acceptance suite: one test per headline numerical claim.
+"""Acceptance suite: the headline claims of dnzeta.claims, one item per check.
 
-Each test states its tolerance inline and checks it against the public
-API, so `pytest -v tests/test_acceptance.py` prints one pass/fail line
-per claim.  Timing limits are asserted where a claim carries one.
+The claims are stated once, in dnzeta.claims, which `dnzeta verify`
+runs too.  Each suite is computed once per session.  test_claim asserts
+every check on its own; FROZEN_CLAIMS pins each check's name and
+tolerance, so loosening a tolerance in the registry fails here.  The
+criterion tests group the checks by acceptance criterion and add what
+the suites do not check: the timing limits, det' = 2 pi R on the disc,
+the closed form 2 ell^2/pi behind the scattering route, and the
+conformal identity on its own t-grid around t = 0.
 """
 
+import functools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from dnzeta.det_engine import (
-    SurfaceTopology,
-    log_dirichlet_det,
-    theorem4_pipeline,
-    zero_volume_cylinder_numeric,
-)
+from dnzeta import claims
 from dnzeta.dn_explicit import (
     AnnulusGeometry,
     CylinderGeometry,
     annulus_det_prime,
     cylinder_det_prime,
-    cylinder_scattering_mode0,
     disc_det_prime,
 )
-from dnzeta.hyperbolic import (
-    GroupPresentation,
-    LengthSpectrum,
-    MobiusTransform,
-    SpectrumEntry,
-    enumerate_primitive_classes,
+from dnzeta.numeric_dn import derivative_identity_check, k_convergence_table
+
+# (criterion, suite, name, tolerance) of every registry check, in run
+# order; criterion None marks checks outside the numbered criteria.
+FROZEN_CLAIMS = (
+    ("01", "appendix", "annulus rho=1.5: det'/ell = 2pi/ln(rho)", 1e-12),
+    ("01", "appendix", "annulus rho=2: det'/ell = 2pi/ln(rho)", 1e-12),
+    ("01", "appendix", "annulus rho=2.71828: det'/ell = 2pi/ln(rho)", 1e-12),
+    ("01", "appendix", "annulus rho=10: det'/ell = 2pi/ln(rho)", 1e-12),
+    ("01", "appendix", "annulus rho=100: det'/ell = 2pi/ln(rho)", 1e-12),
+    ("02", "appendix", "disc radius=0.5: det' = boundary length", 1e-12),
+    ("02", "appendix", "disc radius=1: det' = boundary length", 1e-12),
+    ("02", "appendix", "disc radius=7: det' = boundary length", 1e-12),
+    ("03", "bridge", "cylinder<->annulus identity (10 random ell)", 1e-12),
+    ("04", "bridge", "scattering route ell=1: (2/pi) lim = 2 ell^2/pi", 1e-10),
+    ("04", "bridge", "scattering route ell=2.5: (2/pi) lim = 2 ell^2/pi", 1e-10),
+    ("05", "bridge", "mode-0 Taylor |1-lambda|=0.01", 0.1),
+    ("05", "bridge", "mode-0 Taylor |1-lambda|=0.001", 0.01),
+    ("05", "bridge", "mode-0 Taylor |1-lambda|=0.0001", 0.001),
+    ("11", "bridge", "zero volume cylinder ell=1", 1e-8),
+    ("11", "bridge", "zero volume cylinder ell=3", 1e-8),
+    ("06", "lemma", "additivity log det'(uv) = log det'(u) + log det'(v) (1000 random)", 1e-12),
+    ("06", "lemma", "closed-form equivalence for pure power sequences (1000 random)", 1e-12),
+    ("06", "lemma", "eps_n = e^-n sequence vs Euler-Maclaurin continuation oracle", 1e-9),
+    ("10", "functional", "Gamma recurrence", 1e-9),
+    ("10", "functional", "Barnes G recurrence", 1e-9),
+    ("10", "functional", "zeta(0) = -1/2", 1e-9),
+    ("10", "functional", "zeta'(0) = -ln(2 pi)/2", 1e-9),
+    ("10", "functional", "zeta'(-1)", 1e-9),
+    ("07", "functional", "R = Z(lam)/Z(lam+1), cyclic spectrum", 1e-14),
+    ("07", "functional", "R = Z(lam)/Z(lam+1), Schottky pair within tail bounds", 0.0),
+    (None, "functional", "functional bracket reflection antisymmetry", 1e-13),
+    (None, "functional", "functional equation at the symmetry point", 0.0),
+    ("08", "theorem4", "theorem4 two-path agreement (1000 random)", 1e-12),
+    ("08", "theorem4", "dirichlet det at lambda=1 two-path agreement (1000 random)", 1e-12),
+    ("09", "numericdn", "conformal derivative identity residual at K=64", 1e-6),
+    ("09", "numericdn", "K-convergence table monotone or at the 1e-9 noise floor", 1e-9),
 )
-from dnzeta.numeric_dn import (
-    ConformalFactor,
-    DiscGeometry,
-    derivative_identity_check,
-    k_convergence_table,
+
+
+@functools.cache
+def run_suite(suite):
+    """({name: check}, wall seconds) of one registry suite, computed once."""
+    start = time.perf_counter()
+    checks = claims.SUITES[suite]()
+    return {c.name: c for c in checks}, time.perf_counter() - start
+
+
+def assert_criterion(criterion):
+    for crit, suite, name, _ in FROZEN_CLAIMS:
+        if crit == criterion:
+            check = run_suite(suite)[0][name]
+            assert check.passed, f"{name}: max_err={check.max_err:.3e} tol={check.tolerance:.3e}"
+
+
+def test_registry_matches_frozen_claims():
+    got = [(suite, c.name, c.tolerance) for suite in claims.SUITES for c in run_suite(suite)[0].values()]
+    assert got == [(suite, name, tol) for _, suite, name, tol in FROZEN_CLAIMS]
+
+
+@pytest.mark.parametrize(
+    "suite, name, tolerance",
+    [claim[1:] for claim in FROZEN_CLAIMS],
+    ids=[claim[2] for claim in FROZEN_CLAIMS],
 )
-from dnzeta.specfun import log_barnes_g, log_gamma, riemann_zeta, zeta_derivative
-from dnzeta.zeta_dyn import check_rz_identity, ruelle, ruelle_limit_order, selberg
-from dnzeta.zeta_reg import EigenSequence, combine, log_det, required_tail_length
-
-SEED = 20260818
-LN_2PI = math.log(2.0 * math.pi)
-ETA = 0.33809624580377088335
-ZETA_PRIME_MINUS1 = -0.16542114370045092921
-
-# log det' of the eps_n = e^-n perturbed sequence, frozen from an
-# independent Euler-Maclaurin continuation of the spectral zeta function
-EULER_MACLAURIN_LOG_DET = 1.4364986403401920
-
-
-def cyclic_spectrum(ell):
-    window = 10.0 * ell
-    return LengthSpectrum(
-        entries=(SpectrumEntry(length=ell, multiplicity=2),),
-        cutoff=window,
-        complete_up_to=window,
-    )
-
-
-def schottky_pair():
-    def dilation(length):
-        lam = math.exp(0.5 * length)
-        return np.array([[lam, 0.0], [0.0, 1.0 / lam]])
-
-    conj = np.array([[3.0, -3.0], [1.0, 1.0]]) / math.sqrt(6.0)
-    m2 = conj @ dilation(2.4) @ np.linalg.inv(conj)
-    g1 = dilation(2.0)
-    return GroupPresentation(
-        (
-            MobiusTransform(g1[0, 0], g1[0, 1], g1[1, 0], g1[1, 1]),
-            MobiusTransform(m2[0, 0], m2[0, 1], m2[1, 0], m2[1, 1]),
-        )
-    )
-
-
-def random_sequence(rng, multiplicity=None, with_corrections=True):
-    power = float(rng.uniform(0.5, 3.0))
-    prefactor = float(rng.uniform(0.2, 5.0))
-    rate = float(rng.uniform(0.5, 2.0))
-    bound = float(rng.uniform(0.0, 0.8)) if with_corrections else 0.0
-    n_tail = required_tail_length(bound, rate) if with_corrections else 0
-    eps = tuple(
-        bound * math.exp(-rate * (n + 1)) * float(rng.uniform(-1.0, 1.0))
-        for n in range(n_tail)
-    )
-    head = tuple(
-        (float(rng.uniform(0.1, 10.0)), int(rng.integers(1, 4)))
-        for _ in range(int(rng.integers(0, 4)))
-    )
-    m = int(rng.integers(1, 4)) if multiplicity is None else multiplicity
-    return EigenSequence(
-        power=power,
-        prefactor=prefactor,
-        corrections=eps,
-        decay_rate=rate,
-        decay_bound=bound,
-        head=head,
-        tail_multiplicity=m,
-    )
+def test_claim(suite, name, tolerance):
+    check = run_suite(suite)[0][name]
+    assert check.tolerance == tolerance
+    assert check.passed, f"max_err={check.max_err:.3e} tol={check.tolerance:.3e}"
 
 
 def test_criterion_01_annulus_det_over_length_is_two_pi_over_log_rho():
-    # det' N / ell(boundary) = 2 pi / ln rho, relative 1e-12, under 1s per rho
-    for rho in (1.5, 2.0, math.e, 10.0, 100.0):
+    # and each annulus determinant takes under 1 s
+    assert_criterion("01")
+    for rho in claims.ANNULUS_MODULI:
         start = time.perf_counter()
-        report = annulus_det_prime(AnnulusGeometry(rho))
-        elapsed = time.perf_counter() - start
-        target = 2.0 * math.pi / math.log(rho)
-        assert abs(report.ratio - target) / target <= 1e-12
-        assert elapsed < 1.0
+        annulus_det_prime(AnnulusGeometry(rho))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_criterion_02_disc_det_prime_equals_boundary_length():
-    # det' N = boundary length for radii 0.5, 1, 7, to 1e-12
-    for radius in (0.5, 1.0, 7.0):
+    # and the value itself is the boundary length 2 pi R
+    assert_criterion("02")
+    for radius in claims.DISC_RADII:
         report = disc_det_prime(radius)
-        assert abs(report.ratio - 1.0) <= 1e-12
         assert abs(report.value / (2.0 * math.pi * radius) - 1.0) <= 1e-12
 
 
 def test_criterion_03_cylinder_annulus_bridge_identity():
-    # ell/pi = 2 pi / ln(e^{2 pi^2 / ell}) for 10 random ell in (0.1, 20)
-    rng = np.random.default_rng(SEED)
-    for _ in range(10):
-        ell = float(rng.uniform(0.1, 20.0))
-        rho = CylinderGeometry(ell).bridge_rho
-        assert abs(ell / math.pi - 2.0 * math.pi / math.log(rho)) <= 1e-12
+    assert_criterion("03")
 
 
 def test_criterion_04_scattering_route_reaches_closed_form():
-    # (2/pi) lim_{mu->0} R(mu)/mu^2 = 2 ell^2/pi via Richardson, to 1e-10
-    for ell in (1.0, 2.5):
-        limit = ruelle_limit_order(cyclic_spectrum(ell), ell)
-        got = (2.0 / math.pi) * limit
+    # and the target of the scattering route is the closed form 2 ell^2/pi
+    assert_criterion("04")
+    for ell in claims.SCATTERING_LENGTHS:
         want = cylinder_det_prime(CylinderGeometry(ell)).value
         assert want == pytest.approx(2.0 * ell**2 / math.pi, rel=1e-14)
-        assert abs(got - want) / want <= 1e-10
 
 
 def test_criterion_05_mode0_scattering_taylor_window():
-    # S(lambda) = (pi/2)(1-lambda)^2 (1 + O(1-lambda)) with constant <= 10
-    for eps in (1e-2, 1e-3, 1e-4):
-        val = cylinder_scattering_mode0(1.0 - eps)
-        assert abs(val / (0.5 * math.pi * eps * eps) - 1.0) <= 10.0 * eps
+    assert_criterion("05")
 
 
 def test_criterion_06_regularized_product_lemma_suite():
-    # additivity and the closed form on 1000 randomized sequences at
-    # 1e-12 relative; the e^-n perturbation against the continuation
-    # oracle at 1e-9
-    rng = np.random.default_rng(SEED)
-    for _ in range(1000):
-        m = int(rng.integers(1, 4))
-        u = random_sequence(rng, multiplicity=m)
-        v = random_sequence(rng, multiplicity=m)
-        lu = log_det(u).log_value
-        lv = log_det(v).log_value
-        lw = log_det(combine(u, v)).log_value
-        assert abs(lw - lu - lv) / (1.0 + abs(lu) + abs(lv)) <= 1e-12
-    for _ in range(1000):
-        seq = random_sequence(rng, with_corrections=False)
-        closed = seq.tail_multiplicity * 0.5 * (
-            seq.power * LN_2PI - math.log(seq.prefactor)
-        )
-        closed += sum(m * math.log(lam) for lam, m in seq.head)
-        got = log_det(seq).log_value
-        assert abs(got - closed) / (1.0 + abs(closed)) <= 1e-12
-    n_tail = required_tail_length(1.0, 1.0)
-    eps = tuple(math.exp(-(n + 1.0)) for n in range(n_tail))
-    seq = EigenSequence(
-        power=1.0, prefactor=1.0, corrections=eps, decay_rate=1.0, decay_bound=1.0
-    )
-    assert abs(log_det(seq).log_value - EULER_MACLAURIN_LOG_DET) <= 1e-9
+    assert_criterion("06")
 
 
 def test_criterion_07_ruelle_selberg_identity_within_tail_bounds():
-    # R(lambda) = Z(lambda)/Z(lambda+1): machine exact on a cyclic
-    # spectrum, within the reported tail bounds on a two-generator
-    # Schottky spectrum cut at word length 12, all under 30s
-    start = time.perf_counter()
-    for lam in (1.5, 2.5):
-        assert check_rz_identity(cyclic_spectrum(1.0), lam, 0.0) <= 1e-14
-    spectrum = enumerate_primitive_classes(schottky_pair(), 12.0)
-    for lam in (1.5, 2.0, 3.0):
-        residual = check_rz_identity(spectrum, lam, 0.55)
-        budget = (
-            ruelle(spectrum, lam, 0.55).tail_bound
-            + selberg(spectrum, lam, 0.55).tail_bound
-            + selberg(spectrum, lam + 1.0, 0.55).tail_bound
-            + 1e-13
-        )
-        assert residual <= budget
-    assert time.perf_counter() - start < 30.0
+    # and the functional suite, Schottky enumeration included, takes under 30 s
+    assert_criterion("07")
+    assert run_suite("functional")[1] < 30.0
 
 
 def test_criterion_08_theorem4_and_dirichlet_two_path_agreement():
-    # both determinant routes agree to 1e-12 relative on 1000 random draws
-    rng = np.random.default_rng(SEED)
-    for _ in range(1000):
-        chi = -int(rng.integers(1, 6))
-        topo = SurfaceTopology(genus=0, boundary_components=2 - chi)
-        ell = float(rng.uniform(0.1, 20.0))
-        zp = float(rng.uniform(0.2, 5.0))
-        z0 = float(rng.uniform(0.2, 5.0))
-        report = theorem4_pipeline(zp, z0, topo, ell)
-        assert report.error_estimate / abs(report.ratio) <= 1e-12
-        direct = math.log(z0) - chi * ETA - ell / 8.0
-        err = abs(log_dirichlet_det(1.0, z0, topo, ell) - direct)
-        assert err / (1.0 + abs(direct)) <= 1e-12
+    assert_criterion("08")
 
 
 def test_criterion_09_conformal_derivative_residual_and_k_table():
-    # d/dt [log pdet - log ell] = 0 for omega_0 = 0.3 cos(theta) on the
-    # unit disc: residual <= 1e-6 at K=64, and the K in {16, 32, 64}
-    # table either decreases or sits at the 1e-9 rounding floor
-    geometry = DiscGeometry(1.0)
-    omega0 = ConformalFactor((0.0, 0.3, 0.0))
+    # the registry checks the identity on t in [0, 1]; here it also holds
+    # on 5 points of [-0.05, 0.05], where the K table must not increase
+    # or must sit at the rounding floor
+    assert_criterion("09")
+    geometry, omega0 = claims.CONFORMAL_DISC, claims.CONFORMAL_FACTOR
     t_grid = np.linspace(-0.05, 0.05, 5)
-    residual = derivative_identity_check(geometry, omega0, t_grid, k=64)
-    assert residual <= 1e-6
-    table = k_convergence_table(geometry, omega0, t_grid, (16, 32, 64))
+    residual = derivative_identity_check(geometry, omega0, t_grid, k=claims.K_LADDER[-1])
+    assert residual <= claims.RESIDUAL_TOLERANCE
+    table = k_convergence_table(geometry, omega0, t_grid, claims.K_LADDER)
     residuals = [r for _, r in table]
     non_increasing = all(a >= b for a, b in zip(residuals, residuals[1:]))
-    at_floor = all(r <= 1e-9 for r in residuals)
+    at_floor = all(r <= claims.NOISE_FLOOR for r in residuals)
     assert non_increasing or at_floor
 
 
 def test_criterion_10_special_function_recurrences_and_zeta_values():
-    # Gamma and Barnes G recurrences plus zeta(0), zeta'(0), zeta'(-1),
-    # everything to 1e-9
-    import cmath
-
-    for z in (0.7, 2.3, 6.5, complex(1.4, 2.2)):
-        diff = log_gamma(z + 1).value - log_gamma(z).value - cmath.log(z)
-        assert abs(diff) <= 1e-9
-    for z in (0.8, 2.5, 5.25):
-        diff = log_barnes_g(z + 1).value - log_gamma(z).value - log_barnes_g(z).value
-        assert abs(diff) <= 1e-9
-    assert abs(riemann_zeta(0.0).value - (-0.5)) <= 1e-9
-    assert abs(zeta_derivative(0.0).value - (-0.5 * LN_2PI)) <= 1e-9
-    assert abs(zeta_derivative(-1.0).value - ZETA_PRIME_MINUS1) <= 1e-9
+    assert_criterion("10")
 
 
 def test_criterion_11_zero_volume_for_the_cylinder():
-    # the heat-trace volume coefficient vanishes: |V| <= 1e-8 for ell 1, 3
-    for ell in (1.0, 3.0):
-        assert abs(zero_volume_cylinder_numeric(ell)) <= 1e-8
+    assert_criterion("11")

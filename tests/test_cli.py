@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from dnzeta.claims import schottky_pair
 from dnzeta.cli import main
 from dnzeta.hyperbolic import LengthSpectrum, SpectrumEntry, spectrum_to_json
 
@@ -30,36 +31,12 @@ def write_cyclic_spectrum(path, length=1.0, reflections=None):
 
 
 def write_generator_pair(path):
-    # Dilations of translation length 2.0 and 2.4, the second conjugated
-    # so the pair generates a free group of rank two.
-    def dilation(ell):
-        e = math.exp(ell / 2.0)
-        return (e, 0.0, 0.0, 1.0 / e)
-
-    s6 = math.sqrt(6.0)
-    c = ((3.0 / s6, -3.0 / s6), (1.0 / s6, 1.0 / s6))
-    det = c[0][0] * c[1][1] - c[0][1] * c[1][0]
-    inv = ((c[1][1] / det, -c[0][1] / det), (-c[1][0] / det, c[0][0] / det))
-    a, b, cc, d = dilation(2.4)
-    m = ((a, b), (cc, d))
-    t = (
-        (c[0][0] * m[0][0] + c[0][1] * m[1][0], c[0][0] * m[0][1] + c[0][1] * m[1][1]),
-        (c[1][0] * m[0][0] + c[1][1] * m[1][0], c[1][0] * m[0][1] + c[1][1] * m[1][1]),
-    )
-    g2 = (
-        t[0][0] * inv[0][0] + t[0][1] * inv[1][0],
-        t[0][0] * inv[0][1] + t[0][1] * inv[1][1],
-        t[1][0] * inv[0][0] + t[1][1] * inv[1][0],
-        t[1][0] * inv[0][1] + t[1][1] * inv[1][1],
-    )
-    g1 = dilation(2.0)
-    doc = {
-        "generators": [
-            {"a": g1[0], "b": g1[1], "c": g1[2], "d": g1[3], "label": "A"},
-            {"a": g2[0], "b": g2[1], "c": g2[2], "d": g2[3], "label": "B"},
-        ]
-    }
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    # the Schottky pair of the verify suites: translation lengths 2.0, 2.4
+    gens = [
+        {"a": g.a, "b": g.b, "c": g.c, "d": g.d, "label": label}
+        for g, label in zip(schottky_pair().generators, "AB")
+    ]
+    path.write_text(json.dumps({"generators": gens}), encoding="utf-8")
     return str(path)
 
 
@@ -296,6 +273,17 @@ class TestZetaSubcommand:
                     "a:b:c", "1.0:2.0", "zzz"):
             assert run_cli(capsys, *base, bad)[0] == 1
 
+    def test_list_lengths_are_bounded(self, capsys, tmp_path):
+        # 10001 rows is one past the limit; 0:1:1e-12 would be 1e12 points,
+        # and the last grid's point count overflows a float
+        spec = write_cyclic_spectrum(tmp_path / "s.json")
+        base = ("zeta", "--spectrum", spec, "--kind", "ruelle", "--lambda")
+        for grid in ("1:10001:1", "0:1:1e-12", "0:1e308:1e-300"):
+            code, _, err = run_cli(capsys, *base, grid)
+            assert code == 1
+            assert "points" in err
+        assert run_cli(capsys, "annulus", "--rho", "2.0", "--modes", "10000")[0] == 1
+
     def test_boundary_flag_rules(self, capsys, tmp_path):
         plain = write_cyclic_spectrum(tmp_path / "plain.json")
         refl = write_cyclic_spectrum(tmp_path / "refl.json", reflections=2)
@@ -352,6 +340,22 @@ class TestDetSubcommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["report"]["inputs"]["supplied_limit"] == 0.125
+
+    def test_detdn_stdout_is_pinned(self, capsys):
+        # chi = 1 reports exactly 1.0 and 0.0, so these bytes hold everywhere
+        _, out, _ = run_cli(capsys, "detdn", "--chi", "1")
+        assert out == (
+            '{\n  "chi": 1,\n  "fingerprint": "550716a24f9c",\n  "report": {\n'
+            '    "error_estimate": 0.0,\n    "inputs": {\n      "boundary_components": 1,\n'
+            '      "euler": 1,\n      "genus": 0\n    },\n    "method": "closed_form",\n'
+            '    "ratio": 1.0,\n    "value": 1.0\n  },\n  "schema": 1,\n  "subcommand": "detdn"\n}\n'
+        )
+        _, out, _ = run_cli(capsys, "detdn", "--chi", "1", "--format", "plain")
+        assert out == (
+            "chi = 1\nvalue = 1\nratio = 1\nmethod = closed_form\nerror_estimate = 0\n"
+            "input boundary_components = 1\ninput euler = 1\ninput genus = 0\n"
+            "fingerprint: 9ab20fd36937\n"
+        )
 
     def test_detdn_missing_requirements(self, capsys):
         assert run_cli(capsys, "detdn", "--chi", "0")[0] == 1
