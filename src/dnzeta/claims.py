@@ -55,7 +55,7 @@ _ZETA_PRIME_MINUS1 = -0.16542114370045092921
 # independent Euler-Maclaurin continuation of the spectral zeta function
 _EULER_MACLAURIN_LOG_DET = 1.4364986403401920
 
-ANNULUS_MODULI = (1.5, 2.0, math.e, 10.0, 100.0)
+ANNULUS_MODULI = (1.00001, 1.001, 1.5, 2.0, math.e, 10.0, 100.0)
 DISC_RADII = (0.5, 1.0, 7.0)
 SCATTERING_LENGTHS = (1.0, 2.5)
 CONFORMAL_DISC = DiscGeometry(1.0)

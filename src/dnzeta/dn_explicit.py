@@ -18,18 +18,24 @@ by diag(sqrt(rho), 1), which reweights by boundary arc length, makes it
 symmetric, and the eigenvalues (all that the zeta function consumes)
 are unchanged by that similarity.
 
-Eigenvalue rearrangement used for the zeta pipeline: with t = |n| a,
+Determinant.  det N_n = n^2 e^{-a} exactly, so det' regularizes the
+block determinants {n^2 e^{-a}, multiplicity 2} (n >= 1) plus the mode-0
+eigenvalue (1+rho)/(rho a); by the additivity lemma this is det' of the
+eigenvalue pairs themselves, and the sequence has no corrections, so the
+truncation term is exactly 0 and the cost does not depend on rho.
+
+Eigenvalues (annulus_eigenvalues only): with t = |n| a,
 
     lam_{n,+} = |n| (1 + eps_+),      eps_+ = e^{-a/2} (cosh(a/2) d1 + d2),
-    lam_{n,-} = |n| e^{-a} (1 + eps_-), eps_- = e^{a/2} (cosh(a/2) d1 - d2),
+    lam_{n,-} = |n| e^{-a} / (1 + eps_+),
 
     d1 = coth t - 1 = 2q/(1-q),  q = e^{-2t},
     d2 = S - sinh(a/2) = cosh^2(a/2) csch^2 t / (S + sinh(a/2)),
-    S  = sqrt(sinh^2(a/2) coth^2 t + csch^2 t),
+    S  = sqrt(sinh^2(a/2) coth^2 t + csch^2 t).
 
-which is exact and keeps only relative rounding error, so the
-corrections eps decay like e^{-2 a n} with a provable constant and the
-product lam_+ lam_- = n^2 e^{-a} holds to machine precision.
+eps_+ is a sum of positive terms and keeps only relative rounding
+error; lam_- comes from the determinant identity rather than from its
+own correction, which cancels catastrophically when t << 1.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 from .errors import DomainError, PoleError
 from .reports import DetReport
 from .specfun import hyp2f1, log_gamma
-from .zeta_reg import EigenSequence, log_det, required_tail_length
+from .zeta_reg import EigenSequence, log_det
 
 _TWO_PI = 2.0 * math.pi
 
@@ -81,40 +87,23 @@ class CylinderGeometry:
         object.__setattr__(self, "bridge_rho", math.exp(exponent))
 
 
-@dataclass(frozen=True)
-class DnBlock:
-    """One Fourier-mode block of a DN map (2x2 coupled, or 1x1)."""
-
-    mode: int
-    entries: np.ndarray
-    geometry: str
-
-
-def annulus_block(geom: AnnulusGeometry, n: int) -> DnBlock:
+def annulus_block(geom: AnnulusGeometry, n: int) -> np.ndarray:
     """DN block of mode n in the (outer, inner) trace basis."""
     a = geom.alpha
     if n == 0:
         # Kernel direction (1, 1); nonzero eigenvalue (1+rho)/(rho ln rho).
-        entries = np.array([[1.0 / geom.rho, -1.0 / geom.rho], [-1.0, 1.0]]) / a
-        return DnBlock(mode=0, entries=entries, geometry="annulus")
+        return np.array([[1.0 / geom.rho, -1.0 / geom.rho], [-1.0, 1.0]]) / a
     t = abs(n) * a
-    cosh_t = math.cosh(t) if t < 350.0 else math.inf
-    if math.isinf(cosh_t):
+    if t >= 350.0:
         # coth(t) = 1 to machine precision; entries via exact limits.
-        diag_outer = abs(n) * math.exp(-a)
-        diag_inner = float(abs(n))
-        off = 0.0
-        entries = np.array([[diag_outer, -off * math.exp(-a)], [-off, diag_inner]])
-        return DnBlock(mode=n, entries=entries, geometry="annulus")
+        return np.diag([abs(n) * math.exp(-a), float(abs(n))])
+    cosh_t = math.cosh(t)
     pref = abs(n) / math.sinh(t)
-    entries = pref * np.array(
-        [[math.exp(-a) * cosh_t, -math.exp(-a)], [-1.0, cosh_t]]
-    )
-    return DnBlock(mode=n, entries=entries, geometry="annulus")
+    return pref * np.array([[math.exp(-a) * cosh_t, -math.exp(-a)], [-1.0, cosh_t]])
 
 
-def _eps_pair(a: float, n: int) -> tuple[float, float]:
-    """Relative corrections (eps_+, eps_-) of mode |n| as derived above."""
+def _eps_plus(a: float, n: int) -> float:
+    """Relative correction eps_+ of mode |n| as derived above."""
     t = abs(n) * a
     q = math.exp(-2.0 * t)
     one_m_q = -math.expm1(-2.0 * t)
@@ -125,58 +114,16 @@ def _eps_pair(a: float, n: int) -> tuple[float, float]:
     coth = 1.0 + d1
     s_val = math.sqrt(sh * sh * coth * coth + csch2)
     d2 = ch * ch * csch2 / (s_val + sh)
-    eps_plus = math.exp(-0.5 * a) * (ch * d1 + d2)
-    eps_minus = math.exp(0.5 * a) * (ch * d1 - d2)
-    return eps_plus, eps_minus
+    return math.exp(-0.5 * a) * (ch * d1 + d2)
 
 
 def annulus_eigenvalues(geom: AnnulusGeometry, n: int) -> tuple[float, float]:
     """Eigenvalue pair (lam_+, lam_-) of the mode-n block, n != 0."""
     if n == 0:
         raise DomainError("mode 0 has eigenvalues 0 and (1+rho)/(rho ln rho); use annulus_block")
-    eps_plus, eps_minus = _eps_pair(geom.alpha, n)
+    one_p_eps = 1.0 + _eps_plus(geom.alpha, n)
     m = float(abs(n))
-    return m * (1.0 + eps_plus), m * math.exp(-geom.alpha) * (1.0 + eps_minus)
-
-
-def _annulus_sequences(geom: AnnulusGeometry) -> tuple[EigenSequence, EigenSequence]:
-    """EigenSequence pair (lam_+ family, lam_- family) with certificates."""
-    a = geom.alpha
-    rate = 2.0 * a
-    q1 = math.exp(-rate)
-    sh = math.sinh(0.5 * a)
-    ch = math.cosh(0.5 * a)
-    # |eps_{+-}(n)| e^{2 a n} <= e^{a/2} [2 ch/(1-q1) + 2 ch^2/(sh (1-q1)^2)]
-    # termwise from d1 e^{2an} <= 2/(1-q1) and d2 e^{2an} <= 2 ch^2/(sh (1-q1)^2).
-    bound = math.exp(0.5 * a) * (
-        2.0 * ch / (1.0 - q1) + 2.0 * ch * ch / (sh * (1.0 - q1) ** 2)
-    )
-    n_tail = required_tail_length(bound, rate)
-    eps_p = []
-    eps_m = []
-    for n in range(1, n_tail + 1):
-        ep, em = _eps_pair(a, n)
-        eps_p.append(ep)
-        eps_m.append(em)
-    head = (((1.0 + geom.rho) / (geom.rho * a), 1),)
-    seq_plus = EigenSequence(
-        power=1.0,
-        prefactor=1.0,
-        corrections=tuple(eps_p),
-        decay_rate=rate,
-        decay_bound=bound,
-        head=head,
-        tail_multiplicity=2,
-    )
-    seq_minus = EigenSequence(
-        power=1.0,
-        prefactor=math.exp(-a),
-        corrections=tuple(eps_m),
-        decay_rate=rate,
-        decay_bound=bound,
-        tail_multiplicity=2,
-    )
-    return seq_plus, seq_minus
+    return m * one_p_eps, m * math.exp(-geom.alpha) / one_p_eps
 
 
 def annulus_det_prime(geom: AnnulusGeometry) -> DetReport:
@@ -185,18 +132,16 @@ def annulus_det_prime(geom: AnnulusGeometry) -> DetReport:
     Closed form: det' N = (2 pi)^2 (1 + rho) / ln rho, so the ratio to
     the boundary length 2 pi (1 + rho) is 2 pi / ln rho.
     """
-    seq_plus, seq_minus = _annulus_sequences(geom)
-    res_p = log_det(seq_plus)
-    res_m = log_det(seq_minus)
-    log_value = res_p.log_value + res_m.log_value
-    value = math.exp(log_value)
-    trunc = res_p.truncation_error + res_m.truncation_error
+    a = geom.alpha
+    head = (((1.0 + geom.rho) / (geom.rho * a), 1),)
+    seq = EigenSequence(power=2.0, prefactor=math.exp(-a), head=head, tail_multiplicity=2)
+    value = math.exp(log_det(seq).log_value)
     return DetReport(
         value=value,
         ratio=value / geom.boundary_length,
         method="zeta_pipeline",
         inputs={"rho": geom.rho},
-        error_estimate=value * (trunc + 1e-13),
+        error_estimate=value * 1e-13,
     )
 
 

@@ -178,7 +178,7 @@ def build_dn_truncated(geometry, k: int) -> TruncatedOperator:
         mat = np.zeros((size, size))
         for b in range(2 * k + 1):
             n = (b + 1) // 2  # basis slot b holds e_0, c_1, s_1, c_2, s_2, ...
-            raw = annulus_block(geometry, n).entries
+            raw = annulus_block(geometry, n)
             sym = np.array(
                 [[raw[0, 0], raw[0, 1] * root], [raw[1, 0] / root, raw[1, 1]]]
             )
@@ -270,7 +270,12 @@ def conformal_family(op: TruncatedOperator, omega0: ConformalFactor, t: float) -
         raise TruncationError(
             f"K = {op.k} is below the required margin 2 * degree = {2 * omega0.degree}"
         )
-    w, vecs = np.linalg.eigh(multiplication_matrix(omega0, op.k))
+    return _conjugate(op, np.linalg.eigh(multiplication_matrix(omega0, op.k)), t)
+
+
+def _conjugate(op: TruncatedOperator, eig: tuple[np.ndarray, np.ndarray], t: float) -> TruncatedOperator:
+    """e^{-t omega0/2} N e^{-t omega0/2}, with eig = eigh of omega0's multiplication matrix."""
+    w, vecs = eig
     envelope = (vecs * np.exp(-0.5 * t * w)) @ vecs.T
     envelope = 0.5 * (envelope + envelope.T)
     mat = envelope @ op.matrix @ envelope
@@ -377,10 +382,11 @@ def derivative_identity_check(geometry, omega0: ConformalFactor, t_grid, k: int)
         raise DomainError("t_grid must be uniformly increasing")
 
     base = build_dn_truncated(geometry, k)
+    eig = np.linalg.eigh(multiplication_matrix(omega0, k))
     values = np.empty(grid.size)
     kernel = None
     for i, t in enumerate(grid):
-        member = conformal_family(base, omega0, float(t))
+        member = base if t == 0.0 else _conjugate(base, eig, float(t))
         log_pdet, kernel = _pseudo_log_det(member, kernel)
         values[i] = log_pdet - math.log(boundary_length(geometry, omega0, float(t)))
     derivatives = (values[2:] - values[:-2]) / (2.0 * h)

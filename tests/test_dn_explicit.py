@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,17 +50,15 @@ def test_block_example_determinant():
     # rho = e, mode 1: det = 1^2 e^{-1}.
     g = AnnulusGeometry(rho=math.e)
     b = annulus_block(g, 1)
-    assert np.linalg.det(b.entries) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert b.mode == 1
-    assert b.geometry == "annulus"
+    assert np.linalg.det(b) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_block_mode_zero():
     g = AnnulusGeometry(rho=2.0)
     b = annulus_block(g, 0)
-    kernel = b.entries @ np.array([1.0, 1.0])
+    kernel = b @ np.array([1.0, 1.0])
     assert np.max(np.abs(kernel)) < 1e-15
-    vals = sorted(np.linalg.eigvals(b.entries).real)
+    vals = sorted(np.linalg.eigvals(b).real)
     assert vals[0] == pytest.approx(0.0, abs=1e-15)
     assert vals[1] == pytest.approx(3.0 / (2.0 * math.log(2.0)), rel=1e-13)
 
@@ -97,7 +96,7 @@ def _fd_block(rho, n):
 def test_block_matches_finite_difference_oracle(rho):
     g = AnnulusGeometry(rho=rho)
     for n in range(0, 33):
-        got = annulus_block(g, n).entries
+        got = annulus_block(g, n)
         want = _fd_block(rho, n)
         scale = np.maximum(1.0, np.abs(want))
         assert np.max(np.abs(got - want) / scale) < 1e-8, f"mode {n}"
@@ -106,7 +105,7 @@ def test_block_matches_finite_difference_oracle(rho):
 def test_block_even_in_mode_index():
     g = AnnulusGeometry(rho=3.0)
     for n in (1, 4, 17):
-        assert np.array_equal(annulus_block(g, n).entries, annulus_block(g, -n).entries)
+        assert np.array_equal(annulus_block(g, n), annulus_block(g, -n))
 
 
 def test_block_determinant_invariant():
@@ -115,7 +114,7 @@ def test_block_determinant_invariant():
         rho = float(rng.uniform(1.05, 40.0))
         n = int(rng.integers(1, 200))
         g = AnnulusGeometry(rho=rho)
-        det = np.linalg.det(annulus_block(g, n).entries)
+        det = np.linalg.det(annulus_block(g, n))
         want = n * n * math.exp(-g.alpha)
         assert abs(det - want) <= 1e-12 * want
 
@@ -126,7 +125,7 @@ def test_block_weighted_symmetrization():
         rho = float(rng.uniform(1.05, 40.0))
         n = int(rng.integers(0, 120))
         g = AnnulusGeometry(rho=rho)
-        m = annulus_block(g, n).entries
+        m = annulus_block(g, n)
         d = np.diag([math.sqrt(rho), 1.0])
         s = d @ m @ np.linalg.inv(d)
         assert np.max(np.abs(s - s.T)) <= 1e-12 * max(1.0, np.max(np.abs(s)))
@@ -137,9 +136,28 @@ def test_eigenvalues_match_dense_solver():
         g = AnnulusGeometry(rho=rho)
         for n in (1, 2, 3, 5, 8, 13, 21, 32):
             lam_plus, lam_minus = annulus_eigenvalues(g, n)
-            dense = sorted(np.linalg.eigvals(annulus_block(g, n).entries).real)
+            dense = sorted(np.linalg.eigvals(annulus_block(g, n)).real)
             assert lam_minus == pytest.approx(dense[0], rel=1e-12)
             assert lam_plus == pytest.approx(dense[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [1.001, 1.00001, 1.0 + 1e-8])
+def test_eigenvalues_match_mpmath_near_unit_modulus(rho):
+    # mpmath eigenvalues of the mode-n block built at 50 digits from the
+    # same float rho, down to t = n ln rho = 1e-8.
+    g = AnnulusGeometry(rho=rho)
+    for n in (1, 2, 10, 1000):
+        with mpmath.workdps(50):
+            a = mpmath.log(mpmath.mpf(rho))
+            pref = n / mpmath.sinh(n * a)
+            cosh_t = mpmath.cosh(n * a)
+            block = mpmath.matrix(
+                [[pref * mpmath.exp(-a) * cosh_t, -pref * mpmath.exp(-a)], [-pref, pref * cosh_t]]
+            )
+            want_minus, want_plus = sorted(mpmath.re(v) for v in mpmath.eig(block)[0])
+        lam_plus, lam_minus = annulus_eigenvalues(g, n)
+        assert abs(lam_plus - want_plus) <= 1e-13 * want_plus, f"lam_+ mode {n}"
+        assert abs(lam_minus - want_minus) <= 1e-13 * want_minus, f"lam_- mode {n}"
 
 
 def test_eigenvalue_product_and_positivity():
@@ -169,12 +187,17 @@ def test_annulus_det_prime_frozen_value():
     assert 0.0 <= report.error_estimate < 1e-9 * report.value
 
 
-@pytest.mark.parametrize("rho", [1.5, 2.0, math.e, 10.0, 100.0])
+@pytest.mark.parametrize("rho", [1.5, 2.0, math.e, 10.0, 100.0, 1.0 + 1e-8, 1.00001, 1.001, 1e300])
 def test_annulus_det_prime_closed_form(rho):
     report = annulus_det_prime(AnnulusGeometry(rho=rho))
     a = math.log(rho)
     assert report.value == pytest.approx(TWO_PI**2 * (1.0 + rho) / a, rel=1e-12)
     assert report.ratio == pytest.approx(TWO_PI / a, rel=1e-12)
+    # the error bar against an independent 30-digit closed form
+    with mpmath.workdps(30):
+        x = mpmath.mpf(rho)
+        want = (2 * mpmath.pi) ** 2 * (1 + x) / mpmath.log(x)
+        assert abs(report.value - want) <= report.error_estimate
 
 
 def test_annulus_det_prime_random_moduli():

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from dnzeta import claims
 from dnzeta.dn_explicit import AnnulusGeometry, annulus_eigenvalues
 from dnzeta.errors import DomainError, TruncationError
 from dnzeta.numeric_dn import (
@@ -353,15 +354,30 @@ def test_derivative_identity_small_cosine():
 
 
 def test_derivative_identity_k_table_sits_at_noise_floor():
-    w = ConformalFactor((0.0, 0.3, 0.0))
-    rows = k_convergence_table(DISC, w, np.linspace(0.0, 1.0, 11), (16, 32, 64))
-    assert [k for k, _ in rows] == [16, 32, 64]
+    # the numericdn claim's own table, computed once per process
+    rows = claims.k_table()
+    assert [k for k, _ in rows] == list(claims.K_LADDER)
     assert all(residual <= 1e-9 for _, residual in rows)
     csv = convergence_table_to_csv(rows)
     lines = csv.strip().split("\n")
     assert lines[0] == "k,residual"
-    assert len(lines) == 4
+    assert len(lines) == len(rows) + 1
     assert float(lines[1].split(",")[1]) == rows[0][1]
+
+
+def test_derivative_identity_decomposes_the_factor_once(monkeypatch):
+    # one eigh of the multiplication matrix, plus one per grid point
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    grid = np.linspace(0.0, 1.0, 7)
+    derivative_identity_check(DISC, ConformalFactor((0.0, 0.3, 0.0)), grid, 16)
+    assert len(calls) == grid.size + 1
 
 
 def test_derivative_identity_two_harmonics():
