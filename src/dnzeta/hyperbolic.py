@@ -6,10 +6,17 @@ dilation z -> e^l z and translates every point of its axis by the
 length l = 2 arccosh(|tr| / 2).
 
 Conjugacy classes of a free group are cyclic reduced words, so the
-enumerator represents each class by the lexicographically minimal
-rotation of its reduced word and never needs matrix-level dedup.
-Letters are encoded as small integers: generator i is letter 2i, its
-inverse is letter 2i + 1, and the inverse of any letter is letter ^ 1.
+enumerator represents each primitive class by the lexicographically
+minimal rotation of its reduced word, a Lyndon word, and never needs
+matrix-level dedup.  One Fredricksen-Kessler-Maiorana walk (Ruskey,
+Savage and Wang, "Generating necklaces", J. Algorithms 13, 1992)
+generates those words in lexicographic order at O(1) per node, carries
+each prefix's matrix product down to its extensions, and classifies a
+class the moment it is reached: only classes under the length cutoff
+are kept.  The Schottky screen of GroupPresentation is the same walk
+with a word cap of 4 and nothing kept.  Letters are encoded as small
+integers: generator i is letter 2i, its inverse is letter 2i + 1, and
+the inverse of any letter is letter ^ 1.
 """
 
 from __future__ import annotations
@@ -125,48 +132,53 @@ def _letter_matrices(
     return mats
 
 
-def _word_matrix(word: bytes, mats) -> tuple[float, float, float, float]:
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for letter in word:
-        e, f, g, h = mats[letter]
-        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-    return a, b, c, d
+def _primitive_classes(
+    mats, labels: tuple[str, ...], w_max: int, l_max: float
+) -> list[tuple[float, bytes]]:
+    """(length, word) of the primitive classes of at most w_max letters
+    and length at most l_max (plus the tie slack), in word order.
 
-
-def _canonical_primitive_words(n_letters: int, w_max: int) -> list[bytes]:
-    """Minimal-rotation representatives of primitive cyclic reduced words.
-
-    A canonical word never contains a letter below its first one, which
-    prunes the search tree; primitivity is the aperiodicity test
-    (w + w).find(w, 1) == len(w).
+    The walk visits reduced prenecklaces: a prefix of length n and
+    period p extends by the letters >= word[n - p] except the inverse of
+    its last letter; the child keeps period p on the letter word[n - p]
+    and gets period n + 1 otherwise.  A node with p == n is a Lyndon
+    word and a class when also cyclically reduced.
     """
-    out = []
+    n_letters = len(mats)
+    limit = l_max + _LENGTH_TIE
+    out: list[tuple[float, bytes]] = []
     word = bytearray()
 
-    def dfs() -> None:
+    def walk(p: int, a: float, b: float, c: float, d: float) -> None:
         n = len(word)
-        if n:
-            if n == 1 or word[-1] != word[0] ^ 1:
-                w = bytes(word)
-                ww = w + w
-                if ww.find(w, 1) == n:
-                    for i in range(1, n):
-                        if ww[i : i + n] < w:
-                            break
-                    else:
-                        out.append(w)
-        if n == w_max:
-            return
-        floor_letter = word[0] if word else 0
-        last = word[-1] if word else -2
+        floor_letter = word[n - p] if n else 0
+        inverse_last = word[-1] ^ 1 if n else -1
         for letter in range(floor_letter, n_letters):
-            if letter == last ^ 1:
+            if letter == inverse_last:
                 continue
+            e, f, g, h = mats[letter]
+            ca, cb, cc, cd = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
             word.append(letter)
-            dfs()
+            period = p if n and letter == floor_letter else n + 1
+            if period == n + 1 and letter != word[0] ^ 1:
+                t = abs(ca + cd)
+                if t <= 2.0 + _TOL:
+                    kind = MobiusTransform(ca, cb, cc, cd).classify()
+                    raise DomainError(
+                        f"word {_word_label(word, labels)} is {kind}, not hyperbolic; "
+                        "input is not a separated free system"
+                    )
+                # A NaN or inf trace fails this test: the product overflowed
+                # and the class length exceeds any sane cutoff.
+                if t < math.inf:
+                    ell = 2.0 * math.acosh(0.5 * t)
+                    if ell <= limit:
+                        out.append((ell, bytes(word)))
+            if n + 1 < w_max:
+                walk(period, ca, cb, cc, cd)
             word.pop()
 
-    dfs()
+    walk(0, 1.0, 0.0, 0.0, 1.0)
     return out
 
 
@@ -185,8 +197,10 @@ class GroupPresentation:
     Construction screens every primitive conjugacy class of word length
     at most 4: each must be hyperbolic, otherwise the input cannot be a
     separated free system (a relation shows up as an identity word, a
-    tangency as a parabolic one).  The screen is a heuristic filter,
-    not a ping-pong proof.
+    tangency as a parabolic one).  The screen runs the enumerator's own
+    walk, with its carried prefix products, to depth 4 and keeps no
+    class; the first failing word in lexicographic order is reported.
+    It is a heuristic filter, not a ping-pong proof.
     """
 
     generators: tuple[MobiusTransform, ...]
@@ -205,15 +219,7 @@ class GroupPresentation:
         if len(set(labels)) != len(labels):
             raise DomainError("labels must be distinct")
         object.__setattr__(self, "labels", labels)
-        mats = _letter_matrices(gens)
-        for word in _canonical_primitive_words(len(mats), 4):
-            a, b, c, d = _word_matrix(word, mats)
-            if abs(a + d) <= 2.0 + _TOL:
-                kind = MobiusTransform(a, b, c, d).classify()
-                raise DomainError(
-                    f"word {_word_label(word, labels)} is {kind}, not hyperbolic; "
-                    "input is not a separated free system"
-                )
+        _primitive_classes(_letter_matrices(gens), labels, 4, 0.0)
 
 
 @dataclass(frozen=True)
@@ -326,21 +332,7 @@ def enumerate_primitive_classes(
 def _build_spectrum(
     group: GroupPresentation, w_max: int, l_max: float, d_min: float
 ) -> LengthSpectrum:
-    mats = _letter_matrices(group.generators)
-    classes: list[tuple[float, bytes]] = []
-    for word in _canonical_primitive_words(len(mats), w_max):
-        a, b, c, d = _word_matrix(word, mats)
-        t = abs(a + d)
-        if math.isnan(t) or math.isinf(t):
-            continue  # product overflowed; the class length exceeds any sane cutoff
-        if t <= 2.0 + _TOL:
-            raise DomainError(
-                f"word {_word_label(word, group.labels)} is not hyperbolic; "
-                "input is not a separated free system"
-            )
-        ell = 2.0 * math.acosh(0.5 * t)
-        if ell <= l_max + _LENGTH_TIE:
-            classes.append((ell, word))
+    classes = _primitive_classes(_letter_matrices(group.generators), group.labels, w_max, l_max)
     classes.sort()
     entries = []
     i = 0

@@ -28,12 +28,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidSequenceError
-from .specfun import riemann_zeta, zeta_derivative
 
 # Slack for eigenvalues computed in floating point: a certificate
 # |eps_n| <= C e^{-a n} proven in exact arithmetic may be violated by a
 # few ulps once eps_n is formed in doubles.
 _NOISE_ALLOWANCE = 8.0 * 2.0**-52
+
+# Riemann zeta(0) and zeta'(0) in closed form.
+_ZETA_0 = -0.5
+_ZETA_PRIME_0 = -0.5 * math.log(2.0 * math.pi)
 
 
 def required_tail_length(bound_c: float, decay_a: float, tol: float = 1e-14) -> int:
@@ -128,14 +131,11 @@ def _geometric_tail(seq: EigenSequence) -> float:
 
 def zeta_at_zero(seq: EigenSequence) -> float:
     """zeta_u(0): tail_multiplicity * zeta(0) plus the head count."""
-    z0 = riemann_zeta(0.0).value.real
-    return seq.tail_multiplicity * z0 + sum(m for _, m in seq.head)
+    return seq.tail_multiplicity * _ZETA_0 + sum(m for _, m in seq.head)
 
 
 def log_det(seq: EigenSequence) -> RegularizedDet:
     """Regularized log determinant -zeta_u'(0) of the sequence."""
-    z0 = riemann_zeta(0.0).value.real
-    zp0 = zeta_derivative(0.0).value.real
     log1p_sum = 0.0
     comp = 0.0
     for eps in seq.corrections:
@@ -144,7 +144,7 @@ def log_det(seq: EigenSequence) -> RegularizedDet:
         t = log1p_sum + y
         comp = (t - log1p_sum) - y
         log1p_sum = t
-    tail_part = -seq.power * zp0 + math.log(seq.prefactor) * z0 + log1p_sum
+    tail_part = -seq.power * _ZETA_PRIME_0 + math.log(seq.prefactor) * _ZETA_0 + log1p_sum
     head_part = sum(m * math.log(lam) for lam, m in seq.head)
     value = seq.tail_multiplicity * tail_part + head_part
 

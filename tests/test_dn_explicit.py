@@ -200,6 +200,17 @@ def test_annulus_det_prime_closed_form(rho):
         assert abs(report.value - want) <= report.error_estimate
 
 
+@pytest.mark.parametrize("rho", [1.00001, 1.001, 1.5, 2.0, 100.0])
+def test_annulus_det_prime_at_rounding_level(rho):
+    # zeta(0) and zeta'(0) enter in closed form, so nothing but rounding
+    # separates det' from (2 pi)^2 (1 + rho) / ln rho.
+    report = annulus_det_prime(AnnulusGeometry(rho=rho))
+    with mpmath.workdps(30):
+        x = mpmath.mpf(rho)
+        want = (2 * mpmath.pi) ** 2 * (1 + x) / mpmath.log(x)
+        assert abs(report.value - want) <= 2e-15 * want
+
+
 def test_annulus_det_prime_random_moduli():
     rng = np.random.default_rng(20260818)
     for _ in range(20):

@@ -1,12 +1,15 @@
 """Tests for the isometry and length-spectrum machinery."""
 
+import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dnzeta import claims
 from dnzeta.errors import (
     DomainError,
     EnumerationBudgetError,
@@ -20,6 +23,8 @@ from dnzeta.hyperbolic import (
     SpectrumEntry,
     enumerate_primitive_classes,
     exponent_estimate,
+    _letter_matrices,
+    _primitive_classes,
     spectrum_from_json,
     spectrum_to_json,
     translation_length,
@@ -280,6 +285,91 @@ def test_brute_force_oracle_equivalence():
     for (gl, gm), (ol, om) in zip(got, oracle_entries):
         assert gl == pytest.approx(ol, abs=1e-9)
         assert gm == om
+
+
+def _spectrum_digest(spec):
+    return hashlib.sha256(spectrum_to_json(spec).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    ("l_max", "digest"),
+    [
+        (12.0, "d62adf9843f27ca76ed6e6627f5b8dbd24119a19af4ddb633a9481b9158f12cf"),
+        (13.0, "a9cb33e6b308f6354d1d6b39e991156838ba29ff724523e3bd99b6416af37dff"),
+    ],
+    ids=["l_max=12", "l_max=13"],
+)
+def test_claims_pair_spectrum_bytes_are_pinned(l_max, digest):
+    spec = enumerate_primitive_classes(claims.schottky_pair(), l_max)
+    assert _spectrum_digest(spec) == digest
+
+
+@pytest.mark.parametrize(
+    ("depth", "digest"),
+    [
+        (9, "2b3bf007c1af7b468cab34ab36640fbbccce23bc33731498fcc1ec286c2fde65"),
+        (11, "2e2c43f9fe2bfcbf71d4977bb01d9c66ce6f6210fb9a61606cc57c356b2e9b63"),
+    ],
+    ids=["depth=9", "depth=11"],
+)
+def test_close_axes_spectrum_bytes_are_pinned(depth, digest):
+    # Lengths 3 and 3, second axis on (-5, 0.2); the cutoff is the one
+    # `dnzeta spectrum --max-word-len` picks.
+    grp = _schottky_pair(3.0, 3.0, -5.0, 0.2)
+    spec = enumerate_primitive_classes(grp, depth * 1.5, max_word_len=depth)
+    assert _spectrum_digest(spec) == digest
+
+
+def _separated_generators(k):
+    # Translation length 6 on the disjoint axes (0, inf), (-2, -1), (-8, -4).
+    g0, g1 = _schottky_pair(6.0, 6.0, -2.0, -1.0).generators
+    g2 = _schottky_pair(6.0, 6.0, -8.0, -4.0).generators[1]
+    return (g0, g1, g2)[:k]
+
+
+def _is_class_word(w):
+    n = len(w)
+    if any(w[i + 1] == w[i] ^ 1 for i in range(n - 1)) or w[-1] == w[0] ^ 1:
+        return False
+    rotations = [w[i:] + w[:i] for i in range(1, n)]
+    return all(r > w for r in rotations)  # aperiodic and minimal
+
+
+@pytest.mark.parametrize(("k", "w_max"), [(1, 7), (2, 7), (3, 6)])
+def test_walk_matches_brute_force_words_and_products(k, w_max):
+    gens = _separated_generators(k)
+    n_letters = 2 * k
+    want = sorted(
+        bytes(w)
+        for n in range(1, w_max + 1)
+        for w in itertools.product(range(n_letters), repeat=n)
+        if _is_class_word(w)
+    )
+    got = _primitive_classes(_letter_matrices(gens), "abc"[:k], w_max, 1e300)
+    assert [word for _, word in got] == want
+    mats = []
+    for g in gens:
+        mats += [(g.a, g.b, g.c, g.d), (g.d, -g.b, -g.c, g.a)]
+    for ell, word in got:
+        a, b, c, d = 1.0, 0.0, 0.0, 1.0
+        for letter in word:
+            e, f, g, h = mats[letter]
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        assert ell == 2.0 * math.acosh(0.5 * abs(a + d))
+
+
+def test_enumeration_memory_follows_classes_kept():
+    # Depth 11 walks about 54,000 prenecklaces to keep 898 classes under
+    # 13.5; only the kept ones may stay in memory.
+    grp = _schottky_pair(3.0, 3.0, -5.0, 0.2)
+    enumerate_primitive_classes(grp, 13.5, max_word_len=11)
+    tracemalloc.start()
+    try:
+        enumerate_primitive_classes(grp, 13.5, max_word_len=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e6
 
 
 def test_enumeration_budget_guard():
