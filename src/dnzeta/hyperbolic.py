@@ -142,20 +142,27 @@ def _primitive_classes(
     period p extends by the letters >= word[n - p] except the inverse of
     its last letter; the child keeps period p on the letter word[n - p]
     and gets period n + 1 otherwise.  A node with p == n is a Lyndon
-    word and a class when also cyclically reduced.
+    word and a class when also cyclically reduced.  The walk needs no
+    recursion: only prefixes with letters left to try wait on a stack,
+    so a one-generator walk (two chains) keeps O(1) state at any depth.
     """
     n_letters = len(mats)
     limit = l_max + _LENGTH_TIE
     out: list[tuple[float, bytes]] = []
     word = bytearray()
-
-    def walk(p: int, a: float, b: float, c: float, d: float) -> None:
-        n = len(word)
-        floor_letter = word[n - p] if n else 0
-        inverse_last = word[-1] ^ 1 if n else -1
-        for letter in range(floor_letter, n_letters):
-            if letter == inverse_last:
-                continue
+    # extensions[lo][last]: the letters >= lo other than last's inverse.
+    extensions = [
+        [tuple(x for x in range(lo, n_letters) if x != last ^ 1) for last in range(n_letters)]
+        for lo in range(n_letters)
+    ]
+    top = n_letters - 1
+    # The current prefix: letters left to try, the last of them, length,
+    # period, floor letter and product; waiting ancestors keep that form.
+    stack = []
+    letters, final, n, p, floor_letter = iter(range(n_letters)), top, 0, 0, 0
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    while True:
+        for letter in letters:
             e, f, g, h = mats[letter]
             ca, cb, cc, cd = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
             word.append(letter)
@@ -175,11 +182,21 @@ def _primitive_classes(
                     if ell <= limit:
                         out.append((ell, bytes(word)))
             if n + 1 < w_max:
-                walk(period, ca, cb, cc, cd)
+                if letter != final:
+                    stack.append((letters, final, n, p, floor_letter, a, b, c, d))
+                n += 1
+                p = period
+                floor_letter = word[n - p]
+                letters = iter(extensions[floor_letter][letter])
+                final = top - 1 if letter ^ 1 == top else top
+                a, b, c, d = ca, cb, cc, cd
+                break
             word.pop()
-
-    walk(0, 1.0, 0.0, 0.0, 1.0)
-    return out
+        else:
+            if not stack:
+                return out
+            letters, final, n, p, floor_letter, a, b, c, d = stack.pop()
+            del word[n:]
 
 
 def _word_label(word: bytes, labels: tuple[str, ...]) -> str:

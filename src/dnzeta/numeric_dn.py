@@ -130,15 +130,12 @@ class TruncatedOperator:
     k: int
     matrix: np.ndarray
     geometry: str
-    basis: str = "fourier"
 
     def __post_init__(self) -> None:
         if not (isinstance(self.k, int) and self.k >= 1):
             raise DomainError(f"mode cutoff K must be an integer >= 1, got {self.k}")
         if self.geometry not in ("disc", "annulus"):
             raise DomainError(f"unknown geometry tag {self.geometry!r}")
-        if self.basis != "fourier":
-            raise DomainError(f"only the fourier basis is supported, got {self.basis!r}")
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
         expected = 2 * self.k + 1 if self.geometry == "disc" else 2 * (2 * self.k + 1)
@@ -283,56 +280,54 @@ def _conjugate(op: TruncatedOperator, eig: tuple[np.ndarray, np.ndarray], t: flo
     return TruncatedOperator(k=op.k, matrix=mat, geometry="disc")
 
 
-def _split_kernel(op: TruncatedOperator, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+def _split_kernel(op: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues outside the kernel, unit kernel eigenvector) of op."""
     w, vecs = np.linalg.eigh(op.matrix)
-    small = np.flatnonzero(np.abs(w) < threshold)
+    small = np.flatnonzero(np.abs(w) < _KERNEL_THRESHOLD)
     if small.size != 1:
         raise TruncationError(
-            f"expected a one-dimensional numerical kernel below {threshold}, "
+            f"expected a one-dimensional numerical kernel below {_KERNEL_THRESHOLD}, "
             f"found {small.size} eigenvalues"
         )
     return np.delete(w, small[0]), np.ascontiguousarray(vecs[:, small[0]])
 
 
-def kernel_vector(op: TruncatedOperator, threshold: float = _KERNEL_THRESHOLD) -> np.ndarray:
-    """Unit eigenvector of the unique eigenvalue below threshold.
+def kernel_vector(op: TruncatedOperator) -> np.ndarray:
+    """Unit eigenvector of the unique eigenvalue below 1e-9.
 
     The conformal family preserves a one-dimensional kernel (the
     constant direction deformed to the coefficients of e^{t omega0/2});
     anything other than exactly one near-zero eigenvalue means the
     truncation has polluted it.
     """
-    return _split_kernel(op, threshold)[1]
+    return _split_kernel(op)[1]
 
 
-def boundary_length(geometry, omega0: ConformalFactor, t: float, n_nodes: int = _QUAD_NODES) -> float:
+def boundary_length(geometry, omega0: ConformalFactor, t: float) -> float:
     """ell_t = integral of e^{t omega0} over the boundary arc.
 
-    Periodic trapezoid rule on n_nodes uniform angles; spectrally
-    accurate for trigonometric-polynomial exponents, so 2048 nodes put
-    the quadrature error far below 1e-12 relative.  Constant factors
+    Periodic trapezoid rule on 2048 uniform angles, spectrally
+    accurate for trigonometric-polynomial exponents: the quadrature
+    error sits far below 1e-12 relative.  Constant factors
     reduce to e^{t c} * ell_0 on either geometry; nonconstant factors
     are disc-only, as in conformal_family.
     """
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
-    if not (isinstance(n_nodes, int) and n_nodes >= 16):
-        raise DomainError(f"n_nodes must be an integer >= 16, got {n_nodes}")
     if omega0.is_constant:
         if isinstance(geometry, (DiscGeometry, AnnulusGeometry)):
             return math.exp(t * omega0.mean) * geometry.boundary_length
         raise DomainError(f"geometry must be DiscGeometry or AnnulusGeometry, got {type(geometry).__name__}")
     if not isinstance(geometry, DiscGeometry):
         raise DomainError("nonconstant conformal factors are supported on the disc only")
-    theta = np.arange(n_nodes) * (_TWO_PI / n_nodes)
+    theta = np.arange(_QUAD_NODES) * (_TWO_PI / _QUAD_NODES)
     return float(np.mean(np.exp(t * omega0.evaluate(theta)))) * geometry.boundary_length
 
 
 def _pseudo_log_det(op: TruncatedOperator, prev_kernel: np.ndarray | None) -> tuple[float, np.ndarray]:
     """(sum of log nonzero eigenvalues, kernel vector), tracked in t."""
-    nonzero, kernel = _split_kernel(op, _KERNEL_THRESHOLD)
+    nonzero, kernel = _split_kernel(op)
     if prev_kernel is not None and abs(float(kernel @ prev_kernel)) < _CONTINUITY_FLOOR:
         raise TruncationError(
             "kernel tracking failure: eigenvector direction jumped between grid points"

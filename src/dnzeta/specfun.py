@@ -25,6 +25,9 @@ from .errors import BarnesZeroError, ConvergenceError, DomainError, PoleError
 
 _EPS = 2.220446049250313e-16
 _LN_2PI = math.log(2.0 * math.pi)
+# Euler-Maclaurin zeta: direct-sum length N and Bernoulli corrections.
+_EM_TERMS = 20
+_EM_CORRECTIONS = 14
 
 # Bernoulli numbers B_2, B_4, ..., B_32 as exact rationals rounded once.
 _B2K = (
@@ -192,13 +195,14 @@ def log_barnes_g(z: complex) -> EvalResult:
     return EvalResult(value, trunc + acc_err + 2.0 * _EPS * scale)
 
 
-def _em_core(s: complex, n_direct: int, k_corr: int):
-    """Euler-Maclaurin zeta and its s-derivative in one pass.
+def _em_core(s: complex):
+    """Euler-Maclaurin zeta and its s-derivative in one pass: a direct
+    sum of _EM_TERMS terms plus _EM_CORRECTIONS Bernoulli corrections.
 
     Returns (zeta, dzeta, trunc_zeta, trunc_dzeta, vol_zeta, vol_dzeta)
     where the vol_* are sums of magnitudes used for rounding estimates.
     """
-    big_n = n_direct
+    big_n = _EM_TERMS
     ln_n_big = math.log(big_n)
 
     f = 0j
@@ -235,7 +239,7 @@ def _em_core(s: complex, n_direct: int, k_corr: int):
     p = s
     dp = 1.0 + 0j
     fact = 2.0  # (2k)! at k = 1
-    for k in range(1, k_corr + 1):
+    for k in range(1, _EM_CORRECTIONS + 1):
         coef = _bernoulli(2 * k) / fact
         t_f = coef * p * npow
         t_g = coef * (dp - ln_n_big * p) * npow
@@ -251,45 +255,34 @@ def _em_core(s: complex, n_direct: int, k_corr: int):
         npow *= inv_n2
 
     # First omitted term; the remainder vanishes with it at s in {0,-1,-2,...}.
-    coef = _bernoulli(2 * (k_corr + 1)) / fact
+    coef = _bernoulli(2 * (_EM_CORRECTIONS + 1)) / fact
     trunc_f = 2.0 * abs(coef * p * npow)
     trunc_g = 2.0 * abs(coef * (dp - ln_n_big * p) * npow)
     return f, g, trunc_f, trunc_g, vf, vg
 
 
-def _em_params(n_terms: int | None) -> tuple[int, int]:
-    if n_terms is None:
-        return 20, 14
-    big_n = max(8, int(n_terms))
-    return big_n, (15 if big_n >= 48 else 14)
-
-
-def riemann_zeta(s: complex, n_terms: int | None = None) -> EvalResult:
+def riemann_zeta(s: complex) -> EvalResult:
     """Riemann zeta by Euler-Maclaurin continuation.
 
     The error-estimate contract is certified for -1.1 <= Re s <= 20,
-    |Im s| <= 6, |s - 1| >= 1e-12 at the default n_terms; the value
-    stays accurate well outside that box.  The n_terms knob sets the
-    direct-sum length (default 20) so callers can cross-check two
-    internal precisions.
+    |Im s| <= 6, |s - 1| >= 1e-12; the value stays accurate well
+    outside that box.
     """
     s = complex(s)
     _check_finite(s, "riemann_zeta")
     if abs(s - 1.0) < 1e-12:
         raise PoleError("riemann_zeta: pole at s=1")
-    big_n, k_corr = _em_params(n_terms)
-    f, _, trunc_f, _, vf, _ = _em_core(s, big_n, k_corr)
+    f, _, trunc_f, _, vf, _ = _em_core(s)
     return EvalResult(f, trunc_f + 2.0 * _EPS * (vf + 1.0))
 
 
-def zeta_derivative(s: complex, n_terms: int | None = None) -> EvalResult:
+def zeta_derivative(s: complex) -> EvalResult:
     """d/ds of the Riemann zeta function, same domain as riemann_zeta."""
     s = complex(s)
     _check_finite(s, "zeta_derivative")
     if abs(s - 1.0) < 1e-12:
         raise PoleError("zeta_derivative: pole at s=1")
-    big_n, k_corr = _em_params(n_terms)
-    _, g, _, trunc_g, _, vg = _em_core(s, big_n, k_corr)
+    _, g, _, trunc_g, _, vg = _em_core(s)
     return EvalResult(g, trunc_g + 2.0 * _EPS * (vg + 1.0))
 
 
@@ -298,10 +291,9 @@ def _zeta_prime_at_minus1() -> float:
     return zeta_derivative(-1.0).value.real
 
 
-def eta_constant(n_terms: int | None = None) -> float:
+def eta_constant() -> float:
     """The constant eta = 2 zeta'(-1) - 1/4 + (1/2) log(2 pi)."""
-    zp = zeta_derivative(-1.0, n_terms=n_terms).value.real
-    return 2.0 * zp - 0.25 + 0.5 * _LN_2PI
+    return 2.0 * _zeta_prime_at_minus1() - 0.25 + 0.5 * _LN_2PI
 
 
 _MAX_2F1_TERMS = 200_000

@@ -22,6 +22,10 @@ value carries a tail bound built from the counting model
 N(l) <= C e^{delta l} beyond that window.  Evaluation outside the
 half-plane Re(lambda) > delta_hint is refused rather than extrapolated:
 continuation below the convergence abscissa is out of scope.
+
+Z and Z_g0 share one ladder: its length follows from the stop rule
+before any factor is evaluated, and a ladder longer than 200000
+factors is refused up front with ConvergenceError.
 """
 
 from __future__ import annotations
@@ -120,50 +124,56 @@ def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVal
     )
 
 
-def selberg(
-    spectrum: LengthSpectrum,
-    lam: complex,
-    delta_hint: float,
-    k_terms: int | None = None,
+def _ladder(
+    name: str, add_factor, lam: complex, step: int, m_crit: int, l_min: float,
+    m_tail: int, window: float, delta: float, weight: float,
 ) -> ZetaValue:
-    """log Z(lambda) = sum_k log R(lambda + k), truncated adaptively.
+    """Sum the factors at lambda + step k for k < n, n being the first k
+    with m_crit e^{-(Re lambda + step k) l_min} < 1e-16; n is fixed, and
+    refused above _MAX_FACTORS, before any factor is evaluated.
 
-    The k ladder stops when m_total e^{-(Re lambda + k) l_min} drops
-    below 1e-16 (or after k_terms factors when given); both the skipped
-    factors and each factor's own counting tail feed the tail bound.
+    add_factor(shift, total) adds one factor's log to the running total.
+    The tail bound adds each factor's counting tail (m_tail classes of
+    the given weight), the skipped factors and their counting tails.
+    """
+    s = lam.real
+    n = 0
+    while m_crit and m_crit * math.exp(-(s + step * n) * l_min) >= _FACTOR_FLOOR:
+        if n == _MAX_FACTORS:
+            raise ConvergenceError(f"{name} ladder needs more than {n} factors; refused")
+        n += 1
+    logs = complex(0.0, 0.0)
+    tails = 0.0
+    for k in range(n):
+        logs = add_factor(lam + step * k, logs)
+        tails += _counting_tail(m_tail, window, s + step * k, delta, weight)
+    if m_crit:
+        x = math.exp(-(s + step * n) * l_min)
+        tails += 2.0 * m_crit * x / -math.expm1(-step * l_min)
+    tail_n = _counting_tail(m_tail, window, s + step * n, delta, weight)
+    tails += tail_n / -math.expm1(-step * window)
+    return ZetaValue(log_value=logs, tail_bound=tails, convergence_abscissa_used=delta)
+
+
+def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaValue:
+    """log Z(lambda) = sum_k log R(lambda + k), each factor a ruelle() call.
+
+    The ladder stops before m_total e^{-(Re lambda + k) l_min} drops
+    below 1e-16.  Its length is fixed before any factor is evaluated; a
+    ladder over 200000 factors is refused up front with ConvergenceError.
     """
     lam = complex(lam)
     _check_region(lam, delta_hint)
-    if k_terms is not None and not (isinstance(k_terms, int) and k_terms >= 1):
-        raise DomainError(f"k_terms must be a positive integer or None, got {k_terms}")
     used = _used_entries(spectrum)
     m_total = sum(e.multiplicity for e in used)
     l_min = min((e.length for e in used), default=math.inf)
-    s = lam.real
-    logs = complex(0.0, 0.0)
-    tails = 0.0
-    k = 0
-    while True:
-        if k_terms is not None:
-            if k >= k_terms:
-                break
-        elif m_total == 0 or m_total * math.exp(-(s + k) * l_min) < _FACTOR_FLOOR:
-            break
-        if k >= _MAX_FACTORS:
-            raise ConvergenceError(f"Selberg ladder did not truncate after {k} factors")
-        factor = ruelle(spectrum, lam + k, delta_hint)
-        logs += factor.log_value
-        tails += factor.tail_bound
-        k += 1
-    if m_total:
-        x = math.exp(-(s + k) * l_min)
-        tails += 2.0 * m_total * x / -math.expm1(-l_min)
-    window = spectrum.complete_up_to
-    tails += _counting_tail(m_total, window, s + k, float(delta_hint), 1.0) / -math.expm1(
-        -window
-    )
-    return ZetaValue(
-        log_value=logs, tail_bound=tails, convergence_abscissa_used=float(delta_hint)
+
+    def add_factor(shift: complex, total: complex) -> complex:
+        return total + ruelle(spectrum, shift, delta_hint).log_value
+
+    return _ladder(
+        "Selberg", add_factor, lam, 1, m_total, l_min,
+        m_total, spectrum.complete_up_to, float(delta_hint), 1.0,
     )
 
 
@@ -181,16 +191,15 @@ def check_rz_identity(spectrum: LengthSpectrum, lam: complex, delta_hint: float)
 
 
 def selberg_boundary(
-    boundary_lengths,
-    spectrum: LengthSpectrum,
-    lam: complex,
-    delta_hint: float,
+    boundary_lengths, spectrum: LengthSpectrum, lam: complex, delta_hint: float
 ) -> ZetaValue:
     """log Z_g0(lambda): squared boundary factors times the
     reflection-signed interior product, on the step-2 ladder.
 
     Every spectrum entry must carry a reflections count n_c; the sign
-    of its first factor is -(-1)^{n_c}.
+    of its first factor is -(-1)^{n_c}.  The ladder is sized and refused
+    as in selberg, with 2 (boundary count + interior multiplicity) for
+    m_total and l_min taken over both.
     """
     lam = complex(lam)
     _check_region(lam, delta_hint)
@@ -203,41 +212,26 @@ def selberg_boundary(
                 f"entry at length {entry.length} lacks a reflections count; "
                 "the boundary zeta needs one on every entry"
             )
-    used = _used_entries(spectrum)
-    m_interior = sum(e.multiplicity for e in used)
-    m_crit = 2 * len(lengths) + 2 * m_interior
-    l_min = min(
-        (l for l in lengths + [e.length for e in used]), default=math.inf
-    )
-    s = lam.real
-    logs = complex(0.0, 0.0)
-    tails = 0.0
-    k = 0
-    while True:
-        if m_crit == 0 or m_crit * math.exp(-(s + 2 * k) * l_min) < _FACTOR_FLOOR:
-            break
-        if k >= _MAX_FACTORS:
-            raise ConvergenceError(f"boundary ladder did not truncate after {k} factors")
-        shift = lam + 2.0 * k
+    used = [
+        (-1.0 if e.reflections % 2 == 0 else 1.0, e.length, e.multiplicity)
+        for e in _used_entries(spectrum)
+    ]
+    m_interior = sum(m for _, _, m in used)
+    l_min = min(lengths + [l for _, l, _ in used], default=math.inf)
+
+    def add_factor(shift: complex, total: complex) -> complex:
         for l in lengths:
-            logs += 2.0 * _log1p_complex(-cmath.exp(-shift * l))
-        for e in used:
-            sign = -1.0 if e.reflections % 2 == 0 else 1.0
-            first = _log1p_complex(sign * cmath.exp(-shift * e.length))
-            second = _log1p_complex(-cmath.exp(-(shift + 1.0) * e.length))
-            logs += e.multiplicity * (first + second)
-        tails += _counting_tail(
-            m_interior, spectrum.complete_up_to, s + 2 * k, float(delta_hint), 2.0
-        )
-        k += 1
-    if m_crit:
-        x = math.exp(-(s + 2 * k) * l_min)
-        tails += 2.0 * m_crit * x / -math.expm1(-2.0 * l_min)
-    tails += _counting_tail(
-        m_interior, spectrum.complete_up_to, s + 2 * k, float(delta_hint), 2.0
-    ) / -math.expm1(-2.0 * spectrum.complete_up_to)
-    return ZetaValue(
-        log_value=logs, tail_bound=tails, convergence_abscissa_used=float(delta_hint)
+            total += 2.0 * _log1p_complex(-cmath.exp(-shift * l))
+        for sign, l, m in used:
+            first = _log1p_complex(sign * cmath.exp(-shift * l))
+            second = _log1p_complex(-cmath.exp(-(shift + 1.0) * l))
+            total += m * (first + second)
+        return total
+
+    m_crit = 2 * len(lengths) + 2 * m_interior
+    return _ladder(
+        "boundary", add_factor, lam, 2, m_crit, l_min,
+        m_interior, spectrum.complete_up_to, float(delta_hint), 2.0,
     )
 
 

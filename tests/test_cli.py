@@ -5,8 +5,10 @@ checked exactly as a shell would see them.  Byte determinism matters:
 two identical invocations must print identical bytes.
 """
 
+import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -183,6 +185,26 @@ class TestSpectrumSubcommand:
         assert code == 0
         assert json.loads(out)["cutoff"] == 5.0
 
+    def test_one_generator_deep_walk_exits_cleanly(self, capsys, tmp_path):
+        # depth 3000 on one dilation of length 2 used to end in an
+        # uncaught RecursionError; only g and g^-1 are primitive
+        gens = tmp_path / "dilation.json"
+        gens.write_text(
+            json.dumps({"generators": [{"a": math.e, "b": 0.0, "c": 0.0, "d": 1.0 / math.e}]}),
+            encoding="utf-8",
+        )
+        out_path = tmp_path / "spectrum.json"
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "spectrum", "--generators", str(gens),
+            "--max-word-len", "3000", "--out", str(out_path),
+        )
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (0, "")
+        assert json.loads(out)["total_multiplicity"] == 2
+        stored = json.loads(out_path.read_text(encoding="utf-8"))
+        assert [e["multiplicity"] for e in stored["entries"]] == [2]
+
     def test_generator_file_schema_rejections(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"wrong": []}', encoding="utf-8")
@@ -323,6 +345,35 @@ class TestZetaSubcommand:
         assert code == 2
         assert "ConvergenceError" in err
 
+
+    def test_selberg_ladders_stdout_is_pinned(self, capsys, tmp_path, monkeypatch):
+        # sha256 of the full stdout of both ladders on a spectrum with
+        # reflection counts and one entry beyond the window; a relative
+        # path keeps the plain listing and the fingerprint fixed
+        monkeypatch.chdir(tmp_path)
+        entries = tuple(
+            SpectrumEntry(length=length, multiplicity=mult, reflections=refl)
+            for length, mult, refl in ((0.9, 2, 1), (1.3, 1, 0), (2.2, 3, 2), (3.1, 2, 3), (4.5, 1, 1))
+        )
+        spectrum = LengthSpectrum(entries=entries, cutoff=5.0, complete_up_to=4.0)
+        (tmp_path / "refl.json").write_text(spectrum_to_json(spectrum), encoding="utf-8")
+        digests = {}
+        for kind, extra in (("selberg", ()), ("selberg-g0", ("--boundary", "1.0,2.5"))):
+            for fmt in ("json", "plain", "csv"):
+                code, out, _ = run_cli(
+                    capsys, "zeta", "--spectrum", "refl.json", "--kind", kind,
+                    "--lambda", "0.8:1.8:0.5", "--delta-hint", "0.3", "--format", fmt, *extra,
+                )
+                assert code == 0
+                digests[kind, fmt] = hashlib.sha256(out.encode()).hexdigest()
+        assert digests == {
+            ("selberg", "json"): "bd0f83283648bb33965b1af8c0bc1786294434e9f952f193ede35c8bd1cfe288",
+            ("selberg", "plain"): "96225c24da27e76485277cfa4361e848c062887ec9b591a6d8a7a49d229cf976",
+            ("selberg", "csv"): "af38c625032c33dd42259c1f9c039d36a4995b4ee59a9fa4e9de3366465ef2cd",
+            ("selberg-g0", "json"): "f76669bd11528eefc978f2d76b2f575e6866b64d94b4088f61dee200bab2ca30",
+            ("selberg-g0", "plain"): "9d78b080b6375e414555059a0893860cf542428a7bf336dd62293cc73014e014",
+            ("selberg-g0", "csv"): "08d0c8ff0c8814d72d02292e2dde0e4e4e891e8be9fee5aec1aba58eb91be687",
+        }
 
 class TestDetSubcommands:
     def test_detdn_disc_like(self, capsys):

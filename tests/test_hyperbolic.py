@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -370,6 +371,27 @@ def test_enumeration_memory_follows_classes_kept():
     finally:
         tracemalloc.stop()
     assert peak <= 0.5e6
+
+
+def test_one_generator_deep_walk():
+    # One dilation of length 2: l_max 3000 walks to depth 3000, two
+    # chains of powers, of which only g and g^-1 are primitive.
+    grp = GroupPresentation(generators=(_dilation(2.0),))
+    start = time.perf_counter()
+    spec = enumerate_primitive_classes(grp, 3000.0)
+    assert time.perf_counter() - start < 5.0
+    assert [e.multiplicity for e in spec.entries] == [2]
+    assert spec.entries[0].length == pytest.approx(2.0, rel=1e-12)
+    assert spec.complete_up_to == pytest.approx(3000.0)
+    # A chain leaves no waiting prefix behind, so the walk's state
+    # stays flat at any depth.
+    tracemalloc.start()
+    try:
+        enumerate_primitive_classes(grp, 10_000.0, max_word_len=5_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2e6
 
 
 def test_enumeration_budget_guard():

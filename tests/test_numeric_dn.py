@@ -86,8 +86,6 @@ def test_operator_validation_rejects():
     with pytest.raises(DomainError):
         TruncatedOperator(k=1, matrix=good, geometry="torus")
     with pytest.raises(DomainError):
-        TruncatedOperator(k=1, matrix=good, geometry="disc", basis="bessel")
-    with pytest.raises(DomainError):
         TruncatedOperator(k=2, matrix=good, geometry="disc")
     with pytest.raises(DomainError):
         TruncatedOperator(k=1, matrix=np.diag([0.0, 1.0, math.nan]), geometry="disc")
@@ -332,8 +330,6 @@ def test_boundary_length_rejections():
         boundary_length(AnnulusGeometry(2.0), w, 0.5)
     with pytest.raises(DomainError):
         boundary_length(DISC, w, math.inf)
-    with pytest.raises(DomainError):
-        boundary_length(DISC, w, 0.5, n_nodes=8)
 
 
 # ---------------------------------------------------------------- derivative identity

@@ -2,12 +2,14 @@
 
 Expected values marked as frozen were produced by an mpmath oracle at
 50 significant digits in a separate session and pasted here as
-literals, so the library under test never validates itself.
+literals, so the library under test never validates itself; the
+mpmath_reference tests call mpmath directly.
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -172,11 +174,17 @@ class TestZeta:
         fd = (riemann_zeta(s + h).value - riemann_zeta(s - h).value) / (2.0 * h)
         _assert_close(zeta_derivative(s).value, fd, 1e-8)
 
-    def test_precision_doubling(self):
-        for s in (-1.0, -0.5, 2.0, 0.25 + 3j):
-            a = riemann_zeta(s, n_terms=16).value
-            b = riemann_zeta(s, n_terms=32).value
-            _assert_close(a, b, 1e-13)
+    def test_mpmath_reference_within_estimate(self):
+        # Live oracle: the distance to mpmath's zeta and zeta' at 30
+        # digits must lie inside each reported error estimate.
+        for s in (-1.1, -1.0, -0.5, 0.0, 0.25 + 3j, 2.0, 3 + 6j, 20.0):
+            with mpmath.workdps(30):
+                for res, want in (
+                    (riemann_zeta(s), mpmath.zeta(s)),
+                    (zeta_derivative(s), mpmath.zeta(s, derivative=1)),
+                ):
+                    err = float(abs(mpmath.mpmathify(res.value) - want))
+                    assert err <= res.abs_error_estimate, (s, err, res.abs_error_estimate)
 
 
 class TestEta:
@@ -190,8 +198,10 @@ class TestEta:
         zp = zeta_derivative(-1.0).value.real
         assert eta - 0.5 * math.log(2.0 * math.pi) + 0.25 - 2.0 * zp == 0.0
 
-    def test_precision_doubling(self):
-        _assert_close(eta_constant(n_terms=16), eta_constant(n_terms=32), 1e-12)
+    def test_mpmath_reference(self):
+        with mpmath.workdps(30):
+            want = 2 * mpmath.zeta(-1, derivative=1) - 0.25 + mpmath.log(2 * mpmath.pi) / 2
+            _assert_close(eta_constant(), float(want), 1e-13)
 
 
 class TestHyp2F1:

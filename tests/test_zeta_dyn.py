@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
-from dnzeta.errors import DomainError
+from dnzeta import zeta_dyn
+from dnzeta.errors import ConvergenceError, DomainError
 from dnzeta.hyperbolic import (
     GroupPresentation,
     LengthSpectrum,
@@ -200,18 +202,31 @@ def test_selberg_cyclic_complex_ladder():
     assert abs(val.log_value - direct) <= 1e-13
 
 
-def test_selberg_k_terms_one_is_ruelle():
-    spec = _cyclic_spectrum(2.0)
-    z = selberg(spec, 1.5, 0.0, k_terms=1)
-    r = ruelle(spec, 1.5, 0.0)
-    assert z.log_value == r.log_value
-    assert z.tail_bound >= r.tail_bound
+def _spectrum_with_short_length():
+    # 60 entries with reflection counts plus one length of 1e-4: both
+    # ladders would need more than 200000 factors to truncate
+    entries = (SpectrumEntry(length=1e-4, multiplicity=1, reflections=0),) + tuple(
+        SpectrumEntry(length=1.0 + 0.05 * i, multiplicity=2, reflections=i % 4) for i in range(60)
+    )
+    return LengthSpectrum(entries=entries, cutoff=4.0, complete_up_to=4.0)
 
 
-@pytest.mark.parametrize("bad", [0, -2, 1.5])
-def test_selberg_rejects_bad_k_terms(bad):
-    with pytest.raises(DomainError):
-        selberg(_cyclic_spectrum(2.0), 1.5, 0.0, k_terms=bad)
+def test_selberg_refuses_long_ladder_before_any_factor(monkeypatch):
+    def no_factor(*args):
+        raise AssertionError("a ladder factor was evaluated")
+
+    monkeypatch.setattr(zeta_dyn, "ruelle", no_factor)
+    with pytest.raises(ConvergenceError, match="Selberg ladder"):
+        selberg(_spectrum_with_short_length(), 0.5, 0.0)
+
+
+def test_boundary_zeta_refuses_long_ladder_up_front():
+    spec = _spectrum_with_short_length()
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="boundary ladder"):
+        selberg_boundary([1.0], spec, 0.5, 0.0)
+    # the refusal must not pay for the 200000 factors it caps (seconds here)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_selberg_positivity_real_lambda():
