@@ -16,11 +16,15 @@ Exit codes: 0 success, 1 validation error (bad flags, malformed input
 files, inadmissible parameter combinations), 2 numerical contract
 violation (a computation refused its own tolerance or a verify check
 failed), reported with the violated invariant's name.
+
+main(argv) may be called repeatedly in one process: the parser tree is
+built on the first call and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -380,6 +384,14 @@ def _run_verify(args, config: RunConfig) -> _Output:
 # ---------------------------------------------------------------- wiring
 
 
+# Built once per process, on the first main() call, and reused after
+# that.  Reuse carries no state between calls: parse_args returns a fresh
+# Namespace each time; the shared flags default to SUPPRESS, so --format
+# and -v from one call never reach the next; subparser progs are
+# "dnzeta <name>", independent of terminal width; and help width,
+# print_help and _Parser.error look up COLUMNS, sys.stdout and
+# sys.stderr when they run, not when the parser is built.
+@functools.cache
 def _build_parser() -> _Parser:
     # Shared flags accept both positions (dnzeta --format json annulus /
     # dnzeta annulus --format json); SUPPRESS keeps an absent later flag

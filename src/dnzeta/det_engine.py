@@ -36,6 +36,8 @@ from .reports import DetReport
 from .specfun import eta_constant, log_barnes_g, log_gamma
 
 _LN_2PI = math.log(2.0 * math.pi)
+# Smallest subnormal: the absolute rounding floor of a quotient that underflows.
+_SUBNORMAL_ULP = math.ldexp(1.0, -1074)
 # 32-point Gauss-Legendre rule on [-1, 1] for the cylinder volume integrals
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -180,12 +182,18 @@ def theorem2_value(
     continuation; this module never continues zeta products itself.
     value and ratio coincide: topology alone does not fix the boundary
     length, so only the normalized determinant is determined.
+
+    error_estimate bounds the rounding of the quotient relative to the
+    inputs as given: |ratio| 2^-52 for ell/pi (pi rounded once, one
+    division), |ratio| 2^-53 for the one division by chi, 0 for chi = 1,
+    plus 2^-1074 for a quotient that underflows to a subnormal.
     """
     chi = topology.euler
     if chi > 0:
         if ell is not None or supplied_limit is not None:
             raise DomainError("the disc case takes no extra data")
         ratio = 1.0
+        error = 0.0
         method = "closed_form"
         datum = {}
     elif chi == 0:
@@ -194,6 +202,7 @@ def theorem2_value(
         if ell is None:
             raise DomainError("the cylinder case needs the geodesic length ell")
         ratio = _require_positive(ell, "ell") / math.pi
+        error = math.ldexp(ratio, -52) + _SUBNORMAL_ULP
         method = "closed_form"
         datum = {"ell": float(ell)}
     else:
@@ -207,6 +216,7 @@ def theorem2_value(
         if not (isinstance(supplied_limit, (int, float)) and math.isfinite(supplied_limit)):
             raise DomainError(f"supplied limit must be finite, got {supplied_limit}")
         ratio = float(supplied_limit) / chi
+        error = math.ldexp(abs(ratio), -53) + _SUBNORMAL_ULP
         method = "zeta_pipeline"
         datum = {"supplied_limit": float(supplied_limit)}
     inputs = {
@@ -216,7 +226,7 @@ def theorem2_value(
     }
     inputs.update(datum)
     return DetReport(
-        value=ratio, ratio=ratio, method=method, inputs=inputs, error_estimate=0.0
+        value=ratio, ratio=ratio, method=method, inputs=inputs, error_estimate=error
     )
 
 

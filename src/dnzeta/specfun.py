@@ -87,6 +87,10 @@ def _near_nonpositive_int(z: complex, tol: float = 1e-12) -> int | None:
 
 
 _STIRLING_CUT = 10.0
+# Left edges of the certified boxes: the recurrences below take one step
+# per unit of Re z, so inputs further left are refused before they start.
+_GAMMA_LEFT = -60.0
+_BARNES_LEFT = -40.0
 
 
 def log_gamma(z: complex) -> EvalResult:
@@ -101,12 +105,18 @@ def log_gamma(z: complex) -> EvalResult:
     from the poles at 0, -1, -2, ...; real z < 0 gets the limit from
     the upper half plane.
 
-    Raises PoleError within 1e-12 of a nonpositive integer.
+    Raises PoleError within 1e-12 of a nonpositive integer and
+    DomainError for Re z < -60; large positive Re z is accepted, where
+    Stirling needs no recurrence.
     """
     z = complex(z)
     _check_finite(z, "log_gamma")
     if _near_nonpositive_int(z) is not None:
         raise PoleError(f"log_gamma: pole at z={z}")
+    if z.real < _GAMMA_LEFT:
+        raise DomainError(
+            f"log_gamma: Re z = {z.real} lies left of the certified box Re z >= {_GAMMA_LEFT}"
+        )
 
     shift = 0j
     shift_c = 0j
@@ -154,12 +164,17 @@ def log_barnes_g(z: complex) -> EvalResult:
     from the upper half plane.
 
     Raises BarnesZeroError within 1e-12 of a nonpositive integer,
-    where G vanishes and its log is undefined.
+    where G vanishes and its log is undefined, and DomainError for
+    Re z < -40; large positive Re z is accepted.
     """
     z = complex(z)
     _check_finite(z, "log_barnes_g")
     if _near_nonpositive_int(z) is not None:
         raise BarnesZeroError(f"log_barnes_g: G vanishes at z={z}")
+    if z.real < _BARNES_LEFT:
+        raise DomainError(
+            f"log_barnes_g: Re z = {z.real} lies left of the certified box Re z >= {_BARNES_LEFT}"
+        )
 
     acc = 0j
     acc_c = 0j

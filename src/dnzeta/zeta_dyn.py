@@ -25,7 +25,8 @@ continuation below the convergence abscissa is out of scope.
 
 Z and Z_g0 share one ladder: its length follows from the stop rule
 before any factor is evaluated, and a ladder longer than 200000
-factors is refused up front with ConvergenceError.
+factors, or one whose factors together take more than 2000000 entry
+terms, is refused up front with ConvergenceError.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .hyperbolic import LengthSpectrum
 
 _FACTOR_FLOOR = 1e-16
 _MAX_FACTORS = 200_000
+_MAX_ENTRY_TERMS = 2_000_000
 _WINDOW_SLACK = 1e-9
 
 
@@ -125,12 +127,13 @@ def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVal
 
 
 def _ladder(
-    name: str, add_factor, lam: complex, step: int, m_crit: int, l_min: float,
-    m_tail: int, window: float, delta: float, weight: float,
+    name: str, add_factor, entries: int, lam: complex, step: int, m_crit: int,
+    l_min: float, m_tail: int, window: float, delta: float, weight: float,
 ) -> ZetaValue:
     """Sum the factors at lambda + step k for k < n, n being the first k
     with m_crit e^{-(Re lambda + step k) l_min} < 1e-16; n is fixed, and
-    refused above _MAX_FACTORS, before any factor is evaluated.
+    refused above _MAX_FACTORS or when n times the entries each factor
+    sums exceeds _MAX_ENTRY_TERMS, before any factor is evaluated.
 
     add_factor(shift, total) adds one factor's log to the running total.
     The tail bound adds each factor's counting tail (m_tail classes of
@@ -142,6 +145,11 @@ def _ladder(
         if n == _MAX_FACTORS:
             raise ConvergenceError(f"{name} ladder needs more than {n} factors; refused")
         n += 1
+    if n * entries > _MAX_ENTRY_TERMS:
+        raise ConvergenceError(
+            f"{name} ladder needs {n} factors of {entries} entries, more than "
+            f"{_MAX_ENTRY_TERMS} entry terms; refused"
+        )
     logs = complex(0.0, 0.0)
     tails = 0.0
     for k in range(n):
@@ -160,7 +168,8 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
 
     The ladder stops before m_total e^{-(Re lambda + k) l_min} drops
     below 1e-16.  Its length is fixed before any factor is evaluated; a
-    ladder over 200000 factors is refused up front with ConvergenceError.
+    ladder over 200000 factors, or over 2000000 entry terms in all, is
+    refused up front with ConvergenceError.
     """
     lam = complex(lam)
     _check_region(lam, delta_hint)
@@ -172,7 +181,7 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
         return total + ruelle(spectrum, shift, delta_hint).log_value
 
     return _ladder(
-        "Selberg", add_factor, lam, 1, m_total, l_min,
+        "Selberg", add_factor, len(used), lam, 1, m_total, l_min,
         m_total, spectrum.complete_up_to, float(delta_hint), 1.0,
     )
 
@@ -230,7 +239,7 @@ def selberg_boundary(
 
     m_crit = 2 * len(lengths) + 2 * m_interior
     return _ladder(
-        "boundary", add_factor, lam, 2, m_crit, l_min,
+        "boundary", add_factor, len(lengths) + len(used), lam, 2, m_crit, l_min,
         m_interior, spectrum.complete_up_to, float(delta_hint), 2.0,
     )
 

@@ -5,6 +5,7 @@ checked exactly as a shell would see them.  Byte determinism matters:
 two identical invocations must print identical bytes.
 """
 
+import argparse
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import time
 import pytest
 
 from dnzeta.claims import schottky_pair
+from dnzeta import cli
 from dnzeta.cli import main
 from dnzeta.hyperbolic import LengthSpectrum, SpectrumEntry, spectrum_to_json
 
@@ -114,6 +116,64 @@ class TestGeometrySubcommands:
         assert run_cli(capsys, "disc")[0] == 1
         assert run_cli(capsys, "disc", "--radius", "1.0", "--bogus")[0] == 1
         assert run_cli(capsys, "no-such-command")[0] == 1
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call leaks into the next."""
+
+    def test_parser_is_built_on_the_first_call_only(self, capsys, monkeypatch):
+        cli._build_parser.cache_clear()
+        built = [0]
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run_cli(capsys, "disc", "--radius", "1.0")[0] == 0
+        # the root, the shared-flag parent and one parser per subcommand
+        tree = 2 + len(cli._DISPATCH)
+        assert built[0] == tree
+        assert run_cli(capsys, "annulus", "--rho", "2.0")[0] == 0
+        assert built[0] == tree
+
+    def test_format_does_not_carry_over(self, capsys):
+        code, plain, _ = run_cli(capsys, "disc", "--radius", "1.0", "--format", "plain")
+        assert code == 0 and plain.startswith("radius = ")
+        code, out, _ = run_cli(capsys, "disc", "--radius", "1.0")
+        assert code == 0
+        assert json.loads(out)["subcommand"] == "disc"
+
+    def test_verbosity_does_not_carry_over(self, capsys):
+        code, _, err = run_cli(capsys, "-v", "disc", "--radius", "1.0", "-v")
+        assert code == 0 and "fingerprint=" in err
+        code, _, err = run_cli(capsys, "disc", "--radius", "1.0")
+        assert code == 0 and err == ""
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        code, fresh, _ = run_cli(capsys, "cylinder", "--ell", "2.0", "--format", "plain")
+        assert code == 0
+        code, out, err = run_cli(capsys, "cylinder", "--format", "plain", "--bogus")
+        assert code == 1 and out == "" and "error:" in err
+        code, again, err = run_cli(capsys, "cylinder", "--ell", "2.0", "--format", "plain")
+        assert code == 0 and err == ""
+        assert again == fresh
+
+    def test_help_is_identical_on_repeat(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        for argv in (("--help",), ("zeta", "--help")):
+            first = run_cli(capsys, *argv)
+            second = run_cli(capsys, *argv)
+            assert first[0] == second[0] == 0
+            assert first[1] and first[1] == second[1]
+        # the width is read when help is printed, not when the parser was built
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = run_cli(capsys, "zeta", "--help")[1]
+        assert narrow != first[1]
+        assert max(len(line) for line in narrow.splitlines()) < max(
+            len(line) for line in first[1].splitlines()
+        )
 
 
 class TestByteDeterminism:

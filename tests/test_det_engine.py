@@ -177,6 +177,24 @@ def test_theorem2_negative_chi():
         theorem2_value(PAIR_OF_PANTS, supplied_limit=math.inf)
 
 
+@pytest.mark.parametrize("chi", [0, -1, -3])
+def test_theorem2_error_bar_holds_against_mpmath(chi):
+    mpmath = pytest.importorskip("mpmath")
+    topo = SurfaceTopology(genus=0, boundary_components=2 - chi)
+    rng = np.random.default_rng(600 - chi)
+    xs = np.concatenate([10.0 ** rng.uniform(-6.0, 6.0, 500), rng.uniform(0.5, 10.0, 500)])
+    # the last two quotients are subnormal
+    with mpmath.workdps(50):
+        for x in xs.tolist() + [1e-310, 5e-324]:
+            if chi == 0:
+                report = theorem2_value(topo, ell=x)
+                exact = mpmath.mpf(x) / mpmath.pi
+            else:
+                report = theorem2_value(topo, supplied_limit=x)
+                exact = mpmath.mpf(x) / chi
+            assert abs(report.ratio - exact) <= report.error_estimate
+
+
 def test_theorem2_matches_annulus_pipeline():
     # Cylinder case against the modulus-bridged annulus determinant.
     rng = np.random.default_rng(20260818)

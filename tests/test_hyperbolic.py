@@ -213,9 +213,10 @@ def _oracle_matrix(word, mats):
     return m
 
 
-def _oracle_close(x, y):
-    scale = max(1.0, np.max(np.abs(x)), np.max(np.abs(y)))
-    return np.max(np.abs(x - y)) <= 1e-8 * scale
+def _oracle_close(xs, y):
+    # per matrix x of the stack xs: max|x - y| <= 1e-8 max(1, max|x|, max|y|)
+    scale = np.maximum(1.0, np.maximum(np.abs(xs).max(axis=(-2, -1)), np.abs(y).max()))
+    return np.abs(xs - y).max(axis=(-2, -1)) <= 1e-8 * scale
 
 
 def test_brute_force_oracle_equivalence():
@@ -227,7 +228,8 @@ def test_brute_force_oracle_equivalence():
         mats.append(np.array([[g.a, g.b], [g.c, g.d]]))
         mats.append(np.array([[g.d, -g.b], [-g.c, g.a]]))
     words = _reduced_words(5)
-    conjugators = [np.eye(2)] + [_oracle_matrix(w, mats) for w in words]
+    conjugators = np.array([np.eye(2)] + [_oracle_matrix(w, mats) for w in words])
+    conjugators_inv = np.linalg.inv(conjugators)
 
     cyc_words = set()
     for w in words:
@@ -238,10 +240,7 @@ def test_brute_force_oracle_equivalence():
             cyc_words.add(tuple(w))
 
     def conjugate_in_group(m, rep):
-        for u in conjugators:
-            if _oracle_close(u @ m @ np.linalg.inv(u), rep):
-                return True
-        return False
+        return bool(np.any(_oracle_close(conjugators @ m @ conjugators_inv, rep)))
 
     reps = []  # (length, word_len, matrix)
     for w in sorted(cyc_words):

@@ -8,6 +8,7 @@ mpmath_reference tests call mpmath directly.
 
 import cmath
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -78,6 +79,16 @@ class TestLogGamma:
             want = math.pi / math.sin(math.pi * x)
             assert abs(lhs - want) <= 1e-10 * abs(want)
 
+    def test_left_of_box_refused_before_the_recurrence(self):
+        # the recurrence takes one step per unit of |Re z|: 0.06 s at -1e5
+        start = time.perf_counter()
+        for z in (-60.5, -99999.5, -1e7 + 0.5, -1e5 + 3j):
+            with pytest.raises(DomainError, match="certified box"):
+                log_gamma(z)
+        assert time.perf_counter() - start < 0.05
+        assert log_gamma(-59.5).abs_error_estimate < 1e-10
+        assert log_gamma(1e5 + 0.5).abs_error_estimate < 1e-9
+
     def test_negative_axis_upper_limit_convention(self):
         # Limit from Im z > 0: imaginary part of log Gamma(-0.5 + i0) is -2 pi + pi = ...
         below = log_gamma(-2.5 + 1e-9j).value
@@ -115,6 +126,16 @@ class TestLogBarnesG:
     def test_zeros_raise(self, z):
         with pytest.raises(BarnesZeroError):
             log_barnes_g(z)
+
+    def test_left_of_box_refused_before_the_recurrence(self):
+        # each recurrence step calls log_gamma, so the cost was quadratic in |Re z|
+        start = time.perf_counter()
+        for z in (-40.5, -299.5, -999.5, -1e5 + 0.5, -50.0 + 2j):
+            with pytest.raises(DomainError, match="certified box"):
+                log_barnes_g(z)
+        assert time.perf_counter() - start < 0.05
+        assert log_barnes_g(-39.5).abs_error_estimate < 1e-9
+        assert log_barnes_g(1e5 + 0.5).abs_error_estimate < 1e-3
 
     def test_recurrence_property(self):
         rng = np.random.default_rng(20260818)

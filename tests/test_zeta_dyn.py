@@ -229,6 +229,29 @@ def test_boundary_zeta_refuses_long_ladder_up_front():
     assert time.perf_counter() - start < 1.0
 
 
+def test_ladders_refuse_too_many_entry_terms_up_front(monkeypatch):
+    # with the short length at 2.5e-4 the ladders stay under 200000 factors
+    # (about 167k and 85k) but would sum 61 and 62 entries on each: seconds
+    # of work for tail bounds of 77 and 152
+    entries = _spectrum_with_short_length().entries[1:]
+    spec = LengthSpectrum(
+        entries=(SpectrumEntry(length=2.5e-4, multiplicity=1, reflections=0),) + entries,
+        cutoff=4.0, complete_up_to=4.0,
+    )
+
+    def no_factor(*args):
+        raise AssertionError("a ladder factor was evaluated")
+
+    monkeypatch.setattr(zeta_dyn, "ruelle", no_factor)
+    monkeypatch.setattr(zeta_dyn, "_log1p_complex", no_factor)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="Selberg ladder .* entry terms"):
+        selberg(spec, 0.5, 0.0)
+    with pytest.raises(ConvergenceError, match="boundary ladder .* entry terms"):
+        selberg_boundary([1.0], spec, 0.5, 0.0)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_selberg_positivity_real_lambda():
     grp = _schottky_pair()
     spec = enumerate_primitive_classes(grp, 10.0)
