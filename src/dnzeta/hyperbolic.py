@@ -5,22 +5,19 @@ An element is hyperbolic when |tr| > 2; it is then conjugate to the
 dilation z -> e^l z and translates every point of its axis by the
 length l = 2 arccosh(|tr| / 2).
 
-Conjugacy classes of a free group are cyclic reduced words, so the
-enumerator represents each primitive class by the lexicographically
-minimal rotation of its reduced word, a Lyndon word, and never needs
-matrix-level dedup.  One Fredricksen-Kessler-Maiorana walk (Ruskey,
-Savage and Wang, "Generating necklaces", J. Algorithms 13, 1992)
-generates those words in lexicographic order at O(1) per node, carries
-each prefix's matrix product down to its extensions, and classifies a
-class the moment it is reached: only classes under the length cutoff
-are kept.  The Schottky screen of GroupPresentation is the same walk
-with a word cap of 4 and nothing kept.  Letters are encoded as small
-integers: generator i is letter 2i, its inverse is letter 2i + 1, and
-the inverse of any letter is letter ^ 1.
+A primitive class of the free group is named by its Lyndon word, the
+least rotation of its cyclically reduced word, so no matrix-level dedup
+is needed.  The Fredricksen-Kessler-Maiorana prenecklace walk (Ruskey,
+Savage and Wang, "Generating necklaces", J. Algorithms 13, 1992) yields
+those words a length at a time, on numpy blocks of prefixes that carry
+their matrix products, and keeps only the classes under the length
+cutoff.  The Schottky screen of GroupPresentation is the same walk to 4
+letters.  Generator i is letter 2i, its inverse letter 2i + 1 = 2i ^ 1.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import string
@@ -36,6 +33,7 @@ from .errors import (
 
 _TOL = 1e-12
 _LENGTH_TIE = 1e-9
+_CHUNK = 256  # most prefixes the walk expands in one step
 
 
 @dataclass(frozen=True)
@@ -122,89 +120,91 @@ def _default_labels(k: int) -> tuple[str, ...]:
     return tuple(f"g{i}" for i in range(k))
 
 
-def _letter_matrices(
-    generators: tuple[MobiusTransform, ...],
-) -> list[tuple[float, float, float, float]]:
-    mats = []
-    for g in generators:
-        mats.append((g.a, g.b, g.c, g.d))
-        mats.append((g.d, -g.b, -g.c, g.a))
-    return mats
+def _expand(allowed: np.ndarray, words: np.ndarray, periods: np.ndarray):
+    """Parent columns, letters, words, periods and class flags of the children
+    of a block of prenecklaces (words (n, block), a word per column), in
+    word order if the block is.  A prefix of period p extends by the letters
+    >= word[n - p] but its last letter's inverse: period p on that letter,
+    Lyndon (n + 1) on others.  allowed[floor * letters + last] masks them."""
+    (n, size), n_letters = words.shape, allowed.shape[1]
+    floor = words.ravel().take((n - periods) * size + np.arange(size))
+    state = np.multiply(floor, n_letters, dtype=np.intp) + words[-1]
+    rows, nxt = allowed.take(state, axis=0).nonzero()
+    child = np.empty((n + 1, len(rows)), np.uint8)
+    words.take(rows, axis=1, out=child[:n])
+    child[n] = nxt
+    lyndon = nxt != floor.take(rows)
+    periods = np.where(lyndon, n + 1, periods.take(rows))
+    return rows, nxt, child, periods, lyndon & (nxt != child[0] ^ 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _trie_top(n_letters: int):
+    """The allowed table of _expand; the one-letter words as top[0] and, as
+    top[n], the _expand step of the length-n words while one block holds
+    them.  A prenecklace has no letter below its first, so the words
+    opening with the last generator's letters are its powers: not grown."""
+    letters = np.arange(n_letters)
+    allowed = (letters >= letters[:, None, None]) & (letters != (letters ^ 1)[:, None])
+    allowed = allowed.reshape(-1, n_letters)
+    words, periods = letters[None].astype(np.uint8), np.ones(n_letters, np.intp)
+    top = [(None, None, words, periods, periods > 0), _expand(allowed, words[:, :-2], periods[:-2])]
+    while 0 < len(top[-1][3]) <= _CHUNK:
+        top.append(_expand(allowed, *top[-1][2:4]))
+    for array in (array for step in top for array in step if array is not None):
+        array.flags.writeable = False
+    return allowed, tuple(top)
 
 
 def _primitive_classes(
-    mats, labels: tuple[str, ...], w_max: int, l_max: float
+    generators: tuple[MobiusTransform, ...], labels: tuple[str, ...], w_max: int, l_max: float
 ) -> list[tuple[float, bytes]]:
-    """(length, word) of the primitive classes of at most w_max letters
-    and length at most l_max (plus the tie slack), in word order.
-
-    The walk visits reduced prenecklaces: a prefix of length n and
-    period p extends by the letters >= word[n - p] except the inverse of
-    its last letter; the child keeps period p on the letter word[n - p]
-    and gets period n + 1 otherwise.  A node with p == n is a Lyndon
-    word and a class when also cyclically reduced.  The walk needs no
-    recursion: only prefixes with letters left to try wait on a stack,
-    so a one-generator walk (two chains) keeps O(1) state at any depth.
-    """
-    n_letters = len(mats)
+    """(length, word) of the primitive classes of at most w_max letters and
+    length at most l_max (plus the tie slack), in word order.  Blocks of
+    prefixes of one length (words, periods, products as (2, 2, block)) wait
+    on a stack; a step expands at most _CHUNK, updating products entry by
+    entry as a*e + b*g like scalar code.  A product with an inf or NaN entry
+    is not grown: no extension's trace is finite.  The least failing
+    (|tr| <= 2) class word is reported, as a walk in word order meets it."""
+    allowed, top = _trie_top(2 * len(generators))
     limit = l_max + _LENGTH_TIE
-    out: list[tuple[float, bytes]] = []
-    word = bytearray()
-    # extensions[lo][last]: the letters >= lo other than last's inverse.
-    extensions = [
-        [tuple(x for x in range(lo, n_letters) if x != last ^ 1) for last in range(n_letters)]
-        for lo in range(n_letters)
-    ]
-    top = n_letters - 1
-    # The current prefix: letters left to try, the last of them, length,
-    # period, floor letter and product; waiting ancestors keep that form.
-    stack = []
-    letters, final, n, p, floor_letter = iter(range(n_letters)), top, 0, 0, 0
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    while True:
-        for letter in letters:
-            e, f, g, h = mats[letter]
-            ca, cb, cc, cd = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-            word.append(letter)
-            period = p if n and letter == floor_letter else n + 1
-            if period == n + 1 and letter != word[0] ^ 1:
-                t = abs(ca + cd)
-                if t <= 2.0 + _TOL:
-                    kind = MobiusTransform(ca, cb, cc, cd).classify()
-                    raise DomainError(
-                        f"word {_word_label(word, labels)} is {kind}, not hyperbolic; "
-                        "input is not a separated free system"
-                    )
-                # A NaN or inf trace fails this test: the product overflowed
-                # and the class length exceeds any sane cutoff.
-                if t < math.inf:
-                    ell = 2.0 * math.acosh(0.5 * t)
-                    if ell <= limit:
-                        out.append((ell, bytes(word)))
-            if n + 1 < w_max:
-                if letter != final:
-                    stack.append((letters, final, n, p, floor_letter, a, b, c, d))
-                n += 1
-                p = period
-                floor_letter = word[n - p]
-                letters = iter(extensions[floor_letter][letter])
-                final = top - 1 if letter ^ 1 == top else top
-                a, b, c, d = ca, cb, cc, cd
-                break
-            word.pop()
-        else:
+    # Only traces under this meet the length test (the margin covers rounding).
+    trace_cut = 2.0 * math.cosh(min(0.5 * limit, 710.0)) * (1.0 + 1e-6)
+    cells = np.array([(g.a, g.d, g.b, -g.b, g.c, -g.c, g.d, g.a) for g in generators])
+    prods = letter_mats = cells.reshape(-1, 2, 2, 2).transpose(1, 2, 0, 3).reshape(2, 2, -1)
+    (_, _, words, periods, is_class), out, failed, stack = top[0], [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            t = np.abs(prods[0, 0] + prods[1, 1])
+            for k in (is_class & (t <= trace_cut)).nonzero()[0].tolist():
+                if t[k] <= 2.0 + _TOL:  # the block's least failure: it is in word order
+                    failed.append((words[:, k].tobytes(), prods[:, :, k].ravel().tolist()))
+                    break
+                if (ell := 2.0 * math.acosh(0.5 * t[k])) <= limit:
+                    out.append((ell, words[:, k].tobytes()))
+            if len(words) < w_max:
+                if len(words) >= len(top) and not np.isfinite(prods).all():
+                    live = np.isfinite(prods).all(axis=(0, 1))
+                    words, periods, prods = words[:, live], periods[live], prods[:, :, live]
+                if len(periods):
+                    stack.append((words, periods, prods))
             if not stack:
-                return out
-            letters, final, n, p, floor_letter, a, b, c, d = stack.pop()
-            del word[n:]
-
-
-def _word_label(word: bytes, labels: tuple[str, ...]) -> str:
-    parts = []
-    for letter in word:
-        name = labels[letter // 2]
-        parts.append(name if letter % 2 == 0 else name + "^-1")
-    return "*".join(parts)
+                break
+            words, periods, prods = stack.pop()
+            if len(periods) > _CHUNK:
+                stack.append((words[:, _CHUNK:], periods[_CHUNK:], prods[:, :, _CHUNK:]))
+                words, periods, prods = words[:, :_CHUNK], periods[:_CHUNK], prods[:, :, :_CHUNK]
+            n = len(words)
+            step = top[n] if n < len(top) else _expand(allowed, words, periods)
+            rows, nxt, words, periods, is_class = step
+            left, right = prods.take(rows, axis=2), letter_mats.take(nxt, axis=2)
+            prods = left[:, :1] * right[:1] + left[:, 1:] * right[1:]
+    if failed:
+        word, prod = min(failed)
+        label = "*".join(labels[x // 2] + "^-1" * (x % 2) for x in word)
+        raise DomainError(f"word {label} is {MobiusTransform(*prod).classify()}, not hyperbolic; "
+                          "input is not a separated free system")
+    return sorted(out, key=lambda item: item[1])
 
 
 @dataclass(frozen=True)
@@ -214,10 +214,10 @@ class GroupPresentation:
     Construction screens every primitive conjugacy class of word length
     at most 4: each must be hyperbolic, otherwise the input cannot be a
     separated free system (a relation shows up as an identity word, a
-    tangency as a parabolic one).  The screen runs the enumerator's own
-    walk, with its carried prefix products, to depth 4 and keeps no
-    class; the first failing word in lexicographic order is reported.
-    It is a heuristic filter, not a ping-pong proof.
+    tangency as a parabolic one).  The screen is the enumerator's own
+    block walk to depth 4, keeping no class; the lexicographically least
+    failing word is reported.  It is a heuristic filter, not a ping-pong
+    proof.
     """
 
     generators: tuple[MobiusTransform, ...]
@@ -236,7 +236,7 @@ class GroupPresentation:
         if len(set(labels)) != len(labels):
             raise DomainError("labels must be distinct")
         object.__setattr__(self, "labels", labels)
-        _primitive_classes(_letter_matrices(gens), labels, 4, 0.0)
+        _primitive_classes(gens, labels, 4, 0.0)
 
 
 @dataclass(frozen=True)
@@ -349,7 +349,7 @@ def enumerate_primitive_classes(
 def _build_spectrum(
     group: GroupPresentation, w_max: int, l_max: float, d_min: float
 ) -> LengthSpectrum:
-    classes = _primitive_classes(_letter_matrices(group.generators), group.labels, w_max, l_max)
+    classes = _primitive_classes(group.generators, group.labels, w_max, l_max)
     classes.sort()
     entries = []
     i = 0

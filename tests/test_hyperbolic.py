@@ -6,6 +6,7 @@ import json
 import math
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from dnzeta.hyperbolic import (
     SpectrumEntry,
     enumerate_primitive_classes,
     exponent_estimate,
-    _letter_matrices,
     _primitive_classes,
     spectrum_from_json,
     spectrum_to_json,
@@ -132,18 +132,75 @@ def test_group_screening_accepts_schottky_pair():
 def test_group_screening_rejects_bad_input():
     th = 0.3
     rot = MobiusTransform(math.cos(th), -math.sin(th), math.sin(th), math.cos(th))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^word a is elliptic, not hyperbolic; "):
         GroupPresentation(generators=(rot,))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^word a is parabolic, not hyperbolic; "):
         GroupPresentation(generators=(MobiusTransform(1.0, 1.0, 0.0, 1.0),))
-    # A repeated generator gives the identity word a*b^-1 at length 2.
+    # A repeated generator makes a*b^-1 the identity; a*a*b^-1*b^-1 is
+    # too, and comes first in word order.
     g = _dilation(2.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         GroupPresentation(generators=(g, g))
+    assert str(err.value).startswith("word a*a*b^-1*b^-1 is identity, not hyperbolic; ")
     with pytest.raises(DomainError):
         GroupPresentation(generators=())
     with pytest.raises(DomainError):
         GroupPresentation(generators=(g,), labels=("x", "y"))
+
+
+def _gaussian_pairs(seed, count):
+    # Two generators with standard normal entries; the sign of the first
+    # row makes each determinant positive.
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = rng.normal(size=(2, 2, 2))
+        m[:, 0] *= np.sign(np.linalg.det(m))[:, None]
+        yield tuple(MobiusTransform(*x.ravel()) for x in m)
+
+
+def _screen_message(word, kind):
+    return f"word {word} is {kind}, not hyperbolic; input is not a separated free system"
+
+
+@pytest.mark.parametrize(
+    ("draw", "word"),
+    [(8, "a*a*b^-1*b^-1"), (13, "a*b*a*b^-1"), (23, "a*b^-1*b^-1*b^-1")],
+)
+def test_screen_reports_least_failing_word(draw, word):
+    # In each draw a one-letter word fails too, but the report is the
+    # least failing class word in word order.
+    gens = list(_gaussian_pairs(7, draw + 1))[draw]
+    with pytest.raises(DomainError) as err:
+        GroupPresentation(generators=gens)
+    assert str(err.value) == _screen_message(word, "elliptic")
+
+
+def test_screen_matches_word_order_reference():
+    # Reference: every word of at most 4 letters in word order, products
+    # accumulated letter by letter; the first class word with |tr| <= 2.
+    words = sorted(
+        w for n in range(1, 5) for w in itertools.product(range(4), repeat=n) if _is_class_word(w)
+    )
+    for gens in _gaussian_pairs(11, 300):
+        mats = []
+        for g in gens:
+            mats += [(g.a, g.b, g.c, g.d), (g.d, -g.b, -g.c, g.a)]
+        want = None
+        for w in words:
+            a, b, c, d = 1.0, 0.0, 0.0, 1.0
+            for letter in w:
+                e, f, g, h = mats[letter]
+                a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            if abs(a + d) <= 2.0 + 1e-12:
+                label = "*".join("ab"[x // 2] + "^-1" * (x % 2) for x in w)
+                want = _screen_message(label, MobiusTransform(a, b, c, d).classify())
+                break
+        try:
+            GroupPresentation(generators=gens)
+            got = None
+        except DomainError as exc:
+            got = str(exc)
+        assert got == want
 
 
 def test_cyclic_spectrum_orientation_pair():
@@ -345,7 +402,7 @@ def test_walk_matches_brute_force_words_and_products(k, w_max):
         for w in itertools.product(range(n_letters), repeat=n)
         if _is_class_word(w)
     )
-    got = _primitive_classes(_letter_matrices(gens), "abc"[:k], w_max, 1e300)
+    got = _primitive_classes(gens, "abc"[:k], w_max, 1e300)
     assert [word for _, word in got] == want
     mats = []
     for g in gens:
@@ -373,7 +430,7 @@ def test_enumeration_memory_follows_classes_kept():
 
 
 def test_one_generator_deep_walk():
-    # One dilation of length 2: l_max 3000 walks to depth 3000, two
+    # One dilation of length 2: l_max 3000 asks for depth 3000, two
     # chains of powers, of which only g and g^-1 are primitive.
     grp = GroupPresentation(generators=(_dilation(2.0),))
     start = time.perf_counter()
@@ -382,8 +439,12 @@ def test_one_generator_deep_walk():
     assert [e.multiplicity for e in spec.entries] == [2]
     assert spec.entries[0].length == pytest.approx(2.0, rel=1e-12)
     assert spec.complete_up_to == pytest.approx(3000.0)
-    # A chain leaves no waiting prefix behind, so the walk's state
-    # stays flat at any depth.
+    # Powers are never grown, so depth costs nothing and the walk's state
+    # stays flat.
+    start = time.perf_counter()
+    spec = enumerate_primitive_classes(grp, 3000.0, max_word_len=2_500_000)
+    assert time.perf_counter() - start < 0.5
+    assert [e.multiplicity for e in spec.entries] == [2]
     tracemalloc.start()
     try:
         enumerate_primitive_classes(grp, 10_000.0, max_word_len=5_000)
@@ -391,6 +452,40 @@ def test_one_generator_deep_walk():
     finally:
         tracemalloc.stop()
     assert peak <= 0.2e6
+
+
+def test_walk_stops_at_overflowed_products():
+    # Length 600 per letter: every product of three letters overflows.
+    # The walk must not grow those prefixes: growing them to 18 letters,
+    # about 20 million prenecklaces, takes seconds.
+    h = 600.0 / 2.0
+    gens = (
+        types.SimpleNamespace(a=math.exp(h), b=0.0, c=0.0, d=math.exp(-h)),
+        types.SimpleNamespace(a=math.cosh(h), b=math.sinh(h), c=math.sinh(h), d=math.cosh(h)),
+    )
+    start = time.perf_counter()
+    deep = _primitive_classes(gens, "ab", 18, 5000.0)
+    assert time.perf_counter() - start < 0.5
+    assert deep == _primitive_classes(gens, "ab", 3, 5000.0)
+    assert {len(word) for _, word in deep} == {1, 2}
+
+
+@pytest.mark.parametrize("length", [3.0, 1419.0])
+def test_cutoff_ties_follow_the_scalar_length_test(length):
+    # A class exactly at l_max, at l_max + 1e-9, and just beyond: the
+    # trace bound must leave the decision to 2 acosh(|tr| / 2) <= l_max + 1e-9.
+    g = _dilation(length)
+    ell = translation_length(g)
+    decisions = []
+    for l_max in (ell, ell - 1e-9, math.nextafter(ell - 1e-9, 0.0), ell - 2e-9):
+        got = _primitive_classes((g,), ("a",), 3, l_max)
+        want = ell <= l_max + 1e-9
+        assert got == ([(ell, b"\0"), (ell, b"\1")] if want else [])
+        decisions.append(want)
+    assert decisions[0] and not decisions[-1]
+    # Past l_max = 1420, 2 cosh(l_max / 2) overflows; the trace bound is
+    # then inf and the finite traces still go to the length test.
+    assert len(_primitive_classes((g,), ("a",), 3, 1420.0 + length)) == 2
 
 
 def test_enumeration_budget_guard():
