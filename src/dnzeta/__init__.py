@@ -25,7 +25,6 @@ from dnzeta.errors import (
     DnZetaError,
     DomainError,
     EnumerationBudgetError,
-    InsufficientDataError,
     InvalidSequenceError,
     PoleError,
     TruncationError,
@@ -62,13 +61,11 @@ from dnzeta.dn_explicit import (
     uniformizing_map,
 )
 from dnzeta.hyperbolic import (
-    ExponentEstimate,
     GroupPresentation,
     LengthSpectrum,
     MobiusTransform,
     SpectrumEntry,
     enumerate_primitive_classes,
-    exponent_estimate,
     spectrum_from_json,
     spectrum_to_json,
     translation_length,
@@ -84,10 +81,8 @@ from dnzeta.zeta_dyn import (
 from dnzeta.det_engine import (
     HeatCoefficients,
     SurfaceTopology,
-    beta,
     dirichlet_det,
     functional_equation_rhs,
-    length_spectrum_relation,
     log_dirichlet_det,
     sarnak_det,
     theorem2_value,
@@ -105,7 +100,6 @@ from dnzeta.numeric_dn import (
     convergence_table_to_csv,
     derivative_identity_check,
     k_convergence_table,
-    kernel_vector,
     multiplication_matrix,
 )
 
@@ -124,10 +118,8 @@ __all__ = [
     "EigenSequence",
     "EnumerationBudgetError",
     "EvalResult",
-    "ExponentEstimate",
     "GroupPresentation",
     "HeatCoefficients",
-    "InsufficientDataError",
     "InvalidSequenceError",
     "LengthSpectrum",
     "MobiusTransform",
@@ -141,7 +133,6 @@ __all__ = [
     "annulus_block",
     "annulus_det_prime",
     "annulus_eigenvalues",
-    "beta",
     "boundary_length",
     "build_dn_truncated",
     "check_rz_identity",
@@ -156,12 +147,9 @@ __all__ = [
     "disc_det_prime",
     "enumerate_primitive_classes",
     "eta_constant",
-    "exponent_estimate",
     "functional_equation_rhs",
     "hyp2f1",
     "k_convergence_table",
-    "kernel_vector",
-    "length_spectrum_relation",
     "log_barnes_g",
     "log_det",
     "log_dirichlet_det",

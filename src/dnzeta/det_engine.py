@@ -94,12 +94,6 @@ def _require_positive(x, name: str) -> float:
     return float(x)
 
 
-def beta(topology: SurfaceTopology, boundary_length: float) -> float:
-    """Boundary curvature pairing -2 pi chi / ell."""
-    ell = _require_positive(boundary_length, "boundary_length")
-    return -2.0 * math.pi * topology.euler / ell
-
-
 def zero_volume(topology: SurfaceTopology) -> float:
     """Renormalized volume -2 pi chi of the uniformized interior."""
     return -2.0 * math.pi * topology.euler
@@ -329,28 +323,3 @@ def theorem4_pipeline(
         },
         error_estimate=abs(ratio_closed - ratio_bfk),
     )
-
-
-def length_spectrum_relation(
-    supplied_r_limit: float,
-    zprime_g_at_1: float,
-    z_g0_at_1: float,
-    topology: SurfaceTopology,
-    boundary_length: float,
-) -> float:
-    """Residual of [lam^{chi-1} R(lam)]_{lam=0} against the closed side.
-
-    The right side is -(Z'_G(1)/Z_g0(1)^2) e^{ell/4} (2 pi)^{-chi}; the
-    left side needs continuation, so it is caller-supplied and this is
-    a consistency harness, returning |LHS - RHS|.
-    """
-    if not (isinstance(supplied_r_limit, (int, float)) and math.isfinite(supplied_r_limit)):
-        raise DomainError(f"supplied limit must be finite, got {supplied_r_limit}")
-    zp = _require_positive(zprime_g_at_1, "Z'_G(1)")
-    z0 = _require_positive(z_g0_at_1, "Z_g0(1)")
-    ell = _require_positive(boundary_length, "boundary_length")
-    chi = topology.euler
-    rhs = -math.exp(
-        math.log(zp) - 2.0 * math.log(z0) + ell / 4.0 - chi * _LN_2PI
-    )
-    return abs(float(supplied_r_limit) - rhs)

@@ -23,10 +23,6 @@ class InvalidSequenceError(DnZetaError):
     """An eigenvalue sequence violates its declared invariants."""
 
 
-class InsufficientDataError(DnZetaError):
-    """A statistical estimate was requested from too small a sample."""
-
-
 class ConvergenceError(DnZetaError):
     """An iterative scheme failed to reach its target tolerance."""
 
@@ -38,13 +34,8 @@ class TruncationError(DnZetaError):
 
 
 class EnumerationBudgetError(DnZetaError):
-    """A word enumeration exceeded its word-count budget.
+    """A word enumeration would build more words than its budget allows.
 
-    The ``partial`` attribute carries the spectrum computed from the
-    deepest word length that fit inside the budget, with its
-    ``complete_up_to`` certificate shrunk to match.
+    Raised before any word is built; the message names the requested
+    depth and the deepest depth that fits.
     """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial

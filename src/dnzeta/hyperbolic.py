@@ -25,15 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EnumerationBudgetError,
-    InsufficientDataError,
-)
+from .errors import DomainError, EnumerationBudgetError
 
 _TOL = 1e-12
 _LENGTH_TIE = 1e-9
 _CHUNK = 256  # most prefixes the walk expands in one step
+_WORD_BUDGET = 5_000_000  # most reduced words an enumeration may build
 
 
 @dataclass(frozen=True)
@@ -299,11 +296,24 @@ def _displacement_floor(generators: tuple[MobiusTransform, ...]) -> float:
     return min(translation_length(g) for g in generators) / 2.0
 
 
+def _affordable_depth(n_letters: int) -> int:
+    """Deepest word length w whose reduced words of length <= w number at
+    most _WORD_BUDGET.  Those words number 2w for two letters and
+    n((n-1)^w - 1)/(n - 2) for n > 2, so for n > 2 the depth is the
+    integer log base n - 1 of floor(budget (n - 2) / n) + 1."""
+    if n_letters == 2:
+        return _WORD_BUDGET // 2
+    bound = _WORD_BUDGET * (n_letters - 2) // n_letters + 1
+    w = 1
+    while (n_letters - 1) ** (w + 1) <= bound:
+        w += 1
+    return w
+
+
 def enumerate_primitive_classes(
     group: GroupPresentation,
     l_max: float,
     max_word_len: int | None = None,
-    word_budget: int = 5_000_000,
 ) -> LengthSpectrum:
     """Length spectrum of primitive conjugacy classes with l <= l_max.
 
@@ -311,44 +321,26 @@ def enumerate_primitive_classes(
     (oriented) classes.  Ties within 1e-9 merge into one entry's
     multiplicity.  The word depth is chosen as ceil(l_max / d) where d
     is the per-letter displacement floor of the generator set, unless
-    max_word_len pins it explicitly; if the implied word count exceeds
-    word_budget, the deepest affordable spectrum is attached to an
-    EnumerationBudgetError.
+    max_word_len pins it explicitly.  A depth whose reduced words number
+    more than 5,000,000 is refused with EnumerationBudgetError before
+    any word is built.
     """
     if not (isinstance(l_max, (int, float)) and l_max > 0.0 and math.isfinite(l_max)):
         raise DomainError(f"l_max must be positive and finite, got {l_max}")
     l_max = float(l_max)
-    if word_budget < 1:
-        raise DomainError(f"word_budget must be >= 1, got {word_budget}")
     d_min = _displacement_floor(group.generators)
     if max_word_len is None:
-        w_target = max(1, math.ceil(l_max / d_min - 1e-12))
+        w_max = max(1, math.ceil(l_max / d_min - 1e-12))
     else:
         if not (isinstance(max_word_len, int) and max_word_len >= 1):
             raise DomainError(f"max_word_len must be an integer >= 1, got {max_word_len}")
-        w_target = max_word_len
-    n_letters = 2 * len(group.generators)
-    # Largest depth whose reduced-word count fits in the budget, at least 1.
-    total, layer, w_run = 0, n_letters, 1
-    for w in range(1, w_target + 1):
-        total += layer
-        if total > word_budget and w > 1:
-            break
-        w_run = w
-        layer *= n_letters - 1
-    spectrum = _build_spectrum(group, w_run, l_max, d_min)
-    if w_run < w_target:
+        w_max = max_word_len
+    affordable = _affordable_depth(2 * len(group.generators))
+    if affordable < w_max:
         raise EnumerationBudgetError(
-            f"word depth {w_target} needs more than {word_budget} words; "
-            f"deepest affordable depth was {w_run}",
-            partial=spectrum,
+            f"word depth {w_max} needs more than {_WORD_BUDGET} words; "
+            f"deepest affordable depth was {affordable}"
         )
-    return spectrum
-
-
-def _build_spectrum(
-    group: GroupPresentation, w_max: int, l_max: float, d_min: float
-) -> LengthSpectrum:
     classes = _primitive_classes(group.generators, group.labels, w_max, l_max)
     classes.sort()
     entries = []
@@ -364,55 +356,6 @@ def _build_spectrum(
         entries=tuple(entries),
         cutoff=l_max,
         complete_up_to=min(l_max, w_max * d_min),
-    )
-
-
-@dataclass(frozen=True)
-class ExponentEstimate:
-    """Least-squares growth exponent of the geodesic counting function."""
-
-    delta: float
-    fit_residual: float
-    n_samples: int
-    cutoff: float
-
-
-def exponent_estimate(
-    group: GroupPresentation,
-    l_max: float,
-    max_word_len: int | None = None,
-) -> ExponentEstimate:
-    """Estimate of the convergence exponent delta from N(l) ~ e^(delta l).
-
-    Counts all closed geodesics (primitive classes and their powers) up
-    to the spectrum's completeness certificate and fits log N(l) = delta
-    l + const by least squares, clamping delta into [0, 1].  Used to
-    certify zeta-product convergence half-planes Re(lambda) > delta.
-    """
-    spectrum = enumerate_primitive_classes(group, l_max, max_word_len=max_word_len)
-    window = spectrum.complete_up_to
-    lengths: list[float] = []
-    for entry in spectrum.entries:
-        if entry.length > window:
-            continue
-        k = 1
-        while k * entry.length <= window:
-            lengths.extend([k * entry.length] * entry.multiplicity)
-            k += 1
-    lengths.sort()
-    if len(lengths) < 10:
-        raise InsufficientDataError(
-            f"need at least 10 closed geodesics below {window}, found {len(lengths)}"
-        )
-    x = np.asarray(lengths)
-    y = np.log(np.arange(1, len(lengths) + 1, dtype=float))
-    design = np.stack([x, np.ones_like(x)], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    rms = float(np.sqrt(np.mean((y - fitted) ** 2)))
-    delta = float(min(1.0, max(0.0, coef[0])))
-    return ExponentEstimate(
-        delta=delta, fit_residual=rms, n_samples=len(lengths), cutoff=window
     )
 
 

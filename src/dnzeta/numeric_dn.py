@@ -292,17 +292,6 @@ def _split_kernel(op: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]:
     return np.delete(w, small[0]), np.ascontiguousarray(vecs[:, small[0]])
 
 
-def kernel_vector(op: TruncatedOperator) -> np.ndarray:
-    """Unit eigenvector of the unique eigenvalue below 1e-9.
-
-    The conformal family preserves a one-dimensional kernel (the
-    constant direction deformed to the coefficients of e^{t omega0/2});
-    anything other than exactly one near-zero eigenvalue means the
-    truncation has polluted it.
-    """
-    return _split_kernel(op)[1]
-
-
 def boundary_length(geometry, omega0: ConformalFactor, t: float) -> float:
     """ell_t = integral of e^{t omega0} over the boundary arc.
 

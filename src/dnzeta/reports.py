@@ -22,7 +22,7 @@ class DetReport:
     inputs: dict = field(default_factory=dict)
     error_estimate: float = 0.0
 
-    _METHODS = ("closed_form", "zeta_pipeline", "functional_equation", "theorem4_pipeline")
+    _METHODS = ("closed_form", "zeta_pipeline", "theorem4_pipeline")
 
     def __post_init__(self) -> None:
         if self.method not in self._METHODS:

@@ -245,6 +245,19 @@ class TestSpectrumSubcommand:
         assert code == 0
         assert json.loads(out)["cutoff"] == 5.0
 
+    def test_over_budget_depth_is_refused(self, capsys, tmp_path):
+        # Two generators have 9,565,936 reduced words up to depth 14.
+        gens = write_generator_pair(tmp_path / "gens.json")
+        out_path = tmp_path / "spectrum.json"
+        code, out, err = run_cli(
+            capsys, "spectrum", "--generators", gens,
+            "--max-word-len", "14", "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("EnumerationBudgetError: word depth 14 needs more than 5000000 words")
+        assert not out_path.exists()
+
     def test_one_generator_deep_walk_exits_cleanly(self, capsys, tmp_path):
         # depth 3000 on one dilation of length 2 used to end in an
         # uncaught RecursionError; only g and g^-1 are primitive

@@ -10,10 +10,8 @@ from dnzeta.errors import DomainError
 from dnzeta.det_engine import (
     HeatCoefficients,
     SurfaceTopology,
-    beta,
     dirichlet_det,
     functional_equation_rhs,
-    length_spectrum_relation,
     log_dirichlet_det,
     sarnak_det,
     theorem2_value,
@@ -59,14 +57,6 @@ def test_heat_coefficients():
     assert heat.a3 == pytest.approx(-1.0 / 3.0, rel=1e-15)
     with pytest.raises(DomainError):
         HeatCoefficients(DISC, 0.0)
-
-
-def test_beta_values():
-    assert beta(PAIR_OF_PANTS, 2.0 * math.pi) == pytest.approx(1.0, rel=1e-15)
-    assert beta(CYLINDER, 1.7) == 0.0
-    assert beta(DISC, 2.0 * math.pi) == pytest.approx(-1.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        beta(DISC, 0.0)
 
 
 def test_zero_volume_values():
@@ -377,22 +367,6 @@ def test_theorem4_rejections():
         theorem4_pipeline(-1.0, 1.0, PAIR_OF_PANTS, 2.0)
     with pytest.raises(DomainError):
         theorem4_pipeline(1.0, 0.0, PAIR_OF_PANTS, 2.0)
-
-
-def test_length_spectrum_relation_synthetic():
-    zp, z0, ell = 0.7, 1.3, 5.0
-    topo = SurfaceTopology(genus=0, boundary_components=4)
-    rhs = -(zp / z0**2) * math.exp(ell / 4.0) * (2.0 * math.pi) ** (-topo.euler)
-    assert length_spectrum_relation(rhs, zp, z0, topo, ell) <= 1e-13 * abs(rhs)
-
-
-def test_length_spectrum_relation_perturbation():
-    zp, z0, ell = 0.7, 1.3, 5.0
-    topo = SurfaceTopology(genus=0, boundary_components=4)
-    rhs = -(zp / z0**2) * math.exp(ell / 4.0) * (2.0 * math.pi) ** (-topo.euler)
-    for bump in (1e-3 * abs(rhs), 0.1, -0.25):
-        resid = length_spectrum_relation(rhs + bump, zp, z0, topo, ell)
-        assert resid == pytest.approx(abs(bump), rel=1e-10)
 
 
 def test_length_spectrum_relation_consistent_with_theorems():

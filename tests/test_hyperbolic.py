@@ -11,20 +11,14 @@ import types
 import numpy as np
 import pytest
 
-from dnzeta import claims
-from dnzeta.errors import (
-    DomainError,
-    EnumerationBudgetError,
-    InsufficientDataError,
-)
+from dnzeta import claims, hyperbolic
+from dnzeta.errors import DomainError, EnumerationBudgetError
 from dnzeta.hyperbolic import (
-    ExponentEstimate,
     GroupPresentation,
     LengthSpectrum,
     MobiusTransform,
     SpectrumEntry,
     enumerate_primitive_classes,
-    exponent_estimate,
     _primitive_classes,
     spectrum_from_json,
     spectrum_to_json,
@@ -445,6 +439,10 @@ def test_one_generator_deep_walk():
     spec = enumerate_primitive_classes(grp, 3000.0, max_word_len=2_500_000)
     assert time.perf_counter() - start < 0.5
     assert [e.multiplicity for e in spec.entries] == [2]
+    # Two letters give 2w reduced words up to depth w: 2.5M is the
+    # deepest depth inside the 5M word budget.
+    with pytest.raises(EnumerationBudgetError, match="deepest affordable depth was 2500000$"):
+        enumerate_primitive_classes(grp, 3000.0, max_word_len=2_500_001)
     tracemalloc.start()
     try:
         enumerate_primitive_classes(grp, 10_000.0, max_word_len=5_000)
@@ -488,16 +486,21 @@ def test_cutoff_ties_follow_the_scalar_length_test(length):
     assert len(_primitive_classes((g,), ("a",), 3, 1420.0 + length)) == 2
 
 
-def test_enumeration_budget_guard():
-    grp = _schottky_pair()
-    with pytest.raises(EnumerationBudgetError) as err:
-        enumerate_primitive_classes(grp, 50.0, word_budget=2000)
-    partial = err.value.partial
-    assert isinstance(partial, LengthSpectrum)
-    # Reduced words of the pair: 1456 at depth 6, 4372 at depth 7.
-    assert partial.complete_up_to == pytest.approx(6.0)
-    assert partial.cutoff == pytest.approx(50.0)
-    assert len(partial.entries) > 0
+def test_enumeration_budget_guard(monkeypatch):
+    # Reduced words of two generators up to depth w number 2 (3^w - 1):
+    # 3,188,644 at depth 13, 9,565,936 at depth 14.  The refusal comes
+    # before any walk; the pair's own screen walks before the patch.
+    pair = claims.schottky_pair()
+
+    def no_walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(hyperbolic, "_primitive_classes", no_walk)
+    with pytest.raises(
+        EnumerationBudgetError,
+        match="^word depth 20 needs more than 5000000 words; deepest affordable depth was 13$",
+    ):
+        enumerate_primitive_classes(pair, 20.0)
 
 
 def test_enumeration_rejects_bad_arguments():
@@ -508,38 +511,6 @@ def test_enumeration_rejects_bad_arguments():
         enumerate_primitive_classes(grp, math.inf)
     with pytest.raises(DomainError):
         enumerate_primitive_classes(grp, 5.0, max_word_len=0)
-
-
-def test_exponent_estimate_cyclic_is_flat():
-    grp = GroupPresentation(generators=(_dilation(2.0),))
-    est = exponent_estimate(grp, 60.0)
-    assert 0.0 <= est.delta < 0.1
-    assert est.n_samples == 60
-    assert est.cutoff == pytest.approx(60.0)
-
-
-def test_exponent_estimate_needs_ten_samples():
-    grp = GroupPresentation(generators=(_dilation(2.0),))
-    with pytest.raises(InsufficientDataError):
-        exponent_estimate(grp, 8.0)
-
-
-def test_exponent_estimate_schottky_stable():
-    grp = _schottky_pair()
-    est8 = exponent_estimate(grp, 8.0)
-    est10 = exponent_estimate(grp, 10.0)
-    assert 0.0 < est10.delta < 1.0
-    assert abs(est10.delta - est8.delta) < 0.1
-    assert est10.fit_residual < 0.5
-
-
-def test_exponent_estimate_decreases_with_separation():
-    grp = _schottky_pair()
-    g1, g2 = grp.generators
-    doubled = GroupPresentation(generators=(g1 @ g1, g2 @ g2))
-    est = exponent_estimate(grp, 10.0)
-    est_doubled = exponent_estimate(doubled, 10.0)
-    assert est_doubled.delta < est.delta
 
 
 def test_spectrum_json_round_trip():

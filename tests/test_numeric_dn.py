@@ -19,8 +19,8 @@ from dnzeta.numeric_dn import (
     convergence_table_to_csv,
     derivative_identity_check,
     k_convergence_table,
-    kernel_vector,
     multiplication_matrix,
+    _split_kernel,
 )
 from dnzeta.zeta_reg import EigenSequence, log_det, scale, zeta_at_zero
 
@@ -143,7 +143,7 @@ def test_annulus_kernel_direction_is_weighted_constant():
     # arc-length reweighting of the constant trace pair (1, 1).
     geom = AnnulusGeometry(2.0)
     op = build_dn_truncated(geom, 1)
-    v = kernel_vector(op)
+    v = _split_kernel(op)[1]
     direction = np.zeros(op.size)
     direction[0] = math.sqrt(geom.rho)
     direction[1] = 1.0
@@ -229,7 +229,7 @@ def test_family_kernel_aligns_with_factor_exponential():
     op = build_dn_truncated(DISC, 12)
     t = 0.1
     member = conformal_family(op, w, t)
-    v = kernel_vector(member)
+    v = _split_kernel(member)[1]
     nodes = 4096
     theta = np.arange(nodes) * (TWO_PI / nodes)
     phi = _basis_samples(12, theta)
@@ -289,7 +289,7 @@ def test_constant_factor_det_ratio_invariant_through_zeta():
 
 def test_kernel_vector_on_disc_is_constant_direction():
     op = build_dn_truncated(DISC, 5)
-    v = kernel_vector(op)
+    v = _split_kernel(op)[1]
     assert abs(abs(v[0]) - 1.0) < 1e-14
     assert np.max(np.abs(v[1:])) < 1e-14
 
@@ -297,10 +297,10 @@ def test_kernel_vector_on_disc_is_constant_direction():
 def test_kernel_vector_requires_unique_small_eigenvalue():
     nearly = np.diag([0.0, 5e-10, 1.0, 2.0, 3.0])
     with pytest.raises(TruncationError):
-        kernel_vector(TruncatedOperator(k=2, matrix=nearly, geometry="disc"))
+        _split_kernel(TruncatedOperator(k=2, matrix=nearly, geometry="disc"))
     none = np.diag([1.0, 1.0, 2.0, 2.0, 3.0])
     with pytest.raises(TruncationError):
-        kernel_vector(TruncatedOperator(k=2, matrix=none, geometry="disc"))
+        _split_kernel(TruncatedOperator(k=2, matrix=none, geometry="disc"))
 
 
 # ---------------------------------------------------------------- boundary length

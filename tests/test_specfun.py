@@ -195,10 +195,28 @@ class TestZeta:
         fd = (riemann_zeta(s + h).value - riemann_zeta(s - h).value) / (2.0 * h)
         _assert_close(zeta_derivative(s).value, fd, 1e-8)
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            complex(math.nextafter(-1.1, -math.inf), 0.0),
+            complex(math.nextafter(20.0, math.inf), 0.0),
+            complex(3.0, math.nextafter(6.0, math.inf)),
+            complex(3.0, -math.nextafter(6.0, math.inf)),
+            -5 + 15j,
+        ],
+    )
+    def test_refuses_outside_certified_box(self, s):
+        # Outside the box the estimate is not a bound (1.3x short at -5+15i).
+        for fn in (riemann_zeta, zeta_derivative):
+            with pytest.raises(DomainError, match="certified box"):
+                fn(s)
+
     def test_mpmath_reference_within_estimate(self):
         # Live oracle: the distance to mpmath's zeta and zeta' at 30
         # digits must lie inside each reported error estimate.
-        for s in (-1.1, -1.0, -0.5, 0.0, 0.25 + 3j, 2.0, 3 + 6j, 20.0):
+        inside = (-1.1, -1.0, -0.5, 0.0, 0.25 + 3j, 2.0, 3 + 6j, 20.0)
+        corners = (-1.1 + 6j, -1.1 - 6j, 20 + 6j, 20 - 6j)
+        for s in inside + corners:
             with mpmath.workdps(30):
                 for res, want in (
                     (riemann_zeta(s), mpmath.zeta(s)),
