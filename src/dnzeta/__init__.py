@@ -11,8 +11,8 @@ agree:
   spectrum of a hyperbolic surface group (hyperbolic, zeta_dyn) and the
   determinant identities that tie them to the spectral side
   (det_engine);
-- finite Fourier truncations of the operator itself, used to verify
-  the conformal variation law numerically (numeric_dn).
+- finite Fourier truncations of the disc operator itself, used to
+  verify the conformal variation law numerically (numeric_dn).
 
 The command line front end lives in dnzeta.cli (installed as the
 `dnzeta` script) and exposes each route plus a `verify` subcommand that
@@ -96,8 +96,6 @@ from dnzeta.numeric_dn import (
     TruncatedOperator,
     boundary_length,
     build_dn_truncated,
-    conformal_family,
-    convergence_table_to_csv,
     derivative_identity_check,
     k_convergence_table,
     multiplication_matrix,
@@ -137,8 +135,6 @@ __all__ = [
     "build_dn_truncated",
     "check_rz_identity",
     "combine",
-    "conformal_family",
-    "convergence_table_to_csv",
     "cylinder_det_prime",
     "cylinder_poisson_check",
     "cylinder_scattering_mode0",

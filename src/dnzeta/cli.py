@@ -46,12 +46,11 @@ from .errors import DnZetaError, DomainError
 from .hyperbolic import (
     GroupPresentation,
     MobiusTransform,
+    _displacement_floor,
     enumerate_primitive_classes,
     spectrum_from_json,
     spectrum_to_json,
-    translation_length,
 )
-from .numeric_dn import convergence_table_to_csv
 from .zeta_dyn import ruelle, selberg, selberg_boundary
 
 _KINDS = ("ruelle", "selberg", "selberg-g0")
@@ -259,7 +258,7 @@ def _run_spectrum(args, config: RunConfig) -> _Output:
     if args.cutoff is not None:
         cutoff = float(args.cutoff)
     else:
-        cutoff = args.max_word_len * min(translation_length(g) for g in group.generators) / 2.0
+        cutoff = args.max_word_len * _displacement_floor(group.generators)
     spectrum = enumerate_primitive_classes(group, cutoff, max_word_len=args.max_word_len)
     text = spectrum_to_json(spectrum)
     try:
@@ -376,7 +375,7 @@ def _run_verify(args, config: RunConfig) -> _Output:
         rows = k_table()
         doc["k_table"] = [{"k": k, "residual": r} for k, r in rows]
         lines += [f"table K={k}: residual={r:.3e}" for k, r in rows]
-        csv = convergence_table_to_csv(rows)
+        csv = "".join(["k,residual\n"] + [f"{k:d},{r:.17g}\n" for k, r in rows])
     lines.append(f"suite {args.suite}: {sum(c.passed for c in checks)}/{len(checks)} passed")
     return _Output(doc, lines, csv, 0 if all_passed else 2)
 

@@ -26,6 +26,7 @@ minus against chi < 0) is tracked separately.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,6 +39,8 @@ from .specfun import eta_constant, log_barnes_g, log_gamma
 _LN_2PI = math.log(2.0 * math.pi)
 # Smallest subnormal: the absolute rounding floor of a quotient that underflows.
 _SUBNORMAL_ULP = math.ldexp(1.0, -1074)
+# Largest x with math.exp(x) finite.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # 32-point Gauss-Legendre rule on [-1, 1] for the cylinder volume integrals
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -92,6 +95,13 @@ def _require_positive(x, name: str) -> float:
     if not (isinstance(x, (int, float)) and x > 0.0 and math.isfinite(x)):
         raise DomainError(f"{name} must be positive and finite, got {x}")
     return float(x)
+
+
+def _exp(log_value: float, name: str) -> float:
+    """e^log_value, refused where it overflows a float."""
+    if log_value > _LOG_FLOAT_MAX:
+        raise DomainError(f"{name} = e^{log_value:.17g} overflows a float")
+    return math.exp(log_value)
 
 
 def zero_volume(topology: SurfaceTopology) -> float:
@@ -231,7 +241,7 @@ def sarnak_det(zprime_g_at_1: float, topology: SurfaceTopology) -> float:
     itself is closed and has chi(M) = 2 chi).  Evaluated in log space.
     """
     z = _require_positive(zprime_g_at_1, "Z'_G(1)")
-    return math.exp(math.log(z) - 2.0 * eta_constant() * topology.euler)
+    return _exp(math.log(z) - 2.0 * eta_constant() * topology.euler, "det'(Delta_M)")
 
 
 def log_dirichlet_det(
@@ -272,7 +282,7 @@ def dirichlet_det(
     boundary_length: float,
 ) -> float:
     """det(Delta - lam(1-lam)); at lam = 1 this is Z_g0(1) e^{-chi eta - ell/8}."""
-    return math.exp(log_dirichlet_det(lam, z_g0_at_lam, topology, boundary_length))
+    return _exp(log_dirichlet_det(lam, z_g0_at_lam, topology, boundary_length), "det(Delta - lam(1-lam))")
 
 
 def theorem4_pipeline(
@@ -302,11 +312,14 @@ def theorem4_pipeline(
         + ell / 4.0
         - math.log(2.0 * math.pi * (-chi))
     )
-    ratio_closed = math.exp(log_ratio_closed)
+    ratio_closed = _exp(log_ratio_closed, "det'(N)/ell")
     det_m = sarnak_det(zp, topology)
     det_x = dirichlet_det(1.0, z0, topology, ell)
     vol_m = 2.0 * zero_volume(topology)
-    ratio_bfk = 2.0 * det_m / (vol_m * det_x * det_x)
+    denominator = vol_m * det_x * det_x
+    if denominator == 0.0:
+        raise DomainError(f"vol(M) det(Delta)^2 underflows to 0 (det(Delta) = {det_x:.17g})")
+    ratio_bfk = 2.0 * det_m / denominator
     return DetReport(
         value=ratio_closed * ell,
         ratio=ratio_closed,

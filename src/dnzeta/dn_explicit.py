@@ -65,6 +65,9 @@ class AnnulusGeometry:
     def __post_init__(self) -> None:
         if not (self.rho > 1.0 and math.isfinite(self.rho)):
             raise DomainError(f"annulus needs rho > 1, got {self.rho}")
+        if not math.isfinite(self.rho * math.log(self.rho)):
+            # the mode-0 eigenvalue (1 + rho) / (rho ln rho) would round to 0
+            raise DomainError(f"annulus needs rho ln rho finite, got rho = {self.rho}")
         object.__setattr__(self, "alpha", math.log(self.rho))
         object.__setattr__(self, "boundary_length", _TWO_PI * (1.0 + self.rho))
 
@@ -149,10 +152,12 @@ def disc_det_prime(radius: float) -> DetReport:
     """det' of the disc DN map; spectrum {n / R, multiplicity 2}."""
     if not (radius > 0.0 and math.isfinite(radius)):
         raise DomainError(f"disc needs radius > 0, got {radius}")
+    boundary = _TWO_PI * radius
+    if not (math.isfinite(1.0 / radius) and math.isfinite(boundary)):
+        raise DomainError(f"disc needs 1 / radius and 2 pi radius finite, got radius = {radius}")
     seq = EigenSequence(power=1.0, prefactor=1.0 / radius, tail_multiplicity=2)
     res = log_det(seq)
     value = math.exp(res.log_value)
-    boundary = _TWO_PI * radius
     return DetReport(
         value=value,
         ratio=value / boundary,
@@ -171,6 +176,8 @@ def cylinder_det_prime(geom: CylinderGeometry) -> DetReport:
     """
     ratio = geom.ell / math.pi
     boundary = 2.0 * geom.ell
+    if math.isinf(ratio * boundary):
+        raise DomainError(f"cylinder det' = 2 ell^2 / pi overflows a float at ell = {geom.ell}")
     return DetReport(
         value=ratio * boundary,
         ratio=ratio,

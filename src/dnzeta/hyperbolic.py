@@ -263,9 +263,14 @@ class SpectrumEntry:
 class LengthSpectrum:
     """Primitive geodesic lengths up to a cutoff.
 
-    Entries are sorted ascending.  Every class of length at most
-    complete_up_to is guaranteed present; entries between that and the
-    cutoff may be incomplete when the word depth was capped.
+    Entries are sorted ascending.  complete_up_to is a heuristic, not a
+    guarantee: it is the word depth times the displacement floor of
+    enumerate_primitive_classes, and classes shorter than it can still
+    be missing when that floor overestimates the length a letter adds.
+    (Two dilations of length 3 on the axes (0, inf) and (-5, 0.2):
+    l_max 7.5 reports 28 classes with complete_up_to 7.5, where depth
+    10 finds 36.)  Entries past complete_up_to are incomplete
+    when the word depth was capped.
     """
 
     entries: tuple[SpectrumEntry, ...]
@@ -291,8 +296,8 @@ class LengthSpectrum:
 
 
 def _displacement_floor(generators: tuple[MobiusTransform, ...]) -> float:
-    # Conservative heuristic: half the shortest generator displacement
-    # per letter.  Valid for well-separated systems; not a proof.
+    # Heuristic, not a proof: half the shortest generator displacement
+    # per letter.  It sets complete_up_to and the CLI's default cutoff.
     return min(translation_length(g) for g in generators) / 2.0
 
 
@@ -320,8 +325,10 @@ def enumerate_primitive_classes(
     Classes are reduced cyclic words; gamma and gamma^-1 are distinct
     (oriented) classes.  Ties within 1e-9 merge into one entry's
     multiplicity.  The word depth is chosen as ceil(l_max / d) where d
-    is the per-letter displacement floor of the generator set, unless
-    max_word_len pins it explicitly.  A depth whose reduced words number
+    is the per-letter displacement floor of the generator set (half the
+    shortest generator length), unless max_word_len pins it explicitly.
+    complete_up_to = min(l_max, depth * d) is a heuristic: no class
+    shorter than it is proven present.  A depth whose reduced words number
     more than 5,000,000 is refused with EnumerationBudgetError before
     any word is built.
     """

@@ -1,4 +1,4 @@
-"""Fourier-truncated DN operators and the conformal derivative identity.
+"""Fourier-truncated disc DN operators and the conformal derivative identity.
 
 A conformal change of boundary data transforms the Dirichlet-to-Neumann
 map of a surface by symmetric conjugation,
@@ -8,9 +8,10 @@ map of a surface by symmetric conjugation,
 while the boundary length moves as ell_t = integral of e^{t omega0} dl.
 Along this family the zeta-regularized quantity log det'(N_t) - log ell_t
 is constant in t.  This module realizes the family on (2K+1)-dimensional
-Fourier truncations and checks the derivative form of that statement:
-central differences of log pdet(N_t) - log ell_t over a t-grid, where
-pdet is the product of the nonzero eigenvalues of the truncated matrix.
+Fourier truncations of the disc DN map and checks the derivative form
+of that statement: central differences of log pdet(N_t) - log ell_t
+over a t-grid, where pdet is the product of the nonzero eigenvalues of
+the truncated matrix.
 
 Only the t-derivative is ever tested.  Truncated determinants differ
 from zeta-regularized ones by K-dependent constants, and those constants
@@ -47,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dn_explicit import AnnulusGeometry, annulus_block
 from .errors import DomainError, TruncationError
 
 _TWO_PI = 2.0 * math.pi
@@ -118,32 +118,25 @@ class ConformalFactor:
         return out
 
 
+def _require_cutoff(k) -> None:
+    if not (isinstance(k, int) and k >= 1):
+        raise DomainError(f"mode cutoff K must be an integer >= 1, got {k}")
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Mode-truncated DN matrix in the orthonormal Fourier basis.
-
-    Disc matrices are (2K+1) x (2K+1); annulus matrices are doubled,
-    2(2K+1) per side, with consecutive row pairs holding the (outer,
-    inner) components of one scalar basis function.
-    """
+    """Mode-truncated disc DN matrix, (2K+1) x (2K+1), in the orthonormal Fourier basis."""
 
     k: int
     matrix: np.ndarray
-    geometry: str
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise DomainError(f"mode cutoff K must be an integer >= 1, got {self.k}")
-        if self.geometry not in ("disc", "annulus"):
-            raise DomainError(f"unknown geometry tag {self.geometry!r}")
+        _require_cutoff(self.k)
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
-        expected = 2 * self.k + 1 if self.geometry == "disc" else 2 * (2 * self.k + 1)
-        if m.shape != (expected, expected):
-            raise DomainError(
-                f"{self.geometry} truncation at K={self.k} needs shape "
-                f"({expected}, {expected}), got {m.shape}"
-            )
+        size = 2 * self.k + 1
+        if m.shape != (size, size):
+            raise DomainError(f"truncation at K={self.k} needs shape ({size}, {size}), got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise DomainError("matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
@@ -151,39 +144,18 @@ class TruncatedOperator:
         if asym > _SYMMETRY_TOL * scale:
             raise DomainError(f"matrix asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL} * {scale:.3e}")
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+
+def _require_disc(geometry) -> None:
+    if not isinstance(geometry, DiscGeometry):
+        raise DomainError(f"geometry must be a DiscGeometry, got {type(geometry).__name__}")
 
 
-def build_dn_truncated(geometry, k: int) -> TruncatedOperator:
-    """Assemble the DN matrix of a disc or annulus, modes |n| <= K.
-
-    Block-diagonal by construction: the disc is diag(0, 1, 1, ..., K, K)
-    / R, and each annulus mode contributes the closed-form 2x2 block
-    conjugated by diag(sqrt(rho), 1), which reweights the two boundary
-    traces by arc length and makes the block symmetric.
-    """
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"mode cutoff K must be an integer >= 1, got {k}")
-    if isinstance(geometry, DiscGeometry):
-        modes = np.repeat(np.arange(k + 1, dtype=float), 2)[1:]
-        return TruncatedOperator(k=k, matrix=np.diag(modes / geometry.radius), geometry="disc")
-    if isinstance(geometry, AnnulusGeometry):
-        root = math.sqrt(geometry.rho)
-        size = 2 * (2 * k + 1)
-        mat = np.zeros((size, size))
-        for b in range(2 * k + 1):
-            n = (b + 1) // 2  # basis slot b holds e_0, c_1, s_1, c_2, s_2, ...
-            raw = annulus_block(geometry, n)
-            sym = np.array(
-                [[raw[0, 0], raw[0, 1] * root], [raw[1, 0] / root, raw[1, 1]]]
-            )
-            # exp(log rho) != rho at the last bit; average away the ulp.
-            sym = 0.5 * (sym + sym.T)
-            mat[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = sym
-        return TruncatedOperator(k=k, matrix=mat, geometry="annulus")
-    raise DomainError(f"geometry must be DiscGeometry or AnnulusGeometry, got {type(geometry).__name__}")
+def build_dn_truncated(geometry: DiscGeometry, k: int) -> TruncatedOperator:
+    """Assemble the disc DN matrix diag(0, 1, 1, ..., K, K) / R, modes |n| <= K."""
+    _require_cutoff(k)
+    _require_disc(geometry)
+    modes = np.repeat(np.arange(k + 1, dtype=float), 2)[1:]
+    return TruncatedOperator(k=k, matrix=np.diag(modes / geometry.radius))
 
 
 def multiplication_matrix(omega0: ConformalFactor, k: int) -> np.ndarray:
@@ -195,8 +167,7 @@ def multiplication_matrix(omega0: ConformalFactor, k: int) -> np.ndarray:
     diagonal cancels in adjacent (c_n, s_n) pairs, making the trace
     exactly 0.0 when summed in basis order.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"mode cutoff K must be an integer >= 1, got {k}")
+    _require_cutoff(k)
     size = 2 * k + 1
     mat = np.zeros((size, size))
     c0 = omega0.coefficients[0]
@@ -234,50 +205,17 @@ def multiplication_matrix(omega0: ConformalFactor, k: int) -> np.ndarray:
     return mat
 
 
-def conformal_family(op: TruncatedOperator, omega0: ConformalFactor, t: float) -> TruncatedOperator:
-    """N_t = e^{-t omega0/2} N_0 e^{-t omega0/2} on the truncation.
-
-    The multiplication operator is truncated to the same K as the DN
-    matrix, which requires the margin K >= 2 * degree(omega0): products
-    omega0 * v spill degree(omega0) modes past the window, so one full
-    factor degree of slack keeps the spill of the dominant kernel
-    coefficients representable.  Smaller K raises TruncationError
-    instead of returning a silently polluted family member.
-
-    Constant factors bypass the matrix exponential: N_t = e^{-t c} N_0,
-    exact for either geometry.  Nonconstant factors are supported on the
-    disc only; a single boundary series does not determine data on the
-    two annulus boundaries.
-    """
-    if not isinstance(op, TruncatedOperator):
-        raise DomainError(f"op must be a TruncatedOperator, got {type(op).__name__}")
-    if not isinstance(omega0, ConformalFactor):
-        raise DomainError(f"omega0 must be a ConformalFactor, got {type(omega0).__name__}")
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t}")
+def _conjugate(op: TruncatedOperator, eig: tuple[np.ndarray, np.ndarray], t: float) -> TruncatedOperator:
+    """N_t = e^{-t omega0/2} N e^{-t omega0/2}, with eig = eigh of omega0's
+    multiplication matrix truncated to the same K; N itself at t = 0."""
     if t == 0.0:
         return op
-    if omega0.is_constant:
-        scaled = math.exp(-t * omega0.mean) * op.matrix
-        return TruncatedOperator(k=op.k, matrix=scaled, geometry=op.geometry)
-    if op.geometry != "disc":
-        raise DomainError("nonconstant conformal factors are supported on the disc only")
-    if op.k < 2 * omega0.degree:
-        raise TruncationError(
-            f"K = {op.k} is below the required margin 2 * degree = {2 * omega0.degree}"
-        )
-    return _conjugate(op, np.linalg.eigh(multiplication_matrix(omega0, op.k)), t)
-
-
-def _conjugate(op: TruncatedOperator, eig: tuple[np.ndarray, np.ndarray], t: float) -> TruncatedOperator:
-    """e^{-t omega0/2} N e^{-t omega0/2}, with eig = eigh of omega0's multiplication matrix."""
     w, vecs = eig
     envelope = (vecs * np.exp(-0.5 * t * w)) @ vecs.T
     envelope = 0.5 * (envelope + envelope.T)
     mat = envelope @ op.matrix @ envelope
     mat = 0.5 * (mat + mat.T)
-    return TruncatedOperator(k=op.k, matrix=mat, geometry="disc")
+    return TruncatedOperator(k=op.k, matrix=mat)
 
 
 def _split_kernel(op: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -292,24 +230,20 @@ def _split_kernel(op: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]:
     return np.delete(w, small[0]), np.ascontiguousarray(vecs[:, small[0]])
 
 
-def boundary_length(geometry, omega0: ConformalFactor, t: float) -> float:
-    """ell_t = integral of e^{t omega0} over the boundary arc.
+def boundary_length(geometry: DiscGeometry, omega0: ConformalFactor, t: float) -> float:
+    """ell_t = integral of e^{t omega0} over the boundary circle.
 
     Periodic trapezoid rule on 2048 uniform angles, spectrally
     accurate for trigonometric-polynomial exponents: the quadrature
-    error sits far below 1e-12 relative.  Constant factors
-    reduce to e^{t c} * ell_0 on either geometry; nonconstant factors
-    are disc-only, as in conformal_family.
+    error sits far below 1e-12 relative.  Constant factors reduce to
+    e^{t c} * ell_0.
     """
+    _require_disc(geometry)
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
     if omega0.is_constant:
-        if isinstance(geometry, (DiscGeometry, AnnulusGeometry)):
-            return math.exp(t * omega0.mean) * geometry.boundary_length
-        raise DomainError(f"geometry must be DiscGeometry or AnnulusGeometry, got {type(geometry).__name__}")
-    if not isinstance(geometry, DiscGeometry):
-        raise DomainError("nonconstant conformal factors are supported on the disc only")
+        return math.exp(t * omega0.mean) * geometry.boundary_length
     theta = np.arange(_QUAD_NODES) * (_TWO_PI / _QUAD_NODES)
     return float(np.mean(np.exp(t * omega0.evaluate(theta)))) * geometry.boundary_length
 
@@ -339,22 +273,32 @@ def derivative_identity_check(geometry, omega0: ConformalFactor, t_grid, k: int)
     floor) as K grows.
 
     Requires an exactly zero-mean factor (the multiplication-matrix
-    trace then vanishes identically) and K >= 4 * degree(omega0), twice
-    the conformal_family margin, so the kernel coefficients of
-    e^{t omega0/2} are resolved well past their decay scale.
+    trace then vanishes identically), an integer K >= 4 * degree(omega0),
+    so the kernel coefficients of e^{t omega0/2} are resolved well past
+    their decay scale, and at least 3 uniformly increasing t values.
     """
-    if not isinstance(geometry, DiscGeometry):
-        raise DomainError("derivative identity check runs on the disc only")
+    return k_convergence_table(geometry, omega0, t_grid, (k,))[0][1]
+
+
+def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> tuple[tuple[int, float], ...]:
+    """(K, residual of derivative_identity_check) for each K in k_values.
+
+    Every input is checked, under derivative_identity_check's rules,
+    before any matrix is built; ell_t is computed once per grid point
+    and shared by every K.
+    """
+    _require_disc(geometry)
     if not isinstance(omega0, ConformalFactor):
         raise DomainError(f"omega0 must be a ConformalFactor, got {type(omega0).__name__}")
     if omega0.mean != 0.0:
         raise DomainError(f"omega0 must have exactly zero mean, got {omega0.mean}")
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"mode cutoff K must be an integer >= 1, got {k}")
-    if k < 4 * omega0.degree:
-        raise TruncationError(
-            f"K = {k} is below the required 4 * degree = {4 * omega0.degree}"
-        )
+    ks = tuple(k_values)
+    if not ks:
+        raise DomainError("k_values must be nonempty")
+    for k in ks:
+        _require_cutoff(k)
+        if k < 4 * omega0.degree:
+            raise TruncationError(f"K = {k} is below the required 4 * degree = {4 * omega0.degree}")
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise DomainError(f"t_grid needs at least 3 points, got shape {grid.shape}")
@@ -365,29 +309,16 @@ def derivative_identity_check(geometry, omega0: ConformalFactor, t_grid, k: int)
     if h <= 0.0 or np.any(np.abs(steps - h) > 1e-12 * max(1.0, abs(h))):
         raise DomainError("t_grid must be uniformly increasing")
 
-    base = build_dn_truncated(geometry, k)
-    eig = np.linalg.eigh(multiplication_matrix(omega0, k))
-    values = np.empty(grid.size)
-    kernel = None
-    for i, t in enumerate(grid):
-        member = base if t == 0.0 else _conjugate(base, eig, float(t))
-        log_pdet, kernel = _pseudo_log_det(member, kernel)
-        values[i] = log_pdet - math.log(boundary_length(geometry, omega0, float(t)))
-    derivatives = (values[2:] - values[:-2]) / (2.0 * h)
-    return float(np.max(np.abs(derivatives))) if derivatives.size else 0.0
-
-
-def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> tuple[tuple[int, float], ...]:
-    """Residuals of the derivative identity over a ladder of cutoffs."""
-    ks = [int(k) for k in k_values]
-    if not ks:
-        raise DomainError("k_values must be nonempty")
-    return tuple((k, derivative_identity_check(geometry, omega0, t_grid, k)) for k in ks)
-
-
-def convergence_table_to_csv(rows) -> str:
-    """CSV text (header k,residual) for a k_convergence_table result."""
-    lines = ["k,residual"]
-    for k, residual in rows:
-        lines.append(f"{int(k)},{float(residual):.17g}")
-    return "\n".join(lines) + "\n"
+    log_ell = [math.log(boundary_length(geometry, omega0, float(t))) for t in grid]
+    rows = []
+    for k in ks:
+        base = build_dn_truncated(geometry, k)
+        eig = np.linalg.eigh(multiplication_matrix(omega0, k))
+        values = np.empty(grid.size)
+        kernel = None
+        for i, t in enumerate(grid):
+            log_pdet, kernel = _pseudo_log_det(_conjugate(base, eig, float(t)), kernel)
+            values[i] = log_pdet - log_ell[i]
+        derivatives = (values[2:] - values[:-2]) / (2.0 * h)
+        rows.append((k, float(np.max(np.abs(derivatives)))))
+    return tuple(rows)

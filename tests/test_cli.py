@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from dnzeta.claims import schottky_pair
+from dnzeta.claims import k_table, schottky_pair
 from dnzeta import cli
 from dnzeta.cli import main
 from dnzeta.hyperbolic import LengthSpectrum, SpectrumEntry, spectrum_to_json
@@ -116,6 +116,27 @@ class TestGeometrySubcommands:
         assert run_cli(capsys, "disc")[0] == 1
         assert run_cli(capsys, "disc", "--radius", "1.0", "--bogus")[0] == 1
         assert run_cli(capsys, "no-such-command")[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["disc", "--radius", "1e308"],
+            ["cylinder", "--ell", "1e300"],
+            ["theorem4", "--zg1", "1", "--zg01", "1", "--chi", "-1", "--ell", "1e4"],
+            ["theorem4", "--zg1", "1e300", "--zg01", "1e-5", "--chi", "-1", "--ell", "1"],
+            ["disc", "--radius", "1e-320"],
+            ["annulus", "--rho", "1e308"],
+            ["theorem4", "--zg1", "1e308", "--zg01", "1", "--chi", "-1", "--ell", "1"],
+            ["theorem4", "--zg1", "1e-300", "--zg01", "1e-170", "--chi", "-1", "--ell", "1"],
+        ],
+    )
+    def test_finite_out_of_range_inputs_are_refused(self, capsys, argv):
+        # Finite flags whose result or derived eigenvalue leaves the float
+        # range: a validation error, not a traceback or a contract violation.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestParserReuse:
@@ -526,6 +547,11 @@ class TestVerifySubcommand:
         residuals = [float(l.split(",")[1]) for l in lines[2:]]
         assert ks == [16, 32, 64]
         assert all(r <= 1e-9 for r in residuals)
+        rows = k_table()
+        assert lines[2:] == [f"{k},{r:.17g}" for k, r in rows]
+        code, out, _ = run_cli(capsys, "verify", "--suite", "numericdn", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["k_table"] == [{"k": k, "residual": r} for k, r in rows]
 
     def test_csv_limited_to_numericdn(self, capsys):
         assert run_cli(capsys, "verify", "--suite", "lemma", "--format", "csv")[0] == 1

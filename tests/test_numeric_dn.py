@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from dnzeta import claims
-from dnzeta.dn_explicit import AnnulusGeometry, annulus_eigenvalues
+from dnzeta import claims, numeric_dn
+from dnzeta.dn_explicit import AnnulusGeometry
 from dnzeta.errors import DomainError, TruncationError
 from dnzeta.numeric_dn import (
     ConformalFactor,
@@ -15,11 +15,10 @@ from dnzeta.numeric_dn import (
     TruncatedOperator,
     boundary_length,
     build_dn_truncated,
-    conformal_family,
-    convergence_table_to_csv,
     derivative_identity_check,
     k_convergence_table,
     multiplication_matrix,
+    _conjugate,
     _split_kernel,
 )
 from dnzeta.zeta_reg import EigenSequence, log_det, scale, zeta_at_zero
@@ -37,6 +36,19 @@ def _basis_samples(k, theta):
         phi[2 * n - 1] = np.cos(n * theta) / math.sqrt(math.pi)
         phi[2 * n] = np.sin(n * theta) / math.sqrt(math.pi)
     return phi
+
+
+def _count_eigh(monkeypatch):
+    """List that records the shape of every np.linalg.eigh call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
 
 
 # ---------------------------------------------------------------- factors
@@ -82,24 +94,15 @@ def test_factor_evaluate_matches_direct_sum():
 def test_operator_validation_rejects():
     good = np.diag([0.0, 1.0, 1.0])
     with pytest.raises(DomainError):
-        TruncatedOperator(k=0, matrix=good, geometry="disc")
+        TruncatedOperator(k=0, matrix=good)
     with pytest.raises(DomainError):
-        TruncatedOperator(k=1, matrix=good, geometry="torus")
+        TruncatedOperator(k=2, matrix=good)
     with pytest.raises(DomainError):
-        TruncatedOperator(k=2, matrix=good, geometry="disc")
-    with pytest.raises(DomainError):
-        TruncatedOperator(k=1, matrix=np.diag([0.0, 1.0, math.nan]), geometry="disc")
+        TruncatedOperator(k=1, matrix=np.diag([0.0, 1.0, math.nan]))
     bad = np.diag([0.0, 1.0, 1.0])
     bad[0, 2] = 1e-6
     with pytest.raises(DomainError):
-        TruncatedOperator(k=1, matrix=bad, geometry="disc")
-
-
-def test_operator_annulus_shape_is_doubled():
-    op = build_dn_truncated(AnnulusGeometry(2.0), 2)
-    assert op.size == 2 * (2 * 2 + 1)
-    with pytest.raises(DomainError):
-        TruncatedOperator(k=2, matrix=np.zeros((5, 5)), geometry="annulus")
+        TruncatedOperator(k=1, matrix=bad)
 
 
 # ---------------------------------------------------------------- assembly
@@ -114,41 +117,6 @@ def test_disc_spectrum_known_circle_values():
 def test_disc_radius_scales_spectrum():
     op = build_dn_truncated(DiscGeometry(2.0), 2)
     assert np.array_equal(op.matrix, np.diag([0.0, 0.5, 0.5, 1.0, 1.0]))
-
-
-def test_annulus_spectrum_matches_block_eigenvalues():
-    geom = AnnulusGeometry(2.0)
-    op = build_dn_truncated(geom, 2)
-    got = np.sort(np.linalg.eigvalsh(op.matrix))
-    expected = [0.0, (1.0 + geom.rho) / (geom.rho * geom.alpha)]
-    for n in (1, 2):
-        lam_plus, lam_minus = annulus_eigenvalues(geom, n)
-        expected += [lam_plus, lam_plus, lam_minus, lam_minus]
-    expected = np.sort(np.array(expected))
-    assert np.max(np.abs(got - expected) / (1.0 + np.abs(expected))) < 1e-12
-
-
-def test_annulus_matrix_block_diagonal_and_symmetric():
-    op = build_dn_truncated(AnnulusGeometry(3.0), 3)
-    m = op.matrix
-    assert np.max(np.abs(m - m.T)) <= 1e-13 * max(1.0, float(np.max(np.abs(m))))
-    mask = np.ones_like(m, dtype=bool)
-    for b in range(2 * 3 + 1):
-        mask[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = False
-    assert np.all(m[mask] == 0.0)
-
-
-def test_annulus_kernel_direction_is_weighted_constant():
-    # Mode-0 kernel of the symmetrized block is (sqrt(rho), 1), the
-    # arc-length reweighting of the constant trace pair (1, 1).
-    geom = AnnulusGeometry(2.0)
-    op = build_dn_truncated(geom, 1)
-    v = _split_kernel(op)[1]
-    direction = np.zeros(op.size)
-    direction[0] = math.sqrt(geom.rho)
-    direction[1] = 1.0
-    direction /= np.linalg.norm(direction)
-    assert abs(abs(float(v @ direction)) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("k", [0, -2, 1.5])
@@ -208,28 +176,23 @@ def test_multiplication_matrix_beyond_window_is_zero():
 # ---------------------------------------------------------------- family
 
 
+def _family(w, k, t):
+    """N_t of the unit disc at cutoff K, as the derivative identity builds it."""
+    return _conjugate(build_dn_truncated(DISC, k), np.linalg.eigh(multiplication_matrix(w, k)), t)
+
+
 def test_family_at_zero_is_same_operator():
     op = build_dn_truncated(DISC, 6)
-    w = ConformalFactor((0.0, 0.4, -0.1))
-    assert conformal_family(op, w, 0.0) is op
-
-
-def test_family_constant_factor_is_exact_scaling():
-    w = ConformalFactor((0.7,))
-    for geom in (DISC, AnnulusGeometry(2.0)):
-        op = build_dn_truncated(geom, 4)
-        member = conformal_family(op, w, 0.5)
-        assert np.array_equal(member.matrix, math.exp(-0.35) * op.matrix)
+    eig = np.linalg.eigh(multiplication_matrix(ConformalFactor((0.0, 0.4, -0.1)), 6))
+    assert _conjugate(op, eig, 0.0) is op
 
 
 def test_family_kernel_aligns_with_factor_exponential():
     # ORACLE: orthonormal-basis coefficients of e^{t omega0 / 2} by
     # quadrature; the family kernel is that vector up to normalization.
     w = ConformalFactor((0.0, 1.0, 0.0))
-    op = build_dn_truncated(DISC, 12)
     t = 0.1
-    member = conformal_family(op, w, t)
-    v = _split_kernel(member)[1]
+    v = _split_kernel(_family(w, 12, t))[1]
     nodes = 4096
     theta = np.arange(nodes) * (TWO_PI / nodes)
     phi = _basis_samples(12, theta)
@@ -242,30 +205,18 @@ def test_family_kernel_aligns_with_factor_exponential():
 
 def test_family_kernel_eigenvalue_persists():
     w = ConformalFactor((0.0, 1.0, 0.0))
-    op = build_dn_truncated(DISC, 12)
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        member = conformal_family(op, w, t)
+        member = _family(w, 12, t)
         assert float(np.min(np.abs(np.linalg.eigvalsh(member.matrix)))) <= 1e-10
 
 
-def test_family_margin_raises_truncation_error():
-    w = ConformalFactor((0.0,) + (0.1, 0.0) * 4)  # degree 4
-    op = build_dn_truncated(DISC, 6)
-    with pytest.raises(TruncationError):
-        conformal_family(op, w, 0.5)
-
-
-def test_family_nonconstant_annulus_rejected():
-    op = build_dn_truncated(AnnulusGeometry(2.0), 3)
-    with pytest.raises(DomainError):
-        conformal_family(op, ConformalFactor((0.0, 0.3, 0.0)), 0.5)
-
-
 def test_family_rejects_non_finite_t():
-    op = build_dn_truncated(DISC, 4)
+    w = ConformalFactor((0.0, 0.1, 0.0))
     for t in (math.inf, math.nan):
         with pytest.raises(DomainError):
-            conformal_family(op, ConformalFactor((0.0, 0.1, 0.0)), t)
+            derivative_identity_check(DISC, w, [0.0, 0.5, t], 4)
+        with pytest.raises(DomainError):
+            boundary_length(DISC, w, t)
 
 
 def test_constant_factor_det_ratio_invariant_through_zeta():
@@ -297,10 +248,10 @@ def test_kernel_vector_on_disc_is_constant_direction():
 def test_kernel_vector_requires_unique_small_eigenvalue():
     nearly = np.diag([0.0, 5e-10, 1.0, 2.0, 3.0])
     with pytest.raises(TruncationError):
-        _split_kernel(TruncatedOperator(k=2, matrix=nearly, geometry="disc"))
+        _split_kernel(TruncatedOperator(k=2, matrix=nearly))
     none = np.diag([1.0, 1.0, 2.0, 2.0, 3.0])
     with pytest.raises(TruncationError):
-        _split_kernel(TruncatedOperator(k=2, matrix=none, geometry="disc"))
+        _split_kernel(TruncatedOperator(k=2, matrix=none))
 
 
 # ---------------------------------------------------------------- boundary length
@@ -320,8 +271,6 @@ def test_boundary_length_matches_bessel_series():
 def test_boundary_length_constant_cases():
     w = ConformalFactor((0.4,))
     assert boundary_length(DISC, w, 0.5) == math.exp(0.2) * DISC.boundary_length
-    geom = AnnulusGeometry(2.0)
-    assert boundary_length(geom, w, 0.5) == math.exp(0.2) * geom.boundary_length
 
 
 def test_boundary_length_rejections():
@@ -354,23 +303,11 @@ def test_derivative_identity_k_table_sits_at_noise_floor():
     rows = claims.k_table()
     assert [k for k, _ in rows] == list(claims.K_LADDER)
     assert all(residual <= 1e-9 for _, residual in rows)
-    csv = convergence_table_to_csv(rows)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "k,residual"
-    assert len(lines) == len(rows) + 1
-    assert float(lines[1].split(",")[1]) == rows[0][1]
 
 
 def test_derivative_identity_decomposes_the_factor_once(monkeypatch):
     # one eigh of the multiplication matrix, plus one per grid point
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return eigh(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    calls = _count_eigh(monkeypatch)
     grid = np.linspace(0.0, 1.0, 7)
     derivative_identity_check(DISC, ConformalFactor((0.0, 0.3, 0.0)), grid, 16)
     assert len(calls) == grid.size + 1
@@ -428,13 +365,47 @@ def test_k_table_rejects_empty_ladder():
         k_convergence_table(DISC, ConformalFactor((0.0, 0.3, 0.0)), np.linspace(0.0, 1.0, 5), ())
 
 
+@pytest.mark.parametrize("ladder", [(16.9, 32), (16, 16.9), ("16",), (16, 32.0)])
+def test_k_table_refuses_non_integer_cutoffs(ladder):
+    # the K rule of derivative_identity_check, applied to every entry
+    with pytest.raises(DomainError):
+        k_convergence_table(DISC, ConformalFactor((0.0, 0.3, 0.0)), np.linspace(0.0, 1.0, 5), ladder)
+
+
+def test_k_table_checks_every_cutoff_before_any_work(monkeypatch):
+    calls = _count_eigh(monkeypatch)
+    w_deep = ConformalFactor((0.0,) + (0.1, 0.0) * 4)  # degree 4 needs K >= 16
+    with pytest.raises(TruncationError):
+        k_convergence_table(DISC, w_deep, np.linspace(0.0, 1.0, 5), (16, 32, 8))
+    assert calls == []
+
+
+def test_k_table_one_pass(monkeypatch):
+    # ell_t once per grid point; per K, one eigh of the factor and one per t
+    lengths = []
+    length = numeric_dn.boundary_length
+
+    def counting_length(geometry, omega0, t):
+        lengths.append(t)
+        return length(geometry, omega0, t)
+
+    monkeypatch.setattr(numeric_dn, "boundary_length", counting_length)
+    eigh_calls = _count_eigh(monkeypatch)
+    w = ConformalFactor((0.0, 0.3, 0.0))
+    grid = np.linspace(0.0, 1.0, 3)
+    ladder = (16, 32, 64, 128)
+    rows = k_convergence_table(DISC, w, grid, ladder)
+    assert lengths == list(grid)
+    assert len(eigh_calls) == len(ladder) * (1 + grid.size)
+    assert rows == tuple((k, derivative_identity_check(DISC, w, grid, k)) for k in ladder)
+
+
 def test_derivative_identity_deterministic():
     w = ConformalFactor((0.0, 0.2, -0.1, 0.05, 0.0))
     grid = np.linspace(0.0, 1.0, 7)
     first = derivative_identity_check(DISC, w, grid, 16)
     second = derivative_identity_check(DISC, w, grid, 16)
     assert first == second
-    op = build_dn_truncated(DISC, 16)
-    a = conformal_family(op, w, 0.5)
-    b = conformal_family(op, w, 0.5)
+    a = _family(w, 16, 0.5)
+    b = _family(w, 16, 0.5)
     assert np.array_equal(a.matrix, b.matrix)
