@@ -93,9 +93,7 @@ from dnzeta.det_engine import (
 from dnzeta.numeric_dn import (
     ConformalFactor,
     DiscGeometry,
-    TruncatedOperator,
     boundary_length,
-    build_dn_truncated,
     derivative_identity_check,
     k_convergence_table,
     multiplication_matrix,
@@ -125,14 +123,12 @@ __all__ = [
     "RegularizedDet",
     "SpectrumEntry",
     "SurfaceTopology",
-    "TruncatedOperator",
     "TruncationError",
     "ZetaValue",
     "annulus_block",
     "annulus_det_prime",
     "annulus_eigenvalues",
     "boundary_length",
-    "build_dn_truncated",
     "check_rz_identity",
     "combine",
     "cylinder_det_prime",

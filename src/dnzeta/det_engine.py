@@ -320,8 +320,11 @@ def theorem4_pipeline(
     if denominator == 0.0:
         raise DomainError(f"vol(M) det(Delta)^2 underflows to 0 (det(Delta) = {det_x:.17g})")
     ratio_bfk = 2.0 * det_m / denominator
+    value = ratio_closed * ell
+    if not math.isfinite(value):
+        raise DomainError(f"det'(N) = {ratio_closed:.17g} * {ell:.17g} overflows a float")
     return DetReport(
-        value=ratio_closed * ell,
+        value=value,
         ratio=ratio_closed,
         method="theorem4_pipeline",
         inputs={

@@ -13,6 +13,19 @@ of that statement: central differences of log pdet(N_t) - log ell_t
 over a t-grid, where pdet is the product of the nonzero eigenvalues of
 the truncated matrix.
 
+No eigensolver touches N_t.  In the basis below N_0 = diag(0, D') with
+D' = diag(1, 1, ..., K, K) / R > 0, and E = e^{-t Omega / 2} is
+symmetric positive definite (Omega is omega0's multiplication matrix at
+the same K).  So N_t = B^T D' B, where B is E without its first row,
+and Sylvester's determinant identity gives
+
+    pdet(N_t) = det D' * det S_t,   S_t = (e^{-t Omega})[1:, 1:].
+
+D' and ell_0 do not depend on t.  The check therefore differentiates
+log det S_t - log(ell_t / ell_0): one eigendecomposition of Omega per K
+gives every e^{-t Omega}, a Cholesky factor gives each log det S_t, and
+the radius enters nowhere.
+
 Only the t-derivative is ever tested.  Truncated determinants differ
 from zeta-regularized ones by K-dependent constants, and those constants
 cancel in the derivative exactly when omega0 has zero mean (the trace of
@@ -51,9 +64,6 @@ import numpy as np
 from .errors import DomainError, TruncationError
 
 _TWO_PI = 2.0 * math.pi
-_SYMMETRY_TOL = 1e-13
-_KERNEL_THRESHOLD = 1e-9
-_CONTINUITY_FLOOR = 0.9
 _QUAD_NODES = 2048
 
 
@@ -65,8 +75,8 @@ class DiscGeometry:
     boundary_length: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise DomainError(f"disc needs radius > 0, got {self.radius}")
+        if not (self.radius > 0.0 and math.isfinite(_TWO_PI * self.radius)):
+            raise DomainError(f"disc needs radius > 0 and 2 pi radius finite, got {self.radius}")
         object.__setattr__(self, "boundary_length", _TWO_PI * self.radius)
 
 
@@ -123,39 +133,9 @@ def _require_cutoff(k) -> None:
         raise DomainError(f"mode cutoff K must be an integer >= 1, got {k}")
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedOperator:
-    """Mode-truncated disc DN matrix, (2K+1) x (2K+1), in the orthonormal Fourier basis."""
-
-    k: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        _require_cutoff(self.k)
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        size = 2 * self.k + 1
-        if m.shape != (size, size):
-            raise DomainError(f"truncation at K={self.k} needs shape ({size}, {size}), got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("matrix entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        asym = float(np.max(np.abs(m - m.T)))
-        if asym > _SYMMETRY_TOL * scale:
-            raise DomainError(f"matrix asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL} * {scale:.3e}")
-
-
 def _require_disc(geometry) -> None:
     if not isinstance(geometry, DiscGeometry):
         raise DomainError(f"geometry must be a DiscGeometry, got {type(geometry).__name__}")
-
-
-def build_dn_truncated(geometry: DiscGeometry, k: int) -> TruncatedOperator:
-    """Assemble the disc DN matrix diag(0, 1, 1, ..., K, K) / R, modes |n| <= K."""
-    _require_cutoff(k)
-    _require_disc(geometry)
-    modes = np.repeat(np.arange(k + 1, dtype=float), 2)[1:]
-    return TruncatedOperator(k=k, matrix=np.diag(modes / geometry.radius))
 
 
 def multiplication_matrix(omega0: ConformalFactor, k: int) -> np.ndarray:
@@ -205,76 +185,43 @@ def multiplication_matrix(omega0: ConformalFactor, k: int) -> np.ndarray:
     return mat
 
 
-def _conjugate(op: TruncatedOperator, eig: tuple[np.ndarray, np.ndarray], t: float) -> TruncatedOperator:
-    """N_t = e^{-t omega0/2} N e^{-t omega0/2}, with eig = eigh of omega0's
-    multiplication matrix truncated to the same K; N itself at t = 0."""
-    if t == 0.0:
-        return op
-    w, vecs = eig
-    envelope = (vecs * np.exp(-0.5 * t * w)) @ vecs.T
-    envelope = 0.5 * (envelope + envelope.T)
-    mat = envelope @ op.matrix @ envelope
-    mat = 0.5 * (mat + mat.T)
-    return TruncatedOperator(k=op.k, matrix=mat)
+def _mean_exp(omega0: ConformalFactor, t: float) -> float:
+    """Mean of e^{t omega0} over the circle, so ell_t = _mean_exp * ell_0.
 
-
-def _split_kernel(op: TruncatedOperator) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues outside the kernel, unit kernel eigenvector) of op."""
-    w, vecs = np.linalg.eigh(op.matrix)
-    small = np.flatnonzero(np.abs(w) < _KERNEL_THRESHOLD)
-    if small.size != 1:
-        raise TruncationError(
-            f"expected a one-dimensional numerical kernel below {_KERNEL_THRESHOLD}, "
-            f"found {small.size} eigenvalues"
-        )
-    return np.delete(w, small[0]), np.ascontiguousarray(vecs[:, small[0]])
+    Periodic trapezoid rule on 2048 uniform angles, spectrally accurate
+    for trigonometric-polynomial exponents: the quadrature error sits
+    far below 1e-12 relative.  A constant factor c gives e^{t c}.
+    """
+    if omega0.is_constant:
+        return math.exp(t * omega0.mean)
+    theta = np.arange(_QUAD_NODES) * (_TWO_PI / _QUAD_NODES)
+    return float(np.mean(np.exp(t * omega0.evaluate(theta))))
 
 
 def boundary_length(geometry: DiscGeometry, omega0: ConformalFactor, t: float) -> float:
-    """ell_t = integral of e^{t omega0} over the boundary circle.
-
-    Periodic trapezoid rule on 2048 uniform angles, spectrally
-    accurate for trigonometric-polynomial exponents: the quadrature
-    error sits far below 1e-12 relative.  Constant factors reduce to
-    e^{t c} * ell_0.
-    """
+    """ell_t = integral of e^{t omega0} over the boundary circle (see _mean_exp)."""
     _require_disc(geometry)
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
-    if omega0.is_constant:
-        return math.exp(t * omega0.mean) * geometry.boundary_length
-    theta = np.arange(_QUAD_NODES) * (_TWO_PI / _QUAD_NODES)
-    return float(np.mean(np.exp(t * omega0.evaluate(theta)))) * geometry.boundary_length
-
-
-def _pseudo_log_det(op: TruncatedOperator, prev_kernel: np.ndarray | None) -> tuple[float, np.ndarray]:
-    """(sum of log nonzero eigenvalues, kernel vector), tracked in t."""
-    nonzero, kernel = _split_kernel(op)
-    if prev_kernel is not None and abs(float(kernel @ prev_kernel)) < _CONTINUITY_FLOOR:
-        raise TruncationError(
-            "kernel tracking failure: eigenvector direction jumped between grid points"
-        )
-    if np.any(nonzero <= 0.0):
-        raise TruncationError(
-            "kernel tracking failure: nonpositive eigenvalue outside the kernel"
-        )
-    return float(np.sum(np.log(nonzero))), kernel
+    return _mean_exp(omega0, t) * geometry.boundary_length
 
 
 def derivative_identity_check(geometry, omega0: ConformalFactor, t_grid, k: int) -> float:
     """Max |d/dt [log pdet(N_t) - log ell_t]| by central differences.
 
-    pdet drops exactly one eigenvalue below 1e-9 per grid point, with
-    the kernel eigenvector tracked for continuity across the grid.  The
-    t-derivative of the dropped family is the quantity that the
-    conformal transformation law pins to zero; the residual measures
-    truncation spill plus rounding and must shrink (or sit at the noise
-    floor) as K grows.
+    By the module's identity, log pdet(N_t) - log ell_t equals
+    log det S_t - log(ell_t / ell_0) plus a constant, and log det S_t
+    comes from a Cholesky factor of S_t = (e^{-t Omega})[1:, 1:].  The
+    t-derivative is the quantity that the conformal transformation law
+    pins to zero; the residual measures truncation spill plus rounding
+    and must shrink (or sit at the noise floor) as K grows.  A grid that
+    reaches so far along the family that S_t is no longer numerically
+    positive definite raises TruncationError.
 
     Requires an exactly zero-mean factor (the multiplication-matrix
     trace then vanishes identically), an integer K >= 4 * degree(omega0),
-    so the kernel coefficients of e^{t omega0/2} are resolved well past
+    so the Fourier coefficients of e^{t omega0/2} are resolved well past
     their decay scale, and at least 3 uniformly increasing t values.
     """
     return k_convergence_table(geometry, omega0, t_grid, (k,))[0][1]
@@ -309,16 +256,20 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     if h <= 0.0 or np.any(np.abs(steps - h) > 1e-12 * max(1.0, abs(h))):
         raise DomainError("t_grid must be uniformly increasing")
 
-    log_ell = [math.log(boundary_length(geometry, omega0, float(t))) for t in grid]
+    log_ell = [math.log(_mean_exp(omega0, float(t))) for t in grid]
     rows = []
     for k in ks:
-        base = build_dn_truncated(geometry, k)
-        eig = np.linalg.eigh(multiplication_matrix(omega0, k))
+        w, vecs = np.linalg.eigh(multiplication_matrix(omega0, k))
+        tail = vecs[1:]
         values = np.empty(grid.size)
-        kernel = None
         for i, t in enumerate(grid):
-            log_pdet, kernel = _pseudo_log_det(_conjugate(base, eig, float(t)), kernel)
-            values[i] = log_pdet - log_ell[i]
+            try:
+                factor = np.linalg.cholesky((tail * np.exp(-t * w)) @ tail.T)
+            except np.linalg.LinAlgError as exc:
+                raise TruncationError(f"S_t is not numerically positive definite at t = {t}, K = {k}") from exc
+            values[i] = 2.0 * float(np.sum(np.log(np.diagonal(factor)))) - log_ell[i]
+        if not np.all(np.isfinite(values)):
+            raise TruncationError(f"log det S_t - log(ell_t / ell_0) leaves the float range at K = {k}")
         derivatives = (values[2:] - values[:-2]) / (2.0 * h)
         rows.append((k, float(np.max(np.abs(derivatives)))))
     return tuple(rows)

@@ -128,6 +128,8 @@ class TestGeometrySubcommands:
             ["annulus", "--rho", "1e308"],
             ["theorem4", "--zg1", "1e308", "--zg01", "1", "--chi", "-1", "--ell", "1"],
             ["theorem4", "--zg1", "1e-300", "--zg01", "1e-170", "--chi", "-1", "--ell", "1"],
+            ["theorem4", "--zg1", "1", "--zg01", "1", "--chi", "-1", "--ell", "2837"],
+            ["theorem4", "--zg1", "1", "--zg01", "1", "--chi", "-1", "--ell", "2838"],
         ],
     )
     def test_finite_out_of_range_inputs_are_refused(self, capsys, argv):

@@ -12,14 +12,10 @@ from dnzeta.errors import DomainError, TruncationError
 from dnzeta.numeric_dn import (
     ConformalFactor,
     DiscGeometry,
-    TruncatedOperator,
     boundary_length,
-    build_dn_truncated,
     derivative_identity_check,
     k_convergence_table,
     multiplication_matrix,
-    _conjugate,
-    _split_kernel,
 )
 from dnzeta.zeta_reg import EigenSequence, log_det, scale, zeta_at_zero
 
@@ -38,17 +34,25 @@ def _basis_samples(k, theta):
     return phi
 
 
-def _count_eigh(monkeypatch):
-    """List that records the shape of every np.linalg.eigh call."""
+def _record(monkeypatch, name):
+    """List that records the matrix passed to every np.linalg.<name> call."""
     calls = []
-    eigh = np.linalg.eigh
+    solver = getattr(np.linalg, name)
 
-    def counting_eigh(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return eigh(matrix, *args, **kwargs)
+    def recording(matrix, *args, **kwargs):
+        calls.append(np.array(matrix))
+        return solver(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, name, recording)
     return calls
+
+
+def _family(w, k, t):
+    """Reference N_t = E N_0 E of the unit disc, E = e^{-t Omega / 2}, built with numpy alone."""
+    vals, vecs = np.linalg.eigh(multiplication_matrix(w, k))
+    envelope = (vecs * np.exp(-0.5 * t * vals)) @ vecs.T
+    modes = np.repeat(np.arange(k + 1, dtype=float), 2)[1:]
+    return envelope @ np.diag(modes) @ envelope
 
 
 # ---------------------------------------------------------------- factors
@@ -88,46 +92,28 @@ def test_factor_evaluate_matches_direct_sum():
     assert val == pytest.approx(float(w.evaluate(np.array(0.7))), abs=0.0)
 
 
-# ---------------------------------------------------------------- operator type
+# ---------------------------------------------------------------- geometry and cutoff
 
 
-def test_operator_validation_rejects():
-    good = np.diag([0.0, 1.0, 1.0])
-    with pytest.raises(DomainError):
-        TruncatedOperator(k=0, matrix=good)
-    with pytest.raises(DomainError):
-        TruncatedOperator(k=2, matrix=good)
-    with pytest.raises(DomainError):
-        TruncatedOperator(k=1, matrix=np.diag([0.0, 1.0, math.nan]))
-    bad = np.diag([0.0, 1.0, 1.0])
-    bad[0, 2] = 1e-6
-    with pytest.raises(DomainError):
-        TruncatedOperator(k=1, matrix=bad)
-
-
-# ---------------------------------------------------------------- assembly
-
-
-def test_disc_spectrum_known_circle_values():
-    op = build_dn_truncated(DISC, 3)
-    assert np.array_equal(op.matrix, np.diag([0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
-    assert np.linalg.eigvalsh(op.matrix) == pytest.approx([0, 1, 1, 2, 2, 3, 3], abs=1e-14)
-
-
-def test_disc_radius_scales_spectrum():
-    op = build_dn_truncated(DiscGeometry(2.0), 2)
-    assert np.array_equal(op.matrix, np.diag([0.0, 0.5, 0.5, 1.0, 1.0]))
+def test_disc_refuses_overflowing_boundary_length():
+    for radius in (1e308, math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            DiscGeometry(radius)
+    assert DiscGeometry(1e300).boundary_length == TWO_PI * 1e300
 
 
 @pytest.mark.parametrize("k", [0, -2, 1.5])
 def test_build_rejects_bad_cutoff(k):
     with pytest.raises(DomainError):
-        build_dn_truncated(DISC, k)
+        multiplication_matrix(ConformalFactor((0.0, 0.3, 0.0)), k)
 
 
 def test_build_rejects_unknown_geometry():
+    w = ConformalFactor((0.0, 0.3, 0.0))
     with pytest.raises(DomainError):
-        build_dn_truncated("disc", 3)
+        k_convergence_table("disc", w, np.linspace(0.0, 1.0, 3), (4,))
+    with pytest.raises(DomainError):
+        boundary_length("disc", w, 0.5)
 
 
 # ---------------------------------------------------------------- multiplication
@@ -176,38 +162,22 @@ def test_multiplication_matrix_beyond_window_is_zero():
 # ---------------------------------------------------------------- family
 
 
-def _family(w, k, t):
-    """N_t of the unit disc at cutoff K, as the derivative identity builds it."""
-    return _conjugate(build_dn_truncated(DISC, k), np.linalg.eigh(multiplication_matrix(w, k)), t)
-
-
-def test_family_at_zero_is_same_operator():
-    op = build_dn_truncated(DISC, 6)
-    eig = np.linalg.eigh(multiplication_matrix(ConformalFactor((0.0, 0.4, -0.1)), 6))
-    assert _conjugate(op, eig, 0.0) is op
-
-
 def test_family_kernel_aligns_with_factor_exponential():
     # ORACLE: orthonormal-basis coefficients of e^{t omega0 / 2} by
-    # quadrature; the family kernel is that vector up to normalization.
+    # quadrature.  N_t = E N_0 E kills E^{-1} e_0 = e^{t Omega / 2} e_0,
+    # which is that vector up to normalization.
     w = ConformalFactor((0.0, 1.0, 0.0))
     t = 0.1
-    v = _split_kernel(_family(w, 12, t))[1]
+    vals, vecs = np.linalg.eigh(multiplication_matrix(w, 12))
+    v = vecs @ (np.exp(0.5 * t * vals) * vecs[0])
+    v /= np.linalg.norm(v)
+    assert np.max(np.abs(_family(w, 12, t) @ v)) < 1e-12
     nodes = 4096
     theta = np.arange(nodes) * (TWO_PI / nodes)
     phi = _basis_samples(12, theta)
     coef = phi @ np.exp(0.5 * t * w.evaluate(theta)) * (TWO_PI / nodes)
     coef /= np.linalg.norm(coef)
-    if float(coef @ v) < 0.0:
-        v = -v
     assert np.max(np.abs(v - coef)) < 1e-12
-
-
-def test_family_kernel_eigenvalue_persists():
-    w = ConformalFactor((0.0, 1.0, 0.0))
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        member = _family(w, 12, t)
-        assert float(np.min(np.abs(np.linalg.eigvalsh(member.matrix)))) <= 1e-10
 
 
 def test_family_rejects_non_finite_t():
@@ -233,25 +203,6 @@ def test_constant_factor_det_ratio_invariant_through_zeta():
     ratio_zero = base.log_value - math.log(boundary_length(DISC, w, 0.0))
     ratio_t = moved.log_value - math.log(boundary_length(DISC, w, t))
     assert ratio_t == pytest.approx(ratio_zero, abs=1e-12)
-
-
-# ---------------------------------------------------------------- kernel helpers
-
-
-def test_kernel_vector_on_disc_is_constant_direction():
-    op = build_dn_truncated(DISC, 5)
-    v = _split_kernel(op)[1]
-    assert abs(abs(v[0]) - 1.0) < 1e-14
-    assert np.max(np.abs(v[1:])) < 1e-14
-
-
-def test_kernel_vector_requires_unique_small_eigenvalue():
-    nearly = np.diag([0.0, 5e-10, 1.0, 2.0, 3.0])
-    with pytest.raises(TruncationError):
-        _split_kernel(TruncatedOperator(k=2, matrix=nearly))
-    none = np.diag([1.0, 1.0, 2.0, 2.0, 3.0])
-    with pytest.raises(TruncationError):
-        _split_kernel(TruncatedOperator(k=2, matrix=none))
 
 
 # ---------------------------------------------------------------- boundary length
@@ -290,7 +241,7 @@ def test_derivative_identity_zero_factor_is_exactly_zero():
 
 
 def test_derivative_identity_small_cosine():
-    # Measured residual 5.7e-13 at K = 64; the 1e-6 figure is the
+    # Measured residual 4.7e-14 at K = 64; the 1e-6 figure is the
     # acceptance threshold for this configuration.
     w = ConformalFactor((0.0, 0.3, 0.0))
     residual = derivative_identity_check(DISC, w, np.linspace(0.0, 1.0, 11), 64)
@@ -306,11 +257,13 @@ def test_derivative_identity_k_table_sits_at_noise_floor():
 
 
 def test_derivative_identity_decomposes_the_factor_once(monkeypatch):
-    # one eigh of the multiplication matrix, plus one per grid point
-    calls = _count_eigh(monkeypatch)
+    # one eigh of the multiplication matrix, one cholesky per grid point
+    eighs = _record(monkeypatch, "eigh")
+    choleskys = _record(monkeypatch, "cholesky")
     grid = np.linspace(0.0, 1.0, 7)
     derivative_identity_check(DISC, ConformalFactor((0.0, 0.3, 0.0)), grid, 16)
-    assert len(calls) == grid.size + 1
+    assert [m.shape for m in eighs] == [(33, 33)]
+    assert [m.shape for m in choleskys] == [(32, 32)] * grid.size
 
 
 def test_derivative_identity_two_harmonics():
@@ -329,9 +282,14 @@ def test_derivative_identity_random_factors():
 
 
 def test_derivative_identity_radius_independent():
+    # pdet(N_t) = det D' det S_t with D' and ell_0 constant in t, so R
+    # drops out of the residual entirely.
     w = ConformalFactor((0.0, 0.3, 0.0))
-    residual = derivative_identity_check(DiscGeometry(3.0), w, np.linspace(0.0, 1.0, 11), 16)
-    assert residual <= 1e-9
+    grid = np.linspace(0.0, 1.0, 11)
+    rows = k_convergence_table(DISC, w, grid, (16, 32))
+    assert rows[0][1] <= 1e-9
+    for radius in (1e-300, 1e-8, 3.0, 1e10, 1e300):
+        assert k_convergence_table(DiscGeometry(radius), w, grid, (16, 32)) == rows
 
 
 def test_derivative_identity_negative_window():
@@ -373,7 +331,7 @@ def test_k_table_refuses_non_integer_cutoffs(ladder):
 
 
 def test_k_table_checks_every_cutoff_before_any_work(monkeypatch):
-    calls = _count_eigh(monkeypatch)
+    calls = _record(monkeypatch, "eigh")
     w_deep = ConformalFactor((0.0,) + (0.1, 0.0) * 4)  # degree 4 needs K >= 16
     with pytest.raises(TruncationError):
         k_convergence_table(DISC, w_deep, np.linspace(0.0, 1.0, 5), (16, 32, 8))
@@ -381,23 +339,62 @@ def test_k_table_checks_every_cutoff_before_any_work(monkeypatch):
 
 
 def test_k_table_one_pass(monkeypatch):
-    # ell_t once per grid point; per K, one eigh of the factor and one per t
+    # ell_t once per grid point; per K, one eigh of the factor and one cholesky per t
     lengths = []
-    length = numeric_dn.boundary_length
+    mean_exp = numeric_dn._mean_exp
 
-    def counting_length(geometry, omega0, t):
+    def counting_mean_exp(omega0, t):
         lengths.append(t)
-        return length(geometry, omega0, t)
+        return mean_exp(omega0, t)
 
-    monkeypatch.setattr(numeric_dn, "boundary_length", counting_length)
-    eigh_calls = _count_eigh(monkeypatch)
+    monkeypatch.setattr(numeric_dn, "_mean_exp", counting_mean_exp)
+    eigh_calls = _record(monkeypatch, "eigh")
+    cholesky_calls = _record(monkeypatch, "cholesky")
     w = ConformalFactor((0.0, 0.3, 0.0))
     grid = np.linspace(0.0, 1.0, 3)
     ladder = (16, 32, 64, 128)
     rows = k_convergence_table(DISC, w, grid, ladder)
     assert lengths == list(grid)
-    assert len(eigh_calls) == len(ladder) * (1 + grid.size)
+    assert [m.shape[0] for m in eigh_calls] == [2 * k + 1 for k in ladder]
+    assert [m.shape[0] for m in cholesky_calls] == [2 * k for k in ladder for _ in grid]
     assert rows == tuple((k, derivative_identity_check(DISC, w, grid, k)) for k in ladder)
+
+
+def test_k_table_long_grid_sits_at_noise_floor():
+    rows = k_convergence_table(DISC, ConformalFactor((0.0, 0.6, 0.0)), [0.0, 2.5, 5.0], (16, 64))
+    assert all(residual <= 1e-9 for _, residual in rows)
+
+
+# e^{-40 Omega} spans e^{+-24}, so S_40 is not numerically positive
+# definite; at t = 1e5 the exponentials overflow.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("grid", [[0.0, 20.0, 40.0], [0.0, 1e5, 2e5]])
+def test_k_table_refuses_a_grid_too_far_along_the_family(grid):
+    with pytest.raises(TruncationError):
+        k_convergence_table(DISC, ConformalFactor((0.0, 0.6, 0.0)), grid, (16,))
+
+
+def test_log_det_s_is_the_pseudo_determinant_of_the_family(monkeypatch):
+    # ORACLE: N_t built with numpy; pdet drops the smallest-|lambda|
+    # eigenvalue of eigvalsh.  log pdet(N_t) - log pdet(N_0) must equal
+    # log det S_t of the matrix the table hands to cholesky.
+    rng = np.random.default_rng(20261018)
+    grid = np.linspace(-1.0, 1.2, 5)
+    for k in (4, 8, 16, 32):
+        coeffs = [0.0]
+        for m in range(1, min(k // 4, 3) + 1):
+            coeffs += [float(c) / m for c in rng.uniform(-0.6, 0.6, 2)]
+        w = ConformalFactor(coeffs)
+        choleskys = _record(monkeypatch, "cholesky")
+        k_convergence_table(DISC, w, grid, (k,))
+        log_pdet_0 = float(np.sum(np.log(np.repeat(np.arange(1, k + 1, dtype=float), 2))))
+        for t, s_t in zip(grid, choleskys):
+            eigenvalues = np.linalg.eigvalsh(_family(w, k, t))
+            kernel = np.argmin(np.abs(eigenvalues))
+            assert abs(eigenvalues[kernel]) <= 1e-10
+            log_pdet = float(np.sum(np.log(np.delete(eigenvalues, kernel))))
+            log_det_s = 2.0 * float(np.sum(np.log(np.diagonal(np.linalg.cholesky(s_t)))))
+            assert log_det_s == pytest.approx(log_pdet - log_pdet_0, abs=1e-12)
 
 
 def test_derivative_identity_deterministic():
@@ -406,6 +403,3 @@ def test_derivative_identity_deterministic():
     first = derivative_identity_check(DISC, w, grid, 16)
     second = derivative_identity_check(DISC, w, grid, 16)
     assert first == second
-    a = _family(w, 16, 0.5)
-    b = _family(w, 16, 0.5)
-    assert np.array_equal(a.matrix, b.matrix)
