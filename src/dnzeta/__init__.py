@@ -33,7 +33,6 @@ from dnzeta.reports import DetReport
 from dnzeta.specfun import (
     EvalResult,
     eta_constant,
-    hyp2f1,
     log_barnes_g,
     log_gamma,
     riemann_zeta,
@@ -45,20 +44,16 @@ from dnzeta.zeta_reg import (
     combine,
     log_det,
     required_tail_length,
-    scale,
     zeta_at_zero,
 )
 from dnzeta.dn_explicit import (
     AnnulusGeometry,
     CylinderGeometry,
-    annulus_block,
     annulus_det_prime,
     annulus_eigenvalues,
     cylinder_det_prime,
-    cylinder_poisson_check,
     cylinder_scattering_mode0,
     disc_det_prime,
-    uniformizing_map,
 )
 from dnzeta.hyperbolic import (
     GroupPresentation,
@@ -79,7 +74,6 @@ from dnzeta.zeta_dyn import (
     selberg_boundary,
 )
 from dnzeta.det_engine import (
-    HeatCoefficients,
     SurfaceTopology,
     dirichlet_det,
     functional_equation_rhs,
@@ -93,8 +87,6 @@ from dnzeta.det_engine import (
 from dnzeta.numeric_dn import (
     ConformalFactor,
     DiscGeometry,
-    boundary_length,
-    derivative_identity_check,
     k_convergence_table,
     multiplication_matrix,
 )
@@ -115,7 +107,6 @@ __all__ = [
     "EnumerationBudgetError",
     "EvalResult",
     "GroupPresentation",
-    "HeatCoefficients",
     "InvalidSequenceError",
     "LengthSpectrum",
     "MobiusTransform",
@@ -125,22 +116,17 @@ __all__ = [
     "SurfaceTopology",
     "TruncationError",
     "ZetaValue",
-    "annulus_block",
     "annulus_det_prime",
     "annulus_eigenvalues",
-    "boundary_length",
     "check_rz_identity",
     "combine",
     "cylinder_det_prime",
-    "cylinder_poisson_check",
     "cylinder_scattering_mode0",
-    "derivative_identity_check",
     "dirichlet_det",
     "disc_det_prime",
     "enumerate_primitive_classes",
     "eta_constant",
     "functional_equation_rhs",
-    "hyp2f1",
     "k_convergence_table",
     "log_barnes_g",
     "log_det",
@@ -152,7 +138,6 @@ __all__ = [
     "ruelle",
     "ruelle_limit_order",
     "sarnak_det",
-    "scale",
     "selberg",
     "selberg_boundary",
     "spectrum_from_json",
@@ -160,7 +145,6 @@ __all__ = [
     "theorem2_value",
     "theorem4_pipeline",
     "translation_length",
-    "uniformizing_map",
     "zero_volume",
     "zero_volume_cylinder_numeric",
     "zeta_at_zero",

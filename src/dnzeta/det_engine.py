@@ -65,32 +65,6 @@ class SurfaceTopology:
         )
 
 
-@dataclass(frozen=True)
-class HeatCoefficients:
-    """Short-time heat trace coefficients of the Dirichlet Laplacian.
-
-    Tr e^{-t Delta} = t^{-1}(a1 + a2 t^{1/2} + a3 t) + o(1).
-    """
-
-    topology: SurfaceTopology
-    boundary_length: float
-
-    def __post_init__(self) -> None:
-        _require_positive(self.boundary_length, "boundary_length")
-
-    @property
-    def a1(self) -> float:
-        return -self.topology.euler / 2.0
-
-    @property
-    def a2(self) -> float:
-        return -self.boundary_length / (8.0 * math.sqrt(math.pi))
-
-    @property
-    def a3(self) -> float:
-        return self.topology.euler / 6.0
-
-
 def _require_positive(x, name: str) -> float:
     if not (isinstance(x, (int, float)) and x > 0.0 and math.isfinite(x)):
         raise DomainError(f"{name} must be positive and finite, got {x}")

@@ -44,11 +44,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, PoleError
 from .reports import DetReport
-from .specfun import hyp2f1, log_gamma
+from .specfun import log_gamma
 from .zeta_reg import EigenSequence, log_det
 
 _TWO_PI = 2.0 * math.pi
@@ -90,21 +88,6 @@ class CylinderGeometry:
         object.__setattr__(self, "bridge_rho", math.exp(exponent))
 
 
-def annulus_block(geom: AnnulusGeometry, n: int) -> np.ndarray:
-    """DN block of mode n in the (outer, inner) trace basis."""
-    a = geom.alpha
-    if n == 0:
-        # Kernel direction (1, 1); nonzero eigenvalue (1+rho)/(rho ln rho).
-        return np.array([[1.0 / geom.rho, -1.0 / geom.rho], [-1.0, 1.0]]) / a
-    t = abs(n) * a
-    if t >= 350.0:
-        # coth(t) = 1 to machine precision; entries via exact limits.
-        return np.diag([abs(n) * math.exp(-a), float(abs(n))])
-    cosh_t = math.cosh(t)
-    pref = abs(n) / math.sinh(t)
-    return pref * np.array([[math.exp(-a) * cosh_t, -math.exp(-a)], [-1.0, cosh_t]])
-
-
 def _eps_plus(a: float, n: int) -> float:
     """Relative correction eps_+ of mode |n| as derived above."""
     t = abs(n) * a
@@ -123,7 +106,7 @@ def _eps_plus(a: float, n: int) -> float:
 def annulus_eigenvalues(geom: AnnulusGeometry, n: int) -> tuple[float, float]:
     """Eigenvalue pair (lam_+, lam_-) of the mode-n block, n != 0."""
     if n == 0:
-        raise DomainError("mode 0 has eigenvalues 0 and (1+rho)/(rho ln rho); use annulus_block")
+        raise DomainError("mode 0 has eigenvalues 0 and (1+rho)/(rho ln rho)")
     one_p_eps = 1.0 + _eps_plus(geom.alpha, n)
     m = float(abs(n))
     return m * one_p_eps, m * math.exp(-geom.alpha) / one_p_eps
@@ -187,22 +170,6 @@ def cylinder_det_prime(geom: CylinderGeometry) -> DetReport:
     )
 
 
-def uniformizing_map(z: complex, ell: float) -> complex:
-    """Conformal map from the upper half-plane model onto the bridge annulus.
-
-    U(z) = exp(2 i pi log(z) / ell + 2 pi^2 / ell) satisfies
-    U(e^ell z) = U(z) and maps {Im z > 0} onto 1 < |U| < e^{2 pi^2/ell}.
-    """
-    z = complex(z)
-    if not (z.imag > 0.0):
-        raise DomainError(f"uniformizing_map needs Im z > 0, got {z}")
-    if not (ell > 0.0 and math.isfinite(ell)):
-        raise DomainError(f"uniformizing_map needs ell > 0, got {ell}")
-    if 2.0 * math.pi**2 / ell > 700.0:
-        raise DomainError(f"ell = {ell} too small: annulus modulus overflows")
-    return cmath.exp(2j * math.pi * cmath.log(z) / ell + 2.0 * math.pi**2 / ell)
-
-
 def cylinder_scattering_mode0(lam: complex) -> complex:
     """Scattering value on constants: 2^{2 lam - 1} (Gamma(lam/2) / Gamma((1-lam)/2))^2.
 
@@ -217,57 +184,3 @@ def cylinder_scattering_mode0(lam: complex) -> complex:
         return 0.0
     lg_num = log_gamma(lam / 2.0)
     return cmath.exp(math.log(2.0) * (2.0 * lam - 1.0) + 2.0 * (lg_num.value - lg_den.value))
-
-
-def _poisson_coefficient(lam: float) -> float:
-    """Coefficient of the second radial solution branch.
-
-    (Gamma(lam/2) / Gamma((1-lam)/2))^2 * Gamma(1/2-lam) / Gamma(lam-1/2);
-    vanishes at lam = 1 through the Gamma((1-lam)/2) pole.
-    """
-    try:
-        lg_den = log_gamma((1.0 - lam) / 2.0)
-    except PoleError:
-        return 0.0
-    ratio_sq = 2.0 * (log_gamma(lam / 2.0).value - lg_den.value)
-    swap = log_gamma(0.5 - lam).value - log_gamma(lam - 0.5).value
-    return cmath.exp(ratio_sq + swap).real
-
-
-def _poisson_mode0(lam: float, coef: float, r: float) -> float:
-    sh = abs(math.sinh(r))
-    z = -1.0 / (sh * sh)
-    first = sh ** (lam - 1.0) * hyp2f1((1.0 - lam) / 2.0, 1.0 - lam / 2.0, 1.5 - lam, z).value
-    if coef == 0.0:
-        return first.real
-    second = coef * sh ** (-lam) * hyp2f1(lam / 2.0, (lam + 1.0) / 2.0, lam + 0.5, z).value
-    return (first + second).real
-
-
-def cylinder_poisson_check(lam: float, r_grid) -> float:
-    """Max ODE residual of the explicit mode-0 Poisson solution.
-
-    Evaluates the two-branch hypergeometric expression u(r) on the grid
-    and returns max |-u'' - tanh(r) u' - lam (1 - lam) u| with 5-point
-    finite-difference derivatives at step 1e-3.  Certified contract:
-    residual <= 1e-6 for lam in (0.5, 1.5) and grids with r >= 0.1.
-    """
-    lam = float(lam)
-    if not (0.5 < lam < 1.5):
-        raise DomainError(f"cylinder_poisson_check needs lam in (0.5, 1.5), got {lam}")
-    r_grid = [float(r) for r in r_grid]
-    if not r_grid:
-        raise DomainError("empty r_grid")
-    h = 1e-3
-    if min(r_grid) - 2.0 * h <= 0.0:
-        raise DomainError(f"grid touches r = 0: min r = {min(r_grid)}")
-    coef = _poisson_coefficient(lam)
-    worst = 0.0
-    mu = lam * (1.0 - lam)
-    for r in r_grid:
-        u = [_poisson_mode0(lam, coef, r + k * h) for k in (-2, -1, 0, 1, 2)]
-        d1 = (u[0] - 8.0 * u[1] + 8.0 * u[3] - u[4]) / (12.0 * h)
-        d2 = (-u[0] + 16.0 * u[1] - 30.0 * u[2] + 16.0 * u[3] - u[4]) / (12.0 * h * h)
-        resid = abs(-d2 - math.tanh(r) * d1 - mu * u[2])
-        worst = max(worst, resid)
-    return worst

@@ -198,41 +198,21 @@ def _mean_exp(omega0: ConformalFactor, t: float) -> float:
     return float(np.mean(np.exp(t * omega0.evaluate(theta))))
 
 
-def boundary_length(geometry: DiscGeometry, omega0: ConformalFactor, t: float) -> float:
-    """ell_t = integral of e^{t omega0} over the boundary circle (see _mean_exp)."""
-    _require_disc(geometry)
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t}")
-    return _mean_exp(omega0, t) * geometry.boundary_length
-
-
-def derivative_identity_check(geometry, omega0: ConformalFactor, t_grid, k: int) -> float:
-    """Max |d/dt [log pdet(N_t) - log ell_t]| by central differences.
-
-    By the module's identity, log pdet(N_t) - log ell_t equals
-    log det S_t - log(ell_t / ell_0) plus a constant, and log det S_t
-    comes from a Cholesky factor of S_t = (e^{-t Omega})[1:, 1:].  The
-    t-derivative is the quantity that the conformal transformation law
-    pins to zero; the residual measures truncation spill plus rounding
-    and must shrink (or sit at the noise floor) as K grows.  A grid that
-    reaches so far along the family that S_t is no longer numerically
-    positive definite raises TruncationError.
-
-    Requires an exactly zero-mean factor (the multiplication-matrix
-    trace then vanishes identically), an integer K >= 4 * degree(omega0),
-    so the Fourier coefficients of e^{t omega0/2} are resolved well past
-    their decay scale, and at least 3 uniformly increasing t values.
-    """
-    return k_convergence_table(geometry, omega0, t_grid, (k,))[0][1]
-
-
 def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> tuple[tuple[int, float], ...]:
-    """(K, residual of derivative_identity_check) for each K in k_values.
+    """(K, max |d/dt [log pdet(N_t) - log ell_t]|) for each K in k_values.
 
-    Every input is checked, under derivative_identity_check's rules,
-    before any matrix is built; ell_t is computed once per grid point
-    and shared by every K.
+    The derivative, which the conformal transformation law pins to zero,
+    is taken by central differences of log det S_t - log(ell_t / ell_0)
+    (the module's identity), log det S_t from a Cholesky factor.  The
+    residual measures truncation spill plus rounding and must shrink (or
+    sit at the noise floor) as K grows.  Requires an exactly zero-mean
+    factor (the multiplication-matrix trace then vanishes identically),
+    integers K >= 4 * degree(omega0), so the Fourier coefficients of
+    e^{t omega0/2} are resolved past their decay scale, and at least 3
+    uniformly increasing t values; all are checked before any matrix is
+    built.  A grid so far along the family that S_t is not numerically
+    positive definite, or that e^{-t Omega} overflows, raises
+    TruncationError.  ell_t is computed once per grid point for every K.
     """
     _require_disc(geometry)
     if not isinstance(omega0, ConformalFactor):
@@ -256,20 +236,22 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     if h <= 0.0 or np.any(np.abs(steps - h) > 1e-12 * max(1.0, abs(h))):
         raise DomainError("t_grid must be uniformly increasing")
 
-    log_ell = [math.log(_mean_exp(omega0, float(t))) for t in grid]
-    rows = []
-    for k in ks:
-        w, vecs = np.linalg.eigh(multiplication_matrix(omega0, k))
-        tail = vecs[1:]
-        values = np.empty(grid.size)
-        for i, t in enumerate(grid):
-            try:
-                factor = np.linalg.cholesky((tail * np.exp(-t * w)) @ tail.T)
-            except np.linalg.LinAlgError as exc:
-                raise TruncationError(f"S_t is not numerically positive definite at t = {t}, K = {k}") from exc
-            values[i] = 2.0 * float(np.sum(np.log(np.diagonal(factor)))) - log_ell[i]
-        if not np.all(np.isfinite(values)):
-            raise TruncationError(f"log det S_t - log(ell_t / ell_0) leaves the float range at K = {k}")
-        derivatives = (values[2:] - values[:-2]) / (2.0 * h)
-        rows.append((k, float(np.max(np.abs(derivatives)))))
+    # Overflow far along the family is refused by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_ell = [math.log(_mean_exp(omega0, float(t))) for t in grid]
+        rows = []
+        for k in ks:
+            w, vecs = np.linalg.eigh(multiplication_matrix(omega0, k))
+            tail = vecs[1:]
+            values = np.empty(grid.size)
+            for i, t in enumerate(grid):
+                try:
+                    factor = np.linalg.cholesky((tail * np.exp(-t * w)) @ tail.T)
+                except np.linalg.LinAlgError as exc:
+                    raise TruncationError(f"S_t is not numerically positive definite at t = {t}, K = {k}") from exc
+                values[i] = 2.0 * float(np.sum(np.log(np.diagonal(factor)))) - log_ell[i]
+            if not np.all(np.isfinite(values)):
+                raise TruncationError(f"log det S_t - log(ell_t / ell_0) leaves the float range at K = {k}")
+            derivatives = (values[2:] - values[:-2]) / (2.0 * h)
+            rows.append((k, float(np.max(np.abs(derivatives)))))
     return tuple(rows)

@@ -1,8 +1,7 @@
 """Double-precision special function kernel.
 
 Provides log Gamma, log Barnes G, the Riemann zeta function and its
-s-derivative, the Gauss hypergeometric function 2F1, and the boundary
-heat-coefficient constant eta.
+s-derivative, and the boundary heat-coefficient constant eta.
 
 All routines work in ordinary complex doubles with compensated
 summation and return an :class:`EvalResult` carrying the value together
@@ -21,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BarnesZeroError, ConvergenceError, DomainError, PoleError
+from .errors import BarnesZeroError, DomainError, PoleError
 
 _EPS = 2.220446049250313e-16
 _LN_2PI = math.log(2.0 * math.pi)
@@ -321,83 +320,3 @@ def _zeta_prime_at_minus1() -> float:
 def eta_constant() -> float:
     """The constant eta = 2 zeta'(-1) - 1/4 + (1/2) log(2 pi)."""
     return 2.0 * _zeta_prime_at_minus1() - 0.25 + 0.5 * _LN_2PI
-
-
-_MAX_2F1_TERMS = 200_000
-
-
-def _is_exact_nonpositive_int(z: complex) -> bool:
-    return z.imag == 0.0 and z.real == round(z.real) and z.real <= 0.0
-
-
-def _gauss_series(a: complex, b: complex, c: complex, z: complex, n_stop: int | None = None):
-    """Sum the Gauss series; returns (value, trunc_estimate, abs_volume)."""
-    term = 1.0 + 0j
-    total = 1.0 + 0j
-    comp = 0j
-    volume = 1.0
-    ratio_abs = 0.0
-    small_run = 0
-    limit = _MAX_2F1_TERMS if n_stop is None else n_stop
-    for n in range(limit):
-        if a + n == 0 or b + n == 0:
-            return total, 0.0, volume
-        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        term = term * ratio
-        total, comp = _kadd(total, comp, term)
-        volume += abs(term)
-        ratio_abs = abs(ratio)
-        if abs(term) <= 1e-17 * (1.0 + abs(total)):
-            small_run += 1
-            if small_run >= 2 and ratio_abs < 1.0:
-                rho = min(0.97, ratio_abs)
-                return total, abs(term) * rho / (1.0 - rho), volume
-        else:
-            small_run = 0
-    if n_stop is not None:
-        return total, 0.0, volume
-    raise ConvergenceError("hyp2f1: series did not converge within the term budget")
-
-
-def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> EvalResult:
-    """Gauss hypergeometric function 2F1(a, b; c; z).
-
-    Covered domain: terminating cases (a or b an exact nonpositive
-    integer) for any z; |z| <= 0.9 by the direct series; Re z <= 0 with
-    |z| <= 1000 through the z/(z-1) transformation.  Raises PoleError
-    near nonpositive integer c and DomainError outside the covered set.
-    """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    z = complex(z)
-    for w, name in ((a, "a"), (b, "b"), (c, "c"), (z, "z")):
-        _check_finite(w, f"hyp2f1 {name}")
-    if _near_nonpositive_int(c) is not None:
-        raise PoleError(f"hyp2f1: c={c} is at a nonpositive integer")
-
-    if _is_exact_nonpositive_int(a) or _is_exact_nonpositive_int(b):
-        m = int(-a.real) if _is_exact_nonpositive_int(a) else int(-b.real)
-        if _is_exact_nonpositive_int(a) and _is_exact_nonpositive_int(b):
-            m = min(int(-a.real), int(-b.real))
-        value, _, volume = _gauss_series(a, b, c, z, n_stop=m)
-        return EvalResult(value, 2.0 * _EPS * (volume + 1.0))
-
-    if abs(z) <= 0.9:
-        value, trunc, volume = _gauss_series(a, b, c, z)
-        return EvalResult(value, trunc + 2.0 * _EPS * (volume + 1.0))
-
-    if z.real <= 0.0 and abs(z) <= 1000.0:
-        # 2F1(a,b;c;z) = (1-z)^{-a} 2F1(a, c-b; c; z/(z-1)); |w| < 1 on Re z <= 0.
-        if abs(b) < abs(a):
-            a, b = b, a
-        w = z / (z - 1.0)
-        lg1z = cmath.log(1.0 - z)
-        pref = cmath.exp(-a * lg1z)
-        inner, trunc, volume = _gauss_series(a, c - b, c, w)
-        value = pref * inner
-        err = abs(pref) * (trunc + 2.0 * _EPS * (volume + 1.0))
-        err += abs(value) * 2.0 * _EPS * (1.0 + abs(a * lg1z))
-        return EvalResult(value, err)
-
-    raise DomainError(f"hyp2f1: z={z} outside the covered domain")

@@ -21,7 +21,9 @@ spectrum entries inside the completeness window are used, and every
 value carries a tail bound built from the counting model
 N(l) <= C e^{delta l} beyond that window.  Evaluation outside the
 half-plane Re(lambda) > delta_hint is refused rather than extrapolated:
-continuation below the convergence abscissa is out of scope.
+continuation below the convergence abscissa is out of scope.  So is
+|Im lambda| l > 2^30 for the longest length l a product uses, where the
+float phase Im(lambda) l keeps too few digits for the tail bound to hold.
 
 Z and Z_g0 share one ladder: its length follows from the stop rule
 before any factor is evaluated, and a ladder longer than 200000
@@ -42,6 +44,9 @@ _FACTOR_FLOOR = 1e-16
 _MAX_FACTORS = 200_000
 _MAX_ENTRY_TERMS = 2_000_000
 _WINDOW_SLACK = 1e-9
+# Largest |Im lambda| * l admitted: half an ulp of the phase is 2^-23 rad
+# at 2^30; at Im lambda = 1e16 no digit is left and log R is off by 0.02.
+_MAX_PHASE = 2.0**30
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,11 @@ def _check_region(lam: complex, delta_hint: float) -> None:
         )
 
 
+def _check_phase(lam: complex, longest: float) -> None:
+    if abs(lam.imag) * longest > _MAX_PHASE:
+        raise DomainError(f"|Im lambda| * l = {abs(lam.imag) * longest:.6g} > 2^30: the float phase loses its digits")
+
+
 def _used_entries(spectrum: LengthSpectrum):
     window = spectrum.complete_up_to
     return [e for e in spectrum.entries if e.length <= window + _WINDOW_SLACK]
@@ -112,6 +122,7 @@ def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVal
     """log R(lambda) over the spectrum's completeness window."""
     lam = complex(lam)
     _check_region(lam, delta_hint)
+    _check_phase(lam, spectrum.complete_up_to)
     total = complex(0.0, 0.0)
     n_used = 0
     for entry in _used_entries(spectrum):
@@ -173,6 +184,7 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
     """
     lam = complex(lam)
     _check_region(lam, delta_hint)
+    _check_phase(lam, spectrum.complete_up_to)
     used = _used_entries(spectrum)
     m_total = sum(e.multiplicity for e in used)
     l_min = min((e.length for e in used), default=math.inf)
@@ -215,6 +227,7 @@ def selberg_boundary(
     lengths = [float(l) for l in boundary_lengths]
     if not all(l > 0.0 and math.isfinite(l) for l in lengths):
         raise DomainError(f"boundary lengths must be positive and finite, got {lengths}")
+    _check_phase(lam, max(lengths + [spectrum.complete_up_to]))
     for entry in spectrum.entries:
         if entry.reflections is None:
             raise DomainError(

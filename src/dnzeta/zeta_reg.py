@@ -186,18 +186,3 @@ def combine(u: EigenSequence, v: EigenSequence) -> EigenSequence:
         head=u.head + v.head,
         tail_multiplicity=u.tail_multiplicity,
     )
-
-
-def scale(seq: EigenSequence, t: float) -> EigenSequence:
-    """Multiply every eigenvalue by t > 0 (prefactor and head scale)."""
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InvalidSequenceError(f"scale factor must be positive, got {t}")
-    return EigenSequence(
-        power=seq.power,
-        prefactor=t * seq.prefactor,
-        corrections=seq.corrections,
-        decay_rate=seq.decay_rate,
-        decay_bound=seq.decay_bound,
-        head=tuple((t * lam, m) for lam, m in seq.head),
-        tail_multiplicity=seq.tail_multiplicity,
-    )

@@ -25,7 +25,7 @@ from dnzeta.dn_explicit import (
     cylinder_det_prime,
     disc_det_prime,
 )
-from dnzeta.numeric_dn import derivative_identity_check, k_convergence_table
+from dnzeta.numeric_dn import k_convergence_table
 
 # (criterion, suite, name, tolerance) of every registry check, in run
 # order; criterion None marks checks outside the numbered criteria.
@@ -152,10 +152,9 @@ def test_criterion_09_conformal_derivative_residual_and_k_table():
     assert_criterion("09")
     geometry, omega0 = claims.CONFORMAL_DISC, claims.CONFORMAL_FACTOR
     t_grid = np.linspace(-0.05, 0.05, 5)
-    residual = derivative_identity_check(geometry, omega0, t_grid, k=claims.K_LADDER[-1])
-    assert residual <= claims.RESIDUAL_TOLERANCE
     table = k_convergence_table(geometry, omega0, t_grid, claims.K_LADDER)
     residuals = [r for _, r in table]
+    assert residuals[-1] <= claims.RESIDUAL_TOLERANCE
     non_increasing = all(a >= b for a, b in zip(residuals, residuals[1:]))
     at_floor = all(r <= claims.NOISE_FLOOR for r in residuals)
     assert non_increasing or at_floor

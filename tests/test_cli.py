@@ -430,6 +430,22 @@ class TestZetaSubcommand:
         assert code == 1
         assert "convergence region" in err
 
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [("ruelle", ()), ("selberg", ()), ("selberg-g0", ("--boundary", "1.0"))],
+    )
+    def test_phase_past_float_digits_is_refused(self, capsys, tmp_path, kind, extra):
+        # |Im lambda| * l = 1e17 > 2^30: the float phase keeps no digit
+        spec = write_cyclic_spectrum(tmp_path / "s.json", reflections=1)
+        code, out, err = run_cli(
+            capsys, "zeta", "--spectrum", spec, "--kind", kind,
+            "--lambda", "2+1e16j", "--delta-hint", "0.0", *extra,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "2^30" in err
+
     def test_ladder_overflow_is_contract_violation(self, capsys, tmp_path):
         # a 1e-4 length would need ~370k Selberg factors; the ladder caps
         # out and must report the violated invariant by name on exit 2

@@ -8,7 +8,6 @@ import pytest
 from dnzeta.dn_explicit import AnnulusGeometry, CylinderGeometry, annulus_det_prime
 from dnzeta.errors import DomainError
 from dnzeta.det_engine import (
-    HeatCoefficients,
     SurfaceTopology,
     dirichlet_det,
     functional_equation_rhs,
@@ -48,15 +47,6 @@ def test_topology_euler():
 def test_topology_rejects_bad_fields(genus, nb):
     with pytest.raises(DomainError):
         SurfaceTopology(genus=genus, boundary_components=nb)
-
-
-def test_heat_coefficients():
-    heat = HeatCoefficients(SurfaceTopology(genus=0, boundary_components=4), 3.0)
-    assert heat.a1 == 1.0
-    assert heat.a2 == pytest.approx(-3.0 / (8.0 * math.sqrt(math.pi)), rel=1e-15)
-    assert heat.a3 == pytest.approx(-1.0 / 3.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        HeatCoefficients(DISC, 0.0)
 
 
 def test_zero_volume_values():
@@ -297,9 +287,13 @@ def test_dirichlet_det_cd_form():
 def test_dirichlet_det_heat_asymptotics():
     # Large-lam fit of log det against the heat-trace expansion
     # -a1 mu log mu + a1 mu + 2 sqrt(pi) a2 sqrt(mu + 1/4) + a3 log mu.
+    # Dirichlet heat trace t^{-1}(a1 + a2 t^{1/2} + a3 t) + o(1): a1 = -chi/2,
+    # a2 = -ell/(8 sqrt(pi)), a3 = chi/6.
     topo = SurfaceTopology(genus=0, boundary_components=4)
     ell = 3.0
-    heat = HeatCoefficients(topo, ell)
+    a1 = -topo.euler / 2.0
+    a2 = -ell / (8.0 * math.sqrt(math.pi))
+    a3 = topo.euler / 6.0
     lams = np.linspace(20.0, 40.0, 9)
     y = np.array([log_dirichlet_det(lam, 1.0, topo, ell) for lam in lams])
     mu = lams * (lams - 1.0)
@@ -314,10 +308,10 @@ def test_dirichlet_det_heat_asymptotics():
         ]
     )
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    assert coef[0] == pytest.approx(-heat.a1, rel=1e-2)
-    assert coef[1] == pytest.approx(heat.a1, rel=1e-3)
-    assert coef[2] == pytest.approx(2.0 * math.sqrt(math.pi) * heat.a2, rel=1e-2)
-    assert coef[3] == pytest.approx(heat.a3, rel=5e-2)
+    assert coef[0] == pytest.approx(-a1, rel=1e-2)
+    assert coef[1] == pytest.approx(a1, rel=1e-3)
+    assert coef[2] == pytest.approx(2.0 * math.sqrt(math.pi) * a2, rel=1e-2)
+    assert coef[3] == pytest.approx(a3, rel=5e-2)
 
 
 def test_theorem4_example_inputs():

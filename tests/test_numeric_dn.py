@@ -12,12 +12,10 @@ from dnzeta.errors import DomainError, TruncationError
 from dnzeta.numeric_dn import (
     ConformalFactor,
     DiscGeometry,
-    boundary_length,
-    derivative_identity_check,
     k_convergence_table,
     multiplication_matrix,
 )
-from dnzeta.zeta_reg import EigenSequence, log_det, scale, zeta_at_zero
+from dnzeta.zeta_reg import EigenSequence, log_det, zeta_at_zero
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,8 +110,6 @@ def test_build_rejects_unknown_geometry():
     w = ConformalFactor((0.0, 0.3, 0.0))
     with pytest.raises(DomainError):
         k_convergence_table("disc", w, np.linspace(0.0, 1.0, 3), (4,))
-    with pytest.raises(DomainError):
-        boundary_length("disc", w, 0.5)
 
 
 # ---------------------------------------------------------------- multiplication
@@ -184,9 +180,7 @@ def test_family_rejects_non_finite_t():
     w = ConformalFactor((0.0, 0.1, 0.0))
     for t in (math.inf, math.nan):
         with pytest.raises(DomainError):
-            derivative_identity_check(DISC, w, [0.0, 0.5, t], 4)
-        with pytest.raises(DomainError):
-            boundary_length(DISC, w, t)
+            k_convergence_table(DISC, w, [0.0, 0.5, t], (4,))
 
 
 def test_constant_factor_det_ratio_invariant_through_zeta():
@@ -197,11 +191,11 @@ def test_constant_factor_det_ratio_invariant_through_zeta():
     base = log_det(seq)
     c, t = 0.7, 0.6
     mu = math.exp(-t * c)
-    moved = log_det(scale(seq, mu))
+    moved = log_det(EigenSequence(power=1.0, prefactor=mu, tail_multiplicity=2))
     assert moved.log_value - base.log_value == pytest.approx(-math.log(mu), abs=1e-12)
     w = ConformalFactor((c,))
-    ratio_zero = base.log_value - math.log(boundary_length(DISC, w, 0.0))
-    ratio_t = moved.log_value - math.log(boundary_length(DISC, w, t))
+    ratio_zero = base.log_value - math.log(numeric_dn._mean_exp(w, 0.0) * DISC.boundary_length)
+    ratio_t = moved.log_value - math.log(numeric_dn._mean_exp(w, t) * DISC.boundary_length)
     assert ratio_t == pytest.approx(ratio_zero, abs=1e-12)
 
 
@@ -216,20 +210,12 @@ def test_boundary_length_matches_bessel_series():
         geom = DiscGeometry(radius)
         for t in (0.0, 0.3, 1.0):
             series = TWO_PI * radius * float(mpmath.besseli(0, 0.3 * t))
-            assert boundary_length(geom, w, t) == pytest.approx(series, rel=1e-12)
+            assert numeric_dn._mean_exp(w, t) * geom.boundary_length == pytest.approx(series, rel=1e-12)
 
 
 def test_boundary_length_constant_cases():
     w = ConformalFactor((0.4,))
-    assert boundary_length(DISC, w, 0.5) == math.exp(0.2) * DISC.boundary_length
-
-
-def test_boundary_length_rejections():
-    w = ConformalFactor((0.0, 0.3, 0.0))
-    with pytest.raises(DomainError):
-        boundary_length(AnnulusGeometry(2.0), w, 0.5)
-    with pytest.raises(DomainError):
-        boundary_length(DISC, w, math.inf)
+    assert numeric_dn._mean_exp(w, 0.5) == math.exp(0.2)
 
 
 # ---------------------------------------------------------------- derivative identity
@@ -237,14 +223,14 @@ def test_boundary_length_rejections():
 
 def test_derivative_identity_zero_factor_is_exactly_zero():
     grid = np.linspace(0.0, 1.0, 5)
-    assert derivative_identity_check(DISC, ConformalFactor((0.0,)), grid, 8) == 0.0
+    assert k_convergence_table(DISC, ConformalFactor((0.0,)), grid, (8,))[0][1] == 0.0
 
 
 def test_derivative_identity_small_cosine():
     # Measured residual 4.7e-14 at K = 64; the 1e-6 figure is the
     # acceptance threshold for this configuration.
     w = ConformalFactor((0.0, 0.3, 0.0))
-    residual = derivative_identity_check(DISC, w, np.linspace(0.0, 1.0, 11), 64)
+    residual = k_convergence_table(DISC, w, np.linspace(0.0, 1.0, 11), (64,))[0][1]
     assert residual <= 1e-6
     assert residual <= 1e-8
 
@@ -261,14 +247,14 @@ def test_derivative_identity_decomposes_the_factor_once(monkeypatch):
     eighs = _record(monkeypatch, "eigh")
     choleskys = _record(monkeypatch, "cholesky")
     grid = np.linspace(0.0, 1.0, 7)
-    derivative_identity_check(DISC, ConformalFactor((0.0, 0.3, 0.0)), grid, 16)
+    k_convergence_table(DISC, ConformalFactor((0.0, 0.3, 0.0)), grid, (16,))
     assert [m.shape for m in eighs] == [(33, 33)]
     assert [m.shape for m in choleskys] == [(32, 32)] * grid.size
 
 
 def test_derivative_identity_two_harmonics():
     w = ConformalFactor((0.0, 0.2, 0.0, 0.0, 0.1))
-    residual = derivative_identity_check(DISC, w, np.linspace(0.0, 1.0, 7), 16)
+    residual = k_convergence_table(DISC, w, np.linspace(0.0, 1.0, 7), (16,))[0][1]
     assert residual <= 1e-9
 
 
@@ -278,7 +264,7 @@ def test_derivative_identity_random_factors():
     for _ in range(5):
         coeffs = rng.uniform(-0.2, 0.2, size=6)
         w = ConformalFactor((0.0, *coeffs))
-        assert derivative_identity_check(DISC, w, grid, 16) <= 1e-9
+        assert k_convergence_table(DISC, w, grid, (16,))[0][1] <= 1e-9
 
 
 def test_derivative_identity_radius_independent():
@@ -294,28 +280,28 @@ def test_derivative_identity_radius_independent():
 
 def test_derivative_identity_negative_window():
     w = ConformalFactor((0.0, 0.2, 0.0, 0.0, 0.1))
-    residual = derivative_identity_check(DISC, w, np.linspace(-0.5, 0.5, 9), 16)
+    residual = k_convergence_table(DISC, w, np.linspace(-0.5, 0.5, 9), (16,))[0][1]
     assert residual <= 1e-9
 
 
 def test_derivative_identity_rejections():
     w_mean = ConformalFactor((0.1, 0.3, 0.0))
     with pytest.raises(DomainError):
-        derivative_identity_check(DISC, w_mean, np.linspace(0.0, 1.0, 5), 16)
+        k_convergence_table(DISC, w_mean, np.linspace(0.0, 1.0, 5), (16,))
     w_deep = ConformalFactor((0.0,) + (0.1, 0.0) * 4)  # degree 4 needs K >= 16
     with pytest.raises(TruncationError):
-        derivative_identity_check(DISC, w_deep, np.linspace(0.0, 1.0, 5), 15)
+        k_convergence_table(DISC, w_deep, np.linspace(0.0, 1.0, 5), (15,))
     w = ConformalFactor((0.0, 0.3, 0.0))
     with pytest.raises(DomainError):
-        derivative_identity_check(DISC, w, [0.0, 0.5], 16)
+        k_convergence_table(DISC, w, [0.0, 0.5], (16,))
     with pytest.raises(DomainError):
-        derivative_identity_check(DISC, w, [0.0, 0.1, 0.3], 16)
+        k_convergence_table(DISC, w, [0.0, 0.1, 0.3], (16,))
     with pytest.raises(DomainError):
-        derivative_identity_check(DISC, w, [1.0, 0.5, 0.0], 16)
+        k_convergence_table(DISC, w, [1.0, 0.5, 0.0], (16,))
     with pytest.raises(DomainError):
-        derivative_identity_check(AnnulusGeometry(2.0), w, np.linspace(0.0, 1.0, 5), 16)
+        k_convergence_table(AnnulusGeometry(2.0), w, np.linspace(0.0, 1.0, 5), (16,))
     with pytest.raises(DomainError):
-        derivative_identity_check(DISC, w, np.linspace(0.0, 1.0, 5), 16.0)
+        k_convergence_table(DISC, w, np.linspace(0.0, 1.0, 5), (16.0,))
 
 
 def test_k_table_rejects_empty_ladder():
@@ -325,7 +311,7 @@ def test_k_table_rejects_empty_ladder():
 
 @pytest.mark.parametrize("ladder", [(16.9, 32), (16, 16.9), ("16",), (16, 32.0)])
 def test_k_table_refuses_non_integer_cutoffs(ladder):
-    # the K rule of derivative_identity_check, applied to every entry
+    # the K rule applies to every entry of the ladder
     with pytest.raises(DomainError):
         k_convergence_table(DISC, ConformalFactor((0.0, 0.3, 0.0)), np.linspace(0.0, 1.0, 5), ladder)
 
@@ -357,7 +343,7 @@ def test_k_table_one_pass(monkeypatch):
     assert lengths == list(grid)
     assert [m.shape[0] for m in eigh_calls] == [2 * k + 1 for k in ladder]
     assert [m.shape[0] for m in cholesky_calls] == [2 * k for k in ladder for _ in grid]
-    assert rows == tuple((k, derivative_identity_check(DISC, w, grid, k)) for k in ladder)
+    assert rows == tuple(k_convergence_table(DISC, w, grid, (k,))[0] for k in ladder)
 
 
 def test_k_table_long_grid_sits_at_noise_floor():
@@ -366,9 +352,9 @@ def test_k_table_long_grid_sits_at_noise_floor():
 
 
 # e^{-40 Omega} spans e^{+-24}, so S_40 is not numerically positive
-# definite; at t = 1e5 the exponentials overflow.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("grid", [[0.0, 20.0, 40.0], [0.0, 1e5, 2e5]])
+# definite; at t = 2e3 and beyond the exponentials overflow, and the
+# refusal must come without an overflow RuntimeWarning ahead of it.
+@pytest.mark.parametrize("grid", [[0.0, 20.0, 40.0], [0.0, 1e3, 2e3], [0.0, 1e5, 2e5]])
 def test_k_table_refuses_a_grid_too_far_along_the_family(grid):
     with pytest.raises(TruncationError):
         k_convergence_table(DISC, ConformalFactor((0.0, 0.6, 0.0)), grid, (16,))
@@ -400,6 +386,6 @@ def test_log_det_s_is_the_pseudo_determinant_of_the_family(monkeypatch):
 def test_derivative_identity_deterministic():
     w = ConformalFactor((0.0, 0.2, -0.1, 0.05, 0.0))
     grid = np.linspace(0.0, 1.0, 7)
-    first = derivative_identity_check(DISC, w, grid, 16)
-    second = derivative_identity_check(DISC, w, grid, 16)
+    first = k_convergence_table(DISC, w, grid, (16,))[0][1]
+    second = k_convergence_table(DISC, w, grid, (16,))[0][1]
     assert first == second

@@ -14,11 +14,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from dnzeta.errors import BarnesZeroError, ConvergenceError, DomainError, PoleError
+from dnzeta.errors import BarnesZeroError, DomainError, PoleError
 from dnzeta.specfun import (
     EvalResult,
     eta_constant,
-    hyp2f1,
     log_barnes_g,
     log_gamma,
     riemann_zeta,
@@ -241,78 +240,3 @@ class TestEta:
         with mpmath.workdps(30):
             want = 2 * mpmath.zeta(-1, derivative=1) - 0.25 + mpmath.log(2 * mpmath.pi) / 2
             _assert_close(eta_constant(), float(want), 1e-13)
-
-
-class TestHyp2F1:
-    def test_unit_at_origin(self):
-        for a, b, c in [(0.3, 1.7, 2.9), (2 + 1j, -0.5, 1.5)]:
-            res = hyp2f1(a, b, c, 0.0)
-            _assert_close(res.value, 1.0, 1e-15)
-
-    def test_log_closed_form(self):
-        # 2F1(1,1;2;z) = -log(1-z)/z, checked at z = -1 and z = 0.5.
-        _assert_close(hyp2f1(1.0, 1.0, 2.0, -1.0).value, math.log(2.0), 1e-13)
-        _assert_close(hyp2f1(1.0, 1.0, 2.0, 0.5).value, -math.log(0.5) / 0.5, 1e-13)
-
-    def test_arctan_closed_form(self):
-        _assert_close(hyp2f1(0.5, 1.0, 1.5, -1.0).value, math.pi / 4.0, 1e-13)
-
-    @pytest.mark.parametrize(
-        "z, want",
-        [
-            (-2.5, 0.77395552053556634028),
-            (0.6, 1.1509016803457193899),
-        ],
-    )
-    def test_frozen_values(self, z, want):
-        res = hyp2f1(0.3, 1.7, 2.9, z)
-        _assert_close(res.value, want, 1e-12)
-        _assert_result_contract(res)
-
-    def test_frozen_complex_parameters(self):
-        # Radial solution pieces at lam = 0.75 + 0.2i, r = 1.
-        lam = 0.75 + 0.2j
-        z = -0.72406166096631046641
-        got1 = hyp2f1((1 - lam) / 2, 1 - lam / 2, 1.5 - lam, z).value
-        _assert_close(got1, 0.94058463329383059062 + 0.037402193066281714160j, 1e-12)
-        got2 = hyp2f1(lam / 2, (lam + 1) / 2, lam + 0.5, z).value
-        _assert_close(got2, 0.86186878207137316534 - 0.028522059990170830552j, 1e-12)
-
-    def test_terminating_polynomial(self):
-        # Independent little oracle: explicit Pochhammer sum for a = -3.
-        a, b, c = -3.0, 1.3, 2.6
-        for z in (-7.5, 0.4, 3.0, 2.5 + 1.5j):
-            want = 0j
-            num = 1.0 + 0j
-            for k in range(4):
-                want += num
-                num *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-            _assert_close(hyp2f1(a, b, c, z).value, want, 1e-13 * max(1.0, abs(want)))
-
-    def test_large_negative_argument(self):
-        # Matches the direct series evaluated at the reflected point.
-        res = hyp2f1(0.125, 0.625, 0.75, -104.0)
-        _assert_result_contract(res)
-        assert res.value.imag == 0.0
-        assert 0.0 < res.value.real < 1.0
-
-    def test_pole_in_c(self):
-        with pytest.raises(PoleError):
-            hyp2f1(0.5, 1.0, -2.0, 0.3)
-
-    def test_domain_not_covered(self):
-        for z in (0.95, 5.0, 2.0 + 0.5j):
-            with pytest.raises(DomainError):
-                hyp2f1(0.3, 1.7, 2.9, z)
-
-    def test_euler_transformation(self):
-        # 2F1(a,b;c;z) = (1-z)^(c-a-b) 2F1(c-a, c-b; c; z).
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            a = rng.uniform(0.1, 1.5)
-            b = rng.uniform(0.1, 1.5)
-            c = rng.uniform(2.0, 4.0)
-            z = rng.uniform(-0.8, 0.8)
-            lhs = hyp2f1(a, b, c, z).value
-            rhs = (1.0 - z) ** (c - a - b) * hyp2f1(c - a, c - b, c, z).value
-            _assert_close(lhs, rhs, 1e-12 * max(1.0, abs(lhs)))

@@ -4,10 +4,11 @@ import cmath
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
-from dnzeta import zeta_dyn
+from dnzeta import claims, zeta_dyn
 from dnzeta.errors import ConvergenceError, DomainError
 from dnzeta.hyperbolic import (
     GroupPresentation,
@@ -408,6 +409,50 @@ def test_boundary_zeta_rejects_bad_boundary_lengths():
 def test_boundary_zeta_region_check():
     with pytest.raises(DomainError):
         selberg_boundary([1.0], _empty_spectrum(), 0.3, 0.5)
+
+
+def test_phase_past_float_digits_is_refused():
+    # Im lambda * l > 2^30, l the longest length the product uses; at
+    # 2 + 1e16j the float phase keeps no digit (log R off by 0.02 there
+    # against a tail bound of 6e-4).
+    spec = enumerate_primitive_classes(claims.schottky_pair(), 6.0)
+    for lam in (2.0 + 1e16j, 2.0 - 1e16j, 2.0 + 1e300j):
+        for zeta in (ruelle, selberg):
+            with pytest.raises(DomainError, match="2\\^30"):
+                zeta(spec, lam, 0.7)
+    # Z_g0 counts its boundary lengths too: 1e8 * 100 > 2^30 > 1e8 * 1
+    reflected = LengthSpectrum(
+        entries=(SpectrumEntry(length=0.5, multiplicity=2, reflections=1),),
+        cutoff=1.0,
+        complete_up_to=1.0,
+    )
+    ruelle(reflected, 2.0 + 1e8j, 0.0)
+    selberg_boundary([1.0], reflected, 2.0 + 1e8j, 0.0)
+    with pytest.raises(DomainError, match="2\\^30"):
+        selberg_boundary([1.0, 100.0], reflected, 2.0 + 1e8j, 0.0)
+
+
+def test_admitted_large_phase_stays_within_tail_bound():
+    # ORACLE: mpmath at 50 digits over the same classes; Im lambda = 1e8
+    # puts Im(lambda) l at 6e8 < 2^30 on the claims pair at l_max 6.
+    spec = enumerate_primitive_classes(claims.schottky_pair(), 6.0)
+    lam = 2.0 + 1e8j
+    with mpmath.workdps(50):
+        def log_r(shift):
+            z = mpmath.mpc(lam.real + shift, lam.imag)
+            return sum(
+                e.multiplicity * mpmath.log(1 - mpmath.exp(-z * mpmath.mpf(e.length)))
+                for e in spec.entries
+            )
+
+        want_r = complex(log_r(0))
+        want_z = complex(sum(log_r(k) for k in range(60)))
+    for got, want in ((ruelle(spec, lam, 0.7), want_r), (selberg(spec, lam, 0.7), want_z)):
+        diff = got.log_value - want
+        # logs agree up to a multiple of 2 pi i
+        diff = complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))
+        assert abs(diff) <= got.tail_bound
+        assert abs(diff) <= 1e-8
 
 
 def test_limit_order_unit_length():
