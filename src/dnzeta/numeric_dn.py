@@ -142,46 +142,38 @@ def multiplication_matrix(omega0: ConformalFactor, k: int) -> np.ndarray:
     """Matrix of pointwise multiplication by omega0, modes |n| <= K.
 
     Assembled from exact product-to-sum identities rather than
-    quadrature, so every entry is a sum of half-coefficients: the
-    operator is symmetric to the bit, and for zero-mean factors the
+    quadrature.  With zero-padded coefficients a, b indexed 0..2K and
+    a_0 = 2 c0, one index rule fills every block (p, q = 1..K):
+
+        (c_p, c_q) = (a_|p-q| + a_{p+q}) / 2,
+        (s_p, s_q) = (a_|p-q| - a_{p+q}) / 2,
+        (c_p, s_q) = (s_q, c_p) = (b_{p+q} + sgn(q - p) b_|p-q|) / 2,
+
+    and the e_0 row and column carry a_m / sqrt(2), b_m / sqrt(2) with
+    c0 at (0, 0).  Every entry is a sum of at most two half-coefficients:
+    the operator is symmetric to the bit, and for zero-mean factors the
     diagonal cancels in adjacent (c_n, s_n) pairs, making the trace
     exactly 0.0 when summed in basis order.
     """
     _require_cutoff(k)
-    size = 2 * k + 1
-    mat = np.zeros((size, size))
-    c0 = omega0.coefficients[0]
-    if c0 != 0.0:
-        np.fill_diagonal(mat, c0)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for m in range(1, omega0.degree + 1):
-        a_m = omega0.coefficients[2 * m - 1]
-        b_m = omega0.coefficients[2 * m]
-        half_a = 0.5 * a_m
-        half_b = 0.5 * b_m
-        if m <= k:
-            mat[0, 2 * m - 1] += a_m * inv_sqrt2
-            mat[2 * m - 1, 0] += a_m * inv_sqrt2
-            mat[0, 2 * m] += b_m * inv_sqrt2
-            mat[2 * m, 0] += b_m * inv_sqrt2
-        # sum rule p + q = m: cos cos gains, sin sin loses, cos_p sin_q gains.
-        for p in range(max(1, m - k), min(k, m - 1) + 1):
-            q = m - p
-            mat[2 * p - 1, 2 * q - 1] += half_a
-            mat[2 * p, 2 * q] -= half_a
-            mat[2 * p - 1, 2 * q] += half_b
-            mat[2 * q, 2 * p - 1] += half_b
-        # difference rule p - q = m: all gain except sin_p paired with cos_q.
-        for d in range(1, k - m + 1):
-            p = m + d
-            mat[2 * p - 1, 2 * d - 1] += half_a
-            mat[2 * d - 1, 2 * p - 1] += half_a
-            mat[2 * p, 2 * d] += half_a
-            mat[2 * d, 2 * p] += half_a
-            mat[2 * p - 1, 2 * d] -= half_b
-            mat[2 * d, 2 * p - 1] -= half_b
-            mat[2 * d - 1, 2 * p] += half_b
-            mat[2 * p, 2 * d - 1] += half_b
+    coeffs = omega0.coefficients
+    m = min(omega0.degree, 2 * k)
+    a = np.zeros(2 * k + 1)
+    b = np.zeros(2 * k + 1)
+    a[0] = 2.0 * coeffs[0]
+    a[1 : m + 1] = coeffs[1 : 2 * m : 2]
+    b[1 : m + 1] = coeffs[2 : 2 * m + 1 : 2]
+    p = np.arange(1, k + 1)
+    diff = np.abs(p[:, None] - p)
+    total = p[:, None] + p
+    mat = np.empty((2 * k + 1, 2 * k + 1))
+    mat[0, 0] = coeffs[0]
+    mat[0, 1::2] = mat[1::2, 0] = a[1 : k + 1] * (1.0 / math.sqrt(2.0))
+    mat[0, 2::2] = mat[2::2, 0] = b[1 : k + 1] * (1.0 / math.sqrt(2.0))
+    mat[1::2, 1::2] = 0.5 * (a[diff] + a[total])
+    mat[2::2, 2::2] = 0.5 * (a[diff] - a[total])
+    mat[1::2, 2::2] = 0.5 * (b[total] + np.sign(p - p[:, None]) * b[diff])
+    mat[2::2, 1::2] = mat[1::2, 2::2].T
     return mat
 
 

@@ -128,6 +128,59 @@ def test_multiplication_matrix_matches_quadrature():
     assert np.max(np.abs(mat - oracle)) < 1e-13
 
 
+def _reference_multiplication_matrix(omega0, k):
+    """Term-by-term product-to-sum scatter: one pass over the harmonics m."""
+    size = 2 * k + 1
+    mat = np.zeros((size, size))
+    c0 = omega0.coefficients[0]
+    if c0 != 0.0:
+        np.fill_diagonal(mat, c0)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for m in range(1, omega0.degree + 1):
+        a_m = omega0.coefficients[2 * m - 1]
+        b_m = omega0.coefficients[2 * m]
+        half_a = 0.5 * a_m
+        half_b = 0.5 * b_m
+        if m <= k:
+            mat[0, 2 * m - 1] += a_m * inv_sqrt2
+            mat[2 * m - 1, 0] += a_m * inv_sqrt2
+            mat[0, 2 * m] += b_m * inv_sqrt2
+            mat[2 * m, 0] += b_m * inv_sqrt2
+        # sum rule p + q = m: cos cos gains, sin sin loses, cos_p sin_q gains.
+        for p in range(max(1, m - k), min(k, m - 1) + 1):
+            q = m - p
+            mat[2 * p - 1, 2 * q - 1] += half_a
+            mat[2 * p, 2 * q] -= half_a
+            mat[2 * p - 1, 2 * q] += half_b
+            mat[2 * q, 2 * p - 1] += half_b
+        # difference rule p - q = m: all gain except sin_p paired with cos_q.
+        for d in range(1, k - m + 1):
+            p = m + d
+            mat[2 * p - 1, 2 * d - 1] += half_a
+            mat[2 * d - 1, 2 * p - 1] += half_a
+            mat[2 * p, 2 * d] += half_a
+            mat[2 * d, 2 * p] += half_a
+            mat[2 * p - 1, 2 * d] -= half_b
+            mat[2 * d, 2 * p - 1] -= half_b
+            mat[2 * d - 1, 2 * p] += half_b
+            mat[2 * p, 2 * d - 1] += half_b
+    return mat
+
+
+def test_multiplication_matrix_index_rule_matches_term_by_term_scatter():
+    # Both assemblies add the same one or two half-coefficients per
+    # entry, so they agree to the bit, in and beyond the K window.
+    rng = np.random.default_rng(20261018)
+    for trial in range(3000):
+        degree = int(rng.integers(0, 12))
+        k = int(rng.choice([1, 2, 3, 4, 7, 16, 33]))
+        coeffs = rng.normal(size=2 * degree + 1)
+        if trial % 2:
+            coeffs[0] = 0.0
+        w = ConformalFactor(tuple(coeffs))
+        assert np.array_equal(multiplication_matrix(w, k), _reference_multiplication_matrix(w, k))
+
+
 def test_multiplication_matrix_exactly_symmetric():
     w = ConformalFactor((0.1, 0.3, -0.2, 0.11, 0.07, -0.05, 0.02))
     mat = multiplication_matrix(w, 7)
