@@ -14,17 +14,20 @@ over a t-grid, where pdet is the product of the nonzero eigenvalues of
 the truncated matrix.
 
 No eigensolver touches N_t.  In the basis below N_0 = diag(0, D') with
-D' = diag(1, 1, ..., K, K) / R > 0, and E = e^{-t Omega / 2} is
-symmetric positive definite (Omega is omega0's multiplication matrix at
-the same K).  So N_t = B^T D' B, where B is E without its first row,
-and Sylvester's determinant identity gives
+D' = diag(1, 1, ..., K, K) / R, and E = e^{-t Omega / 2} (Omega is
+omega0's multiplication matrix at the same K).  So N_t = B^T D' B with
+B = E without its first row, pdet(N_t) = det D' * det S_t with
+S_t = (e^{-t Omega})[1:, 1:], and as tr Omega = 0, Jacobi's
+complementary-minor identity reads det S_t off one matrix entry:
 
-    pdet(N_t) = det D' * det S_t,   S_t = (e^{-t Omega})[1:, 1:].
+    det S_t = (e^{t Omega})_00 = sum_j V_0j^2 e^{t w_j},   Omega = V diag(w) V^T.
 
-D' and ell_0 do not depend on t.  The check therefore differentiates
-log det S_t - log(ell_t / ell_0): one eigendecomposition of Omega per K
-gives every e^{-t Omega}, a Cholesky factor gives each log det S_t, and
-the radius enters nowhere.
+One eigendecomposition of Omega per K gives every grid point.  D', the
+radius R and ell_0 are constant in t and drop out, so the check compares
+the Galerkin value e_0^T e^{t Omega} e_0 with the quadrature mean of
+e^{t omega0}, which is ell_t / ell_0.  It measures how well the
+truncation resolves e^{t omega0}; it does not test the DN spectrum,
+which needs a weighted-Steklov det'.
 
 Only the t-derivative is ever tested.  Truncated determinants differ
 from zeta-regularized ones by K-dependent constants, and those constants
@@ -46,12 +49,7 @@ ordered [e_0, c_1, s_1, ..., c_K, s_K].  Multiplication by a real
 trigonometric polynomial is assembled from exact product-to-sum rules in
 this basis (the same operator is Toeplitz in the complex exponential
 basis, with the mean on its diagonal); the radius cancels from every
-matrix element, and for a zero-mean factor the diagonal carries the
-pair +a_{2n}/2, -a_{2n}/2 at (c_n, s_n).  Each entry of the pair is the
-exact float negation of the other, so the diagonal summed in basis
-order cancels to exactly 0.0; reductions that reorder the sum (blocked
-accumulators) see only their own rounding noise, not a defect of the
-matrix.
+matrix element.
 """
 
 from __future__ import annotations
@@ -133,33 +131,26 @@ def _require_cutoff(k) -> None:
         raise DomainError(f"mode cutoff K must be an integer >= 1, got {k}")
 
 
-def _require_disc(geometry) -> None:
-    if not isinstance(geometry, DiscGeometry):
-        raise DomainError(f"geometry must be a DiscGeometry, got {type(geometry).__name__}")
-
-
 def multiplication_matrix(omega0: ConformalFactor, k: int) -> np.ndarray:
     """Matrix of pointwise multiplication by omega0, modes |n| <= K.
 
-    Assembled from exact product-to-sum identities rather than
-    quadrature.  With zero-padded coefficients a, b indexed 0..2K and
-    a_0 = 2 c0, one index rule fills every block (p, q = 1..K):
+    With zero-padded coefficients a, b indexed 0..2K and a_0 = 2 c0, one
+    product-to-sum index rule fills every block (p, q = 1..K):
 
         (c_p, c_q) = (a_|p-q| + a_{p+q}) / 2,
         (s_p, s_q) = (a_|p-q| - a_{p+q}) / 2,
         (c_p, s_q) = (s_q, c_p) = (b_{p+q} + sgn(q - p) b_|p-q|) / 2,
 
-    and the e_0 row and column carry a_m / sqrt(2), b_m / sqrt(2) with
-    c0 at (0, 0).  Every entry is a sum of at most two half-coefficients:
-    the operator is symmetric to the bit, and for zero-mean factors the
-    diagonal cancels in adjacent (c_n, s_n) pairs, making the trace
-    exactly 0.0 when summed in basis order.
+    the e_0 row and column carry a_m / sqrt(2), b_m / sqrt(2), and c0
+    sits at (0, 0).  Each entry is a sum of at most two half-coefficients,
+    so the matrix is symmetric to the bit, and for a zero-mean factor the
+    diagonal pair +-a_{2n}/2 at (c_n, s_n) cancels exactly: the trace
+    summed in basis order is 0.0.
     """
     _require_cutoff(k)
     coeffs = omega0.coefficients
     m = min(omega0.degree, 2 * k)
-    a = np.zeros(2 * k + 1)
-    b = np.zeros(2 * k + 1)
+    a, b = np.zeros((2, 2 * k + 1))
     a[0] = 2.0 * coeffs[0]
     a[1 : m + 1] = coeffs[1 : 2 * m : 2]
     b[1 : m + 1] = coeffs[2 : 2 * m + 1 : 2]
@@ -194,19 +185,20 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     """(K, max |d/dt [log pdet(N_t) - log ell_t]|) for each K in k_values.
 
     The derivative, which the conformal transformation law pins to zero,
-    is taken by central differences of log det S_t - log(ell_t / ell_0)
-    (the module's identity), log det S_t from a Cholesky factor.  The
-    residual measures truncation spill plus rounding and must shrink (or
-    sit at the noise floor) as K grows.  Requires an exactly zero-mean
-    factor (the multiplication-matrix trace then vanishes identically),
-    integers K >= 4 * degree(omega0), so the Fourier coefficients of
+    is taken by central differences of log (e^{t Omega})_00 -
+    log(ell_t / ell_0) (the module's identity).  The residual measures
+    truncation spill plus rounding and must shrink (or sit at the noise
+    floor) as K grows.  Requires an exactly zero-mean factor (the
+    multiplication-matrix trace then vanishes identically), integers
+    K >= 4 * degree(omega0), so the Fourier coefficients of
     e^{t omega0/2} are resolved past their decay scale, and at least 3
     uniformly increasing t values; all are checked before any matrix is
-    built.  A grid so far along the family that S_t is not numerically
-    positive definite, or that e^{-t Omega} overflows, raises
-    TruncationError.  ell_t is computed once per grid point for every K.
+    built.  A grid so far along the family that e^{t Omega} leaves the
+    float range raises TruncationError.  ell_t is computed once per grid
+    point for every K.
     """
-    _require_disc(geometry)
+    if not isinstance(geometry, DiscGeometry):
+        raise DomainError(f"geometry must be a DiscGeometry, got {type(geometry).__name__}")
     if not isinstance(omega0, ConformalFactor):
         raise DomainError(f"omega0 must be a ConformalFactor, got {type(omega0).__name__}")
     if omega0.mean != 0.0:
@@ -229,19 +221,12 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
         raise DomainError("t_grid must be uniformly increasing")
 
     # Overflow far along the family is refused by the finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_ell = [math.log(_mean_exp(omega0, float(t))) for t in grid]
         rows = []
         for k in ks:
             w, vecs = np.linalg.eigh(multiplication_matrix(omega0, k))
-            tail = vecs[1:]
-            values = np.empty(grid.size)
-            for i, t in enumerate(grid):
-                try:
-                    factor = np.linalg.cholesky((tail * np.exp(-t * w)) @ tail.T)
-                except np.linalg.LinAlgError as exc:
-                    raise TruncationError(f"S_t is not numerically positive definite at t = {t}, K = {k}") from exc
-                values[i] = 2.0 * float(np.sum(np.log(np.diagonal(factor)))) - log_ell[i]
+            values = np.log(np.exp(np.outer(grid, w)) @ vecs[0] ** 2) - log_ell
             if not np.all(np.isfinite(values)):
                 raise TruncationError(f"log det S_t - log(ell_t / ell_0) leaves the float range at K = {k}")
             derivatives = (values[2:] - values[:-2]) / (2.0 * h)
