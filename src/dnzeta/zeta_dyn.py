@@ -19,7 +19,9 @@ references define the corresponding function as its square.
 Everything is evaluated in log space with a stable complex log1p, only
 spectrum entries inside the completeness window are used, and every
 value carries a tail bound built from the counting model
-N(l) <= C e^{delta l} beyond that window.  Evaluation outside the
+N(l) <= C e^{delta l} beyond that window.  Ruelle's bound adds the float
+rounding of its sum, 2^-52 M e^{-Re(lambda) l_min} (|lambda| W + n + 4)
+for M classes in n entries up to the window W.  Evaluation outside the
 half-plane Re(lambda) > delta_hint is refused rather than extrapolated:
 continuation below the convergence abscissa is out of scope.  So is
 |Im lambda| l > 2^30 for the longest length l a product uses, where the
@@ -51,7 +53,12 @@ _MAX_PHASE = 2.0**30
 
 @dataclass(frozen=True)
 class ZetaValue:
-    """Log of a zeta product plus an upper bound on what truncation cut."""
+    """Log of a zeta product plus an upper bound on its error.
+
+    tail_bound covers what truncation cut (the counting-model tail and,
+    on the Selberg ladders, the skipped factors); ruelle's also covers
+    the float rounding of the terms it sums.
+    """
 
     log_value: complex
     tail_bound: float
@@ -123,15 +130,21 @@ def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVal
     lam = complex(lam)
     _check_region(lam, delta_hint)
     _check_phase(lam, spectrum.complete_up_to)
+    used = _used_entries(spectrum)
     total = complex(0.0, 0.0)
     n_used = 0
-    for entry in _used_entries(spectrum):
+    for entry in used:
         w = cmath.exp(-lam * entry.length)
         total += entry.multiplicity * _log1p_complex(-w)
         n_used += entry.multiplicity
     tail = _counting_tail(
         n_used, spectrum.complete_up_to, lam.real, float(delta_hint), 1.0
     )
+    if used:
+        # Rounding: every term is at most e^{-Re lambda l_min} in size and
+        # carries |lambda| W ulps from the phase, the sum n more.
+        scale = 2.0**-52 * n_used * math.exp(-lam.real * spectrum.entries[0].length)
+        tail += scale * abs(lam) * spectrum.complete_up_to + scale * (len(used) + 4)
     return ZetaValue(
         log_value=total, tail_bound=tail, convergence_abscissa_used=float(delta_hint)
     )

@@ -455,6 +455,27 @@ def test_admitted_large_phase_stays_within_tail_bound():
         assert abs(diff) <= 1e-8
 
 
+@pytest.mark.parametrize("lam", [10 + 1000j, 8 + 1e6j, 10 + 4j, 12 + 0j])
+def test_ruelle_tail_bound_covers_rounding(lam):
+    # ORACLE: mpmath at 60 digits over the same classes.  Far right the
+    # truncated tail is far below an ulp of the sum (4.4e-30 at 12 against
+    # an error of 1.3e-26), so only a rounding term keeps the bar honest.
+    spec = enumerate_primitive_classes(claims.schottky_pair(), 6.0)
+    with mpmath.workdps(60):
+        z = mpmath.mpc(lam.real, lam.imag)
+        want = complex(
+            sum(
+                e.multiplicity * mpmath.log(1 - mpmath.exp(-z * mpmath.mpf(e.length)))
+                for e in spec.entries
+                if e.length <= spec.complete_up_to
+            )
+        )
+    got = ruelle(spec, lam, 0.7)
+    diff = got.log_value - want
+    diff = complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))
+    assert abs(diff) <= got.tail_bound
+
+
 def test_limit_order_unit_length():
     spec = _cyclic_spectrum(1.0)
     assert ruelle_limit_order(spec, 1.0) == pytest.approx(1.0, rel=1e-10)
