@@ -71,9 +71,6 @@ class MobiusTransform:
     def trace(self) -> float:
         return self.a + self.d
 
-    def is_hyperbolic(self) -> bool:
-        return abs(self.trace) > 2.0 + _TOL
-
     def classify(self) -> str:
         tr = abs(self.trace)
         if tr > 2.0 + _TOL:
@@ -84,23 +81,6 @@ class MobiusTransform:
             return "identity"
         return "parabolic"
 
-    def compose(self, other: "MobiusTransform") -> "MobiusTransform":
-        return MobiusTransform(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __matmul__(self, other: "MobiusTransform") -> "MobiusTransform":
-        return self.compose(other)
-
-    def inverse(self) -> "MobiusTransform":
-        return MobiusTransform(self.d, -self.b, -self.c, self.a)
-
-    def apply(self, z: complex) -> complex:
-        z = complex(z)
-        return (self.a * z + self.b) / (self.c * z + self.d)
 
 
 def translation_length(m: MobiusTransform) -> float:

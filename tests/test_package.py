@@ -17,18 +17,23 @@ def test_every_public_name_resolves():
     assert len(set(dnzeta.__all__)) == len(dnzeta.__all__)
 
 
+def _sources():
+    """(path, syntax tree) of every package module but __init__, and of every bench script."""
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted(BENCH.glob("*.py"))
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in files]
+
+
 def _reached_names():
     """Names each file imports by name, reads as <layer>.<name>, or calls by name.
 
     Returns (imported or read as an attribute anywhere, {module: names called in it}).
     """
     layers = {path.stem for path in PACKAGE.glob("*.py")}
-    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    files += sorted(BENCH.glob("*.py"))
     reached = set()
     called = {}
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in _sources():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 reached.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -54,3 +59,22 @@ def test_every_public_function_is_reached():
         if name not in reached and name not in called.get(home, set()):
             unreached.append(name)
     assert unreached == []
+
+
+def test_every_public_member_is_read():
+    # The same rule one level down: each public method or property a
+    # class in __all__ defines is read as .<name> somewhere in the
+    # package or bench, not only in tests.
+    read = {
+        node.attr for _, tree in _sources() for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    unread = []
+    for name in dnzeta.__all__:
+        cls = getattr(dnzeta, name)
+        if not inspect.isclass(cls):
+            continue
+        for member, value in vars(cls).items():
+            is_method = inspect.isfunction(value) or isinstance(value, (property, staticmethod, classmethod))
+            if is_method and not member.startswith("_") and member not in read:
+                unread.append(f"{name}.{member}")
+    assert unread == []
