@@ -29,7 +29,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .claims import SUITES, k_table
@@ -58,33 +57,6 @@ _KINDS = ("ruelle", "selberg", "selberg-g0")
 _MAX_ROWS = 10_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters; the fingerprint goes into every output."""
-
-    subcommand: str
-    params: dict
-    input_path: str | None = None
-    output_path: str | None = None
-    fmt: str = "json"
-    verbosity: int = 0
-    fingerprint: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.fmt not in ("json", "csv", "plain"):
-            raise DomainError(f"unknown output format {self.fmt!r}")
-        payload = {
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "input": self.input_path,
-            "output": self.output_path,
-            "format": self.fmt,
-        }
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
-        object.__setattr__(self, "fingerprint", digest)
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract reserves
     # 2 for numerical violations, so usage errors are remapped to 1.
@@ -106,14 +78,14 @@ class _Output(NamedTuple):
     code: int = 0
 
 
-def _emit(out: _Output, config: RunConfig) -> None:
-    if config.fmt == "json":
-        doc = dict(out.doc, schema=1, fingerprint=config.fingerprint)
+def _emit(out: _Output, fmt: str, fingerprint: str) -> None:
+    if fmt == "json":
+        doc = dict(out.doc, schema=1, fingerprint=fingerprint)
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    elif config.fmt == "plain":
-        sys.stdout.write("\n".join(out.lines + [f"fingerprint: {config.fingerprint}"]) + "\n")
+    elif fmt == "plain":
+        sys.stdout.write("\n".join(out.lines + [f"fingerprint: {fingerprint}"]) + "\n")
     else:
-        sys.stdout.write(f"# fingerprint: {config.fingerprint}\n" + out.csv)
+        sys.stdout.write(f"# fingerprint: {fingerprint}\n" + out.csv)
 
 
 def _report_doc(report) -> dict:
@@ -209,7 +181,7 @@ def _load_generators(path: str) -> GroupPresentation:
 # ---------------------------------------------------------------- subcommands
 
 
-def _run_annulus(args, config: RunConfig) -> _Output:
+def _run_annulus(args) -> _Output:
     if args.modes is not None and not 0 <= args.modes < _MAX_ROWS:
         raise DomainError(f"--modes must lie in 0..{_MAX_ROWS - 1}, got {args.modes}")
     geom = AnnulusGeometry(args.rho)
@@ -235,13 +207,13 @@ def _run_annulus(args, config: RunConfig) -> _Output:
     return _Output(doc, lines)
 
 
-def _run_disc(args, config: RunConfig) -> _Output:
+def _run_disc(args) -> _Output:
     report = disc_det_prime(args.radius)
     doc = {"subcommand": "disc", "radius": args.radius, "report": _report_doc(report)}
     return _Output(doc, [f"radius = {_fmt(args.radius)}"] + _report_lines(report))
 
 
-def _run_cylinder(args, config: RunConfig) -> _Output:
+def _run_cylinder(args) -> _Output:
     geom = CylinderGeometry(args.ell)
     report = cylinder_det_prime(geom)
     doc = {
@@ -253,7 +225,7 @@ def _run_cylinder(args, config: RunConfig) -> _Output:
     return _Output(doc, lines + _report_lines(report))
 
 
-def _run_spectrum(args, config: RunConfig) -> _Output:
+def _run_spectrum(args) -> _Output:
     group = _load_generators(args.generators)
     if args.cutoff is not None:
         cutoff = float(args.cutoff)
@@ -278,7 +250,7 @@ def _run_spectrum(args, config: RunConfig) -> _Output:
     return _Output(summary, lines)
 
 
-def _run_zeta(args, config: RunConfig) -> _Output:
+def _run_zeta(args) -> _Output:
     grid = _parse_lambda_spec(args.lam)
     spectrum = spectrum_from_json(_read_text(args.spectrum))
     if args.kind == "selberg-g0":
@@ -329,7 +301,7 @@ def _run_zeta(args, config: RunConfig) -> _Output:
     return _Output(doc, lines, "\n".join(csv) + "\n")
 
 
-def _run_detdn(args, config: RunConfig) -> _Output:
+def _run_detdn(args) -> _Output:
     topo = _topology_from_chi(args.chi)
     if args.chi > 0:
         report = theorem2_value(topo)
@@ -345,18 +317,18 @@ def _run_detdn(args, config: RunConfig) -> _Output:
     return _Output(doc, [f"chi = {args.chi}"] + _report_lines(report))
 
 
-def _run_theorem4(args, config: RunConfig) -> _Output:
+def _run_theorem4(args) -> _Output:
     topo = _topology_from_chi(args.chi)
     report = theorem4_pipeline(args.zg1, args.zg01, topo, args.ell)
     doc = {"subcommand": "theorem4", "chi": args.chi, "report": _report_doc(report)}
     return _Output(doc, [f"chi = {args.chi}", f"ell = {_fmt(args.ell)}"] + _report_lines(report))
 
 
-def _run_verify(args, config: RunConfig) -> _Output:
+def _run_verify(args) -> _Output:
     order = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in order:
-        if config.verbosity:
+        if getattr(args, "verbose", 0):
             sys.stderr.write(f"[dnzeta] verify suite {name}\n")
         checks.extend(SUITES[name]())
     all_passed = all(c.passed for c in checks)
@@ -460,35 +432,22 @@ _DISPATCH = {
 }
 
 
-def _config_from_args(args) -> RunConfig:
-    skip = {"subcommand", "format", "verbose"}
-    paths = {"generators", "spectrum", "out"}
-    params = {}
-    input_path = output_path = None
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
+def _format_and_fingerprint(args) -> tuple[str, str]:
+    """Output format and the 12-hex fingerprint of the run parameters, carried by every output."""
+    paths = {"generators": "input", "spectrum": "input", "out": "output"}
+    payload = {"subcommand": args.subcommand, "params": {}, "input": None, "output": None}
+    for key, value in vars(args).items():
         if key in paths:
-            if key == "out":
-                output_path = value
-            else:
-                input_path = value
-            continue
-        params[key] = value
-    fmt = getattr(args, "format", None)
-    if fmt is None:
-        fmt = "plain" if args.subcommand == "verify" else "json"
+            payload[paths[key]] = value
+        elif key not in ("subcommand", "format", "verbose"):
+            payload["params"][key] = value
+    fmt = getattr(args, "format", "plain" if args.subcommand == "verify" else "json")
     csv_ok = args.subcommand == "zeta" or (args.subcommand == "verify" and args.suite in ("numericdn", "all"))
     if fmt == "csv" and not csv_ok:
         raise DomainError("csv output applies to lambda grids and the numericdn table only")
-    return RunConfig(
-        subcommand=args.subcommand,
-        params=params,
-        input_path=input_path,
-        output_path=output_path,
-        fmt=fmt,
-        verbosity=getattr(args, "verbose", 0),
-    )
+    payload["format"] = fmt
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return fmt, hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
 def main(argv=None) -> int:
@@ -499,11 +458,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        if config.verbosity:
-            sys.stderr.write(f"[dnzeta] {args.subcommand} fingerprint={config.fingerprint}\n")
-        out = _DISPATCH[args.subcommand](args, config)
-        _emit(out, config)
+        fmt, fingerprint = _format_and_fingerprint(args)
+        if getattr(args, "verbose", 0):
+            sys.stderr.write(f"[dnzeta] {args.subcommand} fingerprint={fingerprint}\n")
+        out = _DISPATCH[args.subcommand](args)
+        _emit(out, fmt, fingerprint)
         return out.code
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
