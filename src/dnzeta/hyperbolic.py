@@ -82,7 +82,6 @@ class MobiusTransform:
         return "parabolic"
 
 
-
 def translation_length(m: MobiusTransform) -> float:
     """Translation length 2 arccosh(|tr| / 2) of a hyperbolic element."""
     kind = m.classify()
