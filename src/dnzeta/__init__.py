@@ -49,6 +49,7 @@ from dnzeta.zeta_reg import (
 from dnzeta.dn_explicit import (
     AnnulusGeometry,
     CylinderGeometry,
+    DiscGeometry,
     annulus_det_prime,
     annulus_eigenvalues,
     cylinder_det_prime,
@@ -67,7 +68,6 @@ from dnzeta.hyperbolic import (
 )
 from dnzeta.zeta_dyn import (
     ZetaValue,
-    check_rz_identity,
     ruelle,
     ruelle_limit_order,
     selberg,
@@ -86,7 +86,6 @@ from dnzeta.det_engine import (
 )
 from dnzeta.numeric_dn import (
     ConformalFactor,
-    DiscGeometry,
     k_convergence_table,
     multiplication_matrix,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "ZetaValue",
     "annulus_det_prime",
     "annulus_eigenvalues",
-    "check_rz_identity",
     "combine",
     "cylinder_det_prime",
     "cylinder_scattering_mode0",

@@ -36,6 +36,7 @@ from .det_engine import SurfaceTopology, theorem2_value, theorem4_pipeline
 from .dn_explicit import (
     AnnulusGeometry,
     CylinderGeometry,
+    DiscGeometry,
     annulus_det_prime,
     annulus_eigenvalues,
     cylinder_det_prime,
@@ -186,12 +187,8 @@ def _run_annulus(args) -> _Output:
         raise DomainError(f"--modes must lie in 0..{_MAX_ROWS - 1}, got {args.modes}")
     geom = AnnulusGeometry(args.rho)
     report = annulus_det_prime(geom)
-    modes = []
-    if args.modes is not None:
-        modes.append({"n": 0, "eigenvalues": [0.0, (1.0 + geom.rho) / (geom.rho * geom.alpha)]})
-        for n in range(1, args.modes + 1):
-            lam_plus, lam_minus = annulus_eigenvalues(geom, n)
-            modes.append({"n": n, "eigenvalues": [lam_plus, lam_minus]})
+    listed = range(args.modes + 1) if args.modes is not None else ()
+    modes = [{"n": n, "eigenvalues": list(annulus_eigenvalues(geom, n))} for n in listed]
     lines = [f"rho = {_fmt(geom.rho)}", f"boundary_length = {_fmt(geom.boundary_length)}"]
     lines += _report_lines(report)
     for row in modes:
@@ -208,7 +205,7 @@ def _run_annulus(args) -> _Output:
 
 
 def _run_disc(args) -> _Output:
-    report = disc_det_prime(args.radius)
+    report = disc_det_prime(DiscGeometry(args.radius))
     doc = {"subcommand": "disc", "radius": args.radius, "report": _report_doc(report)}
     return _Output(doc, [f"radius = {_fmt(args.radius)}"] + _report_lines(report))
 
@@ -302,17 +299,7 @@ def _run_zeta(args) -> _Output:
 
 
 def _run_detdn(args) -> _Output:
-    topo = _topology_from_chi(args.chi)
-    if args.chi > 0:
-        report = theorem2_value(topo)
-    elif args.chi == 0:
-        if args.ell is None:
-            raise DomainError("chi = 0 (cylinder) needs --ell")
-        report = theorem2_value(topo, ell=args.ell)
-    else:
-        if args.limit is None:
-            raise DomainError("chi < 0 needs --limit from an external continuation")
-        report = theorem2_value(topo, supplied_limit=args.limit)
+    report = theorem2_value(_topology_from_chi(args.chi), ell=args.ell, supplied_limit=args.limit)
     doc = {"subcommand": "detdn", "chi": args.chi, "report": _report_doc(report)}
     return _Output(doc, [f"chi = {args.chi}"] + _report_lines(report))
 

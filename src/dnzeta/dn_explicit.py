@@ -24,7 +24,7 @@ eigenvalue (1+rho)/(rho a); by the additivity lemma this is det' of the
 eigenvalue pairs themselves, and the sequence has no corrections, so the
 truncation term is exactly 0 and the cost does not depend on rho.
 
-Eigenvalues (annulus_eigenvalues only): with t = |n| a,
+Eigenvalues (annulus_eigenvalues only): for n != 0, with t = |n| a,
 
     lam_{n,+} = |n| (1 + eps_+),      eps_+ = e^{-a/2} (cosh(a/2) d1 + d2),
     lam_{n,-} = |n| e^{-a} / (1 + eps_+),
@@ -71,6 +71,20 @@ class AnnulusGeometry:
 
 
 @dataclass(frozen=True)
+class DiscGeometry:
+    """Flat disc |z| < radius; DN spectrum {|n|/radius} on the boundary."""
+
+    radius: float
+    boundary_length: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        r = self.radius
+        if not (r > 0.0 and math.isfinite(1.0 / r) and math.isfinite(_TWO_PI * r)):
+            raise DomainError(f"disc needs radius > 0 with 1 / radius and 2 pi radius finite, got {r}")
+        object.__setattr__(self, "boundary_length", _TWO_PI * r)
+
+
+@dataclass(frozen=True)
 class CylinderGeometry:
     """Hyperbolic cylinder with closed geodesic of length ell."""
 
@@ -104,12 +118,19 @@ def _eps_plus(a: float, n: int) -> float:
 
 
 def annulus_eigenvalues(geom: AnnulusGeometry, n: int) -> tuple[float, float]:
-    """Eigenvalue pair (lam_+, lam_-) of the mode-n block, n != 0."""
+    """Eigenvalue pair (lam_+, lam_-) of the mode-n block; mode 0 is (0, (1+rho)/(rho ln rho))."""
     if n == 0:
-        raise DomainError("mode 0 has eigenvalues 0 and (1+rho)/(rho ln rho)")
+        return 0.0, (1.0 + geom.rho) / (geom.rho * geom.alpha)
     one_p_eps = 1.0 + _eps_plus(geom.alpha, n)
     m = float(abs(n))
     return m * one_p_eps, m * math.exp(-geom.alpha) / one_p_eps
+
+
+def _zeta_report(seq: EigenSequence, boundary_length: float, inputs: dict) -> DetReport:
+    """det' of seq through log_det, normalized by the boundary length."""
+    value = math.exp(log_det(seq).log_value)
+    return DetReport(value=value, ratio=value / boundary_length, method="zeta_pipeline",
+                     inputs=inputs, error_estimate=value * 1e-13)
 
 
 def annulus_det_prime(geom: AnnulusGeometry) -> DetReport:
@@ -118,36 +139,15 @@ def annulus_det_prime(geom: AnnulusGeometry) -> DetReport:
     Closed form: det' N = (2 pi)^2 (1 + rho) / ln rho, so the ratio to
     the boundary length 2 pi (1 + rho) is 2 pi / ln rho.
     """
-    a = geom.alpha
-    head = (((1.0 + geom.rho) / (geom.rho * a), 1),)
-    seq = EigenSequence(power=2.0, prefactor=math.exp(-a), head=head, tail_multiplicity=2)
-    value = math.exp(log_det(seq).log_value)
-    return DetReport(
-        value=value,
-        ratio=value / geom.boundary_length,
-        method="zeta_pipeline",
-        inputs={"rho": geom.rho},
-        error_estimate=value * 1e-13,
-    )
+    head = ((annulus_eigenvalues(geom, 0)[1], 1),)
+    seq = EigenSequence(power=2.0, prefactor=math.exp(-geom.alpha), head=head, tail_multiplicity=2)
+    return _zeta_report(seq, geom.boundary_length, {"rho": geom.rho})
 
 
-def disc_det_prime(radius: float) -> DetReport:
+def disc_det_prime(geom: DiscGeometry) -> DetReport:
     """det' of the disc DN map; spectrum {n / R, multiplicity 2}."""
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise DomainError(f"disc needs radius > 0, got {radius}")
-    boundary = _TWO_PI * radius
-    if not (math.isfinite(1.0 / radius) and math.isfinite(boundary)):
-        raise DomainError(f"disc needs 1 / radius and 2 pi radius finite, got radius = {radius}")
-    seq = EigenSequence(power=1.0, prefactor=1.0 / radius, tail_multiplicity=2)
-    res = log_det(seq)
-    value = math.exp(res.log_value)
-    return DetReport(
-        value=value,
-        ratio=value / boundary,
-        method="zeta_pipeline",
-        inputs={"radius": radius},
-        error_estimate=value * 1e-13,
-    )
+    seq = EigenSequence(power=1.0, prefactor=1.0 / geom.radius, tail_multiplicity=2)
+    return _zeta_report(seq, geom.boundary_length, {"radius": geom.radius})
 
 
 def cylinder_det_prime(geom: CylinderGeometry) -> DetReport:

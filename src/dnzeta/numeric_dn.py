@@ -27,7 +27,8 @@ radius R and ell_0 are constant in t and drop out, so the check compares
 the Galerkin value e_0^T e^{t Omega} e_0 with the quadrature mean of
 e^{t omega0}, which is ell_t / ell_0.  It measures how well the
 truncation resolves e^{t omega0}; it does not test the DN spectrum,
-which needs a weighted-Steklov det'.
+which needs a weighted-Steklov det'.  The disc type is dn_explicit's
+DiscGeometry: its radius is validated there and drops out here.
 
 Only the t-derivative is ever tested.  Truncated determinants differ
 from zeta-regularized ones by K-dependent constants, and those constants
@@ -55,27 +56,15 @@ matrix element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .dn_explicit import DiscGeometry
 from .errors import DomainError, TruncationError
 
 _TWO_PI = 2.0 * math.pi
 _QUAD_NODES = 2048
-
-
-@dataclass(frozen=True)
-class DiscGeometry:
-    """Flat disc |z| < radius; DN spectrum {|n|/radius} on the boundary."""
-
-    radius: float
-    boundary_length: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (self.radius > 0.0 and math.isfinite(_TWO_PI * self.radius)):
-            raise DomainError(f"disc needs radius > 0 and 2 pi radius finite, got {self.radius}")
-        object.__setattr__(self, "boundary_length", _TWO_PI * self.radius)
 
 
 @dataclass(frozen=True)

@@ -191,9 +191,7 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
     """log Z(lambda) = sum_k log R(lambda + k), each factor a ruelle() call.
 
     The ladder stops before m_total e^{-(Re lambda + k) l_min} drops
-    below 1e-16.  Its length is fixed before any factor is evaluated; a
-    ladder over 200000 factors, or over 2000000 entry terms in all, is
-    refused up front with ConvergenceError.
+    below 1e-16; its length and refusal follow the module docstring.
     """
     lam = complex(lam)
     _check_region(lam, delta_hint)
@@ -209,19 +207,6 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
         "Selberg", add_factor, len(used), lam, 1, m_total, l_min,
         m_total, spectrum.complete_up_to, float(delta_hint), 1.0,
     )
-
-
-def check_rz_identity(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> float:
-    """Residual |log R(lambda) - (log Z(lambda) - log Z(lambda + 1))|.
-
-    The ladder telescopes, so the residual stays below the summed tail
-    bounds plus 1e-13 on any spectrum.
-    """
-    lam = complex(lam)
-    r = ruelle(spectrum, lam, delta_hint)
-    z_here = selberg(spectrum, lam, delta_hint)
-    z_next = selberg(spectrum, lam + 1.0, delta_hint)
-    return abs(r.log_value - (z_here.log_value - z_next.log_value))
 
 
 def selberg_boundary(
@@ -270,26 +255,25 @@ def selberg_boundary(
     )
 
 
-def ruelle_limit_order(spectrum: LengthSpectrum, ell: float) -> float:
-    """lim_{mu -> 0} R(mu) / mu^2 for a cyclic (single-geodesic) spectrum.
+def ruelle_limit_order(spectrum: LengthSpectrum) -> float:
+    """lim_{mu -> 0} R(mu) / mu^2 for a cyclic spectrum {(ell, 1) x 2}.
 
+    ell is read from the spectrum, whose lengths must agree to 1e-9 (1 + ell).
     Richardson (Neville) extrapolation of (expm1(-mu ell) / mu)^2 at the
     nodes mu = 1e-2 .. 1e-5; the raw column converges at order mu and
-    the extrapolant reaches the limit ell^2 to 1e-10 relative.
-    Non-cyclic spectra are refused: their limit point sits below the
-    convergence abscissa and would need analytic continuation.
+    the extrapolant reaches the limit ell^2 to 1e-10 relative.  Other
+    spectra are refused: their limit point sits below the convergence
+    abscissa and would need analytic continuation.
     """
-    if not (isinstance(ell, (int, float)) and ell > 0.0 and math.isfinite(ell)):
-        raise DomainError(f"need a positive finite length, got {ell}")
-    ell = float(ell)
-    total_mult = sum(e.multiplicity for e in spectrum.entries)
-    if total_mult != 2 or any(
-        abs(e.length - ell) > 1e-9 * (1.0 + ell) for e in spectrum.entries
+    entries = spectrum.entries
+    if sum(e.multiplicity for e in entries) != 2 or (
+        entries[-1].length - entries[0].length > 1e-9 * (1.0 + entries[0].length)
     ):
         raise DomainError(
             "limit order is defined only for the cyclic spectrum "
             "{(ell, 1) x 2}; non-elementary spectra are refused"
         )
+    ell = entries[0].length
 
     nodes = (1e-2, 1e-3, 1e-4, 1e-5)
     table = [(math.expm1(-mu * ell) / mu) ** 2 for mu in nodes]

@@ -38,16 +38,19 @@ _NOISE_ALLOWANCE = 8.0 * 2.0**-52
 _ZETA_0 = -0.5
 _ZETA_PRIME_0 = -0.5 * math.log(2.0 * math.pi)
 
+# Largest geometric tail C e^{-a N} / (1 - e^{-a}) required_tail_length leaves.
+_TAIL_TOL = 1e-14
 
-def required_tail_length(bound_c: float, decay_a: float, tol: float = 1e-14) -> int:
-    """Smallest N with C e^{-a N} / (1 - e^{-a}) < tol (at least 1)."""
+
+def required_tail_length(bound_c: float, decay_a: float) -> int:
+    """Smallest N with C e^{-a N} / (1 - e^{-a}) < 1e-14 (at least 1)."""
     if not (decay_a > 0.0 and math.isfinite(decay_a)):
         raise InvalidSequenceError(f"decay rate must be positive, got {decay_a}")
     if bound_c < 0.0 or not math.isfinite(bound_c):
         raise InvalidSequenceError(f"decay bound must be finite and >= 0, got {bound_c}")
     if bound_c == 0.0:
         return 1
-    n = (math.log(bound_c) - math.log(tol * -math.expm1(-decay_a))) / decay_a
+    n = (math.log(bound_c) - math.log(_TAIL_TOL * -math.expm1(-decay_a))) / decay_a
     return max(1, math.ceil(n + 1e-12))
 
 

@@ -21,6 +21,7 @@ from dnzeta import claims
 from dnzeta.dn_explicit import (
     AnnulusGeometry,
     CylinderGeometry,
+    DiscGeometry,
     annulus_det_prime,
     cylinder_det_prime,
     disc_det_prime,
@@ -111,7 +112,7 @@ def test_criterion_02_disc_det_prime_equals_boundary_length():
     # and the value itself is the boundary length 2 pi R
     assert_criterion("02")
     for radius in claims.DISC_RADII:
-        report = disc_det_prime(radius)
+        report = disc_det_prime(DiscGeometry(radius))
         assert abs(report.value / (2.0 * math.pi * radius) - 1.0) <= 1e-12
 
 

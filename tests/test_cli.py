@@ -524,6 +524,51 @@ class TestDetSubcommands:
         assert run_cli(capsys, "detdn", "--chi", "0")[0] == 1
         assert run_cli(capsys, "detdn", "--chi", "-1")[0] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--chi", "1", "--ell", "5"),
+            ("--chi", "0", "--ell", "3", "--limit", "7"),
+            ("--chi", "-1", "--limit", "2", "--ell", "3"),
+        ],
+    )
+    def test_detdn_refuses_a_flag_its_chi_does_not_use(self, capsys, argv):
+        code, out, err = run_cli(capsys, "detdn", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    def test_rewired_stdout_is_pinned(self, capsys):
+        # sha256 of json and plain stdout of the subcommands that read the
+        # mode-0 eigenvalue, the disc geometry and theorem2_value's case split
+        cases = {
+            "annulus-2": ("annulus", "--rho", "2", "--modes", "3"),
+            "annulus-1.0001": ("annulus", "--rho", "1.0001", "--modes", "0"),
+            "disc": ("disc", "--radius", "2.5"),
+            "detdn-0": ("detdn", "--chi", "0", "--ell", "3"),
+            "detdn-2": ("detdn", "--chi", "-2", "--limit", "0.125"),
+            "theorem4": ("theorem4", "--zg1", "0.25", "--zg01", "1.5", "--chi", "-1", "--ell", "4"),
+        }
+        digests = {}
+        for key, argv in cases.items():
+            for fmt in ("json", "plain"):
+                code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+                assert code == 0
+                digests[key, fmt] = hashlib.sha256(out.encode()).hexdigest()
+        assert digests == {
+            ("annulus-2", "json"): "73afee6e68e9da3d2e4d0b6ce5af8fc2bce76ebfa1a54bd61f0e63af2b3c5157",
+            ("annulus-2", "plain"): "a669a80488cdd8204c4e1ae40499469db8a2eb29bac6c642b996a849534e3867",
+            ("annulus-1.0001", "json"): "e3406c9851d71be533f6ed453c37b40cc3c9c1d186c8cd37f701adde57179c3f",
+            ("annulus-1.0001", "plain"): "643fae91600873b9392a77c0fcec0222e77b8c9f62583c457b9f61191248ec5a",
+            ("disc", "json"): "78b10de8cabf4bf3e047a9bd2e2d9b0fb5088ac89e5d1b95108def4ea8084a1c",
+            ("disc", "plain"): "23a954377baf91269a2a486afbed67bf21a7ac893ab90fe5d55fcd751ee949e7",
+            ("detdn-0", "json"): "371ced73bac5fbd19375627ca165b385b9497481dce2b6aec021f79528935c60",
+            ("detdn-0", "plain"): "0ae7c530e92e374afee6a060ce46e88eb3e5cc752d2bae0042652e34b38715af",
+            ("detdn-2", "json"): "1557c6bf4738a93890a45aea396a9dc573518a56e2fb81f2961b04be5648d4bb",
+            ("detdn-2", "plain"): "22fd11e400a9598f7499e91923f66272838bcca8a05eae54337f020da2b5865d",
+            ("theorem4", "json"): "a4d63d3a79b42fdbe74f60af8b0d71baaff7316b0a072ece11a10662c277d3c0",
+            ("theorem4", "plain"): "3bbc4ef94a5c782ed0c8221b16f8ed6463b9bc3d7794c47a64452536cd563d0c",
+        }
+
     def test_theorem4_two_path(self, capsys):
         code, out, _ = run_cli(
             capsys, "theorem4", "--zg1", "0.25", "--zg01", "1.5",

@@ -190,7 +190,7 @@ def test_theorem2_matches_limit_order_route():
     # (2/pi) lim R(mu)/mu^2 = det'(N); rescaling by boundary/(2 ell)
     # and normalizing reproduces the cylinder case.
     for ell in (1.0, 2.5):
-        lim = ruelle_limit_order(_cyclic_spectrum(ell), ell)
+        lim = ruelle_limit_order(_cyclic_spectrum(ell))
         det_prime = (2.0 / math.pi) * lim
         assert det_prime == pytest.approx(2.0 * ell**2 / math.pi, rel=1e-10)
         boundary = 2.0 * ell

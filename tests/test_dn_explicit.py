@@ -6,9 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from dnzeta import numeric_dn
 from dnzeta.dn_explicit import (
     AnnulusGeometry,
     CylinderGeometry,
+    DiscGeometry,
     annulus_det_prime,
     annulus_eigenvalues,
     cylinder_det_prime,
@@ -16,6 +18,7 @@ from dnzeta.dn_explicit import (
     disc_det_prime,
 )
 from dnzeta.errors import DomainError, PoleError
+from dnzeta.zeta_reg import EigenSequence, log_det
 
 TWO_PI = 2.0 * math.pi
 
@@ -190,9 +193,17 @@ def test_eigenvalue_product_and_positivity():
         assert annulus_eigenvalues(g, -n) == (lam_plus, lam_minus)
 
 
-def test_eigenvalues_reject_mode_zero():
-    with pytest.raises(DomainError):
-        annulus_eigenvalues(AnnulusGeometry(rho=2.0), 0)
+def test_eigenvalues_mode_zero():
+    # The constant mode pairs the kernel 0 with (1+rho)/(rho ln rho), the
+    # one head eigenvalue annulus_det_prime regularizes: dividing out the
+    # det' of its n >= 1 blocks leaves that eigenvalue.
+    for rho in (1.0001, 2.0, 100.0):
+        g = AnnulusGeometry(rho=rho)
+        pair = annulus_eigenvalues(g, 0)
+        assert pair == (0.0, (1.0 + rho) / (rho * math.log(rho)))
+        blocks = EigenSequence(power=2.0, prefactor=math.exp(-g.alpha), tail_multiplicity=2)
+        head = annulus_det_prime(g).value / math.exp(log_det(blocks).log_value)
+        assert head == pytest.approx(pair[1], rel=1e-13)
 
 
 def test_annulus_det_prime_frozen_value():
@@ -238,16 +249,21 @@ def test_annulus_det_prime_random_moduli():
 
 @pytest.mark.parametrize("radius", [0.5, 1.0, 7.0])
 def test_disc_det_prime(radius):
-    report = disc_det_prime(radius)
+    report = disc_det_prime(DiscGeometry(radius))
     assert report.value == pytest.approx(TWO_PI * radius, rel=1e-12)
     assert report.ratio == pytest.approx(1.0, rel=1e-12)
     assert report.method == "zeta_pipeline"
 
 
-@pytest.mark.parametrize("radius", [0.0, -2.0, math.inf])
+@pytest.mark.parametrize("radius", [0.0, -2.0, math.inf, math.nan, 1e-320, 1e308])
 def test_disc_det_prime_rejects_bad_radius(radius):
+    # one rule: radius > 0 with 1 / radius and 2 pi radius finite
     with pytest.raises(DomainError):
-        disc_det_prime(radius)
+        disc_det_prime(DiscGeometry(radius))
+
+
+def test_numeric_dn_shares_the_disc_type():
+    assert numeric_dn.DiscGeometry is DiscGeometry
 
 
 def test_cylinder_det_prime_closed_form():

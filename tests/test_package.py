@@ -1,6 +1,7 @@
 """Tests for the package's public surface."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -78,3 +79,31 @@ def test_every_public_member_is_read():
             if is_method and not member.startswith("_") and member not in read:
                 unread.append(f"{name}.{member}")
     assert unread == []
+
+
+def test_every_default_is_set():
+    # A default of a public function or dataclass parameter that no call
+    # in the package (not __init__) or bench passes, by keyword or by
+    # position, is a constant in disguise: a value only tests change.
+    calls = {}
+    for _, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for name in dnzeta.__all__:
+        obj = getattr(dnzeta, name)
+        if not (inspect.isfunction(obj) or dataclasses.is_dataclass(obj)):
+            continue
+        for index, param in enumerate(inspect.signature(obj).parameters.values()):
+            if param.default is inspect.Parameter.empty:
+                continue
+            positional = param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            if not any(
+                any(kw.arg in (param.name, None) for kw in call.keywords)
+                or (positional and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)))
+                for call in calls.get(name, ())
+            ):
+                unset.append(f"{name}.{param.name}")
+    assert unset == []

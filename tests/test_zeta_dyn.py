@@ -19,7 +19,6 @@ from dnzeta.hyperbolic import (
 )
 from dnzeta.zeta_dyn import (
     ZetaValue,
-    check_rz_identity,
     ruelle,
     ruelle_limit_order,
     selberg,
@@ -278,23 +277,27 @@ def test_selberg_telescoping_example():
     assert gap <= r.tail_bound + z3.tail_bound + z4.tail_bound
 
 
+def _rz(spec, lam, delta_hint):
+    """R(lam), Z(lam), Z(lam + 1) and the residual |log R - (log Z(lam) - log Z(lam + 1))|."""
+    r = ruelle(spec, lam, delta_hint)
+    z1 = selberg(spec, lam, delta_hint)
+    z2 = selberg(spec, lam + 1.0, delta_hint)
+    return r, z1, z2, abs(r.log_value - (z1.log_value - z2.log_value))
+
+
 def test_rz_identity_cyclic_tight():
-    spec = _cyclic_spectrum(2.0)
-    assert check_rz_identity(spec, 1.0, 0.0) <= 1e-14
+    assert _rz(_cyclic_spectrum(2.0), 1.0, 0.0)[3] <= 1e-14
 
 
 def test_rz_identity_empty_is_zero():
-    assert check_rz_identity(_empty_spectrum(), 2.0, 0.0) == 0.0
+    assert _rz(_empty_spectrum(), 2.0, 0.0)[3] == 0.0
 
 
 def test_rz_identity_schottky_within_bounds():
     grp = _schottky_pair()
     spec = enumerate_primitive_classes(grp, 10.0)
     for lam in (1.5, 2.0, 3.0):
-        resid = check_rz_identity(spec, lam, DELTA_PAIR)
-        r = ruelle(spec, lam, DELTA_PAIR)
-        z1 = selberg(spec, lam, DELTA_PAIR)
-        z2 = selberg(spec, lam + 1.0, DELTA_PAIR)
+        r, z1, z2, resid = _rz(spec, lam, DELTA_PAIR)
         assert resid <= r.tail_bound + z1.tail_bound + z2.tail_bound + 1e-13
 
 
@@ -303,10 +306,7 @@ def test_rz_identity_random_lambdas():
     rng = np.random.default_rng(20260818)
     for _ in range(25):
         lam = complex(0.6 + 3.0 * rng.random(), 2.0 * rng.random() - 1.0)
-        resid = check_rz_identity(spec, lam, 0.0)
-        r = ruelle(spec, lam, 0.0)
-        z1 = selberg(spec, lam, 0.0)
-        z2 = selberg(spec, lam + 1.0, 0.0)
+        r, z1, z2, resid = _rz(spec, lam, 0.0)
         assert resid <= r.tail_bound + z1.tail_bound + z2.tail_bound + 1e-13
 
 
@@ -478,12 +478,12 @@ def test_ruelle_tail_bound_covers_rounding(lam):
 
 def test_limit_order_unit_length():
     spec = _cyclic_spectrum(1.0)
-    assert ruelle_limit_order(spec, 1.0) == pytest.approx(1.0, rel=1e-10)
+    assert ruelle_limit_order(spec) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_limit_order_longer_geodesic():
     spec = _cyclic_spectrum(2.5)
-    assert ruelle_limit_order(spec, 2.5) == pytest.approx(6.25, rel=1e-10)
+    assert ruelle_limit_order(spec) == pytest.approx(6.25, rel=1e-10)
 
 
 def test_limit_order_accepts_split_multiplicity():
@@ -496,7 +496,7 @@ def test_limit_order_accepts_split_multiplicity():
         cutoff=8.0,
         complete_up_to=8.0,
     )
-    assert ruelle_limit_order(spec, ell) == pytest.approx(ell**2, rel=1e-10)
+    assert ruelle_limit_order(spec) == pytest.approx(ell**2, rel=1e-10)
 
 
 def test_limit_order_extrapolation_is_order_mu():
@@ -516,15 +516,22 @@ def test_limit_order_refuses_non_cyclic():
     grp = _schottky_pair()
     spec = enumerate_primitive_classes(grp, 8.0)
     with pytest.raises(DomainError):
-        ruelle_limit_order(spec, 2.0)
+        ruelle_limit_order(spec)
+    with pytest.raises(DomainError):
+        ruelle_limit_order(_empty_spectrum())
 
 
-def test_limit_order_refuses_mismatched_length():
-    spec = _cyclic_spectrum(2.0)
-    with pytest.raises(DomainError):
-        ruelle_limit_order(spec, 2.5)
-    with pytest.raises(DomainError):
-        ruelle_limit_order(spec, -1.0)
+def test_limit_order_reads_ell_from_the_spectrum():
+    # Two single classes count as the cyclic pair only while their
+    # lengths agree to the tie slack 1e-9 (1 + ell).
+    def pair(second):
+        entries = (SpectrumEntry(length=2.0, multiplicity=1), SpectrumEntry(length=second, multiplicity=1))
+        return LengthSpectrum(entries=entries, cutoff=8.0, complete_up_to=8.0)
+
+    assert ruelle_limit_order(pair(2.0 + 1e-9)) == pytest.approx(4.0, rel=1e-9)
+    for second in (2.0 + 4e-9, 2.5):
+        with pytest.raises(DomainError):
+            ruelle_limit_order(pair(second))
 
 
 def test_zeta_values_deterministic():
