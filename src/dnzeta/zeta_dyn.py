@@ -31,17 +31,26 @@ Z and Z_g0 share one ladder: its length follows from the stop rule
 before any factor is evaluated, and a ladder longer than 200000
 factors, or one whose factors together take more than 2000000 entry
 terms, is refused up front with ConvergenceError.
+
+A ladder (and R, a ladder of one factor) is evaluated as numpy blocks
+of factors x entries, at most 2^14 terms each.  numpy builds the
+arguments, but log1p and atan2 are libm's, mapped over each block:
+numpy's own differ from them in the last bit.  The terms are summed
+left to right in the order of the scalar loop (entry by entry, R
+factor by factor), so the values are the same to the bit.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .hyperbolic import LengthSpectrum
 
+_BLOCK_TERMS = 2**14
 _FACTOR_FLOOR = 1e-16
 _MAX_FACTORS = 200_000
 _MAX_ENTRY_TERMS = 2_000_000
@@ -75,12 +84,52 @@ class ZetaValue:
             raise DomainError("convergence_abscissa_used must be finite")
 
 
-def _log1p_complex(u: complex) -> complex:
-    """log(1 + u), accurate for small |u|; exactly real on the real line."""
+def _libm(f, *args: np.ndarray) -> np.ndarray:
+    flat = (x.ravel().tolist() for x in args)
+    return np.fromiter(map(f, *flat), float, args[0].size).reshape(args[0].shape)
+
+
+def _log1p_block(u: np.ndarray) -> np.ndarray:
+    """log(1 + u) elementwise, accurate for small |u|: for u = a + ib,
+    0.5 log1p(2a + a^2 + b^2) + i atan2(b, 1 + a), and log1p(a) where b == 0."""
     a, b = u.real, u.imag
-    if b == 0.0:
-        return complex(math.log1p(a), 0.0)
-    return complex(0.5 * math.log1p(2.0 * a + a * a + b * b), math.atan2(b, 1.0 + a))
+    on_axis = b == 0.0
+    re = _libm(math.log1p, np.where(on_axis, a, 2.0 * a + a * a + b * b))
+    im = np.zeros(u.shape)
+    im[~on_axis] = _libm(math.atan2, b[~on_axis], 1.0 + a[~on_axis])
+    return np.stack([np.where(on_axis, re, 0.5 * re), im], axis=-1).view(complex)[..., 0]
+
+
+def _fold(start: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Each row of block summed left to right onto its entry of start."""
+    return np.cumsum(np.column_stack([start, block]), axis=1)[:, -1]
+
+
+def _sum_blocks(terms, width: int, lam: complex, step: int, n: int, per_factor: bool) -> complex:
+    """Sum terms(shifts, cols) over the factors at lambda + step k, k < n,
+    and the entry columns 0..width-1, in blocks of at most _BLOCK_TERMS.
+
+    The order is that of the scalar loop: row by row, each left to right.
+    per_factor sums each row from zero first and then the row sums, as Z
+    sums its R factors; otherwise one running total crosses the rows.
+    """
+    rows = max(1, _BLOCK_TERMS // max(width, 1))
+    cols = max(1, _BLOCK_TERMS // rows)
+    total = complex(0.0, 0.0)
+    for k0 in range(0, n, rows):
+        shifts = lam + step * np.arange(k0, min(k0 + rows, n))[:, None]
+        sums = np.zeros(len(shifts), complex) if per_factor else np.array([total])
+        for c0 in range(0, width, cols):
+            block = terms(shifts, slice(c0, c0 + cols))
+            sums = _fold(sums, block if per_factor else block.reshape(1, -1))
+        total = _fold([total], sums[None, :])[0] if per_factor else sums[0]
+    return complex(total)
+
+
+def _ruelle_terms(used):
+    lengths = np.array([e.length for e in used])
+    mults = np.array([float(e.multiplicity) for e in used])
+    return lambda shifts, cols: mults[cols] * _log1p_block(-np.exp(-shifts * lengths[cols]))
 
 
 def _check_region(lam: complex, delta_hint: float) -> None:
@@ -131,12 +180,8 @@ def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVal
     _check_region(lam, delta_hint)
     _check_phase(lam, spectrum.complete_up_to)
     used = _used_entries(spectrum)
-    total = complex(0.0, 0.0)
-    n_used = 0
-    for entry in used:
-        w = cmath.exp(-lam * entry.length)
-        total += entry.multiplicity * _log1p_complex(-w)
-        n_used += entry.multiplicity
+    total = _sum_blocks(_ruelle_terms(used), len(used), lam, 1, 1, False)
+    n_used = sum(e.multiplicity for e in used)
     tail = _counting_tail(
         n_used, spectrum.complete_up_to, lam.real, float(delta_hint), 1.0
     )
@@ -151,15 +196,16 @@ def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVal
 
 
 def _ladder(
-    name: str, add_factor, entries: int, lam: complex, step: int, m_crit: int,
+    name: str, terms, entries: int, lam: complex, step: int, m_crit: int,
     l_min: float, m_tail: int, window: float, delta: float, weight: float,
+    per_factor: bool = False,
 ) -> ZetaValue:
     """Sum the factors at lambda + step k for k < n, n being the first k
     with m_crit e^{-(Re lambda + step k) l_min} < 1e-16; n is fixed, and
     refused above _MAX_FACTORS or when n times the entries each factor
     sums exceeds _MAX_ENTRY_TERMS, before any factor is evaluated.
 
-    add_factor(shift, total) adds one factor's log to the running total.
+    terms and per_factor are as in _sum_blocks, over `entries` columns.
     The tail bound adds each factor's counting tail (m_tail classes of
     the given weight), the skipped factors and their counting tails.
     """
@@ -174,10 +220,9 @@ def _ladder(
             f"{name} ladder needs {n} factors of {entries} entries, more than "
             f"{_MAX_ENTRY_TERMS} entry terms; refused"
         )
-    logs = complex(0.0, 0.0)
+    logs = _sum_blocks(terms, entries, lam, step, n, per_factor)
     tails = 0.0
     for k in range(n):
-        logs = add_factor(lam + step * k, logs)
         tails += _counting_tail(m_tail, window, s + step * k, delta, weight)
     if m_crit:
         x = math.exp(-(s + step * n) * l_min)
@@ -188,7 +233,7 @@ def _ladder(
 
 
 def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaValue:
-    """log Z(lambda) = sum_k log R(lambda + k), each factor a ruelle() call.
+    """log Z(lambda) = sum_k log R(lambda + k), each factor summed as ruelle() sums it.
 
     The ladder stops before m_total e^{-(Re lambda + k) l_min} drops
     below 1e-16; its length and refusal follow the module docstring.
@@ -199,13 +244,9 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
     used = _used_entries(spectrum)
     m_total = sum(e.multiplicity for e in used)
     l_min = min((e.length for e in used), default=math.inf)
-
-    def add_factor(shift: complex, total: complex) -> complex:
-        return total + ruelle(spectrum, shift, delta_hint).log_value
-
     return _ladder(
-        "Selberg", add_factor, len(used), lam, 1, m_total, l_min,
-        m_total, spectrum.complete_up_to, float(delta_hint), 1.0,
+        "Selberg", _ruelle_terms(used), len(used), lam, 1, m_total, l_min,
+        m_total, spectrum.complete_up_to, float(delta_hint), 1.0, per_factor=True,
     )
 
 
@@ -238,19 +279,20 @@ def selberg_boundary(
     ]
     m_interior = sum(m for _, _, m in used)
     l_min = min(lengths + [l for _, l, _ in used], default=math.inf)
+    # Boundary columns first, as 2 log(1 - e^{-shift l}); then each entry's
+    # m (log(1 - sign e^{-shift l}) + log(1 - e^{-(shift + 1) l})).
+    signs, lens, weights = np.array([(-1.0, l, 2.0) for l in lengths] + used).reshape(-1, 3).T
+    interior = np.arange(len(lens)) >= len(lengths)
 
-    def add_factor(shift: complex, total: complex) -> complex:
-        for l in lengths:
-            total += 2.0 * _log1p_complex(-cmath.exp(-shift * l))
-        for sign, l, m in used:
-            first = _log1p_complex(sign * cmath.exp(-shift * l))
-            second = _log1p_complex(-cmath.exp(-(shift + 1.0) * l))
-            total += m * (first + second)
-        return total
+    def terms(shifts, at):
+        l = lens[at]
+        first = _log1p_block(signs[at] * np.exp(-shifts * l))
+        second = _log1p_block(-np.exp(-(shifts + 1.0) * l))
+        return weights[at] * np.where(interior[at], first + second, first)
 
     m_crit = 2 * len(lengths) + 2 * m_interior
     return _ladder(
-        "boundary", add_factor, len(lengths) + len(used), lam, 2, m_crit, l_min,
+        "boundary", terms, len(lengths) + len(used), lam, 2, m_crit, l_min,
         m_interior, spectrum.complete_up_to, float(delta_hint), 2.0,
     )
 

@@ -3,6 +3,8 @@
 import cmath
 import math
 import time
+import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -212,12 +214,17 @@ def _spectrum_with_short_length():
 
 
 def test_selberg_refuses_long_ladder_before_any_factor(monkeypatch):
+    # Six entries: 200000 factors of them stay under the entry-term cap,
+    # so the factor cap alone refuses, before the block evaluator (every
+    # term of every factor passes through it) sees a factor.
+    spec = LengthSpectrum(entries=_spectrum_with_short_length().entries[:6], cutoff=4.0, complete_up_to=4.0)
+
     def no_factor(*args):
         raise AssertionError("a ladder factor was evaluated")
 
-    monkeypatch.setattr(zeta_dyn, "ruelle", no_factor)
-    with pytest.raises(ConvergenceError, match="Selberg ladder"):
-        selberg(_spectrum_with_short_length(), 0.5, 0.0)
+    monkeypatch.setattr(zeta_dyn, "_log1p_block", no_factor)
+    with pytest.raises(ConvergenceError, match="Selberg ladder needs more than 200000 factors"):
+        selberg(spec, 0.5, 0.0)
 
 
 def test_boundary_zeta_refuses_long_ladder_up_front():
@@ -242,14 +249,124 @@ def test_ladders_refuse_too_many_entry_terms_up_front(monkeypatch):
     def no_factor(*args):
         raise AssertionError("a ladder factor was evaluated")
 
-    monkeypatch.setattr(zeta_dyn, "ruelle", no_factor)
-    monkeypatch.setattr(zeta_dyn, "_log1p_complex", no_factor)
+    monkeypatch.setattr(zeta_dyn, "_log1p_block", no_factor)
     start = time.perf_counter()
     with pytest.raises(ConvergenceError, match="Selberg ladder .* entry terms"):
         selberg(spec, 0.5, 0.0)
     with pytest.raises(ConvergenceError, match="boundary ladder .* entry terms"):
         selberg_boundary([1.0], spec, 0.5, 0.0)
     assert time.perf_counter() - start < 0.5
+
+
+def test_selberg_ladder_memory_is_bounded():
+    # 20000 entries from l = 1 at lambda = 1.5: 46 factors, 920000 entry
+    # terms.  Evaluated as one array, this ladder peaks at 57 MB traced.
+    entries = tuple(SpectrumEntry(length=1.0 + 1e-4 * i, multiplicity=1) for i in range(20000))
+    spec = LengthSpectrum(entries=entries, cutoff=3.0, complete_up_to=3.0)
+    tracemalloc.start()
+    try:
+        selberg(spec, 1.5, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def _log1p_complex(u):
+    """log(1 + u), accurate for small |u|; exactly real on the real line."""
+    a, b = u.real, u.imag
+    if b == 0.0:
+        return complex(math.log1p(a), 0.0)
+    return complex(0.5 * math.log1p(2.0 * a + a * a + b * b), math.atan2(b, 1.0 + a))
+
+
+def _reference_ruelle(spectrum, lam):
+    """log R by the scalar loop: one cmath.exp and one log1p per entry."""
+    total = complex(0.0, 0.0)
+    for entry in zeta_dyn._used_entries(spectrum):
+        total += entry.multiplicity * _log1p_complex(-cmath.exp(-lam * entry.length))
+    return total
+
+
+def _reference_ladder_length(lam, step, m_crit, l_min):
+    n = 0
+    while m_crit and m_crit * math.exp(-(lam.real + step * n) * l_min) >= 1e-16:
+        n += 1
+    return n
+
+
+def _reference_selberg(spectrum, lam):
+    """log Z as a ruelle() sum per factor, the factors added in turn."""
+    used = zeta_dyn._used_entries(spectrum)
+    l_min = min((e.length for e in used), default=math.inf)
+    logs = complex(0.0, 0.0)
+    for k in range(_reference_ladder_length(lam, 1, sum(e.multiplicity for e in used), l_min)):
+        logs = logs + _reference_ruelle(spectrum, lam + k)
+    return logs
+
+
+def _reference_selberg_boundary(boundary, spectrum, lam):
+    """log Z_g0 with one running total over factors, boundary lengths, entries."""
+    used = [
+        (-1.0 if e.reflections % 2 == 0 else 1.0, e.length, e.multiplicity)
+        for e in zeta_dyn._used_entries(spectrum)
+    ]
+    m_crit = 2 * len(boundary) + 2 * sum(m for _, _, m in used)
+    l_min = min(boundary + [l for _, l, _ in used], default=math.inf)
+    total = complex(0.0, 0.0)
+    for k in range(_reference_ladder_length(lam, 2, m_crit, l_min)):
+        shift = lam + 2 * k
+        for l in boundary:
+            total += 2.0 * _log1p_complex(-cmath.exp(-shift * l))
+        for sign, l, m in used:
+            first = _log1p_complex(sign * cmath.exp(-shift * l))
+            second = _log1p_complex(-cmath.exp(-(shift + 1.0) * l))
+            total += m * (first + second)
+    return total
+
+
+def _oracle_cases():
+    """Seeded spectra, each with entries past its window, at 18 lambdas."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for i, re in enumerate((0.7, 3.0, 800.0) * 6):
+        im = (0.0, -0.0, 50.0, -50.0, 1e5, -1e5)[i // 3]
+        l_min = (0.05, 0.4, 1.2)[(i + i // 3) % 3]
+        lengths = np.sort(l_min + 4.0 * rng.random(int(rng.integers(25, 41))))
+        lengths[0] = l_min
+        entries = tuple(
+            SpectrumEntry(length=float(l), multiplicity=int(rng.integers(1, 4)), reflections=int(rng.integers(0, 6)))
+            for l in lengths
+        )
+        window = l_min + 3.0
+        boundary = [float(l) for l in 0.3 + 2.5 * rng.random(int(rng.integers(0, 3)))]
+        spec = LengthSpectrum(entries=entries, cutoff=window + 1.0, complete_up_to=window)
+        cases.append((spec, complex(re, im), boundary))
+    return cases
+
+
+def test_block_evaluation_is_bit_identical_to_scalar_loops(monkeypatch):
+    cases = _oracle_cases()
+    def selberg_terms(spec, lam):
+        used = zeta_dyn._used_entries(spec)
+        return len(used) * _reference_ladder_length(lam, 1, sum(e.multiplicity for e in used), used[0].length)
+
+    # l_min 0.05 at Re lambda 0.7 makes Selberg ladders of more than one block
+    assert max(selberg_terms(spec, lam) for spec, lam, _ in cases) > zeta_dyn._BLOCK_TERMS
+    # and at Re lambda 800 the longer entries underflow exp
+    assert any(cmath.exp(-lam * spec.entries[-1].length) == 0.0 for spec, lam, _ in cases)
+    want = [
+        (_reference_ruelle(spec, lam), _reference_selberg(spec, lam), _reference_selberg_boundary(b, spec, lam))
+        for spec, lam, b in cases
+    ]
+    # at 24 terms a block holds several short rows or part of a long one
+    for block_terms in (zeta_dyn._BLOCK_TERMS, 24):
+        monkeypatch.setattr(zeta_dyn, "_BLOCK_TERMS", block_terms)
+        for (spec, lam, boundary), values in zip(cases, want):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = (ruelle(spec, lam, 0.0), selberg(spec, lam, 0.0), selberg_boundary(boundary, spec, lam, 0.0))
+            assert [repr(v.log_value) for v in got] == [repr(v) for v in values]
 
 
 def test_selberg_positivity_real_lambda():
