@@ -87,7 +87,6 @@ from dnzeta.det_engine import (
 from dnzeta.numeric_dn import (
     ConformalFactor,
     k_convergence_table,
-    multiplication_matrix,
 )
 
 __version__ = "0.1.0"
@@ -130,7 +129,6 @@ __all__ = [
     "log_det",
     "log_dirichlet_det",
     "log_gamma",
-    "multiplication_matrix",
     "required_tail_length",
     "riemann_zeta",
     "ruelle",

@@ -13,44 +13,49 @@ of that statement: central differences of log pdet(N_t) - log ell_t
 over a t-grid, where pdet is the product of the nonzero eigenvalues of
 the truncated matrix.
 
-No eigensolver touches N_t.  In the basis below N_0 = diag(0, D') with
-D' = diag(1, 1, ..., K, K) / R, and E = e^{-t Omega / 2} (Omega is
-omega0's multiplication matrix at the same K).  So N_t = B^T D' B with
-B = E without its first row, pdet(N_t) = det D' * det S_t with
-S_t = (e^{-t Omega})[1:, 1:], and as tr Omega = 0, Jacobi's
-complementary-minor identity reads det S_t off one matrix entry:
+No matrix of size 2K+1 is built.  In the basis e^{i n theta}, |n| <= K,
+N_0 = diag(|n|) / R and E = e^{-t Omega / 2}, where Omega = Omega_K is
+multiplication by omega0 truncated to the window.  So pdet(N_t) =
+det D' * det S_t with D' = N_0 without its zero mode and
+S_t = (e^{-t Omega}) off the n = 0 row and column, and as tr Omega = 0,
+Jacobi's complementary-minor identity reads det S_t off one entry:
 
-    det S_t = (e^{t Omega})_00 = sum_j V_0j^2 e^{t w_j},   Omega = V diag(w) V^T.
+    det S_t = (e^{t Omega})_00 = e_0^T e^{t Omega} e_0.
 
-One eigendecomposition of Omega per K gives every grid point.  D', the
-radius R and ell_0 are constant in t and drop out, so the check compares
-the Galerkin value e_0^T e^{t Omega} e_0 with the quadrature mean of
-e^{t omega0}, which is ell_t / ell_0.  It measures how well the
-truncation resolves e^{t omega0}; it does not test the DN spectrum,
-which needs a weighted-Steklov det'.  The disc type is dn_explicit's
-DiscGeometry: its radius is validated there and drops out here.
+D', the radius R and ell_0 are constant in t and drop out, so the check
+compares that Galerkin value with the quadrature mean of e^{t omega0},
+which is ell_t / ell_0.  It measures how well the truncation resolves
+e^{t omega0}; it does not test the DN spectrum, which needs a
+weighted-Steklov det'.  The disc type is dn_explicit's DiscGeometry: its
+radius is validated there and drops out here.
+
+The entry is a Gauss quadrature (Golub and Welsch, Math. Comp. 23, 1969;
+Golub and Meurant, Matrices, Moments and Quadrature, 2010).  Omega
+applies to a vector as the banded convolution with the 2m + 1 complex
+Fourier coefficients c_hat of omega0 (degree m), and Lanczos from e_0
+gives a j x j Jacobi matrix whose eigenvalues theta_i and squared first
+eigenvector components w_i make e_0^T e^{t Omega} e_0 = sum_i w_i
+e^{t theta_i}.  The error of that rule is at most
+|t|^2j e^{|t| r} beta_1^2 ... beta_j^2 / (2j)!, with r = sum |c_hat| >=
+||Omega|| and t the grid's largest |t|; the mean is zero, so the entry
+is >= 1 (Jensen) and the bound is relative.  Lanczos stops when it
+drops below 2^-60, so per K the cost is O(j K m + j^3), not O(K^3).
+
+The first j Lanczos steps never reach a mode past j m, so once
+K >= j m the rule is that of the untruncated operator, and every such K
+reads the same residual to rounding: a ladder of large K shows the
+check's floor, not truncation converging.
 
 Only the t-derivative is ever tested.  Truncated determinants differ
 from zeta-regularized ones by K-dependent constants, and those constants
 cancel in the derivative exactly when omega0 has zero mean (the trace of
-the truncated multiplication matrix then vanishes identically, which is
-the finite-dimensional shadow of the regularized trace of omega0 being
-zero).  Nonzero-mean factors are covered separately by the constant-case
-scaling law, which is exact through the spectral zeta function: the
-circle family {n/R, multiplicity 2} has zeta*(0) = 2 zeta(0) = -1, so
-det'(mu N) = det'(N) / mu while ell scales by mu, leaving det'/ell
-fixed without any truncation argument.
-
-Orthonormal boundary basis on a circle of radius R (arc length ds):
-
-    e_0 = 1/sqrt(2 pi R),   c_n = cos(n theta)/sqrt(pi R),
-                            s_n = sin(n theta)/sqrt(pi R),
-
-ordered [e_0, c_1, s_1, ..., c_K, s_K].  Multiplication by a real
-trigonometric polynomial is assembled from exact product-to-sum rules in
-this basis (the same operator is Toeplitz in the complex exponential
-basis, with the mean on its diagonal); the radius cancels from every
-matrix element.
+the truncated multiplication operator then vanishes identically, which
+is the finite-dimensional shadow of the regularized trace of omega0
+being zero).  Nonzero-mean factors are covered separately by the
+constant-case scaling law, which is exact through the spectral zeta
+function: the circle family {n/R, multiplicity 2} has zeta*(0) =
+2 zeta(0) = -1, so det'(mu N) = det'(N) / mu while ell scales by mu,
+leaving det'/ell fixed without any truncation argument.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from .errors import DomainError, TruncationError
 
 _TWO_PI = 2.0 * math.pi
 _QUAD_NODES = 2048
+_LOG_STOP = -60.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,6 @@ class ConformalFactor:
     def degree(self) -> int:
         return (len(self.coefficients) - 1) // 2
 
-    @property
-    def is_constant(self) -> bool:
-        return all(c == 0.0 for c in self.coefficients[1:])
-
     def evaluate(self, theta):
         """Pointwise values; accepts a scalar or an ndarray of angles."""
         th = np.asarray(theta, dtype=float)
@@ -115,59 +117,50 @@ class ConformalFactor:
         return out
 
 
-def _require_cutoff(k) -> None:
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"mode cutoff K must be an integer >= 1, got {k}")
-
-
-def multiplication_matrix(omega0: ConformalFactor, k: int) -> np.ndarray:
-    """Matrix of pointwise multiplication by omega0, modes |n| <= K.
-
-    With zero-padded coefficients a, b indexed 0..2K and a_0 = 2 c0, one
-    product-to-sum index rule fills every block (p, q = 1..K):
-
-        (c_p, c_q) = (a_|p-q| + a_{p+q}) / 2,
-        (s_p, s_q) = (a_|p-q| - a_{p+q}) / 2,
-        (c_p, s_q) = (s_q, c_p) = (b_{p+q} + sgn(q - p) b_|p-q|) / 2,
-
-    the e_0 row and column carry a_m / sqrt(2), b_m / sqrt(2), and c0
-    sits at (0, 0).  Each entry is a sum of at most two half-coefficients,
-    so the matrix is symmetric to the bit, and for a zero-mean factor the
-    diagonal pair +-a_{2n}/2 at (c_n, s_n) cancels exactly: the trace
-    summed in basis order is 0.0.
-    """
-    _require_cutoff(k)
-    coeffs = omega0.coefficients
-    m = min(omega0.degree, 2 * k)
-    a, b = np.zeros((2, 2 * k + 1))
-    a[0] = 2.0 * coeffs[0]
-    a[1 : m + 1] = coeffs[1 : 2 * m : 2]
-    b[1 : m + 1] = coeffs[2 : 2 * m + 1 : 2]
-    p = np.arange(1, k + 1)
-    diff = np.abs(p[:, None] - p)
-    total = p[:, None] + p
-    mat = np.empty((2 * k + 1, 2 * k + 1))
-    mat[0, 0] = coeffs[0]
-    mat[0, 1::2] = mat[1::2, 0] = a[1 : k + 1] * (1.0 / math.sqrt(2.0))
-    mat[0, 2::2] = mat[2::2, 0] = b[1 : k + 1] * (1.0 / math.sqrt(2.0))
-    mat[1::2, 1::2] = 0.5 * (a[diff] + a[total])
-    mat[2::2, 2::2] = 0.5 * (a[diff] - a[total])
-    mat[1::2, 2::2] = 0.5 * (b[total] + np.sign(p - p[:, None]) * b[diff])
-    mat[2::2, 1::2] = mat[1::2, 2::2].T
-    return mat
-
-
-def _mean_exp(omega0: ConformalFactor, t: float) -> float:
-    """Mean of e^{t omega0} over the circle, so ell_t = _mean_exp * ell_0.
+def _log_lengths(omega0: ConformalFactor, grid: np.ndarray) -> list[float]:
+    """log(ell_t / ell_0) at each t, from one evaluation of omega0 on the quadrature nodes.
 
     Periodic trapezoid rule on 2048 uniform angles, spectrally accurate
     for trigonometric-polynomial exponents: the quadrature error sits
-    far below 1e-12 relative.  A constant factor c gives e^{t c}.
+    far below 1e-12 relative.
     """
-    if omega0.is_constant:
-        return math.exp(t * omega0.mean)
-    theta = np.arange(_QUAD_NODES) * (_TWO_PI / _QUAD_NODES)
-    return float(np.mean(np.exp(t * omega0.evaluate(theta))))
+    omega = omega0.evaluate(np.arange(_QUAD_NODES) * (_TWO_PI / _QUAD_NODES))
+    return [math.log(np.mean(np.exp(t * omega))) for t in grid]
+
+
+def _lanczos(omega0: ConformalFactor, k: int, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lanczos recurrence (alphas, betas) of Omega_K from e_0; betas[-1] is the residual norm.
+
+    Omega_K applies as the banded convolution with c_hat, full
+    reorthogonalization (twice) keeps the basis orthonormal, and the
+    recurrence stops at the first j where the Gauss error bound
+    |t|^2j e^{|t| r} beta_1^2 ... beta_j^2 / (2j)! drops below 2^-60, at
+    j = 2K + 1, or at beta_j = 0.  The bound is summed in logs, so no
+    grid, however far along the family, overflows it.
+    """
+    c = np.array(omega0.coefficients)
+    half = 0.5 * (c[1::2] - 1j * c[2::2])
+    c_hat = np.concatenate((half[::-1].conj(), c[:1], half))
+    log_t = math.log(t_max)
+    log_bound = t_max * float(np.sum(np.abs(c_hat)))
+    basis = [np.zeros(2 * k + 1, complex)]
+    basis[0][k] = 1.0
+    alphas, betas = [], []
+    while True:
+        w = np.convolve(basis[-1], c_hat, mode="same")
+        alphas.append(np.vdot(basis[-1], w).real)
+        q = np.array(basis)
+        for _ in range(2):
+            w -= (q.conj() @ w) @ q
+        betas.append(float(np.linalg.norm(w)))
+        j = len(alphas)
+        if j == 2 * k + 1 or betas[-1] == 0.0:
+            break
+        log_bound += 2.0 * (log_t + math.log(betas[-1])) - math.log(2 * j * (2 * j - 1))
+        if log_bound < _LOG_STOP:
+            break
+        basis.append(w / betas[-1])
+    return np.array(alphas), np.array(betas)
 
 
 def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> tuple[tuple[int, float], ...]:
@@ -177,14 +170,15 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     is taken by central differences of log (e^{t Omega})_00 -
     log(ell_t / ell_0) (the module's identity).  The residual measures
     truncation spill plus rounding and must shrink (or sit at the noise
-    floor) as K grows.  Requires an exactly zero-mean factor (the
-    multiplication-matrix trace then vanishes identically), integers
+    floor) as K grows, until K >= j m, from where every rung reads the
+    same residual (module docstring).  Requires an exactly zero-mean
+    factor (the trace of Omega then vanishes identically), integers
     K >= 4 * degree(omega0), so the Fourier coefficients of
     e^{t omega0/2} are resolved past their decay scale, and at least 3
-    uniformly increasing t values; all are checked before any matrix is
-    built.  A grid so far along the family that e^{t Omega} leaves the
-    float range raises TruncationError.  ell_t is computed once per grid
-    point for every K.
+    uniformly increasing t values; all are checked before any work.  A
+    grid so far along the family that e^{t Omega} leaves the float range
+    raises TruncationError.  ell_t is computed once per grid point for
+    every K, and each K costs one Lanczos run and one j x j eigh.
     """
     if not isinstance(geometry, DiscGeometry):
         raise DomainError(f"geometry must be a DiscGeometry, got {type(geometry).__name__}")
@@ -196,7 +190,8 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     if not ks:
         raise DomainError("k_values must be nonempty")
     for k in ks:
-        _require_cutoff(k)
+        if not (isinstance(k, int) and k >= 1):
+            raise DomainError(f"mode cutoff K must be an integer >= 1, got {k}")
         if k < 4 * omega0.degree:
             raise TruncationError(f"K = {k} is below the required 4 * degree = {4 * omega0.degree}")
     grid = np.asarray(t_grid, dtype=float)
@@ -211,11 +206,14 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
 
     # Overflow far along the family is refused by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_ell = [math.log(_mean_exp(omega0, float(t))) for t in grid]
+        log_ell = _log_lengths(omega0, grid)
+        t_max = float(np.max(np.abs(grid)))
         rows = []
         for k in ks:
-            w, vecs = np.linalg.eigh(multiplication_matrix(omega0, k))
-            values = np.log(np.exp(np.outer(grid, w)) @ vecs[0] ** 2) - log_ell
+            alphas, betas = _lanczos(omega0, k, t_max)
+            jacobi = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+            nodes, vecs = np.linalg.eigh(jacobi)
+            values = np.log(np.exp(np.outer(grid, nodes)) @ vecs[0] ** 2) - log_ell
             if not np.all(np.isfinite(values)):
                 raise TruncationError(f"log det S_t - log(ell_t / ell_0) leaves the float range at K = {k}")
             derivatives = (values[2:] - values[:-2]) / (2.0 * h)

@@ -233,7 +233,7 @@ def _ladder(
 
 
 def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaValue:
-    """log Z(lambda) = sum_k log R(lambda + k), each factor summed as ruelle() sums it.
+    """log Z(lambda) = sum_k log R(lambda + k), each factor a row of _sum_blocks in ruelle()'s order.
 
     The ladder stops before m_total e^{-(Re lambda + k) l_min} drops
     below 1e-16; its length and refusal follow the module docstring.

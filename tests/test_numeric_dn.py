@@ -10,12 +10,7 @@ import pytest
 from dnzeta import claims, numeric_dn
 from dnzeta.dn_explicit import AnnulusGeometry
 from dnzeta.errors import DomainError, TruncationError
-from dnzeta.numeric_dn import (
-    ConformalFactor,
-    DiscGeometry,
-    k_convergence_table,
-    multiplication_matrix,
-)
+from dnzeta.numeric_dn import ConformalFactor, DiscGeometry, k_convergence_table
 from dnzeta.zeta_reg import EigenSequence, log_det, zeta_at_zero
 
 TWO_PI = 2.0 * math.pi
@@ -31,6 +26,49 @@ def _basis_samples(k, theta):
         phi[2 * n - 1] = np.cos(n * theta) / math.sqrt(math.pi)
         phi[2 * n] = np.sin(n * theta) / math.sqrt(math.pi)
     return phi
+
+
+def multiplication_matrix(omega0, k):
+    """Dense oracle: multiplication by omega0 in [e_0, c_1, s_1, ..., c_K, s_K].
+
+    With zero-padded coefficients a, b indexed 0..2K and a_0 = 2 c0, one
+    product-to-sum index rule fills every block (p, q = 1..K):
+
+        (c_p, c_q) = (a_|p-q| + a_{p+q}) / 2,
+        (s_p, s_q) = (a_|p-q| - a_{p+q}) / 2,
+        (c_p, s_q) = (s_q, c_p) = (b_{p+q} + sgn(q - p) b_|p-q|) / 2,
+
+    the e_0 row and column carry a_m / sqrt(2), b_m / sqrt(2), and c0
+    sits at (0, 0).  The package applies the same operator as a
+    convolution in the complex basis and never builds this matrix.
+    """
+    coeffs = omega0.coefficients
+    m = min(omega0.degree, 2 * k)
+    a, b = np.zeros((2, 2 * k + 1))
+    a[0] = 2.0 * coeffs[0]
+    a[1 : m + 1] = coeffs[1 : 2 * m : 2]
+    b[1 : m + 1] = coeffs[2 : 2 * m + 1 : 2]
+    p = np.arange(1, k + 1)
+    diff = np.abs(p[:, None] - p)
+    total = p[:, None] + p
+    mat = np.empty((2 * k + 1, 2 * k + 1))
+    mat[0, 0] = coeffs[0]
+    mat[0, 1::2] = mat[1::2, 0] = a[1 : k + 1] * (1.0 / math.sqrt(2.0))
+    mat[0, 2::2] = mat[2::2, 0] = b[1 : k + 1] * (1.0 / math.sqrt(2.0))
+    mat[1::2, 1::2] = 0.5 * (a[diff] + a[total])
+    mat[2::2, 2::2] = 0.5 * (a[diff] - a[total])
+    mat[1::2, 2::2] = 0.5 * (b[total] + np.sign(p - p[:, None]) * b[diff])
+    mat[2::2, 1::2] = mat[1::2, 2::2].T
+    return mat
+
+
+def _gauss_value(omega0, k, t, t_max, nodes=None):
+    """sum_i w_i e^{t theta_i} of the package's Lanczos rule, or of its first `nodes` steps."""
+    alphas, betas = numeric_dn._lanczos(omega0, k, t_max)
+    j = len(alphas) if nodes is None else nodes
+    jacobi = np.diag(alphas[:j]) + np.diag(betas[: j - 1], 1) + np.diag(betas[: j - 1], -1)
+    theta, vecs = np.linalg.eigh(jacobi)
+    return float(np.exp(t * theta) @ vecs[0] ** 2)
 
 
 def _record(monkeypatch, name):
@@ -57,13 +95,12 @@ def _family(w, k, t):
 # ---------------------------------------------------------------- factors
 
 
-def test_factor_mean_degree_and_constant_flag():
+def test_factor_mean_and_degree():
     w = ConformalFactor((0.25, 0.3, -0.2, 0.0, 0.1))
     assert w.mean == 0.25
     assert w.degree == 2
-    assert not w.is_constant
-    assert ConformalFactor((0.7,)).is_constant
-    assert ConformalFactor((0.0, 0.0, 0.0)).is_constant
+    assert ConformalFactor((0.7,)).degree == 0
+    assert ConformalFactor((0.0, 0.0, 0.0)).degree == 1
 
 
 @pytest.mark.parametrize(
@@ -104,7 +141,7 @@ def test_disc_refuses_overflowing_boundary_length():
 @pytest.mark.parametrize("k", [0, -2, 1.5])
 def test_build_rejects_bad_cutoff(k):
     with pytest.raises(DomainError):
-        multiplication_matrix(ConformalFactor((0.0, 0.3, 0.0)), k)
+        k_convergence_table(DISC, ConformalFactor((0.0, 0.3, 0.0)), np.linspace(0.0, 1.0, 3), (k,))
 
 
 def test_build_rejects_unknown_geometry():
@@ -247,9 +284,9 @@ def test_constant_factor_det_ratio_invariant_through_zeta():
     mu = math.exp(-t * c)
     moved = log_det(EigenSequence(power=1.0, prefactor=mu, tail_multiplicity=2))
     assert moved.log_value - base.log_value == pytest.approx(-math.log(mu), abs=1e-12)
-    w = ConformalFactor((c,))
-    ratio_zero = base.log_value - math.log(numeric_dn._mean_exp(w, 0.0) * DISC.boundary_length)
-    ratio_t = moved.log_value - math.log(numeric_dn._mean_exp(w, t) * DISC.boundary_length)
+    log_zero, log_t = numeric_dn._log_lengths(ConformalFactor((c,)), [0.0, t])
+    ratio_zero = base.log_value - (log_zero + math.log(DISC.boundary_length))
+    ratio_t = moved.log_value - (log_t + math.log(DISC.boundary_length))
     assert ratio_t == pytest.approx(ratio_zero, abs=1e-12)
 
 
@@ -260,16 +297,22 @@ def test_boundary_length_matches_bessel_series():
     # ORACLE: integral of e^{z cos theta} over the circle is
     # 2 pi I_0(z), the modified Bessel series.
     w = ConformalFactor((0.0, 0.3, 0.0))
+    grid = (0.0, 0.3, 1.0)
     for radius in (1.0, 2.5):
         geom = DiscGeometry(radius)
-        for t in (0.0, 0.3, 1.0):
+        for t, log_ratio in zip(grid, numeric_dn._log_lengths(w, grid)):
             series = TWO_PI * radius * float(mpmath.besseli(0, 0.3 * t))
-            assert numeric_dn._mean_exp(w, t) * geom.boundary_length == pytest.approx(series, rel=1e-12)
+            assert math.exp(log_ratio) * geom.boundary_length == pytest.approx(series, rel=1e-12)
 
 
 def test_boundary_length_constant_cases():
-    w = ConformalFactor((0.4,))
-    assert numeric_dn._mean_exp(w, 0.5) == math.exp(0.2)
+    # The zero factor is the one constant the table admits: ell_t = ell_0
+    # and the one-node Gauss rule both give exactly 1.0 at every t, even
+    # on a grid that 0.6 cos theta is refused on.  A nonzero constant is
+    # refused; the scaling law above covers it.
+    assert k_convergence_table(DISC, ConformalFactor((0.0,)), [0.0, 1e3, 2e3], (4,)) == ((4, 0.0),)
+    with pytest.raises(DomainError):
+        k_convergence_table(DISC, ConformalFactor((0.4,)), np.linspace(0.0, 1.0, 3), (4,))
 
 
 # ---------------------------------------------------------------- derivative identity
@@ -296,13 +339,33 @@ def test_derivative_identity_k_table_sits_at_noise_floor():
     assert all(residual <= 1e-9 for _, residual in rows)
 
 
+def _record_lengths(monkeypatch):
+    """List of the grids passed to every numeric_dn._log_lengths call."""
+    grids = []
+    log_lengths = numeric_dn._log_lengths
+
+    def recording(omega0, grid):
+        grids.append(list(grid))
+        return log_lengths(omega0, grid)
+
+    monkeypatch.setattr(numeric_dn, "_log_lengths", recording)
+    return grids
+
+
 def test_derivative_identity_decomposes_the_factor_once(monkeypatch):
-    # one eigh of the multiplication matrix gives every grid point
+    # ell_t once per grid point, and one eigh of the j x j Jacobi matrix
+    # gives every grid point: no eigh argument exceeds the node count.
+    w = ConformalFactor((0.0, 0.3, 0.0))
+    nodes = len(numeric_dn._lanczos(w, 16, 1.0)[0])
+    grids = _record_lengths(monkeypatch)
     eighs = _record(monkeypatch, "eigh")
     choleskys = _record(monkeypatch, "cholesky")
     grid = np.linspace(0.0, 1.0, 7)
-    k_convergence_table(DISC, ConformalFactor((0.0, 0.3, 0.0)), grid, (16,))
-    assert [m.shape for m in eighs] == [(33, 33)]
+    k_convergence_table(DISC, w, grid, (16,))
+    assert grids == [list(grid)]
+    assert nodes <= 12
+    assert [m.shape for m in eighs] == [(nodes, nodes)]
+    assert np.array_equal(eighs[0], np.triu(np.tril(eighs[0], 1), -1))
     assert choleskys == []
 
 
@@ -379,25 +442,95 @@ def test_k_table_checks_every_cutoff_before_any_work(monkeypatch):
 
 
 def test_k_table_one_pass(monkeypatch):
-    # ell_t once per grid point; per K, one eigh of the factor and nothing per t
-    lengths = []
-    mean_exp = numeric_dn._mean_exp
-
-    def counting_mean_exp(omega0, t):
-        lengths.append(t)
-        return mean_exp(omega0, t)
-
-    monkeypatch.setattr(numeric_dn, "_mean_exp", counting_mean_exp)
-    eigh_calls = _record(monkeypatch, "eigh")
-    cholesky_calls = _record(monkeypatch, "cholesky")
+    # ell_t once per grid point for the whole ladder; per K, one eigh of
+    # the Jacobi matrix, no larger than the node count, and nothing per t
     w = ConformalFactor((0.0, 0.3, 0.0))
     grid = np.linspace(0.0, 1.0, 3)
     ladder = (16, 32, 64, 128)
+    nodes = [len(numeric_dn._lanczos(w, k, 1.0)[0]) for k in ladder]
+    grids = _record_lengths(monkeypatch)
+    eigh_calls = _record(monkeypatch, "eigh")
+    cholesky_calls = _record(monkeypatch, "cholesky")
     rows = k_convergence_table(DISC, w, grid, ladder)
-    assert lengths == list(grid)
-    assert [m.shape[0] for m in eigh_calls] == [2 * k + 1 for k in ladder]
+    assert grids == [list(grid)]
+    assert [m.shape[0] for m in eigh_calls] == nodes
+    assert max(nodes) <= 12
     assert cholesky_calls == []
     assert rows == tuple(k_convergence_table(DISC, w, grid, (k,))[0] for k in ladder)
+
+
+def test_k_table_node_count_is_independent_of_k(monkeypatch):
+    # Lanczos from e_0 never reaches a mode past j m, so the rule for
+    # 0.3 cos theta needs as many nodes at K = 4096 as at K = 64, and a
+    # ladder up to 4096 costs about what one rung costs.
+    w = ConformalFactor((0.0, 0.3, 0.0))
+    eigh_calls = _record(monkeypatch, "eigh")
+    rows = k_convergence_table(DISC, w, np.linspace(0.0, 1.0, 5), (64, 4096))
+    assert [k for k, _ in rows] == [64, 4096]
+    assert all(residual <= 1e-14 for _, residual in rows)
+    assert eigh_calls[0].shape == eigh_calls[1].shape
+    assert eigh_calls[0].shape[0] <= 12
+    ladder = (16, 256, 4096)
+    rows = k_convergence_table(DISC, ConformalFactor((0.0, 0.3, -0.2, 0.15, 0.05)), [0.0, 0.5, 1.0], ladder)
+    assert [k for k, _ in rows] == list(ladder)
+    assert all(residual <= 1e-14 for _, residual in rows)
+
+
+@pytest.mark.parametrize("k", [16, 64, 1024])
+def test_gauss_value_matches_bessel_series(k):
+    # ORACLE: e_0^T e^{t Omega} e_0 for a cos theta is the mean of
+    # e^{a t cos theta}, the modified Bessel function I_0(a t), up to a
+    # truncation term of order (a t / 2)^{2K+2} / (2K+2)!, far below
+    # rounding here.
+    for a, grid in ((0.3, (0.0, 1.0, 2.0)), (0.6, (-2.0, 0.5, 3.0)), (1.0, (-4.0, 0.0, 4.0))):
+        w = ConformalFactor((0.0, a, 0.0))
+        t_max = max(abs(t) for t in grid)
+        for t in grid:
+            exact = float(mpmath.besseli(0, a * t))
+            assert _gauss_value(w, k, t, t_max) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def _log_stop_bound(omega0, t_max, betas):
+    """log of |t|^2j e^{|t| r} beta_1^2 ... beta_j^2 / (2j)!, j = len(betas), r = sum |c_hat|."""
+    coeffs = omega0.coefficients
+    radius = sum(math.hypot(a, b) for a, b in zip(coeffs[1::2], coeffs[2::2]))
+    j = len(betas)
+    return t_max * radius + math.fsum(2.0 * math.log(t_max * b) for b in betas) - math.lgamma(2 * j + 1)
+
+
+def test_lanczos_stops_at_the_first_node_count_inside_the_bound():
+    # The rule has j nodes for the first j whose a-priori bound is below
+    # 2^-60, unless the Krylov space ends first (j = 2K + 1 or beta_j = 0).
+    w = ConformalFactor((0.0, 0.3, -0.2, 0.11, 0.07, -0.05, 0.02))
+    log_stop = -60.0 * math.log(2.0)
+    for k in (12, 64):
+        for t_max in (0.05, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 40.0):
+            alphas, betas = numeric_dn._lanczos(w, k, t_max)
+            j = len(alphas)
+            assert len(betas) == j
+            assert all(_log_stop_bound(w, t_max, betas[:i]) >= log_stop for i in range(1, j))
+            assert _log_stop_bound(w, t_max, betas) < log_stop or j == 2 * k + 1 or betas[-1] == 0.0
+
+
+def test_gauss_value_matches_dense_expm_inside_the_stop_bound():
+    # ORACLE: mpmath.expm of the dense product-to-sum matrix at 40 digits.
+    # Every prefix of the Lanczos rule errs by at most its a-priori Gauss
+    # bound |t|^2j e^{|t| r} beta_1^2 ... beta_j^2 / (2j)! plus rounding,
+    # and the rule the package stops at is exact to rounding, at t = 40 too.
+    w = ConformalFactor((0.0, 0.3, -0.2, 0.11, 0.07, -0.05, 0.02))
+    k = 8
+    with mpmath.workdps(40):
+        dense = mpmath.matrix(multiplication_matrix(w, k).tolist())
+        for t_max, ts in ((0.5, (0.5,)), (3.0, (-3.0, 3.0)), (40.0, (40.0,))):
+            alphas, betas = numeric_dn._lanczos(w, k, t_max)
+            for t in ts:
+                exact = float(mpmath.expm(dense * t)[0, 0])
+                assert exact >= 1.0
+                assert _gauss_value(w, k, t, t_max) == pytest.approx(exact, rel=1e-14, abs=0.0)
+                for j in range(1, len(alphas) + 1):
+                    bound = math.exp(min(_log_stop_bound(w, t_max, betas[:j]), 700.0))
+                    error = abs(_gauss_value(w, k, t, t_max, nodes=j) - exact)
+                    assert error <= (bound + 1e-14) * exact
 
 
 def test_k_table_long_grid_sits_at_noise_floor():
