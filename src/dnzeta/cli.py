@@ -229,6 +229,8 @@ def _run_spectrum(args) -> _Output:
     else:
         cutoff = args.max_word_len * _displacement_floor(group.generators)
     spectrum = enumerate_primitive_classes(group, cutoff, max_word_len=args.max_word_len)
+    if getattr(args, "verbose", 0):
+        sys.stderr.write(json.dumps({"subcommand": "spectrum", **spectrum._work}, sort_keys=True) + "\n")
     text = spectrum_to_json(spectrum)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -13,15 +13,25 @@ those words a length at a time, on numpy blocks of prefixes that carry
 their matrix products, and keeps only the classes under the length
 cutoff.  The Schottky screen of GroupPresentation is the same walk to 4
 letters.  Generator i is letter 2i, its inverse letter 2i + 1 = 2i ^ 1.
+
+A GroupPresentation then looks for ping-pong arcs (Borthwick, Spectral
+Theory of Infinite-Area Hyperbolic Surfaces, ch. 15-16; McMullen, Amer.
+J. Math. 120, 1998): disjoint closed arcs D(x), g mapping the outside of
+D(g^-1) onto D(g).  W[u, v], the distance of the boundary geodesics of
+D(u^-1) and D(v), summed over the consecutive letters of a cyclically
+reduced word is at most its length, so below the trie's top levels the walk
+drops prefixes whose W-sum passes the cutoff (plus 1e-9 relative and
+1e-12).  Without arcs W = 0 and nothing is dropped.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,8 +128,9 @@ def _expand(allowed: np.ndarray, words: np.ndarray, periods: np.ndarray):
 def _trie_top(n_letters: int):
     """The allowed table of _expand; the one-letter words as top[0] and, as
     top[n], the _expand step of the length-n words while one block holds
-    them.  A prenecklace has no letter below its first, so the words
-    opening with the last generator's letters are its powers: not grown."""
+    them (and the deepest words' letter pairs x * letters + y).  A prenecklace
+    has no letter below its first, so words opening with the last
+    generator's letters are its powers: not grown."""
     letters = np.arange(n_letters)
     allowed = (letters >= letters[:, None, None]) & (letters != (letters ^ 1)[:, None])
     allowed = allowed.reshape(-1, n_letters)
@@ -127,27 +138,33 @@ def _trie_top(n_letters: int):
     top = [(None, None, words, periods, periods > 0), _expand(allowed, words[:, :-2], periods[:-2])]
     while 0 < len(top[-1][3]) <= _CHUNK:
         top.append(_expand(allowed, *top[-1][2:4]))
+    pairs = np.multiply(top[-1][2][:-1], n_letters, dtype=np.intp) + top[-1][2][1:]
     for array in (array for step in top for array in step if array is not None):
         array.flags.writeable = False
-    return allowed, tuple(top)
+    return allowed, tuple(top), pairs
 
 
 def _primitive_classes(
-    generators: tuple[MobiusTransform, ...], labels: tuple[str, ...], w_max: int, l_max: float
+    generators: tuple[MobiusTransform, ...], labels: tuple[str, ...], w_max: int, l_max: float,
+    step_bounds: np.ndarray | None = None, work: dict | None = None,
 ) -> list[tuple[float, bytes]]:
     """(length, word) of the primitive classes of at most w_max letters and
     length at most l_max (plus the tie slack), in word order.  Blocks of
-    prefixes of one length (words, periods, products as (2, 2, block)) wait
-    on a stack; a step expands at most _CHUNK, updating products entry by
-    entry as a*e + b*g like scalar code.  A product with an inf or NaN entry
-    is not grown: no extension's trace is finite.  The least failing
-    (|tr| <= 2) class word is reported, as a walk in word order meets it."""
-    allowed, top = _trie_top(2 * len(generators))
+    prefixes of one length (words, periods, products as (2, 2, block), sums
+    of step_bounds) wait on a stack; a step expands at most _CHUNK, updating
+    products entry by entry as a*e + b*g like scalar code.  A product with an
+    inf or NaN entry is not grown (no extension's trace is finite), nor a sum
+    past the cutoff.  The least failing (|tr| <= 2) class word is reported,
+    as a walk in word order meets it.  work gets the prefixes expanded."""
+    n_letters = 2 * len(generators)
+    allowed, top, top_pairs = _trie_top(n_letters)
     limit = l_max + _LENGTH_TIE
     # Only traces under this meet the length test (the margin covers rounding).
     trace_cut = 2.0 * math.cosh(min(0.5 * limit, 710.0)) * (1.0 + 1e-6)
     cells = np.array([(g.a, g.d, g.b, -g.b, g.c, -g.c, g.d, g.a) for g in generators])
     prods = letter_mats = cells.reshape(-1, 2, 2, 2).transpose(1, 2, 0, 3).reshape(2, 2, -1)
+    steps = np.zeros(n_letters * n_letters) if step_bounds is None else step_bounds.ravel()
+    prune, bounds, expanded = limit * (1.0 + 1e-9) + 1e-12, np.zeros(n_letters), 0
     (_, _, words, periods, is_class), out, failed, stack = top[0], [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -159,28 +176,115 @@ def _primitive_classes(
                 if (ell := 2.0 * math.acosh(0.5 * t[k])) <= limit:
                     out.append((ell, words[:, k].tobytes()))
             if len(words) < w_max:
-                if len(words) >= len(top) and not np.isfinite(prods).all():
-                    live = np.isfinite(prods).all(axis=(0, 1))
-                    words, periods, prods = words[:, live], periods[live], prods[:, :, live]
+                if len(words) >= len(top):
+                    live = bounds <= prune
+                    if not np.isfinite(prods).all():
+                        live &= np.isfinite(prods).all(axis=(0, 1))
+                    if not live.all():  # take: a boolean index of prods costs more
+                        idx = live.nonzero()[0]
+                        words, periods, prods, bounds = (a.take(idx, -1) for a in (words, periods, prods, bounds))
                 if len(periods):
-                    stack.append((words, periods, prods))
+                    stack.append((words, periods, prods, bounds))
             if not stack:
                 break
-            words, periods, prods = stack.pop()
+            words, periods, prods, bounds = stack.pop()
             if len(periods) > _CHUNK:
-                stack.append((words[:, _CHUNK:], periods[_CHUNK:], prods[:, :, _CHUNK:]))
-                words, periods, prods = words[:, :_CHUNK], periods[:_CHUNK], prods[:, :, :_CHUNK]
+                stack.append((words[:, _CHUNK:], periods[_CHUNK:], prods[..., _CHUNK:], bounds[_CHUNK:]))
+                words, periods, prods, bounds = (a[..., :_CHUNK] for a in (words, periods, prods, bounds))
             n = len(words)
+            expanded += len(periods)
             step = top[n] if n < len(top) else _expand(allowed, words, periods)
             rows, nxt, words, periods, is_class = step
             left, right = prods.take(rows, axis=2), letter_mats.take(nxt, axis=2)
             prods = left[:, :1] * right[:1] + left[:, 1:] * right[1:]
+            if len(top) <= n + 1 < w_max:  # the blocks the next check may prune
+                bounds = (steps.take(top_pairs).sum(axis=0) if n + 1 == len(top) else
+                          bounds.take(rows) + steps.take(np.multiply(words[-2], n_letters, dtype=np.intp) + nxt))
     if failed:
         word, prod = min(failed)
         label = "*".join(labels[x // 2] + "^-1" * (x % 2) for x in word)
         raise DomainError(f"word {label} is {MobiusTransform(*prod).classify()}, not hyperbolic; "
                           "input is not a separated free system")
+    if work is not None:
+        work["prefixes_expanded"] = expanded
     return sorted(out, key=lambda item: item[1])
+
+
+def _frame(g: MobiusTransform):
+    """(C, lam), det C = 1: g is w -> lam w, lam = e^l > 1, in the coordinate
+    w = C^-1(z), where its attracting fixed point is inf and its repelling 0."""
+    big = 0.5 * (g.a + g.d + math.sqrt((g.a + g.d - 2.0) * (g.a + g.d + 2.0)))
+    vectors = (((g.b, ev - g.a), (ev - g.d, g.c)) for ev in (big, 1.0 / big))  # two forms of each eigenvector
+    (p, r), (q, s) = (max(pair, key=lambda v: abs(v[0]) + abs(v[1])) for pair in vectors)
+    k = 1.0 / math.sqrt(abs(p * s - q * r))
+    return (math.copysign(k, p * s - q * r) * p, k * q, math.copysign(k, p * s - q * r) * r, k * s), big * big
+
+
+def _centred(lam: float, arcs) -> list[float] | None:
+    """[alpha, beta] putting the arcs [y1, y2] of generator g's coordinate w
+    mid-way, on a log scale, in the windows (beta, lam beta), (-lam alpha,
+    -alpha) left by D(g^-1) = [-alpha, beta] and D(g) = g of the rest of the
+    line; None with no arc, or if one holds a fixed point, 0 or inf."""
+    sides = ([], [])  # |w| of the arcs' ends on the positive, negative side
+    for y1, y2 in arcs:
+        if not (y1 <= y2 and y1 * y2 > 0.0):
+            return None
+        sides[y1 < 0.0].extend((abs(y1), abs(y2)))
+    fit = [math.sqrt(min(side) * max(side) / lam) if side else None for side in sides]
+    return [fit[1] or fit[0], fit[0] or fit[1]] if any(fit) else None
+
+
+def _ping_pong(generators: tuple[MobiusTransform, ...]) -> np.ndarray | None:
+    """Step bounds W (_arc_bounds) from ping-pong arcs, or None if none found.
+    Each generator starts from the window (_centred) of the other generators'
+    fixed points, then twice over, in turn, takes the window of their arcs.
+    The arcs are checked as angles seen from a point of the first axis."""
+    try:
+        frames = [_frame(g) for g in generators]
+        # others[i] takes each other generator's coordinate to generator i's, in order.
+        others = [[(d * m[0] - b * m[2], d * m[1] - b * m[3], a * m[2] - c * m[0], a * m[3] - c * m[1])
+                   for j, (m, _) in enumerate(frames) if j != i] for i, ((a, b, c, d), _) in enumerate(frames)]
+        windows = [_centred(lam, [(y, y) for m in ms for y in (m[1] / m[3], m[0] / m[2])]) or [1.0, 1.0]
+                   for ms, (_, lam) in zip(others, frames)]
+        for i, (_, lam) in [*enumerate(frames)] * 2:
+            ends = [((-alpha, beta), (lam_j * beta, -lam_j * alpha))
+                    for j, ((_, lam_j), (alpha, beta)) in enumerate(zip(frames, windows)) if j != i]
+            arcs = [((a * w1 + b) / (c * w1 + d), (a * w2 + b) / (c * w2 + d))
+                    for (a, b, c, d), pair in zip(others[i], ends) for w1, w2 in pair]
+            windows[i] = _centred(lam, arcs) or windows[i]
+        arcs = []
+        for g, ((a, b, c, d), _), (alpha, beta) in zip(generators, frames, windows):
+            lo, hi = ((a * w + b, c * w + d) for w in (-alpha, beta))
+            arcs += [[(g.a * x + g.b * y, g.c * x + g.d * y) for x, y in (hi, lo)], [lo, hi]]
+        (a, b, c, d), lam = frames[0]
+        centre = 1j * math.sqrt(windows[0][0] * windows[0][1] * lam)  # on the first axis, between its arcs
+        centre = (a * centre + b) / (c * centre + d)
+        angles = [[2.0 * math.atan2(-centre.imag * y, x - centre.real * y) for x, y in arc] for arc in arcs]
+        return _arc_bounds(angles)
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def _arc_bounds(arcs: list[list[float]]) -> np.ndarray | None:
+    """W[u, v], the distance of the boundary geodesics of D(u^-1) and D(v)
+    less a relative 1e-9, for arcs [start, end] counterclockwise as angles on
+    the circle, one per letter; None unless every arc and gap spans 1e-6 rad,
+    so no arcs meet and rounding stays far inside the margin.  Ptolemy gives
+    sinh^2(d/2) = sin(g1/2) sin(g2/2) / (sin h1 sin h2) for half-widths h and
+    gaps g.  The axis of a cyclically reduced word x_1 ... x_n crosses the
+    nested half-planes x_1 ... x_k H(x_(k+1)): its length is at least
+    sum_k W[x_k, x_(k+1)], taken cyclically."""
+    half = [0.5 * ((end - start) % math.tau) for start, end in arcs]
+    mid = [start + h for (start, _), h in zip(arcs, half)]
+    dist = np.zeros((len(arcs), len(arcs)))
+    for i, j in itertools.combinations(range(len(arcs)), 2):
+        apart = abs((mid[i] - mid[j] + math.pi) % math.tau - math.pi)
+        near, far = apart - half[i] - half[j], math.tau - apart - half[i] - half[j]
+        if not (near > 1e-6 and half[i] > 1e-6 and half[j] > 1e-6):  # false on a NaN as well
+            return None
+        ratio = math.sin(0.5 * near) * math.sin(0.5 * far) / (math.sin(half[i]) * math.sin(half[j]))
+        dist[i, j] = dist[j, i] = 2.0 * math.asinh(math.sqrt(ratio)) * (1.0 - 1e-9)
+    return dist[np.arange(len(arcs)) ^ 1]
 
 
 @dataclass(frozen=True)
@@ -192,12 +296,13 @@ class GroupPresentation:
     separated free system (a relation shows up as an identity word, a
     tangency as a parabolic one).  The screen is the enumerator's own
     block walk to depth 4, keeping no class; the lexicographically least
-    failing word is reported.  It is a heuristic filter, not a ping-pong
-    proof.
+    failing word is reported.  It is a heuristic filter.  Construction then
+    searches for ping-pong arcs; _step_bounds holds their W, or None.
     """
 
     generators: tuple[MobiusTransform, ...]
     labels: tuple[str, ...] = ()
+    _step_bounds: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gens = tuple(self.generators)
@@ -213,6 +318,7 @@ class GroupPresentation:
             raise DomainError("labels must be distinct")
         object.__setattr__(self, "labels", labels)
         _primitive_classes(gens, labels, 4, 0.0)
+        object.__setattr__(self, "_step_bounds", _ping_pong(gens))
 
 
 @dataclass(frozen=True)
@@ -255,6 +361,7 @@ class LengthSpectrum:
     entries: tuple[SpectrumEntry, ...]
     cutoff: float
     complete_up_to: float
+    _work: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
@@ -309,7 +416,9 @@ def enumerate_primitive_classes(
     complete_up_to = min(l_max, depth * d) is a heuristic: no class
     shorter than it is proven present.  A depth whose reduced words number
     more than 5,000,000 is refused with EnumerationBudgetError before
-    any word is built.
+    any word is built.  A ping-pong certificate lets the walk skip prefixes
+    whose extensions all pass l_max.  The spectrum's _work records the
+    certificate, its least W, the depth, prefixes expanded, classes kept.
     """
     if not (isinstance(l_max, (int, float)) and l_max > 0.0 and math.isfinite(l_max)):
         raise DomainError(f"l_max must be positive and finite, got {l_max}")
@@ -327,7 +436,11 @@ def enumerate_primitive_classes(
             f"word depth {w_max} needs more than {_WORD_BUDGET} words; "
             f"deepest affordable depth was {affordable}"
         )
-    classes = _primitive_classes(group.generators, group.labels, w_max, l_max)
+    bounds, letters = group._step_bounds, np.arange(2 * len(group.generators))
+    work = {"certificate": "none" if bounds is None else "ping-pong", "depth": w_max,
+            "min_w": 0.0 if bounds is None else float(bounds[letters != (letters ^ 1)[:, None]].min())}
+    classes = _primitive_classes(group.generators, group.labels, w_max, l_max, bounds, work)
+    work["classes_kept"] = len(classes)
     classes.sort()
     entries = []
     i = 0
@@ -338,11 +451,9 @@ def enumerate_primitive_classes(
             j += 1
         entries.append(SpectrumEntry(length=base, multiplicity=j - i))
         i = j
-    return LengthSpectrum(
-        entries=tuple(entries),
-        cutoff=l_max,
-        complete_up_to=min(l_max, w_max * d_min),
-    )
+    spectrum = LengthSpectrum(entries=tuple(entries), cutoff=l_max, complete_up_to=min(l_max, w_max * d_min))
+    object.__setattr__(spectrum, "_work", work)
+    return spectrum
 
 
 def spectrum_to_json(spectrum: LengthSpectrum) -> str:

@@ -210,10 +210,14 @@ def _ladder(
     the given weight), the skipped factors and their counting tails.
     """
     s = lam.real
-    n = 0
-    while m_crit and m_crit * math.exp(-(s + step * n) * l_min) >= _FACTOR_FLOOR:
-        if n == _MAX_FACTORS:
-            raise ConvergenceError(f"{name} ladder needs more than {n} factors; refused")
+    wanted = lambda k: m_crit * math.exp(-(s + step * k) * l_min) >= _FACTOR_FLOOR
+    if wanted(_MAX_FACTORS):
+        raise ConvergenceError(f"{name} ladder needs more than {_MAX_FACTORS} factors; refused")
+    # the closed form, then the rule's own float test (monotone in k) at n - 1 and n
+    n = min(max(0, math.ceil((math.log(m_crit / _FACTOR_FLOOR) / l_min - s) / step)), _MAX_FACTORS) if m_crit else 0
+    while n > 0 and not wanted(n - 1):
+        n -= 1
+    while wanted(n):
         n += 1
     if n * entries > _MAX_ENTRY_TERMS:
         raise ConvergenceError(
@@ -222,8 +226,11 @@ def _ladder(
         )
     logs = _sum_blocks(terms, entries, lam, step, n, per_factor)
     tails = 0.0
-    for k in range(n):
-        tails += _counting_tail(m_tail, window, s + step * k, delta, weight)
+    for k in range(n):  # the tails fall with k far faster than rounding moves them,
+        tail = _counting_tail(m_tail, window, s + step * k, delta, weight)
+        if tails + tail == tails:  # so once one leaves the sum as it is, so does every later one
+            break
+        tails += tail
     if m_crit:
         x = math.exp(-(s + step * n) * l_min)
         tails += 2.0 * m_crit * x / -math.expm1(-step * l_min)

@@ -281,6 +281,27 @@ class TestSpectrumSubcommand:
         assert err.startswith("EnumerationBudgetError: word depth 14 needs more than 5000000 words")
         assert not out_path.exists()
 
+    def test_verbose_reports_the_walk_on_stderr_only(self, capsys, tmp_path):
+        gens = write_generator_pair(tmp_path / "gens.json")
+        out_path = tmp_path / "spectrum.json"
+        argv = ("spectrum", "--generators", gens, "--max-word-len", "8", "--out", str(out_path))
+        code, quiet_out, quiet_err = run_cli(capsys, *argv)
+        quiet_file = out_path.read_bytes()
+        assert (code, quiet_err) == (0, "")
+        code, loud_out, loud_err = run_cli(capsys, *argv, "-v")
+        assert code == 0
+        # stdout, and with it the fingerprint, and the spectrum file are unchanged
+        assert loud_out == quiet_out and out_path.read_bytes() == quiet_file
+        fingerprint, record = loud_err.splitlines()
+        assert fingerprint == f"[dnzeta] spectrum fingerprint={json.loads(quiet_out)['fingerprint']}"
+        work = json.loads(record)
+        assert work == {
+            "subcommand": "spectrum", "certificate": "ping-pong", "depth": 8,
+            "min_w": work["min_w"], "prefixes_expanded": work["prefixes_expanded"],
+            "classes_kept": json.loads(quiet_out)["total_multiplicity"],
+        }
+        assert 0.5 < work["min_w"] < 2.0 and 0 < work["prefixes_expanded"] < 2000
+
     def test_one_generator_deep_walk_exits_cleanly(self, capsys, tmp_path):
         # depth 3000 on one dilation of length 2 used to end in an
         # uncaught RecursionError; only g and g^-1 are primitive

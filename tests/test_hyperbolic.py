@@ -1,5 +1,6 @@
 """Tests for the isometry and length-spectrum machinery."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -557,3 +558,141 @@ def test_length_spectrum_validation():
         LengthSpectrum(entries=(e1,), cutoff=5.0, complete_up_to=7.0)
     with pytest.raises(DomainError):
         SpectrumEntry(length=1.0, multiplicity=2, reflections=-1)
+
+
+# ---------------------------------------------------------------- ping-pong pruning
+
+
+def _bench_pair(la, lb, p, q):
+    # A dilation of length la and one of length lb on the axis (p, q), as
+    # the schottky-build workload draws them.
+    ea, eb = math.exp(0.5 * la), math.exp(0.5 * lb)
+    m2 = ((q * eb - p / eb) / (q - p), (p * q / eb - q * p * eb) / (q - p),
+          (eb - 1.0 / eb) / (q - p), (q / eb - p * eb) / (q - p))
+    return (MobiusTransform(ea, 0.0, 0.0, 1.0 / ea), MobiusTransform(*m2))
+
+
+@functools.cache
+def _pruning_groups():
+    """(group, depth): the fixed schottky-build pair, 209 screened draws of
+    its kind, ten random three-generator groups, the separated triple and
+    the claims pair."""
+    rng = np.random.default_rng(2026)
+    groups = [(GroupPresentation(_bench_pair(3.0, 3.0, -5.0, 0.2)), 9)]
+    while len(groups) < 210:
+        la, lb = rng.uniform(1.0, 4.0, 2)
+        p, q = -math.exp(rng.uniform(math.log(0.2), math.log(5.0))), math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+        try:
+            groups.append((GroupPresentation(_bench_pair(la, lb, p, q)), 8))
+        except DomainError:
+            pass
+    while len(groups) < 220:
+        (p1, q1), (p2, q2) = np.sort(rng.uniform(-6.0, 6.0, (2, 2)), axis=1)
+        la, lb, lc = rng.uniform(1.5, 5.0, 3)
+        try:
+            groups.append((GroupPresentation(_bench_pair(la, lb, p1, q1) + _bench_pair(la, lc, p2, q2)[1:]), 7))
+        except DomainError:
+            pass
+    groups.append((GroupPresentation(_separated_generators(3)), 7))
+    groups.append((claims.schottky_pair(), 10))
+    return groups
+
+
+def _unpruned(group):
+    # The private hook: the same group with every step bound zeroed.
+    bare = GroupPresentation(group.generators, group.labels)
+    object.__setattr__(bare, "_step_bounds", None if group._step_bounds is None else 0.0 * group._step_bounds)
+    return bare
+
+
+def _enumerated(group, l_max, depth):
+    """Spectrum bytes and prefixes expanded, or the refusal."""
+    try:
+        spec = enumerate_primitive_classes(group, l_max, max_word_len=depth)
+    except DomainError as exc:
+        return str(exc), 0
+    return spectrum_to_json(spec), spec._work["prefixes_expanded"]
+
+
+def test_pruned_walk_writes_the_unpruned_bytes():
+    certified = expanded = unpruned_expanded = refused = 0
+    for index, (group, depth) in enumerate(_pruning_groups()):
+        cutoff = depth * hyperbolic._displacement_floor(group.generators)
+        for l_max in (cutoff, 1.5 * cutoff)[: 1 + (depth != 8 or index % 5 == 0)]:
+            (got, work), (want, unpruned_work) = _enumerated(group, l_max, depth), _enumerated(_unpruned(group), l_max, depth)
+            assert got == want
+            refused += not work
+            if l_max == cutoff and group._step_bounds is not None:
+                expanded, unpruned_expanded = expanded + work, unpruned_expanded + unpruned_work
+        certified += group._step_bounds is not None
+    # most groups carry a certificate, some do not (some of those are
+    # refused past the screen's 4 letters), and at the CLI's default cutoff
+    # the certified ones expand fewer than half the prefixes
+    assert 150 <= certified < 220 and refused > 0
+    assert expanded < unpruned_expanded / 2
+
+
+def _cyclically_reduced_words(n_letters, max_len):
+    """Every cyclically reduced word of 1..max_len letters, one array per length."""
+    words, out = np.arange(n_letters)[:, None], []
+    for length in range(1, max_len + 1):
+        if length > 1:
+            rows, nxt = (np.arange(n_letters) != (words[:, -1:] ^ 1)).nonzero()
+            words = np.column_stack([words[rows], nxt])
+        out.append(words[words[:, -1] != words[:, 0] ^ 1])
+    return out
+
+
+def _bound_slack(group, bounds, max_len):
+    """Least brute-force translation length minus cyclic W-sum over the words."""
+    mats = np.array([m for g in group.generators for m in ([[g.a, g.b], [g.c, g.d]], [[g.d, -g.b], [-g.c, g.a]])])
+    worst = math.inf
+    for words in _cyclically_reduced_words(len(mats), max_len):
+        prod = mats[words[:, 0]]
+        for column in words.T[1:]:
+            prod = prod @ mats[column]
+        lengths = 2.0 * np.arccosh(0.5 * np.abs(np.trace(prod, axis1=1, axis2=2)))
+        sums = bounds[words, np.roll(words, -1, axis=1)].sum(axis=1)
+        worst = min(worst, float((lengths - sums).min()))
+    return worst
+
+
+def _bound_groups():
+    groups = [group for group, depth in _pruning_groups()[:40] + _pruning_groups()[-12:] if group._step_bounds is not None]
+    # one generator: the arcs sit square to the axis, so W equals the length
+    # up to the margin, for every power of the generator
+    groups += [GroupPresentation((_dilation(l),)) for l in np.linspace(0.37, 9.1, 25)]
+    return groups
+
+
+def test_step_bounds_hold_for_every_short_word():
+    for group in _bound_groups():
+        assert group._step_bounds is not None
+        assert _bound_slack(group, group._step_bounds, 7) >= 0.0
+
+
+def test_transposed_or_unshrunk_bounds_break_a_check():
+    groups = _bound_groups()
+    # W[u, v] read as W[v, u] bounds the reversed word, which has the same
+    # trace as the word itself in a two-generator group, but not in a
+    # three-generator one
+    triples = [g for g in groups if len(g.generators) == 3]
+    assert min(_bound_slack(g, g._step_bounds.T, 5) for g in triples) < 0.0
+    # without the 1e-9 margin, rounding puts some power's W-sum above its length
+    singles = [g for g in groups if len(g.generators) == 1]
+    assert min(_bound_slack(g, g._step_bounds / (1.0 - 1e-9), 7) for g in singles) < 0.0
+
+
+def test_touching_arcs_are_not_certified():
+    # Four arcs of half-width 0.5 about 0, pi/2, pi and 3 pi/2: gaps of
+    # pi/2 - 1.  Closing one gap to 1e-7 or 0 refuses the certificate.
+    arcs = [[c - 0.5, c + 0.5] for c in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)]
+    assert hyperbolic._arc_bounds(arcs) is not None
+    for gap in (1e-7, 0.0, -1e-3):
+        touching = [list(arc) for arc in arcs]
+        touching[1][0] = arcs[0][1] + gap
+        assert hyperbolic._arc_bounds(touching) is None
+    # an arc that meets itself around the circle, or one of 1e-7 rad, is no arc
+    assert hyperbolic._arc_bounds([[0.0, 2.0 * math.pi - 1e-7], [1.0, 2.0]]) is None
+    assert hyperbolic._arc_bounds([[0.0, 1e-7], [1.0, 2.0]]) is None
+    assert hyperbolic._arc_bounds([[0.0, 1.0], [2.0, 3.0], [math.nan, 4.0], [5.0, 6.0]]) is None

@@ -272,6 +272,161 @@ def test_selberg_ladder_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
+def _reference_ladder(name, terms, entries, lam, step, m_crit, l_min, m_tail, window, delta, weight,
+                      per_factor=False):
+    """zeta_dyn._ladder as two Python loops: the stop rule stepped k by k, one
+    scalar counting tail per factor."""
+    s = lam.real
+    n = 0
+    while m_crit and m_crit * math.exp(-(s + step * n) * l_min) >= 1e-16:
+        if n == zeta_dyn._MAX_FACTORS:
+            raise ConvergenceError(f"{name} ladder needs more than {n} factors; refused")
+        n += 1
+    if n * entries > zeta_dyn._MAX_ENTRY_TERMS:
+        raise ConvergenceError(
+            f"{name} ladder needs {n} factors of {entries} entries, more than "
+            f"{zeta_dyn._MAX_ENTRY_TERMS} entry terms; refused"
+        )
+    logs = zeta_dyn._sum_blocks(terms, entries, lam, step, n, per_factor)
+    tails = 0.0
+    for k in range(n):
+        tails += zeta_dyn._counting_tail(m_tail, window, s + step * k, delta, weight)
+    if m_crit:
+        x = math.exp(-(s + step * n) * l_min)
+        tails += 2.0 * m_crit * x / -math.expm1(-step * l_min)
+    tail_n = zeta_dyn._counting_tail(m_tail, window, s + step * n, delta, weight)
+    tails += tail_n / -math.expm1(-step * window)
+    return ZetaValue(log_value=logs, tail_bound=tails, convergence_abscissa_used=delta)
+
+
+def _ladder_outcomes(cases):
+    """repr of each Selberg and boundary value, or the refusal's message."""
+    out = []
+    for spec, lam, delta, boundary in cases:
+        for call in (lambda: selberg(spec, lam, delta), lambda: selberg_boundary(boundary, spec, lam, delta)):
+            try:
+                out.append(repr(call()))
+            except ConvergenceError as exc:
+                out.append(f"refused: {exc}")
+    return out
+
+
+def test_ladder_bookkeeping_matches_the_reference_loops(monkeypatch):
+    # Seeded spectra whose ladders run from none (Re lambda 60) to past the
+    # caps, which are lowered so that a ladder of 30-80 factors meets them.
+    rng = np.random.default_rng(17)
+    cases = []
+    for i in range(160):
+        l_min = float(np.exp(rng.uniform(np.log(0.3), np.log(3.0))))
+        lengths = np.sort(l_min + 3.0 * rng.random(int(rng.integers(1, 9))))
+        lengths[0] = l_min
+        entries = tuple(
+            SpectrumEntry(length=float(l), multiplicity=int(rng.integers(1, 5)), reflections=int(rng.integers(0, 4)))
+            for l in lengths
+        )
+        window = float(lengths[-1]) if i % 3 else l_min + 1.0
+        spec = LengthSpectrum(entries=entries, cutoff=window + 1.0, complete_up_to=window)
+        delta = (0.0, 0.4, 0.9)[i % 3]
+        lam = complex(delta + float(np.exp(rng.uniform(np.log(0.01), np.log(60.0)))), (0.0, 3.0, -40.0)[i % 3])
+        cases.append((spec, lam, delta, [float(l) for l in 0.2 + 2.0 * rng.random(int(rng.integers(0, 3)))]))
+    cases.append((_empty_spectrum(), complex(2.0, 0.0), 0.0, []))
+    monkeypatch.setattr(zeta_dyn, "_MAX_FACTORS", 60)
+    monkeypatch.setattr(zeta_dyn, "_MAX_ENTRY_TERMS", 300)
+    got = _ladder_outcomes(cases)
+    monkeypatch.setattr(zeta_dyn, "_ladder", _reference_ladder)
+    want = _ladder_outcomes(cases)
+    assert got == want
+    # the lowered caps refuse some ladders of each kind and pass others
+    for kind in ("factors", "entry terms"):
+        assert any(w.startswith("refused") and w.endswith(f"{kind}; refused") for w in want)
+    assert sum(not w.startswith("refused") for w in want) > len(want) // 2
+
+
+def _one_entry_outcomes(m_crit, l_min, shifts):
+    """selberg and the reference loops on one entry at each real lambda: repr or refusal."""
+    spec = LengthSpectrum(entries=(SpectrumEntry(length=l_min, multiplicity=m_crit),), cutoff=3.0, complete_up_to=3.0)
+    out = []
+    for s in (s for s in shifts if s > 0.0):
+        for call in (
+            lambda: selberg(spec, s, 0.0),
+            lambda: _reference_ladder("Selberg", zeta_dyn._ruelle_terms(spec.entries), 1, complex(s, 0.0), 1,
+                                      m_crit, l_min, m_crit, 3.0, 0.0, 1.0, per_factor=True),
+        ):
+            try:
+                out.append(repr(call()))
+            except ConvergenceError as exc:
+                out.append(str(exc))
+    return out[0::2], out[1::2]
+
+
+def test_ladder_length_is_the_loop_length_at_every_rounding(monkeypatch):
+    # n from the closed form is the first k where the stop rule's float test
+    # fails, also where the closed form sits on an integer.  The terms are
+    # stubbed out; the value then carries n.
+    monkeypatch.setattr(zeta_dyn, "_sum_blocks", lambda terms, width, lam, step, n, per_factor: complex(n, step))
+    for m_crit in (1, 3, 6, 1000):
+        for l_min in (0.01, 0.7, 2.0):
+            target = math.log(m_crit / 1e-16) / l_min
+            got, want = _one_entry_outcomes(m_crit, l_min, (
+                0.5, 1.0, target - 40.0, target - 40.0 + 1e-9, target + 3.0, math.nextafter(target, 0.0),
+            ))
+            assert got == want
+    # ladders of 59 to 62 factors against a cap of 60
+    monkeypatch.setattr(zeta_dyn, "_MAX_FACTORS", 60)
+    for m_crit in (1, 3, 6, 1000):
+        target = math.log(m_crit / 1e-16) / 0.01
+        got, want = _one_entry_outcomes(m_crit, 0.01, [target - k + 0.5 for k in range(59, 63)])
+        assert got == want and sum(w.endswith("refused") for w in want) == 2
+
+
+def _six_entry_ladder():
+    # l_min 2.5e-4 at lambda 0.5: 154532 factors of six entries
+    entries = (SpectrumEntry(length=2.5e-4, multiplicity=1),) + tuple(
+        SpectrumEntry(length=1.0 + 0.05 * i, multiplicity=1) for i in range(5)
+    )
+    return LengthSpectrum(entries=entries, cutoff=4.0, complete_up_to=4.0)
+
+
+def test_long_ladder_bookkeeping_is_quick(monkeypatch):
+    # The terms themselves (927192 libm log1p calls) are stubbed out: what is
+    # timed is the ladder length and the counting tails, for which two
+    # Python loops took about 0.13 s.  The tails stop once one no longer
+    # moves their sum, a few dozen factors in.
+    spec = _six_entry_ladder()
+    ladders, tails = [], []
+    counting_tail = zeta_dyn._counting_tail
+
+    def no_terms(terms, width, lam, step, n, per_factor):
+        ladders.append(n)
+        return complex(0.0, 0.0)
+
+    def counted(*args):
+        tails.append(args[2])
+        return counting_tail(*args)
+
+    monkeypatch.setattr(zeta_dyn, "_sum_blocks", no_terms)
+    monkeypatch.setattr(zeta_dyn, "_counting_tail", counted)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        selberg(spec, 0.5, 0.0)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1
+    assert ladders == [154532] * 3 and len(tails) < 3 * 100
+
+
+def test_factor_cap_refusal_is_one_comparison():
+    # l = 1e-5 asks for 3.7 million factors: refused without stepping to 200000
+    spec = LengthSpectrum(entries=(SpectrumEntry(length=1e-5, multiplicity=1),), cutoff=1.0, complete_up_to=1.0)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="^Selberg ladder needs more than 200000 factors; refused$"):
+            selberg(spec, 0.5, 0.0)
+        best = min(best, time.perf_counter() - start)
+    assert best < 1e-3
+
+
 def _log1p_complex(u):
     """log(1 + u), accurate for small |u|; exactly real on the real line."""
     a, b = u.real, u.imag
