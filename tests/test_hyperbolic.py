@@ -632,6 +632,20 @@ def test_pruned_walk_writes_the_unpruned_bytes():
     assert expanded < unpruned_expanded / 2
 
 
+def test_walk_grows_exactly_the_prefixes_within_the_cutoff():
+    # The rule alone, with a made-up W (integer steps, not a length bound):
+    # a class comes out iff the prefix it grows from is in the trie's top or
+    # has a W-sum within l_max; sums of exactly l_max are kept.
+    gens = _schottky_pair(3.0, 3.0, -5.0, 0.2).generators
+    unpruned = _primitive_classes(gens, "ab", 9, 13.0)
+    top = len(hyperbolic._trie_top(4)[1])
+    steps = np.random.default_rng(3).integers(1, 4, (4, 4)).astype(float)
+    want = [(ell, word) for ell, word in unpruned
+            if len(word) - 1 < top or sum(steps[x, y] for x, y in zip(word[:-1], word[1:-1])) <= 13.0]
+    assert any(len(word) - 1 >= top for _, word in want) and len(want) < len(unpruned)
+    assert _primitive_classes(gens, "ab", 9, 13.0, steps) == want
+
+
 def _cyclically_reduced_words(n_letters, max_len):
     """Every cyclically reduced word of 1..max_len letters, one array per length."""
     words, out = np.arange(n_letters)[:, None], []
