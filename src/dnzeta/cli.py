@@ -271,6 +271,9 @@ def _run_zeta(args) -> _Output:
         else:
             zv = selberg_boundary(boundary, spectrum, lam, args.delta_hint)
         rows.append((lam, zv))
+        if getattr(args, "verbose", 0):
+            record = {"subcommand": "zeta", "lambda": {"re": lam.real, "im": lam.imag}, **zv._work}
+            sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
 
     doc = {
         "subcommand": "zeta",

@@ -35,7 +35,10 @@ terms, is refused up front with ConvergenceError.
 A ladder (and R, a ladder of one factor) is evaluated as numpy blocks
 of factors x entries, at most 2^14 terms each.  numpy builds the
 arguments, but log1p and atan2 are libm's, mapped over each block:
-numpy's own differ from them in the last bit.  The terms are summed
+numpy's own differ from them in the last bit.  A term whose real and
+imaginary parts are both below 2^-60 in size skips libm, as libm would
+return its argument (log1p(x) = x, and atan2(x, 1.0) = x), so most
+terms of a long ladder cost no Python-level call.  The terms are summed
 left to right in the order of the scalar loop (entry by entry, R
 factor by factor), so the values are the same to the bit.
 """
@@ -43,7 +46,7 @@ factor by factor), so the values are the same to the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +61,10 @@ _WINDOW_SLACK = 1e-9
 # Largest |Im lambda| * l admitted: half an ulp of the phase is 2^-23 rad
 # at 2^30; at Im lambda = 1e16 no digit is left and log R is off by 0.02.
 _MAX_PHASE = 2.0**30
+# Below it in size, libm's log1p(x) and atan2(x, 1.0) return x: glibc's
+# log1p does so for |x| < 2^-54, and 1 + x rounds to 1.0.
+_LIBM_FLOOR = 2.0**-60
+_WORK_KEYS = ("factors", "entry_terms", "libm_terms")
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,7 @@ class ZetaValue:
     log_value: complex
     tail_bound: float
     convergence_abscissa_used: float
+    _work: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lv = complex(self.log_value)
@@ -89,14 +97,21 @@ def _libm(f, *args: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, *flat), float, args[0].size).reshape(args[0].shape)
 
 
-def _log1p_block(u: np.ndarray) -> np.ndarray:
+def _log1p_block(u: np.ndarray, work: dict | None = None) -> np.ndarray:
     """log(1 + u) elementwise, accurate for small |u|: for u = a + ib,
-    0.5 log1p(2a + a^2 + b^2) + i atan2(b, 1 + a), and log1p(a) where b == 0."""
+    0.5 log1p(2a + a^2 + b^2) + i atan2(b, 1 + a), and log1p(a) where b == 0.
+    Where |a| and |b| are both below 2^-60, log1p(x) is x and atan2(b, 1.0)
+    is b, bit for bit, so libm is skipped.  work counts the terms sent to it."""
     a, b = u.real, u.imag
     on_axis = b == 0.0
-    re = _libm(math.log1p, np.where(on_axis, a, 2.0 * a + a * a + b * b))
-    im = np.zeros(u.shape)
-    im[~on_axis] = _libm(math.atan2, b[~on_axis], 1.0 + a[~on_axis])
+    re = np.where(on_axis, a, 2.0 * a + a * a + b * b)
+    im = np.where(on_axis, 0.0, b)
+    libm = (abs(a) >= _LIBM_FLOOR) | (abs(b) >= _LIBM_FLOOR)
+    re[libm] = _libm(math.log1p, re[libm])
+    off = libm & ~on_axis
+    im[off] = _libm(math.atan2, b[off], 1.0 + a[off])
+    if work is not None:
+        work["libm_terms"] += int(np.count_nonzero(libm))
     return np.stack([np.where(on_axis, re, 0.5 * re), im], axis=-1).view(complex)[..., 0]
 
 
@@ -126,10 +141,25 @@ def _sum_blocks(terms, width: int, lam: complex, step: int, n: int, per_factor: 
     return complex(total)
 
 
-def _ruelle_terms(used):
+def _ruelle_terms(used, work=None):
     lengths = np.array([e.length for e in used])
     mults = np.array([float(e.multiplicity) for e in used])
-    return lambda shifts, cols: mults[cols] * _log1p_block(-np.exp(-shifts * lengths[cols]))
+    return lambda shifts, cols: mults[cols] * _log1p_block(-np.exp(-shifts * lengths[cols]), work)
+
+
+def _counted(terms, work):
+    """terms, adding to work the factors (rows at column 0) and entry terms it sums."""
+    def counted(shifts, cols):
+        block = terms(shifts, cols)
+        work["factors"] += len(shifts) if cols.start == 0 else 0
+        work["entry_terms"] += block.size
+        return block
+    return counted
+
+
+def _with_work(value: ZetaValue, work: dict) -> ZetaValue:
+    object.__setattr__(value, "_work", work)
+    return value
 
 
 def _check_region(lam: complex, delta_hint: float) -> None:
@@ -180,7 +210,8 @@ def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVal
     _check_region(lam, delta_hint)
     _check_phase(lam, spectrum.complete_up_to)
     used = _used_entries(spectrum)
-    total = _sum_blocks(_ruelle_terms(used), len(used), lam, 1, 1, False)
+    work = dict.fromkeys(_WORK_KEYS, 0)
+    total = _sum_blocks(_counted(_ruelle_terms(used, work), work), len(used), lam, 1, 1, False)
     n_used = sum(e.multiplicity for e in used)
     tail = _counting_tail(
         n_used, spectrum.complete_up_to, lam.real, float(delta_hint), 1.0
@@ -190,9 +221,9 @@ def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVal
         # carries |lambda| W ulps from the phase, the sum n more.
         scale = 2.0**-52 * n_used * math.exp(-lam.real * spectrum.entries[0].length)
         tail += scale * abs(lam) * spectrum.complete_up_to + scale * (len(used) + 4)
-    return ZetaValue(
+    return _with_work(ZetaValue(
         log_value=total, tail_bound=tail, convergence_abscissa_used=float(delta_hint)
-    )
+    ), work)
 
 
 def _ladder(
@@ -251,10 +282,11 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
     used = _used_entries(spectrum)
     m_total = sum(e.multiplicity for e in used)
     l_min = min((e.length for e in used), default=math.inf)
-    return _ladder(
-        "Selberg", _ruelle_terms(used), len(used), lam, 1, m_total, l_min,
+    work = dict.fromkeys(_WORK_KEYS, 0)
+    return _with_work(_ladder(
+        "Selberg", _counted(_ruelle_terms(used, work), work), len(used), lam, 1, m_total, l_min,
         m_total, spectrum.complete_up_to, float(delta_hint), 1.0, per_factor=True,
-    )
+    ), work)
 
 
 def selberg_boundary(
@@ -290,18 +322,19 @@ def selberg_boundary(
     # m (log(1 - sign e^{-shift l}) + log(1 - e^{-(shift + 1) l})).
     signs, lens, weights = np.array([(-1.0, l, 2.0) for l in lengths] + used).reshape(-1, 3).T
     interior = np.arange(len(lens)) >= len(lengths)
+    work = dict.fromkeys(_WORK_KEYS, 0)
 
     def terms(shifts, at):
-        l = lens[at]
-        first = _log1p_block(signs[at] * np.exp(-shifts * l))
-        second = _log1p_block(-np.exp(-(shifts + 1.0) * l))
-        return weights[at] * np.where(interior[at], first + second, first)
+        l, inner = lens[at], interior[at]
+        logs = _log1p_block(signs[at] * np.exp(-shifts * l), work)
+        logs[:, inner] += _log1p_block(-np.exp(-(shifts + 1.0) * l[inner]), work)
+        return weights[at] * logs
 
     m_crit = 2 * len(lengths) + 2 * m_interior
-    return _ladder(
-        "boundary", terms, len(lengths) + len(used), lam, 2, m_crit, l_min,
+    return _with_work(_ladder(
+        "boundary", _counted(terms, work), len(lengths) + len(used), lam, 2, m_crit, l_min,
         m_interior, spectrum.complete_up_to, float(delta_hint), 2.0,
-    )
+    ), work)
 
 
 def ruelle_limit_order(spectrum: LengthSpectrum) -> float:

@@ -344,6 +344,36 @@ class TestSpectrumSubcommand:
 
 
 class TestZetaSubcommand:
+    def test_verbose_reports_ladder_work_on_stderr_only(self, capsys, tmp_path):
+        # past a few factors the entry at length 3 falls below 2^-60 and skips libm
+        entries = (SpectrumEntry(length=1.0, multiplicity=2, reflections=1),
+                   SpectrumEntry(length=3.0, multiplicity=1, reflections=2))
+        spec = tmp_path / "s.json"
+        spec.write_text(spectrum_to_json(LengthSpectrum(entries=entries, cutoff=4.0, complete_up_to=4.0)),
+                        encoding="utf-8")
+        # columns per factor, and log1p terms per factor: Z_g0 takes two on each interior column
+        for kind, boundary, columns, logs in (("ruelle", (), 2, 2), ("selberg", (), 2, 2),
+                                              ("selberg-g0", ("--boundary", "1.0,2.5"), 4, 6)):
+            argv = ("zeta", "--spectrum", str(spec), "--kind", kind, "--lambda", "1.0:2.0:0.5",
+                    "--delta-hint", "0.0", *boundary)
+            code, quiet_out, quiet_err = run_cli(capsys, *argv)
+            assert (code, quiet_err) == (0, "")
+            code, loud_out, loud_err = run_cli(capsys, *argv, "-v")
+            assert code == 0 and loud_out == quiet_out
+            fingerprint, *records = loud_err.splitlines()
+            assert fingerprint == f"[dnzeta] zeta fingerprint={json.loads(quiet_out)['fingerprint']}"
+            rows = json.loads(quiet_out)["rows"]
+            assert len(records) == len(rows)
+            for row, line in zip(rows, records):
+                work = json.loads(line)
+                assert set(work) == {"subcommand", "lambda", "factors", "entry_terms", "libm_terms"}
+                assert (work["subcommand"], work["lambda"]) == ("zeta", row["lambda"])
+                assert work["factors"] * columns == work["entry_terms"]
+                if kind == "ruelle":
+                    assert work["factors"] == 1 and work["libm_terms"] == logs
+                else:
+                    assert work["factors"] > 10 and 0 < work["libm_terms"] < work["factors"] * logs
+
     def test_cyclic_ruelle_matches_closed_form(self, capsys, tmp_path):
         spec = write_cyclic_spectrum(tmp_path / "s.json", length=1.0)
         code, out, _ = run_cli(

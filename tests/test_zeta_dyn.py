@@ -435,6 +435,45 @@ def _log1p_complex(u):
     return complex(0.5 * math.log1p(2.0 * a + a * a + b * b), math.atan2(b, 1.0 + a))
 
 
+def _threshold_block():
+    """a + ib on a grid around 2^-60: the floor and its neighbours, values
+    between it and 2^-20, subnormals, signed zeros and non-tiny parts."""
+    t = 2.0**-60
+    sizes = [t, math.nextafter(t, 0.0), math.nextafter(t, 1.0), 2.0**-59, 1e-10, 1e-7,
+             2.0**-1022, 2.0**-1030, 5e-324, 0.0, 1e-300, 1e-3, 0.4]
+    parts = sizes + [-x for x in sizes]
+    return np.array([[complex(a, b) for b in parts] for a in parts])
+
+
+def _block_disagreements(u):
+    """Elements where _log1p_block differs from the scalar _log1p_complex, sign of zero included."""
+    got = zeta_dyn._log1p_block(u)
+    return [(x, complex(g)) for x, g in zip(u.ravel(), got.ravel()) if repr(complex(g)) != repr(_log1p_complex(x))]
+
+
+def test_log1p_block_shortcut_keeps_every_bit_at_the_floor(monkeypatch):
+    u = _threshold_block()
+    work = {"libm_terms": 0}
+    zeta_dyn._log1p_block(u, work)
+    skipped = (abs(u.real) < 2.0**-60) & (abs(u.imag) < 2.0**-60)
+    assert work["libm_terms"] == u.size - np.count_nonzero(skipped) and skipped.any()
+    assert _block_disagreements(u) == []
+    # the cases tell a loosened floor apart
+    monkeypatch.setattr(zeta_dyn, "_LIBM_FLOOR", 2.0**-20)
+    assert _block_disagreements(u) != []
+
+
+def test_libm_returns_tiny_arguments_unchanged():
+    # the 2^-60 shortcut of _log1p_block rests on this; a libm that breaks
+    # it would change the bits of every Euler product that takes it
+    rng = np.random.default_rng(60)
+    mags = np.ldexp(1.0 + rng.random(20000), rng.integers(-1075, -60, 20000))
+    edges = [math.nextafter(2.0**-60, 0.0), 2.0**-61, 2.0**-1022, math.nextafter(2.0**-1022, 0.0), 5e-324, 0.0]
+    for x in [float(m) for m in mags] + edges:
+        for v in (x, -x):
+            assert (math.log1p(v).hex(), math.atan2(v, 1.0).hex(), 1.0 + v) == (v.hex(), v.hex(), 1.0)
+
+
 def _reference_ruelle(spectrum, lam):
     """log R by the scalar loop: one cmath.exp and one log1p per entry."""
     total = complex(0.0, 0.0)
