@@ -82,7 +82,6 @@ from dnzeta.det_engine import (
     theorem2_value,
     theorem4_pipeline,
     zero_volume,
-    zero_volume_cylinder_numeric,
 )
 from dnzeta.numeric_dn import (
     ConformalFactor,
@@ -142,7 +141,6 @@ __all__ = [
     "theorem4_pipeline",
     "translation_length",
     "zero_volume",
-    "zero_volume_cylinder_numeric",
     "zeta_at_zero",
     "zeta_derivative",
 ]

@@ -15,10 +15,10 @@ length of its geodesic boundary, M its double, and eta the constant
       / (Gamma(1-lam) G(1-lam)^2)]^{-chi},
 
 plus the three closed cases of the normalized determinant det'(N)/ell
-(disc, cylinder, negative chi via a supplied zeta limit) and the
-renormalized 0-volume.  Selberg-type values at the spectral point
-lam = 1 are caller-supplied positive numbers: producing them for a
-doubled group needs analytic continuation, which is out of scope.
+(disc, cylinder, negative chi via a supplied zeta limit).
+Selberg-type values at the spectral point lam = 1 are caller-supplied
+positive numbers: producing them for a doubled group needs analytic
+continuation, which is out of scope.
 Assembly happens in log space; the one explicit sign (the leading
 minus against chi < 0) is tracked separately.
 """
@@ -30,9 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .reports import DetReport
 from .specfun import eta_constant, log_barnes_g, log_gamma
 
@@ -41,8 +39,6 @@ _LN_2PI = math.log(2.0 * math.pi)
 _SUBNORMAL_ULP = math.ldexp(1.0, -1074)
 # Largest x with math.exp(x) finite.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# 32-point Gauss-Legendre rule on [-1, 1] for the cylinder volume integrals
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 @dataclass(frozen=True)
@@ -81,38 +77,6 @@ def _exp(log_value: float, name: str) -> float:
 def zero_volume(topology: SurfaceTopology) -> float:
     """Renormalized volume -2 pi chi of the uniformized interior."""
     return -2.0 * math.pi * topology.euler
-
-
-def _cylinder_volume_fit(ell: float):
-    """Fit Vol(x > eps) = c0/eps + V + O(eps) on the hyperbolic cylinder.
-
-    Funnel coordinates: metric dr^2 + cosh(r)^2 dtheta^2 with theta of
-    period ell and boundary defining function x = 2 e^{-|r|}, so the
-    region {x > eps} is |r| < log(2/eps).
-    """
-    eps_grid = np.array([0.2, 0.1, 0.05, 0.025])
-    vols = []
-    for eps in eps_grid:
-        r_max = math.log(2.0 / eps)
-        vols.append(r_max * float(np.dot(_GL_WEIGHTS, ell * np.cosh(r_max * _GL_NODES))))
-    design = np.column_stack([1.0 / eps_grid, np.ones_like(eps_grid), eps_grid])
-    coef, _, rank, _ = np.linalg.lstsq(design, np.array(vols), rcond=None)
-    if rank < 3:
-        raise ConvergenceError("volume expansion fit is rank-deficient")
-    c0, v = float(coef[0]), float(coef[1])
-    return c0, v
-
-
-def zero_volume_cylinder_numeric(ell: float) -> float:
-    """0-volume of the hyperbolic cylinder by quadrature plus fit.
-
-    Computes Vol(x > eps) on an eps sequence, removes the c0/eps
-    divergence by least squares, and returns the constant term V.
-    chi = 0 forces V = 0; the numeric result stays within 1e-8.
-    """
-    ell = _require_positive(ell, "ell")
-    _, v = _cylinder_volume_fit(ell)
-    return v
 
 
 def _log_functional_bracket(lam: complex) -> complex:

@@ -331,15 +331,16 @@ class SpectrumEntry:
     reflections: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.length, (int, float)):
+        # bool is an int subclass, but true is not a length or a count
+        if isinstance(self.length, bool) or not isinstance(self.length, (int, float)):
             raise DomainError(f"entry length must be a number, got {self.length!r}")
         object.__setattr__(self, "length", float(self.length))
         if not (self.length > 0.0 and math.isfinite(self.length)):
             raise DomainError(f"entry length must be positive and finite, got {self.length}")
-        if not (isinstance(self.multiplicity, int) and self.multiplicity >= 1):
+        if isinstance(self.multiplicity, bool) or not (isinstance(self.multiplicity, int) and self.multiplicity >= 1):
             raise DomainError(f"multiplicity must be an integer >= 1, got {self.multiplicity}")
-        if self.reflections is not None and not (
-            isinstance(self.reflections, int) and self.reflections >= 0
+        if self.reflections is not None and (
+            isinstance(self.reflections, bool) or not (isinstance(self.reflections, int) and self.reflections >= 0)
         ):
             raise DomainError(f"reflections must be a nonnegative integer, got {self.reflections}")
 
@@ -481,6 +482,8 @@ def spectrum_from_json(text: str) -> LengthSpectrum:
         raise DomainError(f"invalid spectrum JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError("spectrum JSON must be an object")
+    if any(isinstance(data.get(key), bool) for key in ("cutoff", "complete_up_to")):
+        raise DomainError("spectrum JSON cutoff and complete_up_to must be numbers, not booleans")
     try:
         cutoff = float(data["cutoff"])
         complete = float(data["complete_up_to"])
@@ -494,10 +497,10 @@ def spectrum_from_json(text: str) -> LengthSpectrum:
         if not isinstance(item, dict):
             raise DomainError(f"spectrum entry must be an object, got {item!r}")
         try:
-            length = float(item["length"])
+            length = item["length"]
             mult = item["multiplicity"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"spectrum entry missing or malformed field: {exc}") from exc
+        except KeyError as exc:
+            raise DomainError(f"spectrum entry missing field: {exc}") from exc
         refl = item.get("reflections")
         entries.append(SpectrumEntry(length=length, multiplicity=mult, reflections=refl))
     entries.sort(key=lambda e: (e.length, e.multiplicity, e.reflections or 0))

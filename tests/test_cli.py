@@ -636,8 +636,8 @@ class TestVerifySubcommand:
     def test_bridge_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "bridge")
         assert code == 0
-        assert "suite bridge: 8/8 passed" in out
-        assert out.count("PASS") == 8
+        assert "suite bridge: 6/6 passed" in out
+        assert out.count("PASS") == 6
         assert "FAIL" not in out
 
     def test_lemma_suite_json(self, capsys):

@@ -16,8 +16,6 @@ from dnzeta.det_engine import (
     theorem2_value,
     theorem4_pipeline,
     zero_volume,
-    zero_volume_cylinder_numeric,
-    _cylinder_volume_fit,
     _log_functional_bracket,
 )
 from dnzeta.hyperbolic import LengthSpectrum, SpectrumEntry
@@ -55,23 +53,6 @@ def test_zero_volume_values():
     assert zero_volume(SurfaceTopology(genus=2, boundary_components=3)) == pytest.approx(
         10.0 * math.pi, rel=1e-15
     )
-
-
-@pytest.mark.parametrize("ell", [1.0, 3.0])
-def test_zero_volume_cylinder_numeric(ell):
-    assert abs(zero_volume_cylinder_numeric(ell)) <= 1e-8
-
-
-def test_zero_volume_cylinder_c0_linear_in_ell():
-    c0_1, _ = _cylinder_volume_fit(1.0)
-    c0_3, _ = _cylinder_volume_fit(3.0)
-    assert c0_1 == pytest.approx(2.0, abs=1e-6)
-    assert c0_3 / c0_1 == pytest.approx(3.0, abs=1e-6)
-
-
-def test_zero_volume_cylinder_rejects_bad_ell():
-    with pytest.raises(DomainError):
-        zero_volume_cylinder_numeric(-1.0)
 
 
 def _cyclic_spectrum(ell, window=None):

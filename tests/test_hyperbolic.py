@@ -540,6 +540,11 @@ def test_spectrum_json_ingests_reflections():
         '{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [{"length": 1.0, "multiplicity": 0}]}',
         '{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [{"length": 1.0, "multiplicity": 1.5}]}',
         '{"cutoff": 5.0, "complete_up_to": 6.0, "entries": []}',
+        '{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [{"length": 1.0, "multiplicity": true}]}',
+        '{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [{"length": 1.0, "multiplicity": 1, "reflections": false}]}',
+        '{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [{"length": true, "multiplicity": 1}]}',
+        '{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [{"length": "1.5", "multiplicity": 1}]}',
+        '{"cutoff": 5.0, "complete_up_to": true, "entries": []}',
     ],
 )
 def test_spectrum_json_rejects_malformed(payload):
