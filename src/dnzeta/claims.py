@@ -224,26 +224,29 @@ def _functional() -> list[Check]:
     checks.append(_check("zeta(0) = -1/2", abs(riemann_zeta(0.0).value - (-0.5)), 1e-9))
     checks.append(_check("zeta'(0) = -ln(2 pi)/2", abs(zeta_derivative(0.0).value - (-0.5 * _LN_2PI)), 1e-9))
     checks.append(_check("zeta'(-1)", abs(zeta_derivative(-1.0).value - _ZETA_PRIME_MINUS1), 1e-9))
-    # Euler products against their Lambert series: log Z(lam) = L(lam)
-    # and log R(lam) = L(lam) - L(lam + 1).
-    worst = 0.0
-    spectra = (
-        (_cyclic_spectrum(1.0), 0.0, (1.5, 2.5)),
-        (enumerate_primitive_classes(schottky_pair(), 12.0), 0.55, (1.5, 2.0, 3.0)),
-    )
-    for spectrum, delta_hint, lams in spectra:
+    # Euler products against their Lambert series over the same window:
+    # log Z(lam) = L(lam), log R(lam) = L(lam) - L(lam + 1); 1e-14 is far inside the tail bounds.
+    schottky = enumerate_primitive_classes(schottky_pair(), 12.0)
+    for where, spectrum, delta_hint, lams in (
+        ("cyclic spectrum", _cyclic_spectrum(1.0), 0.0, (1.5, 2.5)),
+        ("Schottky pair within tail bounds", schottky, 0.55, (1.5, 2.0, 3.0)),
+    ):
+        errs = [0.0]
         for lam in lams:
             lambert = _lambert(spectrum, lam)
-            worst = max(
-                worst,
-                abs(selberg(spectrum, lam, delta_hint).log_value - lambert),
-                abs(ruelle(spectrum, lam, delta_hint).log_value - (lambert - _lambert(spectrum, lam + 1.0))),
-            )
-    checks.append(_check("Selberg and Ruelle products vs Lambert series (cyclic, Schottky pair)", worst, 1e-14))
-    # With log Z = 0 and chi = -1 the functional equation is its bracket alone.
+            errs.append(abs(selberg(spectrum, lam, delta_hint).log_value - lambert))
+            errs.append(abs(ruelle(spectrum, lam, delta_hint).log_value - (lambert - _lambert(spectrum, lam + 1.0))))
+        checks.append(_check(f"R = Z(lam)/Z(lam+1), {where}", max(errs), 1e-14))
+    # With log Z = 0 and chi = -1 the functional equation is its bracket alone,
+    # 2 pi int_0^{lam-1/2} v tan(pi v) dv: checked at mpmath values, reflected, and by its Taylor series at 1/2.
     topo = SurfaceTopology(genus=0, boundary_components=3)
-    worst = max(abs(functional_equation_rhs(lam, topo, lambda _s: 0.0) - want) for lam, want in _FUNCTIONAL_BRACKET)
-    checks.append(_check("functional-equation bracket vs mpmath at lambda=0.3, 0.8", worst, 1e-12))
+    bracket = lambda lam: functional_equation_rhs(lam, topo, lambda _s: 0.0)
+    worst = max(max(abs(bracket(lam) - want), abs(bracket(1.0 - lam) + want)) for lam, want in _FUNCTIONAL_BRACKET)
+    checks.append(_check("functional bracket reflection antisymmetry", worst, 1e-12))
+    pi2 = math.pi**2
+    series = lambda t: 2 * pi2 * t**3 / 3 + 2 * pi2**2 * t**5 / 15 + 4 * pi2**3 * t**7 / 105
+    worst = max(abs(bracket(0.5 + t) - series(t)) for t in (-0.01, 0.01))
+    checks.append(_check("functional equation at the symmetry point", worst, 1e-12))
     return checks
 
 

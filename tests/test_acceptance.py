@@ -60,8 +60,10 @@ FROZEN_CLAIMS = (
     ("10", "functional", "zeta(0) = -1/2", 1e-9),
     ("10", "functional", "zeta'(0) = -ln(2 pi)/2", 1e-9),
     ("10", "functional", "zeta'(-1)", 1e-9),
-    ("07", "functional", "Selberg and Ruelle products vs Lambert series (cyclic, Schottky pair)", 1e-14),
-    (None, "functional", "functional-equation bracket vs mpmath at lambda=0.3, 0.8", 1e-12),
+    ("07", "functional", "R = Z(lam)/Z(lam+1), cyclic spectrum", 1e-14),
+    ("07", "functional", "R = Z(lam)/Z(lam+1), Schottky pair within tail bounds", 1e-14),
+    (None, "functional", "functional bracket reflection antisymmetry", 1e-12),
+    (None, "functional", "functional equation at the symmetry point", 1e-12),
     ("08", "theorem4", "theorem4 two-path agreement (1000 random)", 1e-12),
     ("08", "theorem4", "dirichlet det at lambda=1 two-path agreement (1000 random)", 1e-12),
     ("09", "numericdn", "conformal derivative identity residual at K=64", 1e-6),

@@ -54,7 +54,7 @@ ANNULUS_AND_DISC = {
     *(f"disc radius={radius:g}: det' = boundary length" for radius in claims.DISC_RADII),
 }
 MODE0 = {f"mode-0 Taylor |1-lambda|={eps:g}" for eps in (1e-2, 1e-3, 1e-4)}
-LAMBERT = "Selberg and Ruelle products vs Lambert series (cyclic, Schottky pair)"
+LAMBERT = {"R = Z(lam)/Z(lam+1), cyclic spectrum", "R = Z(lam)/Z(lam+1), Schottky pair within tail bounds"}
 
 # (target "module:attribute.path", mutation of the original, suites, checks that fail)
 MUTATIONS = (
@@ -86,10 +86,10 @@ MUTATIONS = (
     ("claims:zeta_derivative", _plus(lambda s: 1e-6), ("functional",), {
         "zeta'(0) = -ln(2 pi)/2", "zeta'(-1)",
     }),
-    ("zeta_dyn:_FACTOR_FLOOR", lambda x: 1e-6, ("functional",), {LAMBERT}),
-    ("zeta_dyn:_ruelle_terms", _ruelle_terms_times(1.01), ("functional",), {LAMBERT}),
+    ("zeta_dyn:_FACTOR_FLOOR", lambda x: 1e-6, ("functional",), LAMBERT),
+    ("zeta_dyn:_ruelle_terms", _ruelle_terms_times(1.01), ("functional",), LAMBERT),
     ("det_engine:_log_functional_bracket", _times(-1.0), ("functional",), {
-        "functional-equation bracket vs mpmath at lambda=0.3, 0.8",
+        "functional bracket reflection antisymmetry", "functional equation at the symmetry point",
     }),
     ("det_engine:zero_volume", _times(1.001), ("theorem4",), {
         "theorem4 two-path agreement (1000 random)",
