@@ -41,6 +41,7 @@ from .hyperbolic import (
     LengthSpectrum,
     MobiusTransform,
     SpectrumEntry,
+    _window_entries,
     enumerate_primitive_classes,
 )
 from .numeric_dn import ConformalFactor, k_convergence_table
@@ -190,16 +191,15 @@ def _lemma() -> list[Check]:
 
 def _lambert(spectrum: LengthSpectrum, lam: float) -> float:
     """sum_c m_c sum_{k>=0} log(1 - x q^k) = -sum_c m_c sum_j x^j / (j (1 - q^j)),
-    x = e^{-lam l_c} and q = e^{-l_c}, over the entries up to complete_up_to.
+    x = e^{-lam l_c} and q = e^{-l_c}, over the entries the Euler products use.
 
     The Lambert form of log Z(lam), summed with no Euler-product ladder;
     the j-sum stops once x^j < e^{-40}.
     """
     terms = []
-    for e in spectrum.entries:
-        if e.length <= spectrum.complete_up_to:
-            for j in range(1, math.ceil(40.0 / (lam * e.length)) + 1):
-                terms.append(e.multiplicity * math.exp(-j * lam * e.length) / (j * math.expm1(-j * e.length)))
+    for e in _window_entries(spectrum):
+        for j in range(1, math.ceil(40.0 / (lam * e.length)) + 1):
+            terms.append(e.multiplicity * math.exp(-j * lam * e.length) / (j * math.expm1(-j * e.length)))
     return math.fsum(terms)
 
 

@@ -169,10 +169,9 @@ def _load_generators(path: str) -> GroupPresentation:
         if not isinstance(item, dict):
             raise DomainError(f"generator {i} must be an object, got {item!r}")
         try:
-            gens.append(MobiusTransform(float(item["a"]), float(item["b"]),
-                                        float(item["c"]), float(item["d"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"generator {i} missing or malformed entry: {exc}") from exc
+            gens.append(MobiusTransform(item["a"], item["b"], item["c"], item["d"]))
+        except KeyError as exc:
+            raise DomainError(f"generator {i} missing entry: {exc}") from exc
         labels.append(str(item.get("label", "")))
     if any(labels) and not all(labels):
         raise DomainError("either label every generator or none")

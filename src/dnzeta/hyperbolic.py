@@ -43,6 +43,12 @@ _CHUNK = 256  # most prefixes the walk expands in one step
 _WORD_BUDGET = 5_000_000  # most reduced words an enumeration may build
 
 
+def _is_number(x) -> bool:
+    """An int or a float, the numbers an input may give: bool is an int
+    subclass, but true is not a length or a matrix entry."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class MobiusTransform:
     """Orientation-preserving isometry of H^2, normalized to det = 1.
@@ -58,7 +64,10 @@ class MobiusTransform:
     d: float
 
     def __post_init__(self) -> None:
-        vals = [float(v) for v in (self.a, self.b, self.c, self.d)]
+        vals = (self.a, self.b, self.c, self.d)
+        if not all(_is_number(v) for v in vals):
+            raise DomainError(f"matrix entries must be numbers, got {vals}")
+        vals = [float(v) for v in vals]
         if not all(math.isfinite(v) for v in vals):
             raise DomainError(f"matrix entries must be finite, got {vals}")
         det = vals[0] * vals[3] - vals[1] * vals[2]
@@ -128,9 +137,8 @@ def _expand(allowed: np.ndarray, words: np.ndarray, periods: np.ndarray):
 def _trie_top(n_letters: int):
     """The allowed table of _expand; the one-letter words as top[0] and, as
     top[n], the _expand step of the length-n words while one block holds
-    them (and the deepest words' letter pairs x * letters + y).  A prenecklace
-    has no letter below its first, so words opening with the last
-    generator's letters are its powers: not grown."""
+    them.  A prenecklace has no letter below its first, so words opening
+    with the last generator's letters are its powers: not grown."""
     letters = np.arange(n_letters)
     allowed = (letters >= letters[:, None, None]) & (letters != (letters ^ 1)[:, None])
     allowed = allowed.reshape(-1, n_letters)
@@ -138,10 +146,9 @@ def _trie_top(n_letters: int):
     top = [(None, None, words, periods, periods > 0), _expand(allowed, words[:, :-2], periods[:-2])]
     while 0 < len(top[-1][3]) <= _CHUNK:
         top.append(_expand(allowed, *top[-1][2:4]))
-    pairs = np.multiply(top[-1][2][:-1], n_letters, dtype=np.intp) + top[-1][2][1:]
     for array in (array for step in top for array in step if array is not None):
         array.flags.writeable = False
-    return allowed, tuple(top), pairs
+    return allowed, tuple(top)
 
 
 def _primitive_classes(
@@ -157,7 +164,7 @@ def _primitive_classes(
     past the cutoff.  The least failing (|tr| <= 2) class word is reported,
     as a walk in word order meets it.  work gets the prefixes expanded."""
     n_letters = 2 * len(generators)
-    allowed, top, top_pairs = _trie_top(n_letters)
+    allowed, top = _trie_top(n_letters)
     limit = l_max + _LENGTH_TIE
     # Only traces under this meet the length test (the margin covers rounding).
     trace_cut = 2.0 * math.cosh(min(0.5 * limit, 710.0)) * (1.0 + 1e-6)
@@ -197,9 +204,8 @@ def _primitive_classes(
             rows, nxt, words, periods, is_class = step
             left, right = prods.take(rows, axis=2), letter_mats.take(nxt, axis=2)
             prods = left[:, :1] * right[:1] + left[:, 1:] * right[1:]
-            if len(top) <= n + 1 < w_max:  # the blocks the next check may prune
-                bounds = (steps.take(top_pairs).sum(axis=0) if n + 1 == len(top) else
-                          bounds.take(rows) + steps.take(np.multiply(words[-2], n_letters, dtype=np.intp) + nxt))
+            if n + 1 < w_max:  # the W-sums of the blocks that may be grown
+                bounds = bounds.take(rows) + steps.take(np.multiply(words[-2], n_letters, dtype=np.intp) + nxt)
     if failed:
         word, prod = min(failed)
         label = "*".join(labels[x // 2] + "^-1" * (x % 2) for x in word)
@@ -331,8 +337,7 @@ class SpectrumEntry:
     reflections: int | None = None
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, but true is not a length or a count
-        if isinstance(self.length, bool) or not isinstance(self.length, (int, float)):
+        if not _is_number(self.length):
             raise DomainError(f"entry length must be a number, got {self.length!r}")
         object.__setattr__(self, "length", float(self.length))
         if not (self.length > 0.0 and math.isfinite(self.length)):
@@ -369,6 +374,8 @@ class LengthSpectrum:
         if not all(isinstance(e, SpectrumEntry) for e in entries):
             raise DomainError("entries must be SpectrumEntry instances")
         object.__setattr__(self, "entries", entries)
+        if not (_is_number(self.cutoff) and _is_number(self.complete_up_to)):
+            raise DomainError(f"cutoff and complete_up_to must be numbers, got {self.cutoff!r}, {self.complete_up_to!r}")
         object.__setattr__(self, "cutoff", float(self.cutoff))
         object.__setattr__(self, "complete_up_to", float(self.complete_up_to))
         if not (self.cutoff > 0.0 and math.isfinite(self.cutoff)):
@@ -380,6 +387,13 @@ class LengthSpectrum:
         for prev, cur in zip(entries, entries[1:]):
             if cur.length < prev.length:
                 raise DomainError("entries must be sorted ascending by length")
+
+
+def _window_entries(spectrum: LengthSpectrum) -> list[SpectrumEntry]:
+    """The entries an Euler product uses: length at most complete_up_to
+    plus the walk's tie slack, as the walk keeps classes up to l_max + 1e-9."""
+    window = spectrum.complete_up_to + _LENGTH_TIE
+    return [e for e in spectrum.entries if e.length <= window]
 
 
 def _displacement_floor(generators: tuple[MobiusTransform, ...]) -> float:
@@ -421,7 +435,7 @@ def enumerate_primitive_classes(
     whose extensions all pass l_max.  The spectrum's _work records the
     certificate, its least W, the depth, prefixes expanded, classes kept.
     """
-    if not (isinstance(l_max, (int, float)) and l_max > 0.0 and math.isfinite(l_max)):
+    if not (_is_number(l_max) and l_max > 0.0 and math.isfinite(l_max)):
         raise DomainError(f"l_max must be positive and finite, got {l_max}")
     l_max = float(l_max)
     d_min = _displacement_floor(group.generators)
@@ -482,14 +496,10 @@ def spectrum_from_json(text: str) -> LengthSpectrum:
         raise DomainError(f"invalid spectrum JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError("spectrum JSON must be an object")
-    if any(isinstance(data.get(key), bool) for key in ("cutoff", "complete_up_to")):
-        raise DomainError("spectrum JSON cutoff and complete_up_to must be numbers, not booleans")
     try:
-        cutoff = float(data["cutoff"])
-        complete = float(data["complete_up_to"])
-        raw_entries = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"spectrum JSON missing or malformed field: {exc}") from exc
+        cutoff, complete, raw_entries = data["cutoff"], data["complete_up_to"], data["entries"]
+    except KeyError as exc:
+        raise DomainError(f"spectrum JSON missing field: {exc}") from exc
     if not isinstance(raw_entries, list):
         raise DomainError("spectrum JSON entries must be a list")
     entries = []

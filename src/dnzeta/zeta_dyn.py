@@ -17,7 +17,8 @@ Normalization note: Z_g0 is exactly the displayed product; some
 references define the corresponding function as its square.
 
 Everything is evaluated in log space with a stable complex log1p, only
-spectrum entries inside the completeness window are used, and every
+spectrum entries inside the completeness window are used (lengths up to
+complete_up_to + 1e-9; hyperbolic._window_entries owns that rule), and every
 value carries a tail bound built from the counting model
 N(l) <= C e^{delta l} beyond that window.  Ruelle's bound adds the float
 rounding of its sum, 2^-52 M e^{-Re(lambda) l_min} (|lambda| W + n + 4)
@@ -51,13 +52,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .hyperbolic import LengthSpectrum
+from .hyperbolic import LengthSpectrum, _is_number, _window_entries
 
 _BLOCK_TERMS = 2**14
 _FACTOR_FLOOR = 1e-16
 _MAX_FACTORS = 200_000
 _MAX_ENTRY_TERMS = 2_000_000
-_WINDOW_SLACK = 1e-9
 # Largest |Im lambda| * l admitted: half an ulp of the phase is 2^-23 rad
 # at 2^30; at Im lambda = 1e16 no digit is left and log R is off by 0.02.
 _MAX_PHASE = 2.0**30
@@ -120,14 +120,17 @@ def _fold(start: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.cumsum(np.column_stack([start, block]), axis=1)[:, -1]
 
 
-def _sum_blocks(terms, width: int, lam: complex, step: int, n: int, per_factor: bool) -> complex:
+def _sum_blocks(terms, width: int, lam: complex, step: int, n: int, per_factor: bool, work: dict) -> complex:
     """Sum terms(shifts, cols) over the factors at lambda + step k, k < n,
     and the entry columns 0..width-1, in blocks of at most _BLOCK_TERMS.
 
     The order is that of the scalar loop: row by row, each left to right.
     per_factor sums each row from zero first and then the row sums, as Z
     sums its R factors; otherwise one running total crosses the rows.
+    work gets the factors (none without a column) and entry terms summed.
     """
+    work["factors"] += n if width > 0 else 0
+    work["entry_terms"] += n * width
     rows = max(1, _BLOCK_TERMS // max(width, 1))
     cols = max(1, _BLOCK_TERMS // rows)
     total = complex(0.0, 0.0)
@@ -147,16 +150,6 @@ def _ruelle_terms(used, work=None):
     return lambda shifts, cols: mults[cols] * _log1p_block(-np.exp(-shifts * lengths[cols]), work)
 
 
-def _counted(terms, work):
-    """terms, adding to work the factors (rows at column 0) and entry terms it sums."""
-    def counted(shifts, cols):
-        block = terms(shifts, cols)
-        work["factors"] += len(shifts) if cols.start == 0 else 0
-        work["entry_terms"] += block.size
-        return block
-    return counted
-
-
 def _with_work(value: ZetaValue, work: dict) -> ZetaValue:
     object.__setattr__(value, "_work", work)
     return value
@@ -164,7 +157,7 @@ def _with_work(value: ZetaValue, work: dict) -> ZetaValue:
 
 def _check_region(lam: complex, delta_hint: float) -> None:
     if not (
-        isinstance(delta_hint, (int, float))
+        _is_number(delta_hint)
         and math.isfinite(delta_hint)
         and delta_hint >= 0.0
     ):
@@ -181,11 +174,6 @@ def _check_region(lam: complex, delta_hint: float) -> None:
 def _check_phase(lam: complex, longest: float) -> None:
     if abs(lam.imag) * longest > _MAX_PHASE:
         raise DomainError(f"|Im lambda| * l = {abs(lam.imag) * longest:.6g} > 2^30: the float phase loses its digits")
-
-
-def _used_entries(spectrum: LengthSpectrum):
-    window = spectrum.complete_up_to
-    return [e for e in spectrum.entries if e.length <= window + _WINDOW_SLACK]
 
 
 def _counting_tail(
@@ -209,9 +197,9 @@ def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVal
     lam = complex(lam)
     _check_region(lam, delta_hint)
     _check_phase(lam, spectrum.complete_up_to)
-    used = _used_entries(spectrum)
+    used = _window_entries(spectrum)
     work = dict.fromkeys(_WORK_KEYS, 0)
-    total = _sum_blocks(_counted(_ruelle_terms(used, work), work), len(used), lam, 1, 1, False)
+    total = _sum_blocks(_ruelle_terms(used, work), len(used), lam, 1, 1, False, work)
     n_used = sum(e.multiplicity for e in used)
     tail = _counting_tail(
         n_used, spectrum.complete_up_to, lam.real, float(delta_hint), 1.0
@@ -229,14 +217,14 @@ def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVal
 def _ladder(
     name: str, terms, entries: int, lam: complex, step: int, m_crit: int,
     l_min: float, m_tail: int, window: float, delta: float, weight: float,
-    per_factor: bool = False,
+    work: dict, per_factor: bool = False,
 ) -> ZetaValue:
     """Sum the factors at lambda + step k for k < n, n being the first k
     with m_crit e^{-(Re lambda + step k) l_min} < 1e-16; n is fixed, and
     refused above _MAX_FACTORS or when n times the entries each factor
     sums exceeds _MAX_ENTRY_TERMS, before any factor is evaluated.
 
-    terms and per_factor are as in _sum_blocks, over `entries` columns.
+    terms, work and per_factor are as in _sum_blocks, over `entries` columns.
     The tail bound adds each factor's counting tail (m_tail classes of
     the given weight), the skipped factors and their counting tails.
     """
@@ -255,7 +243,7 @@ def _ladder(
             f"{name} ladder needs {n} factors of {entries} entries, more than "
             f"{_MAX_ENTRY_TERMS} entry terms; refused"
         )
-    logs = _sum_blocks(terms, entries, lam, step, n, per_factor)
+    logs = _sum_blocks(terms, entries, lam, step, n, per_factor, work)
     tails = 0.0
     for k in range(n):  # the tails fall with k far faster than rounding moves them,
         tail = _counting_tail(m_tail, window, s + step * k, delta, weight)
@@ -267,7 +255,7 @@ def _ladder(
         tails += 2.0 * m_crit * x / -math.expm1(-step * l_min)
     tail_n = _counting_tail(m_tail, window, s + step * n, delta, weight)
     tails += tail_n / -math.expm1(-step * window)
-    return ZetaValue(log_value=logs, tail_bound=tails, convergence_abscissa_used=delta)
+    return _with_work(ZetaValue(log_value=logs, tail_bound=tails, convergence_abscissa_used=delta), work)
 
 
 def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaValue:
@@ -279,14 +267,14 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
     lam = complex(lam)
     _check_region(lam, delta_hint)
     _check_phase(lam, spectrum.complete_up_to)
-    used = _used_entries(spectrum)
+    used = _window_entries(spectrum)
     m_total = sum(e.multiplicity for e in used)
     l_min = min((e.length for e in used), default=math.inf)
     work = dict.fromkeys(_WORK_KEYS, 0)
-    return _with_work(_ladder(
-        "Selberg", _counted(_ruelle_terms(used, work), work), len(used), lam, 1, m_total, l_min,
-        m_total, spectrum.complete_up_to, float(delta_hint), 1.0, per_factor=True,
-    ), work)
+    return _ladder(
+        "Selberg", _ruelle_terms(used, work), len(used), lam, 1, m_total, l_min,
+        m_total, spectrum.complete_up_to, float(delta_hint), 1.0, work, per_factor=True,
+    )
 
 
 def selberg_boundary(
@@ -314,7 +302,7 @@ def selberg_boundary(
             )
     used = [
         (-1.0 if e.reflections % 2 == 0 else 1.0, e.length, e.multiplicity)
-        for e in _used_entries(spectrum)
+        for e in _window_entries(spectrum)
     ]
     m_interior = sum(m for _, _, m in used)
     l_min = min(lengths + [l for _, l, _ in used], default=math.inf)
@@ -331,10 +319,10 @@ def selberg_boundary(
         return weights[at] * logs
 
     m_crit = 2 * len(lengths) + 2 * m_interior
-    return _with_work(_ladder(
-        "boundary", _counted(terms, work), len(lengths) + len(used), lam, 2, m_crit, l_min,
-        m_interior, spectrum.complete_up_to, float(delta_hint), 2.0,
-    ), work)
+    return _ladder(
+        "boundary", terms, len(lengths) + len(used), lam, 2, m_crit, l_min,
+        m_interior, spectrum.complete_up_to, float(delta_hint), 2.0, work,
+    )
 
 
 def ruelle_limit_order(spectrum: LengthSpectrum) -> float:

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidSequenceError
+from .specfun import _kadd
 
 # Slack for eigenvalues computed in floating point: a certificate
 # |eps_n| <= C e^{-a n} proven in exact arithmetic may be violated by a
@@ -139,14 +140,9 @@ def zeta_at_zero(seq: EigenSequence) -> float:
 
 def log_det(seq: EigenSequence) -> RegularizedDet:
     """Regularized log determinant -zeta_u'(0) of the sequence."""
-    log1p_sum = 0.0
-    comp = 0.0
+    log1p_sum = comp = 0.0
     for eps in seq.corrections:
-        term = math.log1p(eps)
-        y = term - comp
-        t = log1p_sum + y
-        comp = (t - log1p_sum) - y
-        log1p_sum = t
+        log1p_sum, comp = _kadd(log1p_sum, comp, math.log1p(eps))
     tail_part = -seq.power * _ZETA_PRIME_0 + math.log(seq.prefactor) * _ZETA_0 + log1p_sum
     head_part = sum(m * math.log(lam) for lam, m in seq.head)
     value = seq.tail_multiplicity * tail_part + head_part

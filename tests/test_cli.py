@@ -333,6 +333,10 @@ class TestSpectrumSubcommand:
         assert run_cli(capsys, *args)[0] == 1
         bad.write_text("not json", encoding="utf-8")
         assert run_cli(capsys, *args)[0] == 1
+        # matrix entries are JSON numbers: a string or a boolean is refused, not converted
+        for entries in ('"a": "7.389", "b": 0.0', '"a": 7.389, "b": false'):
+            bad.write_text(f'{{"generators": [{{{entries}, "c": 0.0, "d": 0.1353}}]}}', encoding="utf-8")
+            assert run_cli(capsys, *args)[0] == 1
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -496,6 +500,14 @@ class TestZetaSubcommand:
         assert out == ""
         assert err.startswith("error: ")
         assert "2^30" in err
+
+    def test_string_cutoff_exits_one(self, capsys, tmp_path):
+        spec = tmp_path / "s.json"
+        spec.write_text('{"cutoff": "4.0", "complete_up_to": 4.0, "entries": [{"length": 1.0, "multiplicity": 2}]}',
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "zeta", "--spectrum", str(spec), "--kind", "ruelle",
+                                 "--lambda", "1.5", "--delta-hint", "0.0")
+        assert (code, out) == (1, "") and "must be numbers" in err
 
     def test_ladder_overflow_is_contract_violation(self, capsys, tmp_path):
         # a 1e-4 length would need ~370k Selberg factors; the ladder caps

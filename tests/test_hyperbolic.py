@@ -53,7 +53,8 @@ def test_normalization_sign_canonical():
 
 
 @pytest.mark.parametrize(
-    "entries", [(1.0, 0.0, 0.0, -1.0), (1.0, 2.0, 2.0, 4.0), (math.inf, 0.0, 0.0, 1.0)]
+    "entries",
+    [(1.0, 0.0, 0.0, -1.0), (1.0, 2.0, 2.0, 4.0), (math.inf, 0.0, 0.0, 1.0), ("2", 0, 0, 0.5), (True, 0, 0, 1)],
 )
 def test_normalization_rejects_bad_matrices(entries):
     with pytest.raises(DomainError):
@@ -503,6 +504,20 @@ def test_enumeration_rejects_bad_arguments():
         enumerate_primitive_classes(grp, 5.0, max_word_len=0)
 
 
+def test_numbers_are_python_ints_and_floats_but_not_bools():
+    # one rule for every number an input gives: numpy's float64 is a float,
+    # its int64 and float32 are not, and true is not a cutoff
+    assert MobiusTransform(np.float64(math.e), 0, 0, 1.0 / math.e) == _dilation(2.0)
+    with pytest.raises(DomainError, match="must be numbers"):
+        MobiusTransform(np.int64(2), 0.0, 0.0, 0.5)
+    with pytest.raises(DomainError, match="must be a number"):
+        SpectrumEntry(length=np.float32(1.5), multiplicity=1)
+    with pytest.raises(DomainError, match="must be numbers"):
+        LengthSpectrum(entries=(), cutoff=5.0, complete_up_to=np.float32(4.0))
+    with pytest.raises(DomainError, match="l_max"):
+        enumerate_primitive_classes(GroupPresentation(generators=(_dilation(2.0),)), True)
+
+
 def test_spectrum_json_round_trip():
     spec = enumerate_primitive_classes(_schottky_pair(), 8.0)
     text = spectrum_to_json(spec)
@@ -545,6 +560,8 @@ def test_spectrum_json_ingests_reflections():
         '{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [{"length": true, "multiplicity": 1}]}',
         '{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [{"length": "1.5", "multiplicity": 1}]}',
         '{"cutoff": 5.0, "complete_up_to": true, "entries": []}',
+        '{"cutoff": "5.0", "complete_up_to": 4.0, "entries": []}',
+        '{"cutoff": 5.0, "complete_up_to": "4.0", "entries": []}',
     ],
 )
 def test_spectrum_json_rejects_malformed(payload):
@@ -561,6 +578,8 @@ def test_length_spectrum_validation():
         LengthSpectrum(entries=(e2, e1), cutoff=5.0, complete_up_to=5.0)
     with pytest.raises(DomainError):
         LengthSpectrum(entries=(e1,), cutoff=5.0, complete_up_to=7.0)
+    with pytest.raises(DomainError):
+        LengthSpectrum(entries=(e1,), cutoff=True, complete_up_to=1.0)
     with pytest.raises(DomainError):
         SpectrumEntry(length=1.0, multiplicity=2, reflections=-1)
 

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dnzeta import claims, zeta_dyn
+from dnzeta import claims, hyperbolic, zeta_dyn
 from dnzeta.errors import ConvergenceError, DomainError
 from dnzeta.hyperbolic import (
     GroupPresentation,
@@ -91,7 +91,51 @@ def test_ruelle_rejects_bad_hint_and_lambda():
     with pytest.raises(DomainError):
         ruelle(spec, 2.0, math.nan)
     with pytest.raises(DomainError):
+        ruelle(spec, 2.0, True)
+    with pytest.raises(DomainError):
         ruelle(spec, complex(math.inf, 0.0), 0.0)
+
+
+def test_products_and_lambert_reference_share_the_window():
+    # one entry 5e-10 past complete_up_to is kept (the walk's 1e-9 tie
+    # slack), one 2e-9 past is dropped, by the products and the reference alike
+    for past, kept in ((5e-10, True), (2e-9, False)):
+        spec = LengthSpectrum(entries=(SpectrumEntry(length=1.0 + past, multiplicity=2),), cutoff=2.0, complete_up_to=1.0)
+        for lam in (1.5, 2.5):
+            lambert = claims._lambert(spec, lam)
+            assert (lambert != 0.0) == kept
+            assert abs(selberg(spec, lam, 0.0).log_value - lambert) <= 1e-14
+            assert abs(ruelle(spec, lam, 0.0).log_value - (lambert - claims._lambert(spec, lam + 1.0))) <= 1e-14
+
+
+def test_work_counts_each_factor_and_entry_term():
+    # factors is the ladder's length (one for R with a column, none without),
+    # entry_terms factors x the columns each factor sums
+    rng = np.random.default_rng(23)
+    seen = []
+    for i in range(12):
+        lengths = np.sort(0.3 + 3.0 * rng.random(int(rng.integers(1, 7))))
+        entries = tuple(SpectrumEntry(length=float(l), multiplicity=int(rng.integers(1, 4)), reflections=int(rng.integers(0, 3)))
+                        for l in lengths)
+        spec = LengthSpectrum(entries=entries, cutoff=4.0, complete_up_to=float(lengths[-1]) if i % 2 else 2.0)
+        boundary = [float(l) for l in 0.5 + 2.0 * rng.random(int(rng.integers(0, 3)))]
+        lam = complex(0.2 + 3.0 * rng.random(), 2.0 * rng.random())
+        used = [e for e in entries if e.length <= spec.complete_up_to]
+        m_used = sum(e.multiplicity for e in used)
+        l_min = min([e.length for e in used], default=math.inf)
+        cases = (
+            (ruelle(spec, lam, 0.0), 1 if used else 0, len(used)),
+            (selberg(spec, lam, 0.0), _reference_ladder_length(lam, 1, m_used, l_min), len(used)),
+            (selberg_boundary(boundary, spec, lam, 0.0),
+             _reference_ladder_length(lam, 2, 2 * len(boundary) + 2 * m_used, min(boundary + [l_min])),
+             len(boundary) + len(used)),
+        )
+        for value, factors, columns in cases:
+            assert (value._work["factors"], value._work["entry_terms"]) == (factors, factors * columns)
+            seen.append(factors)
+    assert max(seen) > 10 and 0 in seen
+    empty = ruelle(_empty_spectrum(), 2.0, 0.0)._work
+    assert (empty["factors"], empty["entry_terms"]) == (0, 0)
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.5, 0.31])
@@ -272,7 +316,7 @@ def test_selberg_ladder_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
-def _reference_ladder(name, terms, entries, lam, step, m_crit, l_min, m_tail, window, delta, weight,
+def _reference_ladder(name, terms, entries, lam, step, m_crit, l_min, m_tail, window, delta, weight, work,
                       per_factor=False):
     """zeta_dyn._ladder as two Python loops: the stop rule stepped k by k, one
     scalar counting tail per factor."""
@@ -287,7 +331,7 @@ def _reference_ladder(name, terms, entries, lam, step, m_crit, l_min, m_tail, wi
             f"{name} ladder needs {n} factors of {entries} entries, more than "
             f"{zeta_dyn._MAX_ENTRY_TERMS} entry terms; refused"
         )
-    logs = zeta_dyn._sum_blocks(terms, entries, lam, step, n, per_factor)
+    logs = zeta_dyn._sum_blocks(terms, entries, lam, step, n, per_factor, work)
     tails = 0.0
     for k in range(n):
         tails += zeta_dyn._counting_tail(m_tail, window, s + step * k, delta, weight)
@@ -350,7 +394,8 @@ def _one_entry_outcomes(m_crit, l_min, shifts):
         for call in (
             lambda: selberg(spec, s, 0.0),
             lambda: _reference_ladder("Selberg", zeta_dyn._ruelle_terms(spec.entries), 1, complex(s, 0.0), 1,
-                                      m_crit, l_min, m_crit, 3.0, 0.0, 1.0, per_factor=True),
+                                      m_crit, l_min, m_crit, 3.0, 0.0, 1.0, dict.fromkeys(zeta_dyn._WORK_KEYS, 0),
+                                      per_factor=True),
         ):
             try:
                 out.append(repr(call()))
@@ -363,7 +408,7 @@ def test_ladder_length_is_the_loop_length_at_every_rounding(monkeypatch):
     # n from the closed form is the first k where the stop rule's float test
     # fails, also where the closed form sits on an integer.  The terms are
     # stubbed out; the value then carries n.
-    monkeypatch.setattr(zeta_dyn, "_sum_blocks", lambda terms, width, lam, step, n, per_factor: complex(n, step))
+    monkeypatch.setattr(zeta_dyn, "_sum_blocks", lambda terms, width, lam, step, n, per_factor, work: complex(n, step))
     for m_crit in (1, 3, 6, 1000):
         for l_min in (0.01, 0.7, 2.0):
             target = math.log(m_crit / 1e-16) / l_min
@@ -396,7 +441,7 @@ def test_long_ladder_bookkeeping_is_quick(monkeypatch):
     ladders, tails = [], []
     counting_tail = zeta_dyn._counting_tail
 
-    def no_terms(terms, width, lam, step, n, per_factor):
+    def no_terms(terms, width, lam, step, n, per_factor, work):
         ladders.append(n)
         return complex(0.0, 0.0)
 
@@ -477,7 +522,7 @@ def test_libm_returns_tiny_arguments_unchanged():
 def _reference_ruelle(spectrum, lam):
     """log R by the scalar loop: one cmath.exp and one log1p per entry."""
     total = complex(0.0, 0.0)
-    for entry in zeta_dyn._used_entries(spectrum):
+    for entry in hyperbolic._window_entries(spectrum):
         total += entry.multiplicity * _log1p_complex(-cmath.exp(-lam * entry.length))
     return total
 
@@ -491,7 +536,7 @@ def _reference_ladder_length(lam, step, m_crit, l_min):
 
 def _reference_selberg(spectrum, lam):
     """log Z as a ruelle() sum per factor, the factors added in turn."""
-    used = zeta_dyn._used_entries(spectrum)
+    used = hyperbolic._window_entries(spectrum)
     l_min = min((e.length for e in used), default=math.inf)
     logs = complex(0.0, 0.0)
     for k in range(_reference_ladder_length(lam, 1, sum(e.multiplicity for e in used), l_min)):
@@ -503,7 +548,7 @@ def _reference_selberg_boundary(boundary, spectrum, lam):
     """log Z_g0 with one running total over factors, boundary lengths, entries."""
     used = [
         (-1.0 if e.reflections % 2 == 0 else 1.0, e.length, e.multiplicity)
-        for e in zeta_dyn._used_entries(spectrum)
+        for e in hyperbolic._window_entries(spectrum)
     ]
     m_crit = 2 * len(boundary) + 2 * sum(m for _, _, m in used)
     l_min = min(boundary + [l for _, l, _ in used], default=math.inf)
@@ -542,7 +587,7 @@ def _oracle_cases():
 def test_block_evaluation_is_bit_identical_to_scalar_loops(monkeypatch):
     cases = _oracle_cases()
     def selberg_terms(spec, lam):
-        used = zeta_dyn._used_entries(spec)
+        used = hyperbolic._window_entries(spec)
         return len(used) * _reference_ladder_length(lam, 1, sum(e.multiplicity for e in used), used[0].length)
 
     # l_min 0.05 at Re lambda 0.7 makes Selberg ladders of more than one block
