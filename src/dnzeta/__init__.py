@@ -35,8 +35,6 @@ from dnzeta.specfun import (
     eta_constant,
     log_barnes_g,
     log_gamma,
-    riemann_zeta,
-    zeta_derivative,
 )
 from dnzeta.zeta_reg import (
     EigenSequence,
@@ -129,7 +127,6 @@ __all__ = [
     "log_dirichlet_det",
     "log_gamma",
     "required_tail_length",
-    "riemann_zeta",
     "ruelle",
     "ruelle_limit_order",
     "sarnak_det",
@@ -142,5 +139,4 @@ __all__ = [
     "translation_length",
     "zero_volume",
     "zeta_at_zero",
-    "zeta_derivative",
 ]

@@ -160,7 +160,7 @@ def _read_text(path: str) -> str:
 def _load_generators(path: str) -> GroupPresentation:
     try:
         data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's 4300-digit limit
         raise DomainError(f"malformed generators JSON in {path}: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("generators"), list):
         raise DomainError('generators file must be {"generators": [{"a":..,"b":..,"c":..,"d":..}, ...]}')

@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import string
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,11 @@ _WORD_BUDGET = 5_000_000  # most reduced words an enumeration may build
 
 def _is_number(x) -> bool:
     """An int or a float, the numbers an input may give: bool is an int
-    subclass, but true is not a length or a matrix entry."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    subclass, but true is not a length or a matrix entry, and an int past
+    the largest double (JSON writes integers out in full) has no float."""
+    return isinstance(x, float) or (
+        isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    )
 
 
 @dataclass(frozen=True)
@@ -342,7 +346,7 @@ class SpectrumEntry:
         object.__setattr__(self, "length", float(self.length))
         if not (self.length > 0.0 and math.isfinite(self.length)):
             raise DomainError(f"entry length must be positive and finite, got {self.length}")
-        if isinstance(self.multiplicity, bool) or not (isinstance(self.multiplicity, int) and self.multiplicity >= 1):
+        if not (isinstance(self.multiplicity, int) and _is_number(self.multiplicity) and self.multiplicity >= 1):
             raise DomainError(f"multiplicity must be an integer >= 1, got {self.multiplicity}")
         if self.reflections is not None and (
             isinstance(self.reflections, bool) or not (isinstance(self.reflections, int) and self.reflections >= 0)
@@ -492,7 +496,7 @@ def spectrum_from_json(text: str) -> LengthSpectrum:
     reflection counts; entries are sorted and validated."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's 4300-digit limit
         raise DomainError(f"invalid spectrum JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError("spectrum JSON must be an object")

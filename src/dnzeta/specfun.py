@@ -1,9 +1,10 @@
 """Double-precision special function kernel.
 
-Provides log Gamma, log Barnes G, the Riemann zeta function and its
-s-derivative, and the boundary heat-coefficient constant eta.
+Provides log Gamma, log Barnes G, and the constant
+eta = 2 zeta'(-1) - 1/4 + log(2 pi)/2 of Sarnak's determinant formula,
+with zeta'(-1) frozen to 20 digits.
 
-All routines work in ordinary complex doubles with compensated
+Both log functions work in ordinary complex doubles with compensated
 summation and return an :class:`EvalResult` carrying the value together
 with a defensible absolute error estimate.  Branch convention: log Gamma
 and log G are the continuous branches that satisfy their recurrences,
@@ -18,15 +19,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BarnesZeroError, DomainError, PoleError
 
 _EPS = 2.220446049250313e-16
 _LN_2PI = math.log(2.0 * math.pi)
-# Euler-Maclaurin zeta: direct-sum length N and Bernoulli corrections.
-_EM_TERMS = 20
-_EM_CORRECTIONS = 14
+# Riemann zeta'(-1) = 1/12 - ln A (Glaisher-Kinkelin A), to 20 digits.
+_ZETA_PRIME_MINUS1 = -0.16542114370045092921
 
 # Bernoulli numbers B_2, B_4, ..., B_32 as exact rationals rounded once.
 _B2K = (
@@ -90,10 +89,6 @@ _STIRLING_CUT = 10.0
 # per unit of Re z, so inputs further left are refused before they start.
 _GAMMA_LEFT = -60.0
 _BARNES_LEFT = -40.0
-# Certified box of the Euler-Maclaurin zeta error estimate: outside it
-# the estimate can understate the error (1.3x at s = -5+15i).
-_ZETA_RE = (-1.1, 20)
-_ZETA_IM = 6
 
 
 def log_gamma(z: complex) -> EvalResult:
@@ -162,7 +157,7 @@ def log_barnes_g(z: complex) -> EvalResult:
 
     Computed by the descending recurrence until Re z >= 11, then the
     large-z asymptotic series whose constant term is zeta'(-1)
-    (computed internally, not hardcoded).  Certified for |z| <= 40 away
+    (frozen to 20 digits).  Certified for |z| <= 40 away
     from the zeros of G at 0, -1, -2, ...; real z < 0 gets the limit
     from the upper half plane.
 
@@ -194,7 +189,7 @@ def log_barnes_g(z: complex) -> EvalResult:
     u = w - 1.0
     lu = cmath.log(u)
     main = (0.5 * u * u - 1.0 / 12.0) * lu - 0.75 * u * u + 0.5 * u * _LN_2PI
-    main += _zeta_prime_at_minus1()
+    main += _ZETA_PRIME_MINUS1
     inv2 = 1.0 / (u * u)
     upow = inv2
     series = 0j
@@ -213,110 +208,6 @@ def log_barnes_g(z: complex) -> EvalResult:
     return EvalResult(value, trunc + acc_err + 2.0 * _EPS * scale)
 
 
-def _em_core(s: complex):
-    """Euler-Maclaurin zeta and its s-derivative in one pass: a direct
-    sum of _EM_TERMS terms plus _EM_CORRECTIONS Bernoulli corrections.
-
-    Returns (zeta, dzeta, trunc_zeta, trunc_dzeta, vol_zeta, vol_dzeta)
-    where the vol_* are sums of magnitudes used for rounding estimates.
-    """
-    big_n = _EM_TERMS
-    ln_n_big = math.log(big_n)
-
-    f = 0j
-    fc = 0j
-    g = 0j
-    gc = 0j
-    vf = 1.0  # n = 1 contributes 1 to zeta, 0 to the derivative
-    vg = 0.0
-    f, fc = _kadd(f, fc, 1.0 + 0j)
-    for n in range(2, big_n):
-        ln_n = math.log(n)
-        p = cmath.exp(-s * ln_n)
-        f, fc = _kadd(f, fc, p)
-        g, gc = _kadd(g, gc, -ln_n * p)
-        ap = abs(p)
-        vf += ap
-        vg += ln_n * ap
-
-    sm1 = s - 1.0
-    n_to_ms = cmath.exp(-s * ln_n_big)
-    tail = big_n * n_to_ms / sm1
-    f, fc = _kadd(f, fc, tail)
-    f, fc = _kadd(f, fc, 0.5 * n_to_ms)
-    vf += abs(tail) + 0.5 * abs(n_to_ms)
-    d_tail = -ln_n_big * tail - tail / sm1
-    g, gc = _kadd(g, gc, d_tail)
-    g, gc = _kadd(g, gc, -0.5 * ln_n_big * n_to_ms)
-    vg += abs(d_tail) + 0.5 * ln_n_big * abs(n_to_ms)
-
-    # Bernoulli corrections with the rising product P(s) = s (s+1) ... and
-    # its derivative accumulated by the product rule.
-    inv_n2 = 1.0 / (big_n * big_n)
-    npow = big_n * n_to_ms * inv_n2  # N^{1 - s - 2k} at k = 1
-    p = s
-    dp = 1.0 + 0j
-    fact = 2.0  # (2k)! at k = 1
-    for k in range(1, _EM_CORRECTIONS + 1):
-        coef = _bernoulli(2 * k) / fact
-        t_f = coef * p * npow
-        t_g = coef * (dp - ln_n_big * p) * npow
-        f, fc = _kadd(f, fc, t_f)
-        g, gc = _kadd(g, gc, t_g)
-        vf += abs(t_f)
-        vg += abs(t_g)
-        for j in (2 * k - 1, 2 * k):
-            sj = s + j
-            dp = dp * sj + p
-            p = p * sj
-        fact *= (2 * k + 1) * (2 * k + 2)
-        npow *= inv_n2
-
-    # First omitted term; the remainder vanishes with it at s in {0,-1,-2,...}.
-    coef = _bernoulli(2 * (_EM_CORRECTIONS + 1)) / fact
-    trunc_f = 2.0 * abs(coef * p * npow)
-    trunc_g = 2.0 * abs(coef * (dp - ln_n_big * p) * npow)
-    return f, g, trunc_f, trunc_g, vf, vg
-
-
-def _check_zeta_box(s: complex, name: str) -> None:
-    _check_finite(s, name)
-    if not (_ZETA_RE[0] <= s.real <= _ZETA_RE[1] and abs(s.imag) <= _ZETA_IM):
-        raise DomainError(
-            f"{name}: s = {s} lies outside the certified box "
-            f"{_ZETA_RE[0]} <= Re s <= {_ZETA_RE[1]}, |Im s| <= {_ZETA_IM}"
-        )
-
-
-def riemann_zeta(s: complex) -> EvalResult:
-    """Riemann zeta by Euler-Maclaurin continuation.
-
-    Certified for -1.1 <= Re s <= 20, |Im s| <= 6, |s - 1| >= 1e-12.
-    Raises PoleError near s = 1 and DomainError outside the box.
-    """
-    s = complex(s)
-    _check_zeta_box(s, "riemann_zeta")
-    if abs(s - 1.0) < 1e-12:
-        raise PoleError("riemann_zeta: pole at s=1")
-    f, _, trunc_f, _, vf, _ = _em_core(s)
-    return EvalResult(f, trunc_f + 2.0 * _EPS * (vf + 1.0))
-
-
-def zeta_derivative(s: complex) -> EvalResult:
-    """d/ds of the Riemann zeta function, same domain as riemann_zeta."""
-    s = complex(s)
-    _check_zeta_box(s, "zeta_derivative")
-    if abs(s - 1.0) < 1e-12:
-        raise PoleError("zeta_derivative: pole at s=1")
-    _, g, _, trunc_g, _, vg = _em_core(s)
-    return EvalResult(g, trunc_g + 2.0 * _EPS * (vg + 1.0))
-
-
-@lru_cache(maxsize=1)
-def _zeta_prime_at_minus1() -> float:
-    return zeta_derivative(-1.0).value.real
-
-
 def eta_constant() -> float:
     """The constant eta = 2 zeta'(-1) - 1/4 + (1/2) log(2 pi)."""
-    return 2.0 * _zeta_prime_at_minus1() - 0.25 + 0.5 * _LN_2PI
+    return 2.0 * _ZETA_PRIME_MINUS1 - 0.25 + 0.5 * _LN_2PI

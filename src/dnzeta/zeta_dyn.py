@@ -232,8 +232,9 @@ def _ladder(
     wanted = lambda k: m_crit * math.exp(-(s + step * k) * l_min) >= _FACTOR_FLOOR
     if wanted(_MAX_FACTORS):
         raise ConvergenceError(f"{name} ladder needs more than {_MAX_FACTORS} factors; refused")
-    # the closed form, then the rule's own float test (monotone in k) at n - 1 and n
-    n = min(max(0, math.ceil((math.log(m_crit / _FACTOR_FLOOR) / l_min - s) / step)), _MAX_FACTORS) if m_crit else 0
+    # the closed form (in logs: m_crit / 1e-16 overflows near the largest double),
+    # then the rule's own float test (monotone in k) at n - 1 and n
+    n = min(max(0, math.ceil(((math.log(m_crit) - math.log(_FACTOR_FLOOR)) / l_min - s) / step)), _MAX_FACTORS) if m_crit else 0
     while n > 0 and not wanted(n - 1):
         n -= 1
     while wanted(n):

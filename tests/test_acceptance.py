@@ -57,9 +57,6 @@ FROZEN_CLAIMS = (
     ("10", "functional", "Barnes G recurrence", 1e-9),
     ("10", "functional", "log Gamma(1/2) = ln(pi)/2", 1e-12),
     ("10", "functional", "log G(1/2) = ln2/24 + 1/8 - ln(pi)/4 - (3/2) ln A", 1e-12),
-    ("10", "functional", "zeta(0) = -1/2", 1e-9),
-    ("10", "functional", "zeta'(0) = -ln(2 pi)/2", 1e-9),
-    ("10", "functional", "zeta'(-1)", 1e-9),
     ("07", "functional", "R = Z(lam)/Z(lam+1), cyclic spectrum", 1e-14),
     ("07", "functional", "R = Z(lam)/Z(lam+1), Schottky pair within tail bounds", 1e-14),
     (None, "functional", "functional bracket reflection antisymmetry", 1e-12),

@@ -334,7 +334,9 @@ class TestSpectrumSubcommand:
         bad.write_text("not json", encoding="utf-8")
         assert run_cli(capsys, *args)[0] == 1
         # matrix entries are JSON numbers: a string or a boolean is refused, not converted
-        for entries in ('"a": "7.389", "b": 0.0', '"a": 7.389, "b": false'):
+        # and so is an integer past the largest double, or past Python's 4300-digit parse limit
+        for entries in ('"a": "7.389", "b": 0.0', '"a": 7.389, "b": false',
+                        '"a": 1' + '0' * 400 + ', "b": 0.0', '"a": 1' + '0' * 5000 + ', "b": 0.0'):
             bad.write_text(f'{{"generators": [{{{entries}, "c": 0.0, "d": 0.1353}}]}}', encoding="utf-8")
             assert run_cli(capsys, *args)[0] == 1
 
@@ -502,12 +504,14 @@ class TestZetaSubcommand:
         assert "2^30" in err
 
     def test_string_cutoff_exits_one(self, capsys, tmp_path):
+        # so does an integer past the largest double, whose float() raised OverflowError
         spec = tmp_path / "s.json"
-        spec.write_text('{"cutoff": "4.0", "complete_up_to": 4.0, "entries": [{"length": 1.0, "multiplicity": 2}]}',
-                        encoding="utf-8")
-        code, out, err = run_cli(capsys, "zeta", "--spectrum", str(spec), "--kind", "ruelle",
-                                 "--lambda", "1.5", "--delta-hint", "0.0")
-        assert (code, out) == (1, "") and "must be numbers" in err
+        for cutoff in ('"4.0"', "1" + "0" * 400):
+            spec.write_text(f'{{"cutoff": {cutoff}, "complete_up_to": 4.0, "entries": [{{"length": 1.0, "multiplicity": 2}}]}}',
+                            encoding="utf-8")
+            code, out, err = run_cli(capsys, "zeta", "--spectrum", str(spec), "--kind", "ruelle",
+                                     "--lambda", "1.5", "--delta-hint", "0.0")
+            assert (code, out) == (1, "") and err.startswith("error: ") and "must be numbers" in err
 
     def test_ladder_overflow_is_contract_violation(self, capsys, tmp_path):
         # a 1e-4 length would need ~370k Selberg factors; the ladder caps
@@ -628,8 +632,8 @@ class TestDetSubcommands:
             ("detdn-0", "plain"): "0ae7c530e92e374afee6a060ce46e88eb3e5cc752d2bae0042652e34b38715af",
             ("detdn-2", "json"): "1557c6bf4738a93890a45aea396a9dc573518a56e2fb81f2961b04be5648d4bb",
             ("detdn-2", "plain"): "22fd11e400a9598f7499e91923f66272838bcca8a05eae54337f020da2b5865d",
-            ("theorem4", "json"): "a4d63d3a79b42fdbe74f60af8b0d71baaff7316b0a072ece11a10662c277d3c0",
-            ("theorem4", "plain"): "3bbc4ef94a5c782ed0c8221b16f8ed6463b9bc3d7794c47a64452536cd563d0c",
+            ("theorem4", "json"): "782f17d49788e74272c53e62587b6cd2fd5cebc54f1e548f204e58e646d5b2ce",
+            ("theorem4", "plain"): "ca2437ecde31f170f8d407c5db9524402a23dbfa28ff754b6ffd2f5a0cf8e7bb",
         }
 
     def test_theorem4_two_path(self, capsys):

@@ -156,6 +156,22 @@ def test_theorem2_error_bar_holds_against_mpmath(chi):
             assert abs(report.ratio - exact) <= report.error_estimate
 
 
+def test_theorem4_error_bar_holds_against_mpmath():
+    # error_estimate is the gap between the closed display and the surgery
+    # composition; over the zeta-grid workload's input ranges it must bound
+    # the closed ratio's distance to the exact display
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20260818)
+    with mpmath.workdps(40):
+        for i in range(1000):
+            chi = (-1, -2, -3, -5)[i % 4]
+            zp, z0 = rng.uniform(0.2, 5.0, 2).tolist()
+            ell = float(rng.uniform(0.5, 10.0))
+            report = theorem4_pipeline(zp, z0, _chi_topology(chi), ell)
+            exact = mpmath.mpf(zp) * mpmath.exp(mpmath.mpf(ell) / 4) / (mpmath.mpf(z0) ** 2 * 2 * mpmath.pi * -chi)
+            assert abs(report.ratio - exact) <= report.error_estimate, (zp, z0, chi, ell)
+
+
 def test_theorem2_matches_annulus_pipeline():
     # Cylinder case against the modulus-bridged annulus determinant.
     rng = np.random.default_rng(20260818)

@@ -562,6 +562,13 @@ def test_spectrum_json_ingests_reflections():
         '{"cutoff": 5.0, "complete_up_to": true, "entries": []}',
         '{"cutoff": "5.0", "complete_up_to": 4.0, "entries": []}',
         '{"cutoff": 5.0, "complete_up_to": "4.0", "entries": []}',
+        # integers past the largest double, and past Python's 4300-digit parse limit
+        pytest.param('{"cutoff": 1' + '0' * 400 + ', "complete_up_to": 4.0, "entries": []}', id="cutoff-1e400"),
+        pytest.param('{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [{"length": 1' + '0' * 400 + ', "multiplicity": 1}]}',
+                     id="length-1e400"),
+        pytest.param('{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [{"length": 1.0, "multiplicity": 1' + '0' * 400 + '}]}',
+                     id="multiplicity-1e400"),
+        pytest.param('{"cutoff": 1' + '0' * 5000 + ', "complete_up_to": 4.0, "entries": []}', id="cutoff-5001-digits"),
     ],
 )
 def test_spectrum_json_rejects_malformed(payload):

@@ -424,6 +424,15 @@ def test_ladder_length_is_the_loop_length_at_every_rounding(monkeypatch):
         assert got == want and sum(w.endswith("refused") for w in want) == 2
 
 
+def test_ladder_length_for_a_multiplicity_near_the_largest_double():
+    # m_crit / 1e-16 overflowed to inf here, and ceil(inf) raised OverflowError
+    spectrum = LengthSpectrum(entries=(SpectrumEntry(length=1.0, multiplicity=10**300),),
+                              cutoff=5.0, complete_up_to=4.0)
+    for lam in (2.0, 2.5):
+        value = selberg(spectrum, lam, 0.0)
+        assert math.isfinite(value.log_value.real) and value.log_value.real < 0.0
+
+
 def _six_entry_ladder():
     # l_min 2.5e-4 at lambda 0.5: 154532 factors of six entries
     entries = (SpectrumEntry(length=2.5e-4, multiplicity=1),) + tuple(
