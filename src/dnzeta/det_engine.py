@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, _is_number
 from .reports import DetReport
 from .specfun import eta_constant, log_barnes_g, log_gamma
 
@@ -50,19 +50,18 @@ class SurfaceTopology:
     euler: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.genus, int) and self.genus >= 0):
+        if not (isinstance(self.genus, int) and _is_number(self.genus) and self.genus >= 0):
             raise DomainError(f"genus must be a nonnegative integer, got {self.genus}")
-        if not (isinstance(self.boundary_components, int) and self.boundary_components >= 1):
-            raise DomainError(
-                f"need at least one boundary component, got {self.boundary_components}"
-            )
+        b = self.boundary_components
+        if not (isinstance(b, int) and _is_number(b) and b >= 1):
+            raise DomainError(f"need at least one boundary component, got {b}")
         object.__setattr__(
             self, "euler", 2 - 2 * self.genus - self.boundary_components
         )
 
 
 def _require_positive(x, name: str) -> float:
-    if not (isinstance(x, (int, float)) and x > 0.0 and math.isfinite(x)):
+    if not (_is_number(x) and x > 0.0 and math.isfinite(x)):
         raise DomainError(f"{name} must be positive and finite, got {x}")
     return float(x)
 
@@ -155,7 +154,7 @@ def theorem2_value(
                 "chi < 0 needs the continued limit of (2 pi lam)^{chi-1} R(lam) "
                 "at lam = 0; zeta products are not continued here"
             )
-        if not (isinstance(supplied_limit, (int, float)) and math.isfinite(supplied_limit)):
+        if not (_is_number(supplied_limit) and math.isfinite(supplied_limit)):
             raise DomainError(f"supplied limit must be finite, got {supplied_limit}")
         ratio = float(supplied_limit) / chi
         error = math.ldexp(abs(ratio), -53) + _SUBNORMAL_ULP
@@ -198,7 +197,7 @@ def log_dirichlet_det(
         raise DomainError(f"needs negative Euler characteristic, got chi = {chi}")
     ell = _require_positive(boundary_length, "boundary_length")
     z = _require_positive(z_g0_at_lam, "Z_g0(lam)")
-    if not (isinstance(lam, (int, float)) and lam > 0.0 and math.isfinite(lam)):
+    if not (_is_number(lam) and lam > 0.0 and math.isfinite(lam)):
         raise DomainError(f"lambda must be positive and real, got {lam}")
     lam = float(lam)
     lg = log_gamma(lam).value.real

@@ -44,7 +44,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, _is_number
 from .reports import DetReport
 from .specfun import log_gamma
 from .zeta_reg import EigenSequence, log_det
@@ -61,7 +61,7 @@ class AnnulusGeometry:
     boundary_length: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.rho > 1.0 and math.isfinite(self.rho)):
+        if not (_is_number(self.rho) and self.rho > 1.0 and math.isfinite(self.rho)):
             raise DomainError(f"annulus needs rho > 1, got {self.rho}")
         if not math.isfinite(self.rho * math.log(self.rho)):
             # the mode-0 eigenvalue (1 + rho) / (rho ln rho) would round to 0
@@ -79,7 +79,7 @@ class DiscGeometry:
 
     def __post_init__(self) -> None:
         r = self.radius
-        if not (r > 0.0 and math.isfinite(1.0 / r) and math.isfinite(_TWO_PI * r)):
+        if not (_is_number(r) and r > 0.0 and math.isfinite(1.0 / r) and math.isfinite(_TWO_PI * r)):
             raise DomainError(f"disc needs radius > 0 with 1 / radius and 2 pi radius finite, got {r}")
         object.__setattr__(self, "boundary_length", _TWO_PI * r)
 
@@ -92,7 +92,7 @@ class CylinderGeometry:
     bridge_rho: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.ell > 0.0 and math.isfinite(self.ell)):
+        if not (_is_number(self.ell) and self.ell > 0.0 and math.isfinite(self.ell)):
             raise DomainError(f"cylinder needs ell > 0, got {self.ell}")
         exponent = 2.0 * math.pi**2 / self.ell
         if exponent > 700.0:

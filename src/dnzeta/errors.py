@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its rule for input numbers."""
+
+import sys
+
+
+def _is_number(x) -> bool:
+    """An int or a float, the numbers an input may give: bool is an int
+    subclass, but true is not a length or a matrix entry, and an int past
+    the largest double (JSON writes integers out in full) has no float."""
+    return isinstance(x, float) or (
+        isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    )
 
 
 class DnZetaError(Exception):
@@ -34,8 +45,8 @@ class TruncationError(DnZetaError):
 
 
 class EnumerationBudgetError(DnZetaError):
-    """A word enumeration would build more words than its budget allows.
+    """A word enumeration built more words than its budget allows.
 
-    Raised before any word is built; the message names the requested
-    depth and the deepest depth that fits.
+    Raised from inside the walk, once the words it has built pass the
+    budget; the message names the requested depth.
     """

@@ -31,26 +31,16 @@ import itertools
 import json
 import math
 import string
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EnumerationBudgetError
+from .errors import DomainError, EnumerationBudgetError, _is_number
 
 _TOL = 1e-12
 _LENGTH_TIE = 1e-9
 _CHUNK = 256  # most prefixes the walk expands in one step
 _WORD_BUDGET = 5_000_000  # most reduced words an enumeration may build
-
-
-def _is_number(x) -> bool:
-    """An int or a float, the numbers an input may give: bool is an int
-    subclass, but true is not a length or a matrix entry, and an int past
-    the largest double (JSON writes integers out in full) has no float."""
-    return isinstance(x, float) or (
-        isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-    )
 
 
 @dataclass(frozen=True)
@@ -166,7 +156,9 @@ def _primitive_classes(
     products entry by entry as a*e + b*g like scalar code.  A product with an
     inf or NaN entry is not grown (no extension's trace is finite), nor a sum
     past the cutoff.  The least failing (|tr| <= 2) class word is reported,
-    as a walk in word order meets it.  work gets the prefixes expanded."""
+    as a walk in word order meets it.  work gets the prefixes expanded.  Every
+    word built (the one-letter words, the children of each expanded chunk)
+    counts against _WORD_BUDGET; past it, EnumerationBudgetError."""
     n_letters = 2 * len(generators)
     allowed, top = _trie_top(n_letters)
     limit = l_max + _LENGTH_TIE
@@ -175,7 +167,7 @@ def _primitive_classes(
     cells = np.array([(g.a, g.d, g.b, -g.b, g.c, -g.c, g.d, g.a) for g in generators])
     prods = letter_mats = cells.reshape(-1, 2, 2, 2).transpose(1, 2, 0, 3).reshape(2, 2, -1)
     steps = np.zeros(n_letters * n_letters) if step_bounds is None else step_bounds.ravel()
-    prune, bounds, expanded = limit * (1.0 + 1e-9) + 1e-12, np.zeros(n_letters), 0
+    prune, bounds, expanded, built = limit * (1.0 + 1e-9) + 1e-12, np.zeros(n_letters), 0, n_letters
     (_, _, words, periods, is_class), out, failed, stack = top[0], [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -206,6 +198,9 @@ def _primitive_classes(
             expanded += len(periods)
             step = top[n] if n < len(top) else _expand(allowed, words, periods)
             rows, nxt, words, periods, is_class = step
+            built += len(rows)
+            if built > _WORD_BUDGET:
+                raise EnumerationBudgetError(f"the walk to word depth {w_max} builds more than {_WORD_BUDGET} words")
             left, right = prods.take(rows, axis=2), letter_mats.take(nxt, axis=2)
             prods = left[:, :1] * right[:1] + left[:, 1:] * right[1:]
             if n + 1 < w_max:  # the W-sums of the blocks that may be grown
@@ -305,8 +300,9 @@ class GroupPresentation:
     at most 4: each must be hyperbolic, otherwise the input cannot be a
     separated free system (a relation shows up as an identity word, a
     tangency as a parabolic one).  The screen is the enumerator's own
-    block walk to depth 4, keeping no class; the lexicographically least
-    failing word is reported.  It is a heuristic filter.  Construction then
+    block walk to depth 4, keeping no class, under the walk's word budget
+    (EnumerationBudgetError past it); the lexicographically least failing
+    word is reported.  It is a heuristic filter.  Construction then
     searches for ping-pong arcs; _step_bounds holds their W, or None.
     """
 
@@ -318,6 +314,8 @@ class GroupPresentation:
         gens = tuple(self.generators)
         if not gens:
             raise DomainError("need at least one generator")
+        if len(gens) > 128:  # a word holds a letter, 2i or 2i + 1, per byte
+            raise DomainError(f"at most 128 generators fit the walk's one-byte letters, got {len(gens)}")
         if not all(isinstance(g, MobiusTransform) for g in gens):
             raise DomainError("generators must be MobiusTransform instances")
         object.__setattr__(self, "generators", gens)
@@ -406,20 +404,6 @@ def _displacement_floor(generators: tuple[MobiusTransform, ...]) -> float:
     return min(translation_length(g) for g in generators) / 2.0
 
 
-def _affordable_depth(n_letters: int) -> int:
-    """Deepest word length w whose reduced words of length <= w number at
-    most _WORD_BUDGET.  Those words number 2w for two letters and
-    n((n-1)^w - 1)/(n - 2) for n > 2, so for n > 2 the depth is the
-    integer log base n - 1 of floor(budget (n - 2) / n) + 1."""
-    if n_letters == 2:
-        return _WORD_BUDGET // 2
-    bound = _WORD_BUDGET * (n_letters - 2) // n_letters + 1
-    w = 1
-    while (n_letters - 1) ** (w + 1) <= bound:
-        w += 1
-    return w
-
-
 def enumerate_primitive_classes(
     group: GroupPresentation,
     l_max: float,
@@ -433,11 +417,12 @@ def enumerate_primitive_classes(
     is the per-letter displacement floor of the generator set (half the
     shortest generator length), unless max_word_len pins it explicitly.
     complete_up_to = min(l_max, depth * d) is a heuristic: no class
-    shorter than it is proven present.  A depth whose reduced words number
-    more than 5,000,000 is refused with EnumerationBudgetError before
-    any word is built.  A ping-pong certificate lets the walk skip prefixes
-    whose extensions all pass l_max.  The spectrum's _work records the
-    certificate, its least W, the depth, prefixes expanded, classes kept.
+    shorter than it is proven present.  A ping-pong certificate lets the
+    walk skip prefixes whose extensions all pass l_max.  The walk counts
+    the words it builds and raises EnumerationBudgetError once they pass
+    5,000,000, so the pruned walk, not the depth, decides what is refused.
+    The spectrum's _work records the certificate, its least W, the depth,
+    prefixes expanded, classes kept.
     """
     if not (_is_number(l_max) and l_max > 0.0 and math.isfinite(l_max)):
         raise DomainError(f"l_max must be positive and finite, got {l_max}")
@@ -449,12 +434,6 @@ def enumerate_primitive_classes(
         if not (isinstance(max_word_len, int) and max_word_len >= 1):
             raise DomainError(f"max_word_len must be an integer >= 1, got {max_word_len}")
         w_max = max_word_len
-    affordable = _affordable_depth(2 * len(group.generators))
-    if affordable < w_max:
-        raise EnumerationBudgetError(
-            f"word depth {w_max} needs more than {_WORD_BUDGET} words; "
-            f"deepest affordable depth was {affordable}"
-        )
     bounds, letters = group._step_bounds, np.arange(2 * len(group.generators))
     work = {"certificate": "none" if bounds is None else "ping-pong", "depth": w_max,
             "min_w": 0.0 if bounds is None else float(bounds[letters != (letters ^ 1)[:, None]].min())}

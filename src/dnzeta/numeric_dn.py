@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dn_explicit import DiscGeometry
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, _is_number
 
 _TWO_PI = 2.0 * math.pi
 _QUAD_NODES = 2048
@@ -87,7 +87,10 @@ class ConformalFactor:
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = tuple(self.coefficients)
+        if not all(map(_is_number, coeffs)):
+            raise DomainError(f"coefficients must be ints or floats, got {coeffs!r}")
+        coeffs = tuple(map(float, coeffs))
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) == 0 or len(coeffs) % 2 == 0:
             raise DomainError(
@@ -190,7 +193,7 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     if not ks:
         raise DomainError("k_values must be nonempty")
     for k in ks:
-        if not (isinstance(k, int) and k >= 1):
+        if not (isinstance(k, int) and _is_number(k) and k >= 1):
             raise DomainError(f"mode cutoff K must be an integer >= 1, got {k}")
         if k < 4 * omega0.degree:
             raise TruncationError(f"K = {k} is below the required 4 * degree = {4 * omega0.degree}")

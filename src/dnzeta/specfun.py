@@ -204,7 +204,9 @@ def log_barnes_g(z: complex) -> EvalResult:
         upow *= inv2
 
     value = main + series - acc
-    scale = abs(main) + acc_abs + 1.0
+    # main cancels; each term carries about 8 half-ulps of its own size (u = z - 1, products, log, sums)
+    terms = (0.5 * abs(u) ** 2 + 1.0 / 12.0) * abs(lu) + 0.75 * abs(u) ** 2 + 0.5 * abs(u) * _LN_2PI
+    scale = 2.0 * terms + acc_abs + 1.0
     return EvalResult(value, trunc + acc_err + 2.0 * _EPS * scale)
 
 

@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .hyperbolic import LengthSpectrum, _is_number, _window_entries
+from .errors import ConvergenceError, DomainError, _is_number
+from .hyperbolic import LengthSpectrum, _window_entries
 
 _BLOCK_TERMS = 2**14
 _FACTOR_FLOOR = 1e-16
@@ -155,7 +155,11 @@ def _with_work(value: ZetaValue, work: dict) -> ZetaValue:
     return value
 
 
-def _check_region(lam: complex, delta_hint: float) -> None:
+def _check_region(lam, delta_hint: float) -> complex:
+    """lam as a complex: a number (not a bool or a str) with Re lam > delta_hint."""
+    if not (_is_number(lam) or isinstance(lam, complex)):
+        raise DomainError(f"lambda must be a number, got {lam!r}")
+    lam = complex(lam)
     if not (
         _is_number(delta_hint)
         and math.isfinite(delta_hint)
@@ -169,6 +173,7 @@ def _check_region(lam: complex, delta_hint: float) -> None:
             f"Re lambda = {lam.real} is outside the convergence region "
             f"Re lambda > {delta_hint}"
         )
+    return lam
 
 
 def _check_phase(lam: complex, longest: float) -> None:
@@ -194,8 +199,7 @@ def _counting_tail(
 
 def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaValue:
     """log R(lambda) over the spectrum's completeness window."""
-    lam = complex(lam)
-    _check_region(lam, delta_hint)
+    lam = _check_region(lam, delta_hint)
     _check_phase(lam, spectrum.complete_up_to)
     used = _window_entries(spectrum)
     work = dict.fromkeys(_WORK_KEYS, 0)
@@ -265,8 +269,7 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
     The ladder stops before m_total e^{-(Re lambda + k) l_min} drops
     below 1e-16; its length and refusal follow the module docstring.
     """
-    lam = complex(lam)
-    _check_region(lam, delta_hint)
+    lam = _check_region(lam, delta_hint)
     _check_phase(lam, spectrum.complete_up_to)
     used = _window_entries(spectrum)
     m_total = sum(e.multiplicity for e in used)
@@ -289,11 +292,11 @@ def selberg_boundary(
     as in selberg, with 2 (boundary count + interior multiplicity) for
     m_total and l_min taken over both.
     """
-    lam = complex(lam)
-    _check_region(lam, delta_hint)
-    lengths = [float(l) for l in boundary_lengths]
-    if not all(l > 0.0 and math.isfinite(l) for l in lengths):
+    lam = _check_region(lam, delta_hint)
+    lengths = list(boundary_lengths)
+    if not all(_is_number(l) and l > 0.0 and math.isfinite(l) for l in lengths):
         raise DomainError(f"boundary lengths must be positive and finite, got {lengths}")
+    lengths = [float(l) for l in lengths]
     _check_phase(lam, max(lengths + [spectrum.complete_up_to]))
     for entry in spectrum.entries:
         if entry.reflections is None:

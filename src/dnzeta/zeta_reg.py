@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidSequenceError
+from .errors import DomainError, InvalidSequenceError, _is_number
 from .specfun import _kadd
 
 # Slack for eigenvalues computed in floating point: a certificate
@@ -75,10 +75,12 @@ class EigenSequence:
     tail_multiplicity: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "corrections", tuple(float(e) for e in self.corrections))
-        object.__setattr__(
-            self, "head", tuple((float(lam), int(m)) for lam, m in self.head)
-        )
+        corrections, head = tuple(self.corrections), tuple(self.head)
+        reals = (self.power, self.prefactor, self.decay_rate, self.decay_bound, *corrections, *(lam for lam, _ in head))
+        if not (all(map(_is_number, reals)) and all(isinstance(m, int) and _is_number(m) for _, m in head)):
+            raise DomainError(f"sequence data must be ints or floats and head multiplicities ints, not bools: {reals!r}")
+        object.__setattr__(self, "corrections", tuple(map(float, corrections)))
+        object.__setattr__(self, "head", tuple((float(lam), m) for lam, m in head))
         if self.power == 0.0:
             raise DomainError("power k = 0 (bounded sequences) is unsupported")
         if not (self.power > 0.0 and math.isfinite(self.power)):
@@ -91,7 +93,7 @@ class EigenSequence:
             raise InvalidSequenceError(
                 f"decay bound must be finite and >= 0, got {self.decay_bound}"
             )
-        if not (isinstance(self.tail_multiplicity, int) and self.tail_multiplicity >= 1):
+        if not (isinstance(self.tail_multiplicity, int) and _is_number(self.tail_multiplicity) and self.tail_multiplicity >= 1):
             raise InvalidSequenceError(
                 f"tail multiplicity must be a positive integer, got {self.tail_multiplicity}"
             )

@@ -269,16 +269,19 @@ class TestSpectrumSubcommand:
         assert json.loads(out)["cutoff"] == 5.0
 
     def test_over_budget_depth_is_refused(self, capsys, tmp_path):
-        # Two generators have 9,565,936 reduced words up to depth 14.
+        # At depth 24 the pair's pruned walk builds more than 5M words; it
+        # stops there, and no spectrum file is written.
         gens = write_generator_pair(tmp_path / "gens.json")
         out_path = tmp_path / "spectrum.json"
+        start = time.perf_counter()
         code, out, err = run_cli(
             capsys, "spectrum", "--generators", gens,
-            "--max-word-len", "14", "--out", str(out_path),
+            "--max-word-len", "24", "--out", str(out_path),
         )
+        assert time.perf_counter() - start < 5.0
         assert code == 2
         assert out == ""
-        assert err.startswith("EnumerationBudgetError: word depth 14 needs more than 5000000 words")
+        assert err == "EnumerationBudgetError: the walk to word depth 24 builds more than 5000000 words\n"
         assert not out_path.exists()
 
     def test_verbose_reports_the_walk_on_stderr_only(self, capsys, tmp_path):
@@ -339,6 +342,18 @@ class TestSpectrumSubcommand:
                         '"a": 1' + '0' * 400 + ', "b": 0.0', '"a": 1' + '0' * 5000 + ', "b": 0.0'):
             bad.write_text(f'{{"generators": [{{{entries}, "c": 0.0, "d": 0.1353}}]}}', encoding="utf-8")
             assert run_cli(capsys, *args)[0] == 1
+
+    def test_more_than_128_generators_exit_one(self, capsys, tmp_path):
+        # a word stores one letter per byte: 130 generators ended in an IndexError
+        gens = tmp_path / "many.json"
+        dilation = {"a": math.e, "b": 0.0, "c": 0.0, "d": 1.0 / math.e}
+        gens.write_text(json.dumps({"generators": [dilation] * 130}), encoding="utf-8")
+        out_path = tmp_path / "o.json"
+        code, out, err = run_cli(capsys, "spectrum", "--generators", str(gens), "--max-word-len", "4",
+                                 "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: at most 128 generators fit the walk's one-byte letters, got 130\n"
+        assert not out_path.exists()
 
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -430,10 +430,9 @@ def test_one_generator_deep_walk():
     spec = enumerate_primitive_classes(grp, 3000.0, max_word_len=2_500_000)
     assert time.perf_counter() - start < 0.5
     assert [e.multiplicity for e in spec.entries] == [2]
-    # Two letters give 2w reduced words up to depth w: 2.5M is the
-    # deepest depth inside the 5M word budget.
-    with pytest.raises(EnumerationBudgetError, match="deepest affordable depth was 2500000$"):
-        enumerate_primitive_classes(grp, 3000.0, max_word_len=2_500_001)
+    # The walk builds g and g^-1 only, so no depth exhausts the word budget.
+    spec = enumerate_primitive_classes(grp, 3000.0, max_word_len=10**9)
+    assert [e.multiplicity for e in spec.entries] == [2]
     tracemalloc.start()
     try:
         enumerate_primitive_classes(grp, 10_000.0, max_word_len=5_000)
@@ -477,21 +476,88 @@ def test_cutoff_ties_follow_the_scalar_length_test(length):
     assert len(_primitive_classes((g,), ("a",), 3, 1420.0 + length)) == 2
 
 
+def _rotated_dilations(k):
+    # k dilations of length 3 whose axes all cross i: the screen walks
+    # every reduced prenecklace of at most 4 letters.
+    gens = []
+    for i in range(k):
+        c, s = math.cos(math.pi * i / k), math.sin(math.pi * i / k)
+        rot = np.array([[c, -s], [s, c]])
+        gens.append(MobiusTransform(*(rot @ np.diag([math.exp(1.5), math.exp(-1.5)]) @ rot.T).ravel()))
+    return tuple(gens)
+
+
 def test_enumeration_budget_guard(monkeypatch):
-    # Reduced words of two generators up to depth w number 2 (3^w - 1):
-    # 3,188,644 at depth 13, 9,565,936 at depth 14.  The refusal comes
-    # before any walk; the pair's own screen walks before the patch.
+    # The walk counts each word it builds: the one-letter words, then the
+    # children of every expanded block, the cached top levels of the trie
+    # included.  Count them from _expand with the cache cleared.
     pair = claims.schottky_pair()
+    expand, built = hyperbolic._expand, []
 
-    def no_walk(*args):
-        raise AssertionError("the walk ran")
+    def counted(*args):
+        step = expand(*args)
+        built.append(len(step[0]))
+        return step
 
-    monkeypatch.setattr(hyperbolic, "_primitive_classes", no_walk)
-    with pytest.raises(
-        EnumerationBudgetError,
-        match="^word depth 20 needs more than 5000000 words; deepest affordable depth was 13$",
-    ):
-        enumerate_primitive_classes(pair, 20.0)
+    monkeypatch.setattr(hyperbolic, "_expand", counted)
+    hyperbolic._trie_top.cache_clear()
+    enumerate_primitive_classes(pair, 9.0)
+    monkeypatch.setattr(hyperbolic, "_expand", expand)
+    hyperbolic._trie_top.cache_clear()
+    words = 4 + sum(built)
+    cached = len(hyperbolic._trie_top(4)[1]) - 1  # levels built once, before the walk
+    assert len(built) > cached
+    monkeypatch.setattr(hyperbolic, "_WORD_BUDGET", words)
+    want = enumerate_primitive_classes(pair, 9.0)
+    monkeypatch.setattr(hyperbolic, "_WORD_BUDGET", words - 1)
+    with pytest.raises(EnumerationBudgetError, match="^the walk to word depth 9 builds more than"):
+        enumerate_primitive_classes(pair, 9.0)
+    # The screen is the same walk under the same budget: with room for the
+    # one-letter words only, it is refused at its first step.
+    monkeypatch.setattr(hyperbolic, "_WORD_BUDGET", 4)
+    with pytest.raises(EnumerationBudgetError, match="^the walk to word depth 4 builds"):
+        GroupPresentation(generators=pair.generators)
+    monkeypatch.undo()
+    assert enumerate_primitive_classes(pair, 9.0) == want
+    # The depth-4 screen of 33 generators builds under 5M words, that of 34
+    # or more does not: 100 are refused long before the full walk (tens of
+    # seconds).
+    GroupPresentation(generators=_rotated_dilations(3))
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError, match="^the walk to word depth 4 builds more than 5000000 words$"):
+        GroupPresentation(generators=_rotated_dilations(100))
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("k", [129, 130, 300])
+def test_more_generators_than_one_byte_letters_are_refused(k):
+    # Letters 2i and 2i + 1 are stored in a uint8, and the trie's allowed
+    # table takes (2k)^3 bytes: the refusal comes before either.
+    hyperbolic._trie_top.cache_clear()
+    with pytest.raises(DomainError, match=f"at most 128 generators .* got {k}$"):
+        GroupPresentation(generators=_rotated_dilations(k))
+    assert hyperbolic._trie_top.cache_info().currsize == 0
+
+
+@pytest.fixture(scope="module")
+def claims_pair_at_20():
+    start = time.perf_counter()
+    spec = enumerate_primitive_classes(claims.schottky_pair(), 20.0)
+    return spec, time.perf_counter() - start
+
+
+def test_claims_pair_at_l_max_20_fits_the_budget(claims_pair_at_20):
+    # Depth 20 has 7.0e9 reduced words; the pruned walk builds under 5M.
+    spec, seconds = claims_pair_at_20
+    assert seconds < 5.0
+    assert spec._work["depth"] == 20 and spec.complete_up_to == 20.0
+    assert sum(e.multiplicity for e in spec.entries) == spec._work["classes_kept"]
+
+
+def test_claims_pair_at_l_max_20_agrees_with_l_max_12(claims_pair_at_20):
+    deep, shallow = claims_pair_at_20[0], enumerate_primitive_classes(claims.schottky_pair(), 12.0)
+    assert [e for e in deep.entries if e.length <= 12.0 + 1e-9] == list(shallow.entries)
+    assert len(deep.entries) > len(shallow.entries)
 
 
 def test_enumeration_rejects_bad_arguments():

@@ -5,7 +5,16 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+import pytest
+
 import dnzeta
+from dnzeta.det_engine import SurfaceTopology, log_dirichlet_det, theorem2_value, theorem4_pipeline
+from dnzeta.dn_explicit import AnnulusGeometry, CylinderGeometry, DiscGeometry
+from dnzeta.errors import DomainError
+from dnzeta.hyperbolic import LengthSpectrum, SpectrumEntry
+from dnzeta.numeric_dn import ConformalFactor, k_convergence_table
+from dnzeta.zeta_dyn import ruelle, selberg, selberg_boundary
+from dnzeta.zeta_reg import EigenSequence
 
 PACKAGE = Path(dnzeta.__file__).parent
 BENCH = PACKAGE.parents[1] / "bench"
@@ -107,3 +116,46 @@ def test_every_default_is_set():
             ):
                 unset.append(f"{name}.{param.name}")
     assert unset == []
+
+
+_HUGE = 10**400  # an int past the largest double, as JSON may write one
+_SPECTRUM = LengthSpectrum(entries=(SpectrumEntry(1.0, 1, 0),), cutoff=2.0, complete_up_to=2.0)
+_PANTS = SurfaceTopology(0, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: AnnulusGeometry(_HUGE),
+    lambda: AnnulusGeometry("3"),
+    lambda: DiscGeometry(True),
+    lambda: DiscGeometry(_HUGE),
+    lambda: CylinderGeometry(_HUGE),
+    lambda: SurfaceTopology(True, 1),
+    lambda: SurfaceTopology(0, _HUGE),
+    lambda: theorem2_value(_PANTS, supplied_limit=_HUGE),
+    lambda: theorem2_value(_PANTS, supplied_limit=True),
+    lambda: theorem4_pipeline(1.0, 1.0, _PANTS, _HUGE),
+    lambda: log_dirichlet_det(_HUGE, 1.0, _PANTS, 1.0),
+    lambda: log_dirichlet_det(True, 1.0, _PANTS, 1.0),
+    lambda: EigenSequence(power=True, prefactor=1.0),
+    lambda: EigenSequence(power=_HUGE, prefactor=1.0),
+    lambda: EigenSequence(power=1.0, prefactor=1.0, head=((2.0, 1.5),)),
+    lambda: ConformalFactor(("0", "0.3", "0")),
+    lambda: ConformalFactor((False, True, False)),
+    lambda: k_convergence_table(DiscGeometry(1.0), ConformalFactor((0.0, 0.3, 0.0)), [0.0, 0.5, 1.0], (True,)),
+    lambda: ruelle(_SPECTRUM, "1.5", 0.0),
+    lambda: selberg(_SPECTRUM, True, 0.0),
+    lambda: selberg_boundary(["1.0"], _SPECTRUM, 1.5, 0.0),
+    lambda: selberg_boundary([_HUGE], _SPECTRUM, 1.5, 0.0),
+], ids=[
+    "annulus-huge", "annulus-str", "disc-bool", "disc-huge", "cylinder-huge", "genus-bool",
+    "boundary-count-huge", "limit-huge", "limit-bool", "theorem4-ell-huge",
+    "dirichlet-lam-huge", "dirichlet-lam-bool", "power-bool", "power-huge", "head-count-float",
+    "factor-str", "factor-bool", "k-bool", "ruelle-lam-str", "selberg-lam-bool",
+    "boundary-length-str", "boundary-length-huge",
+])
+def test_every_route_refuses_what_is_not_a_number(call):
+    # One rule (errors._is_number): an int or a float, not a bool, a str or
+    # an int past the largest double; these raised OverflowError or
+    # TypeError, or were converted and accepted.
+    with pytest.raises(DomainError):
+        call()

@@ -165,3 +165,36 @@ class TestEta:
     def test_frozen_zeta_prime_minus1_is_the_nearest_double(self):
         with mpmath.workdps(30):
             assert _ZETA_PRIME_MINUS1 == float(mpmath.zeta(-1, derivative=1))
+
+
+def _seeded_points(rng, n, radius, left):
+    """n points of the certified box |z| <= radius, Re z >= left, kept
+    1e-3 off the real axis left of 1/2, where the poles and zeros are."""
+    points = []
+    while len(points) < n:
+        z = complex(rng.uniform(left, radius), rng.uniform(-radius, radius))
+        if abs(z) <= radius and not (z.real <= 0.5 and abs(z.imag) < 1e-3):
+            points.append(z)
+    return points
+
+
+@pytest.mark.parametrize(
+    "func, reference, n, radius, left",
+    [
+        (log_gamma, mpmath.loggamma, 1000, 60.0, -60.0),
+        # Re z >= 11 takes no recurrence step: the asymptotic main part alone
+        # sets the bar, and 2 eps |main| missed its cancellation.
+        (log_barnes_g, lambda z: mpmath.log(mpmath.barnesg(z)), 300, 40.0, 11.0),
+        (log_barnes_g, lambda z: mpmath.log(mpmath.barnesg(z)), 100, 40.0, -40.0),
+    ],
+    ids=["log_gamma", "log_barnes_g-asymptotic", "log_barnes_g"],
+)
+def test_error_estimate_bounds_the_error_against_mpmath(func, reference, n, radius, left):
+    rng = np.random.default_rng(20261019)
+    with mpmath.workdps(30):
+        for z in _seeded_points(rng, n, radius, left):
+            res = func(z)
+            gap = mpmath.mpc(res.value) - reference(mpmath.mpc(z))
+            # the branches differ by 2 pi i k; the error is what is left
+            gap -= 2j * mpmath.pi * mpmath.nint(gap.imag / (2 * mpmath.pi))
+            assert float(abs(gap)) <= res.abs_error_estimate, f"z = {z!r}"
