@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import DomainError, _is_number
+from .errors import DomainError, _count, _finite_complex, _finite_real
 from .reports import DetReport
 from .specfun import eta_constant, log_barnes_g, log_gamma
 
@@ -50,20 +50,8 @@ class SurfaceTopology:
     euler: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.genus, int) and _is_number(self.genus) and self.genus >= 0):
-            raise DomainError(f"genus must be a nonnegative integer, got {self.genus}")
-        b = self.boundary_components
-        if not (isinstance(b, int) and _is_number(b) and b >= 1):
-            raise DomainError(f"need at least one boundary component, got {b}")
-        object.__setattr__(
-            self, "euler", 2 - 2 * self.genus - self.boundary_components
-        )
-
-
-def _require_positive(x, name: str) -> float:
-    if not (_is_number(x) and x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"{name} must be positive and finite, got {x}")
-    return float(x)
+        genus, boundaries = _count(self.genus, "genus", 0), _count(self.boundary_components, "boundary count", 1)
+        object.__setattr__(self, "euler", 2 - 2 * genus - boundaries)
 
 
 def _exp(log_value: float, name: str) -> float:
@@ -99,9 +87,7 @@ def functional_equation_rhs(
     enters with exponent -chi.  Callback domain errors and gamma poles
     propagate unchanged.
     """
-    lam = complex(lam)
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise DomainError(f"lambda must be finite, got {lam}")
+    lam = _finite_complex(lam, "lambda")
     log_ratio = complex(log_z_at(1.0 - lam)) - complex(log_z_at(lam))
     chi = topology.euler
     if chi == 0:
@@ -142,10 +128,11 @@ def theorem2_value(
             raise DomainError("the cylinder case takes ell, not a zeta limit")
         if ell is None:
             raise DomainError("the cylinder case needs the geodesic length ell")
-        ratio = _require_positive(ell, "ell") / math.pi
+        ell = _finite_real(ell, "ell", 0.0)
+        ratio = ell / math.pi
         error = math.ldexp(ratio, -52) + _SUBNORMAL_ULP
         method = "closed_form"
-        datum = {"ell": float(ell)}
+        datum = {"ell": ell}
     else:
         if ell is not None:
             raise DomainError("the chi < 0 case takes a zeta limit, not ell")
@@ -154,12 +141,11 @@ def theorem2_value(
                 "chi < 0 needs the continued limit of (2 pi lam)^{chi-1} R(lam) "
                 "at lam = 0; zeta products are not continued here"
             )
-        if not (_is_number(supplied_limit) and math.isfinite(supplied_limit)):
-            raise DomainError(f"supplied limit must be finite, got {supplied_limit}")
-        ratio = float(supplied_limit) / chi
+        limit = _finite_real(supplied_limit, "supplied limit")
+        ratio = limit / chi
         error = math.ldexp(abs(ratio), -53) + _SUBNORMAL_ULP
         method = "zeta_pipeline"
-        datum = {"supplied_limit": float(supplied_limit)}
+        datum = {"supplied_limit": limit}
     inputs = {
         "genus": topology.genus,
         "boundary_components": topology.boundary_components,
@@ -177,7 +163,7 @@ def sarnak_det(zprime_g_at_1: float, topology: SurfaceTopology) -> float:
     topology describes the bordered half whose double is M (the double
     itself is closed and has chi(M) = 2 chi).  Evaluated in log space.
     """
-    z = _require_positive(zprime_g_at_1, "Z'_G(1)")
+    z = _finite_real(zprime_g_at_1, "Z'_G(1)", 0.0)
     return _exp(math.log(z) - 2.0 * eta_constant() * topology.euler, "det'(Delta_M)")
 
 
@@ -195,11 +181,9 @@ def log_dirichlet_det(
     chi = topology.euler
     if chi >= 0:
         raise DomainError(f"needs negative Euler characteristic, got chi = {chi}")
-    ell = _require_positive(boundary_length, "boundary_length")
-    z = _require_positive(z_g0_at_lam, "Z_g0(lam)")
-    if not (_is_number(lam) and lam > 0.0 and math.isfinite(lam)):
-        raise DomainError(f"lambda must be positive and real, got {lam}")
-    lam = float(lam)
+    ell = _finite_real(boundary_length, "boundary_length", 0.0)
+    z = _finite_real(z_g0_at_lam, "Z_g0(lam)", 0.0)
+    lam = _finite_real(lam, "lambda", 0.0)
     lg = log_gamma(lam).value.real
     lb = log_barnes_g(lam).value.real
     factor = (
@@ -240,9 +224,9 @@ def theorem4_pipeline(
     chi = topology.euler
     if chi >= 0:
         raise DomainError(f"needs negative Euler characteristic, got chi = {chi}")
-    zp = _require_positive(zprime_g_at_1, "Z'_G(1)")
-    z0 = _require_positive(z_g0_at_1, "Z_g0(1)")
-    ell = _require_positive(boundary_length, "boundary_length")
+    zp = _finite_real(zprime_g_at_1, "Z'_G(1)", 0.0)
+    z0 = _finite_real(z_g0_at_1, "Z_g0(1)", 0.0)
+    ell = _finite_real(boundary_length, "boundary_length", 0.0)
     log_ratio_closed = (
         math.log(zp)
         - 2.0 * math.log(z0)

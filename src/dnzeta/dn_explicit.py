@@ -44,7 +44,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, PoleError, _is_number
+from .errors import DomainError, PoleError, _finite_complex, _finite_real
 from .reports import DetReport
 from .specfun import log_gamma
 from .zeta_reg import EigenSequence, log_det
@@ -61,8 +61,7 @@ class AnnulusGeometry:
     boundary_length: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (_is_number(self.rho) and self.rho > 1.0 and math.isfinite(self.rho)):
-            raise DomainError(f"annulus needs rho > 1, got {self.rho}")
+        object.__setattr__(self, "rho", _finite_real(self.rho, "annulus rho", 1.0))
         if not math.isfinite(self.rho * math.log(self.rho)):
             # the mode-0 eigenvalue (1 + rho) / (rho ln rho) would round to 0
             raise DomainError(f"annulus needs rho ln rho finite, got rho = {self.rho}")
@@ -78,9 +77,10 @@ class DiscGeometry:
     boundary_length: float = field(init=False)
 
     def __post_init__(self) -> None:
-        r = self.radius
-        if not (_is_number(r) and r > 0.0 and math.isfinite(1.0 / r) and math.isfinite(_TWO_PI * r)):
-            raise DomainError(f"disc needs radius > 0 with 1 / radius and 2 pi radius finite, got {r}")
+        r = _finite_real(self.radius, "disc radius", 0.0)
+        if not (math.isfinite(1.0 / r) and math.isfinite(_TWO_PI * r)):
+            raise DomainError(f"disc needs 1 / radius and 2 pi radius finite, got {r}")
+        object.__setattr__(self, "radius", r)
         object.__setattr__(self, "boundary_length", _TWO_PI * r)
 
 
@@ -92,8 +92,7 @@ class CylinderGeometry:
     bridge_rho: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (_is_number(self.ell) and self.ell > 0.0 and math.isfinite(self.ell)):
-            raise DomainError(f"cylinder needs ell > 0, got {self.ell}")
+        object.__setattr__(self, "ell", _finite_real(self.ell, "cylinder ell", 0.0))
         exponent = 2.0 * math.pi**2 / self.ell
         if exponent > 700.0:
             raise DomainError(
@@ -177,7 +176,7 @@ def cylinder_scattering_mode0(lam: complex) -> complex:
     matching the kernel of the DN map on constants at lam = 1.  Raises
     PoleError where Gamma(lam/2) itself has a pole (lam = 0, -2, ...).
     """
-    lam = complex(lam)
+    lam = _finite_complex(lam, "lambda")
     try:
         lg_den = log_gamma((1.0 - lam) / 2.0)
     except PoleError:

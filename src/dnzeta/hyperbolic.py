@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EnumerationBudgetError, _is_number
+from .errors import DomainError, EnumerationBudgetError, _count, _finite_real
 
 _TOL = 1e-12
 _LENGTH_TIE = 1e-9
@@ -58,12 +58,7 @@ class MobiusTransform:
     d: float
 
     def __post_init__(self) -> None:
-        vals = (self.a, self.b, self.c, self.d)
-        if not all(_is_number(v) for v in vals):
-            raise DomainError(f"matrix entries must be numbers, got {vals}")
-        vals = [float(v) for v in vals]
-        if not all(math.isfinite(v) for v in vals):
-            raise DomainError(f"matrix entries must be finite, got {vals}")
+        vals = [_finite_real(v, "matrix entry") for v in (self.a, self.b, self.c, self.d)]
         det = vals[0] * vals[3] - vals[1] * vals[2]
         if det <= _TOL:
             raise DomainError(
@@ -109,16 +104,16 @@ def _default_labels(k: int) -> tuple[str, ...]:
     return tuple(f"g{i}" for i in range(k))
 
 
-def _expand(allowed: np.ndarray, words: np.ndarray, periods: np.ndarray):
+def _expand(n_letters: int, words: np.ndarray, periods: np.ndarray):
     """Parent columns, letters, words, periods and class flags of the children
-    of a block of prenecklaces (words (n, block), a word per column), in
-    word order if the block is.  A prefix of period p extends by the letters
-    >= word[n - p] but its last letter's inverse: period p on that letter,
-    Lyndon (n + 1) on others.  allowed[floor * letters + last] masks them."""
-    (n, size), n_letters = words.shape, allowed.shape[1]
+    of a block of prenecklaces (words (n, block), a word per column) over
+    n_letters letters, in word order if the block is.  A prefix of period p
+    extends by the letters >= its floor word[n - p] but its last letter's
+    inverse: period p on the floor, Lyndon (n + 1) on others."""
+    n, size = words.shape
     floor = words.ravel().take((n - periods) * size + np.arange(size))
-    state = np.multiply(floor, n_letters, dtype=np.intp) + words[-1]
-    rows, nxt = allowed.take(state, axis=0).nonzero()
+    letters = np.arange(n_letters)
+    rows, nxt = ((letters >= floor[:, None]) & (letters != (words[-1] ^ 1)[:, None])).nonzero()
     child = np.empty((n + 1, len(rows)), np.uint8)
     words.take(rows, axis=1, out=child[:n])
     child[n] = nxt
@@ -129,20 +124,17 @@ def _expand(allowed: np.ndarray, words: np.ndarray, periods: np.ndarray):
 
 @functools.lru_cache(maxsize=16)
 def _trie_top(n_letters: int):
-    """The allowed table of _expand; the one-letter words as top[0] and, as
-    top[n], the _expand step of the length-n words while one block holds
-    them.  A prenecklace has no letter below its first, so words opening
-    with the last generator's letters are its powers: not grown."""
-    letters = np.arange(n_letters)
-    allowed = (letters >= letters[:, None, None]) & (letters != (letters ^ 1)[:, None])
-    allowed = allowed.reshape(-1, n_letters)
-    words, periods = letters[None].astype(np.uint8), np.ones(n_letters, np.intp)
-    top = [(None, None, words, periods, periods > 0), _expand(allowed, words[:, :-2], periods[:-2])]
+    """The one-letter words as top[0] and, as top[n], the _expand step of the
+    length-n words while one block holds them.  A prenecklace has no letter
+    below its first, so words opening with the last generator's letters are
+    its powers: not grown."""
+    words, periods = np.arange(n_letters, dtype=np.uint8)[None], np.ones(n_letters, np.intp)
+    top = [(None, None, words, periods, periods > 0), _expand(n_letters, words[:, :-2], periods[:-2])]
     while 0 < len(top[-1][3]) <= _CHUNK:
-        top.append(_expand(allowed, *top[-1][2:4]))
+        top.append(_expand(n_letters, *top[-1][2:4]))
     for array in (array for step in top for array in step if array is not None):
         array.flags.writeable = False
-    return allowed, tuple(top)
+    return tuple(top)
 
 
 def _primitive_classes(
@@ -160,7 +152,7 @@ def _primitive_classes(
     word built (the one-letter words, the children of each expanded chunk)
     counts against _WORD_BUDGET; past it, EnumerationBudgetError."""
     n_letters = 2 * len(generators)
-    allowed, top = _trie_top(n_letters)
+    top = _trie_top(n_letters)
     limit = l_max + _LENGTH_TIE
     # Only traces under this meet the length test (the margin covers rounding).
     trace_cut = 2.0 * math.cosh(min(0.5 * limit, 710.0)) * (1.0 + 1e-6)
@@ -196,7 +188,7 @@ def _primitive_classes(
                 words, periods, prods, bounds = (a[..., :_CHUNK] for a in (words, periods, prods, bounds))
             n = len(words)
             expanded += len(periods)
-            step = top[n] if n < len(top) else _expand(allowed, words, periods)
+            step = top[n] if n < len(top) else _expand(n_letters, words, periods)
             rows, nxt, words, periods, is_class = step
             built += len(rows)
             if built > _WORD_BUDGET:
@@ -301,8 +293,8 @@ class GroupPresentation:
     separated free system (a relation shows up as an identity word, a
     tangency as a parabolic one).  The screen is the enumerator's own
     block walk to depth 4, keeping no class, under the walk's word budget
-    (EnumerationBudgetError past it); the lexicographically least failing
-    word is reported.  It is a heuristic filter.  Construction then
+    (past it, an EnumerationBudgetError that names the screen); the
+    lexicographically least failing word is reported.  It is a heuristic filter.  Construction then
     searches for ping-pong arcs; _step_bounds holds their W, or None.
     """
 
@@ -322,10 +314,15 @@ class GroupPresentation:
         labels = tuple(self.labels) if self.labels else _default_labels(len(gens))
         if len(labels) != len(gens):
             raise DomainError(f"got {len(labels)} labels for {len(gens)} generators")
+        if not all(isinstance(label, str) for label in labels):
+            raise DomainError("labels must be strings")
         if len(set(labels)) != len(labels):
             raise DomainError("labels must be distinct")
         object.__setattr__(self, "labels", labels)
-        _primitive_classes(gens, labels, 4, 0.0)
+        try:
+            _primitive_classes(gens, labels, 4, 0.0)
+        except EnumerationBudgetError as exc:
+            raise EnumerationBudgetError(f"the Schottky screen of {len(gens)} generators: {exc}") from exc
         object.__setattr__(self, "_step_bounds", _ping_pong(gens))
 
 
@@ -339,17 +336,10 @@ class SpectrumEntry:
     reflections: int | None = None
 
     def __post_init__(self) -> None:
-        if not _is_number(self.length):
-            raise DomainError(f"entry length must be a number, got {self.length!r}")
-        object.__setattr__(self, "length", float(self.length))
-        if not (self.length > 0.0 and math.isfinite(self.length)):
-            raise DomainError(f"entry length must be positive and finite, got {self.length}")
-        if not (isinstance(self.multiplicity, int) and _is_number(self.multiplicity) and self.multiplicity >= 1):
-            raise DomainError(f"multiplicity must be an integer >= 1, got {self.multiplicity}")
-        if self.reflections is not None and (
-            isinstance(self.reflections, bool) or not (isinstance(self.reflections, int) and self.reflections >= 0)
-        ):
-            raise DomainError(f"reflections must be a nonnegative integer, got {self.reflections}")
+        object.__setattr__(self, "length", _finite_real(self.length, "entry length", 0.0))
+        _count(self.multiplicity, "multiplicity", 1)
+        if self.reflections is not None:
+            _count(self.reflections, "reflections", 0)
 
 
 @dataclass(frozen=True)
@@ -376,12 +366,8 @@ class LengthSpectrum:
         if not all(isinstance(e, SpectrumEntry) for e in entries):
             raise DomainError("entries must be SpectrumEntry instances")
         object.__setattr__(self, "entries", entries)
-        if not (_is_number(self.cutoff) and _is_number(self.complete_up_to)):
-            raise DomainError(f"cutoff and complete_up_to must be numbers, got {self.cutoff!r}, {self.complete_up_to!r}")
-        object.__setattr__(self, "cutoff", float(self.cutoff))
-        object.__setattr__(self, "complete_up_to", float(self.complete_up_to))
-        if not (self.cutoff > 0.0 and math.isfinite(self.cutoff)):
-            raise DomainError(f"cutoff must be positive and finite, got {self.cutoff}")
+        object.__setattr__(self, "cutoff", _finite_real(self.cutoff, "cutoff", 0.0))
+        object.__setattr__(self, "complete_up_to", _finite_real(self.complete_up_to, "complete_up_to"))
         if not (0.0 < self.complete_up_to <= self.cutoff + _TOL):
             raise DomainError(
                 f"complete_up_to must lie in (0, cutoff], got {self.complete_up_to}"
@@ -424,16 +410,9 @@ def enumerate_primitive_classes(
     The spectrum's _work records the certificate, its least W, the depth,
     prefixes expanded, classes kept.
     """
-    if not (_is_number(l_max) and l_max > 0.0 and math.isfinite(l_max)):
-        raise DomainError(f"l_max must be positive and finite, got {l_max}")
-    l_max = float(l_max)
+    l_max = _finite_real(l_max, "l_max", 0.0)
     d_min = _displacement_floor(group.generators)
-    if max_word_len is None:
-        w_max = max(1, math.ceil(l_max / d_min - 1e-12))
-    else:
-        if not (isinstance(max_word_len, int) and max_word_len >= 1):
-            raise DomainError(f"max_word_len must be an integer >= 1, got {max_word_len}")
-        w_max = max_word_len
+    w_max = max(1, math.ceil(l_max / d_min - 1e-12)) if max_word_len is None else _count(max_word_len, "max_word_len", 1)
     bounds, letters = group._step_bounds, np.arange(2 * len(group.generators))
     work = {"certificate": "none" if bounds is None else "ping-pong", "depth": w_max,
             "min_w": 0.0 if bounds is None else float(bounds[letters != (letters ^ 1)[:, None]].min())}

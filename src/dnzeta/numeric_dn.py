@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dn_explicit import DiscGeometry
-from .errors import DomainError, TruncationError, _is_number
+from .errors import DomainError, TruncationError, _count, _finite_real
 
 _TWO_PI = 2.0 * math.pi
 _QUAD_NODES = 2048
@@ -87,18 +87,12 @@ class ConformalFactor:
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
-        if not all(map(_is_number, coeffs)):
-            raise DomainError(f"coefficients must be ints or floats, got {coeffs!r}")
-        coeffs = tuple(map(float, coeffs))
+        coeffs = tuple(_finite_real(c, "coefficient") for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) == 0 or len(coeffs) % 2 == 0:
             raise DomainError(
                 f"coefficients must have odd length (c0, a1, b1, ...), got {len(coeffs)}"
             )
-        for c in coeffs:
-            if not math.isfinite(c):
-                raise DomainError(f"coefficients must be finite, got {c}")
 
     @property
     def mean(self) -> float:
@@ -193,15 +187,11 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     if not ks:
         raise DomainError("k_values must be nonempty")
     for k in ks:
-        if not (isinstance(k, int) and _is_number(k) and k >= 1):
-            raise DomainError(f"mode cutoff K must be an integer >= 1, got {k}")
-        if k < 4 * omega0.degree:
+        if _count(k, "mode cutoff K", 1) < 4 * omega0.degree:
             raise TruncationError(f"K = {k} is below the required 4 * degree = {4 * omega0.degree}")
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 3:
-        raise DomainError(f"t_grid needs at least 3 points, got shape {grid.shape}")
-    if not np.all(np.isfinite(grid)):
-        raise DomainError("t_grid entries must be finite")
+    grid = np.array([_finite_real(t, "t_grid entry") for t in (t_grid if np.ndim(t_grid) == 1 else ())])
+    if grid.size < 3:
+        raise DomainError(f"t_grid needs at least 3 points, got shape {np.shape(t_grid)}")
     steps = np.diff(grid)
     h = float(steps[0])
     if h <= 0.0 or np.any(np.abs(steps - h) > 1e-12 * max(1.0, abs(h))):

@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BarnesZeroError, DomainError, PoleError
+from .errors import BarnesZeroError, DomainError, PoleError, _finite_complex
 
 _EPS = 2.220446049250313e-16
 _LN_2PI = math.log(2.0 * math.pi)
@@ -72,11 +72,6 @@ def _kadd(total: complex, comp: complex, term: complex) -> tuple[complex, comple
     return t, comp
 
 
-def _check_finite(z: complex, name: str) -> None:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{name}: nonfinite argument {z}")
-
-
 def _near_nonpositive_int(z: complex, tol: float = 1e-12) -> int | None:
     k = round(z.real)
     if k <= 0 and abs(z - k) < tol:
@@ -107,8 +102,7 @@ def log_gamma(z: complex) -> EvalResult:
     DomainError for Re z < -60; large positive Re z is accepted, where
     Stirling needs no recurrence.
     """
-    z = complex(z)
-    _check_finite(z, "log_gamma")
+    z = _finite_complex(z, "log_gamma: z")
     if _near_nonpositive_int(z) is not None:
         raise PoleError(f"log_gamma: pole at z={z}")
     if z.real < _GAMMA_LEFT:
@@ -165,8 +159,7 @@ def log_barnes_g(z: complex) -> EvalResult:
     where G vanishes and its log is undefined, and DomainError for
     Re z < -40; large positive Re z is accepted.
     """
-    z = complex(z)
-    _check_finite(z, "log_barnes_g")
+    z = _finite_complex(z, "log_barnes_g: z")
     if _near_nonpositive_int(z) is not None:
         raise BarnesZeroError(f"log_barnes_g: G vanishes at z={z}")
     if z.real < _BARNES_LEFT:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _is_number
+from .errors import ConvergenceError, DomainError, _finite_complex, _finite_real
 from .hyperbolic import LengthSpectrum, _window_entries
 
 _BLOCK_TERMS = 2**14
@@ -155,25 +155,17 @@ def _with_work(value: ZetaValue, work: dict) -> ZetaValue:
     return value
 
 
-def _check_region(lam, delta_hint: float) -> complex:
-    """lam as a complex: a number (not a bool or a str) with Re lam > delta_hint."""
-    if not (_is_number(lam) or isinstance(lam, complex)):
-        raise DomainError(f"lambda must be a number, got {lam!r}")
-    lam = complex(lam)
-    if not (
-        _is_number(delta_hint)
-        and math.isfinite(delta_hint)
-        and delta_hint >= 0.0
-    ):
-        raise DomainError(f"delta_hint must be a finite real >= 0, got {delta_hint}")
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise DomainError(f"lambda must be finite, got {lam}")
-    if not lam.real > delta_hint:
+def _check_region(lam, delta_hint: float) -> tuple[complex, float]:
+    """(lam, delta_hint) as a complex and a float, with delta_hint >= 0 and Re lam > delta_hint."""
+    lam, delta = _finite_complex(lam, "lambda"), _finite_real(delta_hint, "delta_hint")
+    if delta < 0.0:
+        raise DomainError(f"delta_hint must be >= 0, got {delta}")
+    if not lam.real > delta:
         raise DomainError(
             f"Re lambda = {lam.real} is outside the convergence region "
-            f"Re lambda > {delta_hint}"
+            f"Re lambda > {delta}"
         )
-    return lam
+    return lam, delta
 
 
 def _check_phase(lam: complex, longest: float) -> None:
@@ -199,22 +191,20 @@ def _counting_tail(
 
 def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaValue:
     """log R(lambda) over the spectrum's completeness window."""
-    lam = _check_region(lam, delta_hint)
+    lam, delta = _check_region(lam, delta_hint)
     _check_phase(lam, spectrum.complete_up_to)
     used = _window_entries(spectrum)
     work = dict.fromkeys(_WORK_KEYS, 0)
     total = _sum_blocks(_ruelle_terms(used, work), len(used), lam, 1, 1, False, work)
     n_used = sum(e.multiplicity for e in used)
-    tail = _counting_tail(
-        n_used, spectrum.complete_up_to, lam.real, float(delta_hint), 1.0
-    )
+    tail = _counting_tail(n_used, spectrum.complete_up_to, lam.real, delta, 1.0)
     if used:
         # Rounding: every term is at most e^{-Re lambda l_min} in size and
         # carries |lambda| W ulps from the phase, the sum n more.
         scale = 2.0**-52 * n_used * math.exp(-lam.real * spectrum.entries[0].length)
         tail += scale * abs(lam) * spectrum.complete_up_to + scale * (len(used) + 4)
     return _with_work(ZetaValue(
-        log_value=total, tail_bound=tail, convergence_abscissa_used=float(delta_hint)
+        log_value=total, tail_bound=tail, convergence_abscissa_used=delta
     ), work)
 
 
@@ -269,7 +259,7 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
     The ladder stops before m_total e^{-(Re lambda + k) l_min} drops
     below 1e-16; its length and refusal follow the module docstring.
     """
-    lam = _check_region(lam, delta_hint)
+    lam, delta = _check_region(lam, delta_hint)
     _check_phase(lam, spectrum.complete_up_to)
     used = _window_entries(spectrum)
     m_total = sum(e.multiplicity for e in used)
@@ -277,7 +267,7 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
     work = dict.fromkeys(_WORK_KEYS, 0)
     return _ladder(
         "Selberg", _ruelle_terms(used, work), len(used), lam, 1, m_total, l_min,
-        m_total, spectrum.complete_up_to, float(delta_hint), 1.0, work, per_factor=True,
+        m_total, spectrum.complete_up_to, delta, 1.0, work, per_factor=True,
     )
 
 
@@ -292,11 +282,8 @@ def selberg_boundary(
     as in selberg, with 2 (boundary count + interior multiplicity) for
     m_total and l_min taken over both.
     """
-    lam = _check_region(lam, delta_hint)
-    lengths = list(boundary_lengths)
-    if not all(_is_number(l) and l > 0.0 and math.isfinite(l) for l in lengths):
-        raise DomainError(f"boundary lengths must be positive and finite, got {lengths}")
-    lengths = [float(l) for l in lengths]
+    lam, delta = _check_region(lam, delta_hint)
+    lengths = [_finite_real(l, "boundary length", 0.0) for l in boundary_lengths]
     _check_phase(lam, max(lengths + [spectrum.complete_up_to]))
     for entry in spectrum.entries:
         if entry.reflections is None:
@@ -325,7 +312,7 @@ def selberg_boundary(
     m_crit = 2 * len(lengths) + 2 * m_interior
     return _ladder(
         "boundary", terms, len(lengths) + len(used), lam, 2, m_crit, l_min,
-        m_interior, spectrum.complete_up_to, float(delta_hint), 2.0, work,
+        m_interior, spectrum.complete_up_to, delta, 2.0, work,
     )
 
 

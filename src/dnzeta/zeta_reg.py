@@ -45,6 +45,8 @@ _TAIL_TOL = 1e-14
 
 def required_tail_length(bound_c: float, decay_a: float) -> int:
     """Smallest N with C e^{-a N} / (1 - e^{-a}) < 1e-14 (at least 1)."""
+    if not (_is_number(bound_c) and _is_number(decay_a)):
+        raise DomainError("decay bound and rate must be ints or floats (no bools, none past a double)")
     if not (decay_a > 0.0 and math.isfinite(decay_a)):
         raise InvalidSequenceError(f"decay rate must be positive, got {decay_a}")
     if bound_c < 0.0 or not math.isfinite(bound_c):
@@ -78,7 +80,8 @@ class EigenSequence:
         corrections, head = tuple(self.corrections), tuple(self.head)
         reals = (self.power, self.prefactor, self.decay_rate, self.decay_bound, *corrections, *(lam for lam, _ in head))
         if not (all(map(_is_number, reals)) and all(isinstance(m, int) and _is_number(m) for _, m in head)):
-            raise DomainError(f"sequence data must be ints or floats and head multiplicities ints, not bools: {reals!r}")
+            raise DomainError("sequence data must be ints or floats and head multiplicities ints "
+                              "(no bools, none past a double)")
         object.__setattr__(self, "corrections", tuple(map(float, corrections)))
         object.__setattr__(self, "head", tuple((float(lam), m) for lam, m in head))
         if self.power == 0.0:

@@ -526,7 +526,7 @@ class TestZetaSubcommand:
                             encoding="utf-8")
             code, out, err = run_cli(capsys, "zeta", "--spectrum", str(spec), "--kind", "ruelle",
                                      "--lambda", "1.5", "--delta-hint", "0.0")
-            assert (code, out) == (1, "") and err.startswith("error: ") and "must be numbers" in err
+            assert (code, out) == (1, "") and err.startswith("error: ") and "cutoff must be a finite real > 0" in err
 
     def test_ladder_overflow_is_contract_violation(self, capsys, tmp_path):
         # a 1e-4 length would need ~370k Selberg factors; the ladder caps
@@ -670,6 +670,10 @@ class TestVerifySubcommand:
         assert "suite bridge: 6/6 passed" in out
         assert out.count("PASS") == 6
         assert "FAIL" not in out
+        # -v names each suite on stderr as it starts; stdout is unchanged
+        code, loud_out, err = run_cli(capsys, "verify", "--suite", "bridge", "-v")
+        assert (code, loud_out) == (0, out)
+        assert err.endswith("[dnzeta] verify suite bridge\n")
 
     def test_lemma_suite_json(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemma", "--format", "json")

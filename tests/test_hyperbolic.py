@@ -505,7 +505,7 @@ def test_enumeration_budget_guard(monkeypatch):
     monkeypatch.setattr(hyperbolic, "_expand", expand)
     hyperbolic._trie_top.cache_clear()
     words = 4 + sum(built)
-    cached = len(hyperbolic._trie_top(4)[1]) - 1  # levels built once, before the walk
+    cached = len(hyperbolic._trie_top(4)) - 1  # levels built once, before the walk
     assert len(built) > cached
     monkeypatch.setattr(hyperbolic, "_WORD_BUDGET", words)
     want = enumerate_primitive_classes(pair, 9.0)
@@ -515,7 +515,7 @@ def test_enumeration_budget_guard(monkeypatch):
     # The screen is the same walk under the same budget: with room for the
     # one-letter words only, it is refused at its first step.
     monkeypatch.setattr(hyperbolic, "_WORD_BUDGET", 4)
-    with pytest.raises(EnumerationBudgetError, match="^the walk to word depth 4 builds"):
+    with pytest.raises(EnumerationBudgetError, match="^the Schottky screen of 2 generators: the walk to word depth 4 builds"):
         GroupPresentation(generators=pair.generators)
     monkeypatch.undo()
     assert enumerate_primitive_classes(pair, 9.0) == want
@@ -524,15 +524,16 @@ def test_enumeration_budget_guard(monkeypatch):
     # seconds).
     GroupPresentation(generators=_rotated_dilations(3))
     start = time.perf_counter()
-    with pytest.raises(EnumerationBudgetError, match="^the walk to word depth 4 builds more than 5000000 words$"):
+    with pytest.raises(EnumerationBudgetError,
+                       match="^the Schottky screen of 100 generators: the walk to word depth 4 builds more than 5000000 words$"):
         GroupPresentation(generators=_rotated_dilations(100))
     assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("k", [129, 130, 300])
 def test_more_generators_than_one_byte_letters_are_refused(k):
-    # Letters 2i and 2i + 1 are stored in a uint8, and the trie's allowed
-    # table takes (2k)^3 bytes: the refusal comes before either.
+    # Letters 2i and 2i + 1 are stored in a uint8: the refusal comes before
+    # the trie's top levels are built.
     hyperbolic._trie_top.cache_clear()
     with pytest.raises(DomainError, match=f"at most 128 generators .* got {k}$"):
         GroupPresentation(generators=_rotated_dilations(k))
@@ -574,11 +575,11 @@ def test_numbers_are_python_ints_and_floats_but_not_bools():
     # one rule for every number an input gives: numpy's float64 is a float,
     # its int64 and float32 are not, and true is not a cutoff
     assert MobiusTransform(np.float64(math.e), 0, 0, 1.0 / math.e) == _dilation(2.0)
-    with pytest.raises(DomainError, match="must be numbers"):
+    with pytest.raises(DomainError, match="^matrix entry must be a finite real, got "):
         MobiusTransform(np.int64(2), 0.0, 0.0, 0.5)
-    with pytest.raises(DomainError, match="must be a number"):
+    with pytest.raises(DomainError, match="^entry length must be a finite real > 0, got "):
         SpectrumEntry(length=np.float32(1.5), multiplicity=1)
-    with pytest.raises(DomainError, match="must be numbers"):
+    with pytest.raises(DomainError, match="^complete_up_to must be a finite real, got "):
         LengthSpectrum(entries=(), cutoff=5.0, complete_up_to=np.float32(4.0))
     with pytest.raises(DomainError, match="l_max"):
         enumerate_primitive_classes(GroupPresentation(generators=(_dilation(2.0),)), True)
@@ -735,7 +736,7 @@ def test_walk_grows_exactly_the_prefixes_within_the_cutoff():
     # has a W-sum within l_max; sums of exactly l_max are kept.
     gens = _schottky_pair(3.0, 3.0, -5.0, 0.2).generators
     unpruned = _primitive_classes(gens, "ab", 9, 13.0)
-    top = len(hyperbolic._trie_top(4)[1])
+    top = len(hyperbolic._trie_top(4))
     steps = np.random.default_rng(3).integers(1, 4, (4, 4)).astype(float)
     want = [(ell, word) for ell, word in unpruned
             if len(word) - 1 < top or sum(steps[x, y] for x, y in zip(word[:-1], word[1:-1])) <= 13.0]

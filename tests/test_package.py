@@ -1,20 +1,38 @@
 """Tests for the package's public surface."""
 
+import argparse
 import ast
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import pytest
 
 import dnzeta
-from dnzeta.det_engine import SurfaceTopology, log_dirichlet_det, theorem2_value, theorem4_pipeline
-from dnzeta.dn_explicit import AnnulusGeometry, CylinderGeometry, DiscGeometry
-from dnzeta.errors import DomainError
-from dnzeta.hyperbolic import LengthSpectrum, SpectrumEntry
+from dnzeta import claims, cli
+from dnzeta.det_engine import (
+    SurfaceTopology,
+    functional_equation_rhs,
+    log_dirichlet_det,
+    theorem2_value,
+    theorem4_pipeline,
+)
+from dnzeta.dn_explicit import AnnulusGeometry, CylinderGeometry, DiscGeometry, cylinder_scattering_mode0
+from dnzeta.errors import DomainError, InvalidSequenceError
+from dnzeta.hyperbolic import (
+    GroupPresentation,
+    LengthSpectrum,
+    MobiusTransform,
+    SpectrumEntry,
+    enumerate_primitive_classes,
+    spectrum_from_json,
+    spectrum_to_json,
+)
 from dnzeta.numeric_dn import ConformalFactor, k_convergence_table
+from dnzeta.specfun import log_barnes_g, log_gamma
 from dnzeta.zeta_dyn import ruelle, selberg, selberg_boundary
-from dnzeta.zeta_reg import EigenSequence
+from dnzeta.zeta_reg import EigenSequence, required_tail_length
 
 PACKAGE = Path(dnzeta.__file__).parent
 BENCH = PACKAGE.parents[1] / "bench"
@@ -119,43 +137,110 @@ def test_every_default_is_set():
 
 
 _HUGE = 10**400  # an int past the largest double, as JSON may write one
+_HUGER = 10**5000  # past the 4300 digits str() of an int may write
 _SPECTRUM = LengthSpectrum(entries=(SpectrumEntry(1.0, 1, 0),), cutoff=2.0, complete_up_to=2.0)
 _PANTS = SurfaceTopology(0, 3)
+_DILATION = MobiusTransform(math.e, 0.0, 0.0, 1.0 / math.e)
+_GENERATOR = '{"a": 2.718281828459045, "b": 0.0, "c": 0.0, "d": 0.36787944117144233}'
+_FACTOR = ConformalFactor((0.0, 0.3, 0.0))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: AnnulusGeometry(_HUGE),
-    lambda: AnnulusGeometry("3"),
-    lambda: DiscGeometry(True),
-    lambda: DiscGeometry(_HUGE),
-    lambda: CylinderGeometry(_HUGE),
-    lambda: SurfaceTopology(True, 1),
-    lambda: SurfaceTopology(0, _HUGE),
-    lambda: theorem2_value(_PANTS, supplied_limit=_HUGE),
-    lambda: theorem2_value(_PANTS, supplied_limit=True),
-    lambda: theorem4_pipeline(1.0, 1.0, _PANTS, _HUGE),
-    lambda: log_dirichlet_det(_HUGE, 1.0, _PANTS, 1.0),
-    lambda: log_dirichlet_det(True, 1.0, _PANTS, 1.0),
-    lambda: EigenSequence(power=True, prefactor=1.0),
-    lambda: EigenSequence(power=_HUGE, prefactor=1.0),
-    lambda: EigenSequence(power=1.0, prefactor=1.0, head=((2.0, 1.5),)),
-    lambda: ConformalFactor(("0", "0.3", "0")),
-    lambda: ConformalFactor((False, True, False)),
-    lambda: k_convergence_table(DiscGeometry(1.0), ConformalFactor((0.0, 0.3, 0.0)), [0.0, 0.5, 1.0], (True,)),
-    lambda: ruelle(_SPECTRUM, "1.5", 0.0),
-    lambda: selberg(_SPECTRUM, True, 0.0),
-    lambda: selberg_boundary(["1.0"], _SPECTRUM, 1.5, 0.0),
-    lambda: selberg_boundary([_HUGE], _SPECTRUM, 1.5, 0.0),
-], ids=[
-    "annulus-huge", "annulus-str", "disc-bool", "disc-huge", "cylinder-huge", "genus-bool",
-    "boundary-count-huge", "limit-huge", "limit-bool", "theorem4-ell-huge",
-    "dirichlet-lam-huge", "dirichlet-lam-bool", "power-bool", "power-huge", "head-count-float",
-    "factor-str", "factor-bool", "k-bool", "ruelle-lam-str", "selberg-lam-bool",
-    "boundary-length-str", "boundary-length-huge",
-])
-def test_every_route_refuses_what_is_not_a_number(call):
-    # One rule (errors._is_number): an int or a float, not a bool, a str or
-    # an int past the largest double; these raised OverflowError or
-    # TypeError, or were converted and accepted.
-    with pytest.raises(DomainError):
+def _file(name: str, text: str) -> str:
+    """name, written with text into the working directory (the test's tmp_path)."""
+    Path(name).write_text(text, encoding="utf-8")
+    return name
+
+
+def _spectrum_run(out: str):
+    return cli._run_spectrum(argparse.Namespace(
+        generators=_file("g.json", f'{{"generators": [{_GENERATOR}]}}'), cutoff=None, max_word_len=2, out=out))
+
+
+def _zeta_run(boundary: str):
+    return cli._run_zeta(argparse.Namespace(
+        lam="1.5", spectrum=_file("s.json", spectrum_to_json(_SPECTRUM)), kind="selberg-g0", boundary=boundary,
+        delta_hint=0.0))
+
+
+# Refused with DomainError.
+_REFUSED = {
+    "annulus-huge": lambda: AnnulusGeometry(_HUGE),
+    "annulus-str": lambda: AnnulusGeometry("3"),
+    "annulus-huger": lambda: AnnulusGeometry(_HUGER),
+    "disc-bool": lambda: DiscGeometry(True),
+    "disc-huge": lambda: DiscGeometry(_HUGE),
+    "cylinder-huge": lambda: CylinderGeometry(_HUGE),
+    "scattering-str": lambda: cylinder_scattering_mode0("0.5"),
+    "genus-bool": lambda: SurfaceTopology(True, 1),
+    "genus-huger": lambda: SurfaceTopology(_HUGER, 1),
+    "boundary-count-huge": lambda: SurfaceTopology(0, _HUGE),
+    "limit-huge": lambda: theorem2_value(_PANTS, supplied_limit=_HUGE),
+    "limit-bool": lambda: theorem2_value(_PANTS, supplied_limit=True),
+    "theorem4-ell-huge": lambda: theorem4_pipeline(1.0, 1.0, _PANTS, _HUGE),
+    "dirichlet-lam-huge": lambda: log_dirichlet_det(_HUGE, 1.0, _PANTS, 1.0),
+    "dirichlet-lam-bool": lambda: log_dirichlet_det(True, 1.0, _PANTS, 1.0),
+    "functional-lam-str": lambda: functional_equation_rhs("0.25", SurfaceTopology(0, 2), lambda z: 0j),
+    "power-bool": lambda: EigenSequence(power=True, prefactor=1.0),
+    "power-huge": lambda: EigenSequence(power=_HUGE, prefactor=1.0),
+    "power-huger": lambda: EigenSequence(power=_HUGER, prefactor=1.0),
+    "head-count-float": lambda: EigenSequence(power=1.0, prefactor=1.0, head=((2.0, 1.5),)),
+    "tail-bound-str": lambda: required_tail_length("1", 1.0),
+    "tail-bound-bool": lambda: required_tail_length(True, 1.0),
+    "tail-rate-huge": lambda: required_tail_length(1.0, _HUGE),
+    "log-gamma-str": lambda: log_gamma("2.5"),
+    "log-gamma-bool": lambda: log_gamma(True),
+    "log-gamma-huge": lambda: log_gamma(_HUGE),
+    "log-barnes-g-bool": lambda: log_barnes_g(True),
+    "factor-str": lambda: ConformalFactor(("0", "0.3", "0")),
+    "factor-bool": lambda: ConformalFactor((False, True, False)),
+    "k-bool": lambda: k_convergence_table(DiscGeometry(1.0), _FACTOR, [0.0, 0.5, 1.0], (True,)),
+    "t-grid-str": lambda: k_convergence_table(DiscGeometry(1.0), _FACTOR, ["0", "0.5", "1"], (16,)),
+    "t-grid-bool": lambda: k_convergence_table(DiscGeometry(1.0), _FACTOR, [False, True, 2], (16,)),
+    "omega-not-a-factor": lambda: k_convergence_table(DiscGeometry(1.0), (0.0, 0.3, 0.0), [0.0, 0.5, 1.0], (16,)),
+    "matrix-entry-huger": lambda: MobiusTransform(_HUGER, 0, 0, 1),
+    "generator-not-a-transform": lambda: GroupPresentation(((2.0, 0.0, 0.0, 0.5),)),
+    "labels-not-strings": lambda: GroupPresentation((_DILATION, claims.schottky_pair().generators[1]), (1, 2)),
+    "labels-not-distinct": lambda: GroupPresentation((_DILATION, claims.schottky_pair().generators[1]), ("a", "a")),
+    "max-word-len-bool": lambda: enumerate_primitive_classes(GroupPresentation((_DILATION,)), 5.0, max_word_len=True),
+    "multiplicity-huger": lambda: SpectrumEntry(1.0, _HUGER),
+    "entries-not-entries": lambda: LengthSpectrum(entries=((1.0, 1),), cutoff=2.0, complete_up_to=2.0),
+    "spectrum-entries-not-a-list": lambda: spectrum_from_json('{"cutoff": 2.0, "complete_up_to": 2.0, "entries": {}}'),
+    "spectrum-entry-not-an-object": lambda: spectrum_from_json('{"cutoff": 2.0, "complete_up_to": 2.0, "entries": [1]}'),
+    "spectrum-entry-missing-field": lambda: spectrum_from_json(
+        '{"cutoff": 2.0, "complete_up_to": 2.0, "entries": [{"length": 1.0}]}'),
+    "ruelle-lam-str": lambda: ruelle(_SPECTRUM, "1.5", 0.0),
+    "selberg-lam-bool": lambda: selberg(_SPECTRUM, True, 0.0),
+    "boundary-length-str": lambda: selberg_boundary(["1.0"], _SPECTRUM, 1.5, 0.0),
+    "boundary-length-huge": lambda: selberg_boundary([_HUGE], _SPECTRUM, 1.5, 0.0),
+    "cli-lambda-grid-inf": lambda: cli._parse_lambda_spec("1:inf:0.5"),
+    "cli-generator-not-an-object": lambda: cli._load_generators(_file("g.json", '{"generators": [1]}')),
+    "cli-labels-some": lambda: cli._load_generators(
+        _file("g.json", f'{{"generators": [{_GENERATOR[:-1]}, "label": "a"}}, {_GENERATOR}]}}')),
+    "cli-out-unwritable": lambda: _spectrum_run("missing-dir/s.json"),
+    "cli-boundary-malformed": lambda: _zeta_run("1.0,x"),
+}
+# Range checks of zeta_reg, refused with InvalidSequenceError.
+_INVALID_SEQUENCES = {
+    "tail-rate-negative": lambda: required_tail_length(1.0, -1.0),
+    "tail-bound-inf": lambda: required_tail_length(math.inf, 1.0),
+    "sequence-rate-zero": lambda: EigenSequence(power=1.0, prefactor=1.0, decay_rate=0.0),
+    "sequence-bound-negative": lambda: EigenSequence(power=1.0, prefactor=1.0, decay_bound=-1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [(call, DomainError) for call in _REFUSED.values()]
+    + [(call, InvalidSequenceError) for call in _INVALID_SEQUENCES.values()],
+    ids=[*_REFUSED, *_INVALID_SEQUENCES],
+)
+def test_every_route_refuses_what_is_not_a_number(call, refusal, tmp_path, monkeypatch):
+    # The rules of errors (a number is an int or a float, not a bool, a str
+    # or an int past the largest double; finite reals, counts and finite
+    # complex numbers on top of it) and the input checks no other test
+    # reaches.  The number cases raised OverflowError, TypeError or
+    # ValueError (formatting an int past 4300 digits), or were converted and
+    # accepted.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(refusal):
         call()
