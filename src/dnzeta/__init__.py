@@ -39,7 +39,6 @@ from dnzeta.specfun import (
 from dnzeta.zeta_reg import (
     EigenSequence,
     RegularizedDet,
-    combine,
     log_det,
     required_tail_length,
     zeta_at_zero,
@@ -113,7 +112,6 @@ __all__ = [
     "ZetaValue",
     "annulus_det_prime",
     "annulus_eigenvalues",
-    "combine",
     "cylinder_det_prime",
     "cylinder_scattering_mode0",
     "dirichlet_det",

@@ -8,8 +8,10 @@ tolerance or frozen oracle constant lives here and nowhere else.
 A check is (name, max_err, tolerance, passed), and passed is max_err <=
 tolerance.  Each max_err is measured against a value that the checked
 code did not produce: a closed form, a frozen mpmath value, or an
-independent formula.  tests/test_claims_mutation.py breaks the checked
-code and requires every check to fail under some break.
+independent formula, with one exception left to ROADMAP item 12:
+"theorem4 two-path agreement" measures the pipeline's own
+error_estimate.  tests/test_claims_mutation.py breaks the checked code
+and requires every check to fail under some break.
 """
 
 from __future__ import annotations
@@ -47,10 +49,9 @@ from .hyperbolic import (
 from .numeric_dn import ConformalFactor, k_convergence_table
 from .specfun import log_barnes_g, log_gamma
 from .zeta_dyn import ruelle, ruelle_limit_order, selberg
-from .zeta_reg import EigenSequence, combine, log_det, required_tail_length
+from .zeta_reg import EigenSequence, log_det, required_tail_length
 
 _SEED = 20260818
-_LN_2PI = math.log(2.0 * math.pi)
 # eta = 2 zeta'(-1) - 1/4 + log(2 pi)/2 and zeta'(-1), to 20 digits
 _ETA = 0.33809624580377088335
 _ZETA_PRIME_MINUS1 = -0.16542114370045092921
@@ -58,6 +59,17 @@ _LN_PI = math.log(math.pi)
 # log det' of the eps_n = e^-n perturbed sequence, frozen from an
 # independent Euler-Maclaurin continuation of the spectral zeta function
 _EULER_MACLAURIN_LOG_DET = 1.4364986403401920
+# (k, c, C, a, s_n, head, m, log det') of u_n = c n^k (1 + eps_n) with multiplicity m,
+# eps_n = C e^{-a n} s_n for n <= required_tail_length(C, a) and 0 past it, and the
+# (eigenvalue, multiplicity) head.  log det' = -zeta_u'(0), to 20 digits, frozen
+# from 40-digit mpmath: zeta_u(s) = m c^{-s} [zeta(k s) + sum_n n^{-k s}
+# ((1 + eps_n)^{-s} - 1)] + sum_head mu lam^{-s} over the double eps_n, its
+# derivative at s = 0 taken by mp.diff
+_LEMMA_CONTINUATIONS = (
+    (0.5, 4.0, 0.8, 0.5, lambda n: (-1.0) ** n, ((0.1, 3),), 1, -7.6856840321222298975),
+    (1.0, 0.5, 0.3, 0.7, lambda n: (-1.0) ** n, ((0.25, 1), (3.5, 2)), 2, 3.4194518200705962057),
+    (3.0, 0.2, 0.5, 2.0, lambda n: 1.0 / (n + 1), (), 3, 10.794612551606807156),
+)
 # log[(2 pi)^{1-2 lam} Gamma(lam) G(lam)^2 / (Gamma(1-lam) G(1-lam)^2)] at
 # the doubles nearest 0.3 and 0.8, frozen from 40-digit mpmath loggamma and barnesg
 _FUNCTIONAL_BRACKET = ((0.3, -0.057329891646147571059), (0.8, 0.22041571895666517055))
@@ -143,44 +155,15 @@ def _bridge() -> list[Check]:
     return checks
 
 
-def _random_eigen_sequence(rng, multiplicity=None, with_corrections=True) -> EigenSequence:
-    power = float(rng.uniform(0.5, 3.0))
-    prefactor = float(rng.uniform(0.2, 5.0))
-    rate = float(rng.uniform(0.5, 2.0))
-    bound = float(rng.uniform(0.0, 0.8)) if with_corrections else 0.0
-    n_tail = required_tail_length(bound, rate) if with_corrections else 0
-    eps = tuple(bound * math.exp(-rate * (n + 1)) * float(rng.uniform(-1.0, 1.0)) for n in range(n_tail))
-    head = tuple(
-        (float(rng.uniform(0.1, 10.0)), int(rng.integers(1, 4))) for _ in range(int(rng.integers(0, 4)))
-    )
-    m = int(rng.integers(1, 4)) if multiplicity is None else multiplicity
-    return EigenSequence(
-        power=power, prefactor=prefactor, corrections=eps,
-        decay_rate=rate, decay_bound=bound, head=head, tail_multiplicity=m,
-    )
-
-
 def _lemma() -> list[Check]:
     checks = []
-    rng = np.random.default_rng(_SEED)
-    worst = 0.0
-    for _ in range(1000):
-        m = int(rng.integers(1, 4))
-        u = _random_eigen_sequence(rng, multiplicity=m)
-        v = _random_eigen_sequence(rng, multiplicity=m)
-        lu = log_det(u).log_value
-        lv = log_det(v).log_value
-        lw = log_det(combine(u, v)).log_value
-        worst = max(worst, abs(lw - lu - lv) / (1.0 + abs(lu) + abs(lv)))
-    checks.append(_check("additivity log det'(uv) = log det'(u) + log det'(v) (1000 random)", worst, 1e-12))
-    worst = 0.0
-    for _ in range(1000):
-        seq = _random_eigen_sequence(rng, with_corrections=False)
-        closed = seq.tail_multiplicity * 0.5 * (seq.power * _LN_2PI - math.log(seq.prefactor))
-        closed += sum(m * math.log(lam) for lam, m in seq.head)
-        got = log_det(seq).log_value
-        worst = max(worst, abs(got - closed) / (1.0 + abs(closed)))
-    checks.append(_check("closed-form equivalence for pure power sequences (1000 random)", worst, 1e-12))
+    for k, c, bound, rate, sign, head, m, want in _LEMMA_CONTINUATIONS:
+        eps = tuple(bound * math.exp(-rate * n) * sign(n) for n in range(1, required_tail_length(bound, rate) + 1))
+        seq = EigenSequence(power=k, prefactor=c, corrections=eps, decay_rate=rate, decay_bound=bound,
+                            head=head, tail_multiplicity=m)
+        err = abs(log_det(seq).log_value - want) / (1.0 + abs(want))
+        name = f"u_n = {c:g} n^{k:g} (1 + eps_n), m={m}, heads={len(head)} vs 40-digit continuation"
+        checks.append(_check(name, err, 1e-12))
     n_tail = required_tail_length(1.0, 1.0)
     eps = tuple(math.exp(-(n + 1.0)) for n in range(n_tail))
     seq = EigenSequence(power=1.0, prefactor=1.0, corrections=eps, decay_rate=1.0, decay_bound=1.0)

@@ -172,7 +172,10 @@ def _load_generators(path: str) -> GroupPresentation:
             gens.append(MobiusTransform(item["a"], item["b"], item["c"], item["d"]))
         except KeyError as exc:
             raise DomainError(f"generator {i} missing entry: {exc}") from exc
-        labels.append(str(item.get("label", "")))
+        label = item.get("label", "")
+        if not isinstance(label, str):
+            raise DomainError(f"generator {i} label must be a JSON string, got {json.dumps(label)}")
+        labels.append(label)
     if any(labels) and not all(labels):
         raise DomainError("either label every generator or none")
     return GroupPresentation(tuple(gens), tuple(labels) if all(labels) else ())

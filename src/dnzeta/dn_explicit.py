@@ -44,7 +44,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, PoleError, _finite_complex, _finite_real
+from .errors import DomainError, PoleError, _finite_complex, _finite_real, _is_number, _refuse
 from .reports import DetReport
 from .specfun import log_gamma
 from .zeta_reg import EigenSequence, log_det
@@ -118,6 +118,8 @@ def _eps_plus(a: float, n: int) -> float:
 
 def annulus_eigenvalues(geom: AnnulusGeometry, n: int) -> tuple[float, float]:
     """Eigenvalue pair (lam_+, lam_-) of the mode-n block; mode 0 is (0, (1+rho)/(rho ln rho))."""
+    if not (isinstance(n, int) and _is_number(n)):
+        raise _refuse("annulus mode index n", "an integer", n)
     if n == 0:
         return 0.0, (1.0 + geom.rho) / (geom.rho * geom.alpha)
     one_p_eps = 1.0 + _eps_plus(geom.alpha, n)

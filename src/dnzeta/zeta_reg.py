@@ -161,32 +161,3 @@ def log_det(seq: EigenSequence) -> RegularizedDet:
     trunc = seq.tail_multiplicity * _geometric_tail(seq) / (1.0 - first_missing)
     return RegularizedDet(value, zeta_at_zero(seq), trunc)
 
-
-def combine(u: EigenSequence, v: EigenSequence) -> EigenSequence:
-    """Termwise product sequence w_n = u_n v_n; heads concatenate.
-
-    The product is again of the regularizable type with k_w = k_u + k_v,
-    c_w = c_u c_v and (1 + eps_w) = (1 + eps_u)(1 + eps_v), so log_det
-    is additive up to the truncation bounds.
-    """
-    if u.tail_multiplicity != v.tail_multiplicity:
-        raise InvalidSequenceError(
-            "combine requires equal tail multiplicities, got "
-            f"{u.tail_multiplicity} and {v.tail_multiplicity}"
-        )
-    # log_det treats corrections beyond each list as zero, so the product
-    # list extends to the longer length with the shorter side zero-padded;
-    # that keeps log_det(combine(u, v)) = log_det(u) + log_det(v) exact.
-    n_keep = max(len(u.corrections), len(v.corrections))
-    ecu = u.corrections + (0.0,) * (n_keep - len(u.corrections))
-    ecv = v.corrections + (0.0,) * (n_keep - len(v.corrections))
-    eps_w = tuple(eu + ev + eu * ev for eu, ev in zip(ecu, ecv))
-    return EigenSequence(
-        power=u.power + v.power,
-        prefactor=u.prefactor * v.prefactor,
-        corrections=eps_w,
-        decay_rate=min(u.decay_rate, v.decay_rate),
-        decay_bound=u.decay_bound + v.decay_bound + u.decay_bound * v.decay_bound,
-        head=u.head + v.head,
-        tail_multiplicity=u.tail_multiplicity,
-    )

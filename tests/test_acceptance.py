@@ -50,8 +50,9 @@ FROZEN_CLAIMS = (
     ("05", "bridge", "mode-0 Taylor |1-lambda|=0.01", 0.1),
     ("05", "bridge", "mode-0 Taylor |1-lambda|=0.001", 0.01),
     ("05", "bridge", "mode-0 Taylor |1-lambda|=0.0001", 0.001),
-    ("06", "lemma", "additivity log det'(uv) = log det'(u) + log det'(v) (1000 random)", 1e-12),
-    ("06", "lemma", "closed-form equivalence for pure power sequences (1000 random)", 1e-12),
+    ("06", "lemma", "u_n = 4 n^0.5 (1 + eps_n), m=1, heads=1 vs 40-digit continuation", 1e-12),
+    ("06", "lemma", "u_n = 0.5 n^1 (1 + eps_n), m=2, heads=2 vs 40-digit continuation", 1e-12),
+    ("06", "lemma", "u_n = 0.2 n^3 (1 + eps_n), m=3, heads=0 vs 40-digit continuation", 1e-12),
     ("06", "lemma", "eps_n = e^-n sequence vs Euler-Maclaurin continuation oracle", 1e-9),
     ("10", "functional", "Gamma recurrence", 1e-9),
     ("10", "functional", "Barnes G recurrence", 1e-9),

@@ -680,7 +680,7 @@ class TestVerifySubcommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert len(doc["checks"]) == 3
+        assert len(doc["checks"]) == 4
         assert all(c["passed"] for c in doc["checks"])
         assert all(c["max_err"] <= c["tolerance"] for c in doc["checks"])
 

@@ -18,7 +18,13 @@ from dnzeta.det_engine import (
     theorem2_value,
     theorem4_pipeline,
 )
-from dnzeta.dn_explicit import AnnulusGeometry, CylinderGeometry, DiscGeometry, cylinder_scattering_mode0
+from dnzeta.dn_explicit import (
+    AnnulusGeometry,
+    CylinderGeometry,
+    DiscGeometry,
+    annulus_eigenvalues,
+    cylinder_scattering_mode0,
+)
 from dnzeta.errors import DomainError, InvalidSequenceError
 from dnzeta.hyperbolic import (
     GroupPresentation,
@@ -167,6 +173,11 @@ _REFUSED = {
     "annulus-huge": lambda: AnnulusGeometry(_HUGE),
     "annulus-str": lambda: AnnulusGeometry("3"),
     "annulus-huger": lambda: AnnulusGeometry(_HUGER),
+    "annulus-mode-bool": lambda: annulus_eigenvalues(AnnulusGeometry(2.0), True),
+    "annulus-mode-float": lambda: annulus_eigenvalues(AnnulusGeometry(2.0), 1.5),
+    "annulus-mode-str": lambda: annulus_eigenvalues(AnnulusGeometry(2.0), "1"),
+    "annulus-mode-huge": lambda: annulus_eigenvalues(AnnulusGeometry(2.0), _HUGE),
+    "annulus-mode-huge-negative": lambda: annulus_eigenvalues(AnnulusGeometry(2.0), -_HUGE),
     "disc-bool": lambda: DiscGeometry(True),
     "disc-huge": lambda: DiscGeometry(_HUGE),
     "cylinder-huge": lambda: CylinderGeometry(_HUGE),
@@ -214,6 +225,8 @@ _REFUSED = {
     "boundary-length-huge": lambda: selberg_boundary([_HUGE], _SPECTRUM, 1.5, 0.0),
     "cli-lambda-grid-inf": lambda: cli._parse_lambda_spec("1:inf:0.5"),
     "cli-generator-not-an-object": lambda: cli._load_generators(_file("g.json", '{"generators": [1]}')),
+    "cli-label-not-a-string": lambda: cli._load_generators(
+        _file("g.json", f'{{"generators": [{_GENERATOR[:-1]}, "label": 5}}]}}')),
     "cli-labels-some": lambda: cli._load_generators(
         _file("g.json", f'{{"generators": [{_GENERATOR[:-1]}, "label": "a"}}, {_GENERATOR}]}}')),
     "cli-out-unwritable": lambda: _spectrum_run("missing-dir/s.json"),

@@ -10,7 +10,6 @@ from dnzeta.errors import DomainError, InvalidSequenceError
 from dnzeta.zeta_reg import (
     EigenSequence,
     RegularizedDet,
-    combine,
     log_det,
     required_tail_length,
     zeta_at_zero,
@@ -19,7 +18,7 @@ from dnzeta.zeta_reg import (
 LN_2PI = math.log(2.0 * math.pi)
 
 
-def _random_sequence(rng, multiplicity=None):
+def _random_sequence(rng):
     k = rng.uniform(0.5, 3.0)
     c = rng.uniform(0.2, 5.0)
     a = rng.uniform(0.5, 2.0)
@@ -32,7 +31,7 @@ def _random_sequence(rng, multiplicity=None):
         (rng.uniform(0.1, 10.0), int(rng.integers(1, 4)))
         for _ in range(rng.integers(0, 4))
     )
-    m = int(rng.integers(1, 4)) if multiplicity is None else multiplicity
+    m = int(rng.integers(1, 4))
     return EigenSequence(
         power=k,
         prefactor=c,
@@ -114,33 +113,6 @@ class TestLogDet:
         )
         with pytest.raises(DomainError):
             log_det(seq)
-
-
-class TestCombine:
-    def test_trivial_product(self):
-        u = EigenSequence(power=1.0, prefactor=1.0)
-        w = combine(u, u)
-        assert w.power == 2.0
-        assert w.prefactor == 1.0
-        assert w.corrections == ()
-        assert w.head == ()
-
-    def test_additivity_random(self):
-        rng = np.random.default_rng(20260818)
-        for _ in range(200):
-            m = int(rng.integers(1, 4))
-            u = _random_sequence(rng, multiplicity=m)
-            v = _random_sequence(rng, multiplicity=m)
-            lu = log_det(u).log_value
-            lv = log_det(v).log_value
-            lw = log_det(combine(u, v)).log_value
-            assert abs(lw - lu - lv) <= 1e-12 * (1.0 + abs(lu) + abs(lv))
-
-    def test_multiplicity_mismatch(self):
-        u = EigenSequence(power=1.0, prefactor=1.0, tail_multiplicity=1)
-        v = EigenSequence(power=1.0, prefactor=1.0, tail_multiplicity=2)
-        with pytest.raises(InvalidSequenceError):
-            combine(u, v)
 
 
 class TestScale:
