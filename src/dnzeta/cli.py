@@ -51,9 +51,10 @@ from .hyperbolic import (
     spectrum_from_json,
     spectrum_to_json,
 )
-from .zeta_dyn import ruelle, selberg, selberg_boundary
+from .zeta_dyn import _zeta_grid, ruelle, selberg, selberg_boundary
 
-_KINDS = ("ruelle", "selberg", "selberg-g0")
+# --kind and the product it evaluates over the grid
+_KINDS = {"ruelle": ruelle, "selberg": selberg, "selberg-g0": selberg_boundary}
 # Most rows one invocation lists (lambda grid points, annulus modes).
 _MAX_ROWS = 10_000
 
@@ -254,6 +255,7 @@ def _run_spectrum(args) -> _Output:
 def _run_zeta(args) -> _Output:
     grid = _parse_lambda_spec(args.lam)
     spectrum = spectrum_from_json(_read_text(args.spectrum))
+    boundary = ()
     if args.kind == "selberg-g0":
         if not args.boundary:
             raise DomainError("--boundary l1,l2,... is required for kind selberg-g0")
@@ -265,13 +267,9 @@ def _run_zeta(args) -> _Output:
         raise DomainError("--boundary applies to kind selberg-g0 only")
 
     rows = []
-    for lam in grid:
-        if args.kind == "ruelle":
-            zv = ruelle(spectrum, lam, args.delta_hint)
-        elif args.kind == "selberg":
-            zv = selberg(spectrum, lam, args.delta_hint)
-        else:
-            zv = selberg_boundary(boundary, spectrum, lam, args.delta_hint)
+    # one pass over the grid; a refused lambda raises in its turn, after the
+    # -v records of the rows before it
+    for lam, zv in zip(grid, _zeta_grid(_KINDS[args.kind], spectrum, grid, args.delta_hint, boundary)):
         rows.append((lam, zv))
         if getattr(args, "verbose", 0):
             record = {"subcommand": "zeta", "lambda": {"re": lam.real, "im": lam.imag}, **zv._work}

@@ -5,7 +5,8 @@ but true is not a length or a matrix entry, and an int past the largest
 double (JSON writes integers out in full) has no float.  _is_number
 states that; _finite_real, _count and _finite_complex add what a scalar
 input of the API needs, and each returns the value it checked or raises
-DomainError.
+DomainError.  _all_finite_real and _all_count say whether a whole column
+of values passes _finite_real or _count, without a call per value.
 """
 
 import math
@@ -39,6 +40,19 @@ def _count(x, name: str, least: int) -> int:
     if isinstance(x, int) and not isinstance(x, bool) and least <= x <= _FLOAT_MAX:
         return x
     raise _refuse(name, f"an integer >= {least}", x)
+
+
+def _all_finite_real(values, above: float) -> bool:
+    """Whether _finite_real(x, name, above) takes every x of values: the rule
+    checked on a whole column at once (type set, min, max)."""
+    return set(map(type, values)) <= {float, int} and (
+        not values or min(values) > above and max(values) <= _FLOAT_MAX and all(map(math.isfinite, values))
+    )
+
+
+def _all_count(values, least: int) -> bool:
+    """Whether _count(x, name, least) takes every x of values, checked as a column."""
+    return set(map(type, values)) <= {int} and (not values or least <= min(values) and max(values) <= _FLOAT_MAX)
 
 
 def _finite_complex(x, name: str) -> complex:

@@ -20,8 +20,9 @@ J. Math. 120, 1998): disjoint closed arcs D(x), g mapping the outside of
 D(g^-1) onto D(g).  W[u, v], the distance of the boundary geodesics of
 D(u^-1) and D(v), summed over the consecutive letters of a cyclically
 reduced word is at most its length, so below the trie's top levels the walk
-drops prefixes whose W-sum passes the cutoff (plus 1e-9 relative and
-1e-12).  Without arcs W = 0 and nothing is dropped.
+drops prefixes whose W-sum, plus the least W-sum of a path back from the
+last letter to the first, passes the cutoff (plus 1e-9 relative and 1e-12).
+Without arcs W = 0 and nothing is dropped.
 """
 
 from __future__ import annotations
@@ -30,17 +31,19 @@ import functools
 import itertools
 import json
 import math
+import operator
 import string
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EnumerationBudgetError, _count, _finite_real
+from .errors import DomainError, EnumerationBudgetError, _all_count, _all_finite_real, _count, _finite_real
 
 _TOL = 1e-12
 _LENGTH_TIE = 1e-9
 _CHUNK = 256  # most prefixes the walk expands in one step
 _WORD_BUDGET = 5_000_000  # most reduced words an enumeration may build
+_SCREEN_DEPTH = 4  # word length of the GroupPresentation screen
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,13 @@ def _primitive_classes(
     prefixes of one length (words, periods, products as (2, 2, block), sums
     of step_bounds) wait on a stack; a step expands at most _CHUNK, updating
     products entry by entry as a*e + b*g like scalar code.  A product with an
-    inf or NaN entry is not grown (no extension's trace is finite), nor a sum
-    past the cutoff.  The least failing (|tr| <= 2) class word is reported,
-    as a walk in word order meets it.  work gets the prefixes expanded.  Every
-    word built (the one-letter words, the children of each expanded chunk)
-    counts against _WORD_BUDGET; past it, EnumerationBudgetError."""
+    inf or NaN entry is not grown (no extension's trace is finite), nor a
+    prefix whose sum plus the closing bound from its last letter back to its
+    first (_closing_bounds) passes the cutoff.  The least failing (|tr| <= 2)
+    class word is reported, as a walk in word order meets it.  work gets the
+    prefixes expanded.  Every word built (the one-letter words, the children
+    of each expanded chunk) counts against _WORD_BUDGET; past it,
+    EnumerationBudgetError."""
     n_letters = 2 * len(generators)
     top = _trie_top(n_letters)
     limit = l_max + _LENGTH_TIE
@@ -159,6 +164,7 @@ def _primitive_classes(
     cells = np.array([(g.a, g.d, g.b, -g.b, g.c, -g.c, g.d, g.a) for g in generators])
     prods = letter_mats = cells.reshape(-1, 2, 2, 2).transpose(1, 2, 0, 3).reshape(2, 2, -1)
     steps = np.zeros(n_letters * n_letters) if step_bounds is None else step_bounds.ravel()
+    closing = np.zeros(n_letters * n_letters) if step_bounds is None else _closing_bounds(step_bounds).ravel()
     prune, bounds, expanded, built = limit * (1.0 + 1e-9) + 1e-12, np.zeros(n_letters), 0, n_letters
     (_, _, words, periods, is_class), out, failed, stack = top[0], [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -172,7 +178,7 @@ def _primitive_classes(
                     out.append((ell, words[:, k].tobytes()))
             if len(words) < w_max:
                 if len(words) >= len(top):
-                    live = bounds <= prune
+                    live = bounds + closing.take(np.multiply(words[-1], n_letters, dtype=np.intp) + words[0]) <= prune
                     if not np.isfinite(prods).all():
                         live &= np.isfinite(prods).all(axis=(0, 1))
                     if not live.all():  # take: a boolean index of prods costs more
@@ -205,6 +211,20 @@ def _primitive_classes(
     if work is not None:
         work["prefixes_expanded"] = expanded
     return sorted(out, key=lambda item: item[1])
+
+
+def _closing_bounds(steps: np.ndarray) -> np.ndarray:
+    """SP[u, v], the least W-sum of a path of one or more steps from letter u
+    to letter v, none from a letter to its inverse: the min-plus closure of
+    W (Floyd, CACM 5, 1962).  A class grown from the prefix x_1 ... x_n
+    closes its cycle from x_n back to x_1, so its cyclic W-sum is at least
+    the prefix's W-sum plus SP[x_n, x_1]."""
+    letters = np.arange(len(steps))
+    dist = steps.copy()
+    dist[letters, letters ^ 1] = np.inf
+    for k in letters:
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    return dist
 
 
 def _frame(g: MobiusTransform):
@@ -294,8 +314,9 @@ class GroupPresentation:
     tangency as a parabolic one).  The screen is the enumerator's own
     block walk to depth 4, keeping no class, under the walk's word budget
     (past it, an EnumerationBudgetError that names the screen); the
-    lexicographically least failing word is reported.  It is a heuristic filter.  Construction then
-    searches for ping-pong arcs; _step_bounds holds their W, or None.
+    lexicographically least failing word is reported.  It is a heuristic
+    filter, and `dnzeta spectrum -v` says so.  Construction then searches
+    for ping-pong arcs; _step_bounds holds their W, or None.
     """
 
     generators: tuple[MobiusTransform, ...]
@@ -320,7 +341,7 @@ class GroupPresentation:
             raise DomainError("labels must be distinct")
         object.__setattr__(self, "labels", labels)
         try:
-            _primitive_classes(gens, labels, 4, 0.0)
+            _primitive_classes(gens, labels, _SCREEN_DEPTH, 0.0)
         except EnumerationBudgetError as exc:
             raise EnumerationBudgetError(f"the Schottky screen of {len(gens)} generators: {exc}") from exc
         object.__setattr__(self, "_step_bounds", _ping_pong(gens))
@@ -340,6 +361,14 @@ class SpectrumEntry:
         _count(self.multiplicity, "multiplicity", 1)
         if self.reflections is not None:
             _count(self.reflections, "reflections", 0)
+
+    @classmethod
+    def _checked(cls, length: float, multiplicity: int, reflections: int | None) -> "SpectrumEntry":
+        """An entry from fields known to pass __post_init__'s rules, checked
+        by the caller or valid by construction: they are not checked again."""
+        entry = object.__new__(cls)
+        entry.__dict__.update(length=length, multiplicity=multiplicity, reflections=reflections)
+        return entry
 
 
 @dataclass(frozen=True)
@@ -408,14 +437,16 @@ def enumerate_primitive_classes(
     the words it builds and raises EnumerationBudgetError once they pass
     5,000,000, so the pruned walk, not the depth, decides what is refused.
     The spectrum's _work records the certificate, its least W, the depth,
-    prefixes expanded, classes kept.
+    prefixes expanded, classes kept, and that the group's construction
+    screen is a heuristic filter of the words up to _SCREEN_DEPTH letters.
     """
     l_max = _finite_real(l_max, "l_max", 0.0)
     d_min = _displacement_floor(group.generators)
     w_max = max(1, math.ceil(l_max / d_min - 1e-12)) if max_word_len is None else _count(max_word_len, "max_word_len", 1)
     bounds, letters = group._step_bounds, np.arange(2 * len(group.generators))
     work = {"certificate": "none" if bounds is None else "ping-pong", "depth": w_max,
-            "min_w": 0.0 if bounds is None else float(bounds[letters != (letters ^ 1)[:, None]].min())}
+            "min_w": 0.0 if bounds is None else float(bounds[letters != (letters ^ 1)[:, None]].min()),
+            "screen": f"heuristic, depth {_SCREEN_DEPTH}"}
     classes = _primitive_classes(group.generators, group.labels, w_max, l_max, bounds, work)
     work["classes_kept"] = len(classes)
     classes.sort()
@@ -426,7 +457,7 @@ def enumerate_primitive_classes(
         j = i
         while j < len(classes) and classes[j][0] - base <= _LENGTH_TIE:
             j += 1
-        entries.append(SpectrumEntry(length=base, multiplicity=j - i))
+        entries.append(SpectrumEntry._checked(base, j - i, None))  # a float length > 0, a count >= 1
         i = j
     spectrum = LengthSpectrum(entries=tuple(entries), cutoff=l_max, complete_up_to=min(l_max, w_max * d_min))
     object.__setattr__(spectrum, "_work", work)
@@ -464,16 +495,38 @@ def spectrum_from_json(text: str) -> LengthSpectrum:
         raise DomainError(f"spectrum JSON missing field: {exc}") from exc
     if not isinstance(raw_entries, list):
         raise DomainError("spectrum JSON entries must be a list")
-    entries = []
-    for item in raw_entries:
-        if not isinstance(item, dict):
-            raise DomainError(f"spectrum entry must be an object, got {item!r}")
-        try:
-            length = item["length"]
-            mult = item["multiplicity"]
-        except KeyError as exc:
-            raise DomainError(f"spectrum entry missing field: {exc}") from exc
-        refl = item.get("reflections")
-        entries.append(SpectrumEntry(length=length, multiplicity=mult, reflections=refl))
-    entries.sort(key=lambda e: (e.length, e.multiplicity, e.reflections or 0))
-    return LengthSpectrum(entries=tuple(entries), cutoff=cutoff, complete_up_to=complete)
+    return LengthSpectrum(entries=_entries_from_json(raw_entries), cutoff=cutoff, complete_up_to=complete)
+
+
+def _entry_from_json(item) -> SpectrumEntry:
+    if not isinstance(item, dict):
+        raise DomainError(f"spectrum entry must be an object, got {item!r}")
+    try:
+        length = item["length"]
+        mult = item["multiplicity"]
+    except KeyError as exc:
+        raise DomainError(f"spectrum entry missing field: {exc}") from exc
+    return SpectrumEntry(length=length, multiplicity=mult, reflections=item.get("reflections"))
+
+
+def _entries_from_json(raw_entries: list) -> list[SpectrumEntry]:
+    """The entries of a spectrum file, sorted by (length, multiplicity,
+    reflections or 0).  Each field is checked as a column of the file, by
+    the errors rules; only when a column fails are the entries built one
+    at a time, so the refusal names the first bad entry in file order, in
+    SpectrumEntry's words."""
+    try:
+        rows = [(item["length"], item["multiplicity"], item.get("reflections")) for item in raw_entries]
+    except (TypeError, KeyError):  # an entry that is not an object, or lacks a field
+        rows = None
+    lengths, mults, refls = zip(*rows) if rows else ((), (), ())
+    if rows is not None and _all_finite_real(lengths, 0.0) and _all_count(mults, 1) and _all_count(
+            [r for r in refls if r is not None], 0):
+        lengths = list(map(float, lengths))
+        entries = list(map(SpectrumEntry._checked, lengths, mults, refls))
+    else:
+        entries = [_entry_from_json(item) for item in raw_entries]
+        lengths = [e.length for e in entries]
+    if any(map(operator.ge, lengths, lengths[1:])):  # strictly rising lengths already follow the key
+        entries.sort(key=lambda e: (e.length, e.multiplicity, e.reflections or 0))
+    return entries

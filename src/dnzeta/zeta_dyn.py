@@ -42,16 +42,25 @@ return its argument (log1p(x) = x, and atan2(x, 1.0) = x), so most
 terms of a long ladder cost no Python-level call.  The terms are summed
 left to right in the order of the scalar loop (entry by entry, R
 factor by factor), so the values are the same to the bit.
+
+A grid of lambdas is one pass (_zeta_grid; ruelle, selberg and
+selberg_boundary are its one-point grids).  Each lambda is checked and
+its ladder sized, then the factors of every ladder fill shared blocks
+in turn, each block one set of exp and log1p passes, and each lambda's
+terms are folded in its own order: row sums for Z, one running total
+for R and Z_g0.  So a request pays a fixed set-up once (checks, window
+arrays) and then its terms, whatever the number of grid points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _finite_complex, _finite_real
+from .errors import ConvergenceError, DnZetaError, DomainError, _finite_complex, _finite_real
 from .hyperbolic import LengthSpectrum, _window_entries
 
 _BLOCK_TERMS = 2**14
@@ -97,11 +106,12 @@ def _libm(f, *args: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, *flat), float, args[0].size).reshape(args[0].shape)
 
 
-def _log1p_block(u: np.ndarray, work: dict | None = None) -> np.ndarray:
+def _log1p_block(u: np.ndarray, masks: list | None = None) -> np.ndarray:
     """log(1 + u) elementwise, accurate for small |u|: for u = a + ib,
     0.5 log1p(2a + a^2 + b^2) + i atan2(b, 1 + a), and log1p(a) where b == 0.
     Where |a| and |b| are both below 2^-60, log1p(x) is x and atan2(b, 1.0)
-    is b, bit for bit, so libm is skipped.  work counts the terms sent to it."""
+    is b, bit for bit, so libm is skipped.  masks gets the boolean mask of
+    the terms sent to libm."""
     a, b = u.real, u.imag
     on_axis = b == 0.0
     re = np.where(on_axis, a, 2.0 * a + a * a + b * b)
@@ -110,44 +120,78 @@ def _log1p_block(u: np.ndarray, work: dict | None = None) -> np.ndarray:
     re[libm] = _libm(math.log1p, re[libm])
     off = libm & ~on_axis
     im[off] = _libm(math.atan2, b[off], 1.0 + a[off])
-    if work is not None:
-        work["libm_terms"] += int(np.count_nonzero(libm))
+    if masks is not None:
+        masks.append(libm)
     return np.stack([np.where(on_axis, re, 0.5 * re), im], axis=-1).view(complex)[..., 0]
 
 
-def _fold(start: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _fold(start, block: np.ndarray) -> np.ndarray:
     """Each row of block summed left to right onto its entry of start."""
     return np.cumsum(np.column_stack([start, block]), axis=1)[:, -1]
 
 
-def _sum_blocks(terms, width: int, lam: complex, step: int, n: int, per_factor: bool, work: dict) -> complex:
-    """Sum terms(shifts, cols) over the factors at lambda + step k, k < n,
-    and the entry columns 0..width-1, in blocks of at most _BLOCK_TERMS.
+def _blocks(ns: list[int], rows: int):
+    """The factors of the ladders ns[0], ns[1], ... in turn, at most `rows` to
+    a block: each block a list of (i, k0, a, b), ladder i's factors from k0
+    on the block's rows a..b-1."""
+    block, at = [], 0
+    for i, n in enumerate(ns):
+        k = 0
+        while k < n:
+            take = min(rows - at, n - k)
+            block.append((i, k, at, at + take))
+            k, at = k + take, at + take
+            if at == rows:
+                yield block
+                block, at = [], 0
+    if block:
+        yield block
 
-    The order is that of the scalar loop: row by row, each left to right.
-    per_factor sums each row from zero first and then the row sums, as Z
-    sums its R factors; otherwise one running total crosses the rows.
-    work gets the factors (none without a column) and entry terms summed.
+
+def _sum_blocks(terms, width: int, lams: list[complex], step: int, ns: list[int], per_factor: bool) -> list:
+    """For each lams[i], sum terms(shifts, cols, masks) over its factors at
+    lams[i] + step k, k < ns[i], and the entry columns 0..width-1.  The
+    factors of all the ladders, in turn, share blocks of at most
+    _BLOCK_TERMS terms: one call of terms per block, however many lambdas
+    it holds.
+
+    Each lambda's order is that of the scalar loop: row by row, each left to
+    right.  per_factor sums each row from zero first and then the row sums,
+    as Z sums its R factors; otherwise one running total crosses the rows.
+    terms appends to `masks` the libm masks of its log1p passes (one row per
+    factor).  Returns each lambda's (sum, work): the factors (none without a
+    column), entry terms summed and terms sent to libm.
     """
-    work["factors"] += n if width > 0 else 0
-    work["entry_terms"] += n * width
     rows = max(1, _BLOCK_TERMS // max(width, 1))
     cols = max(1, _BLOCK_TERMS // rows)
-    total = complex(0.0, 0.0)
-    for k0 in range(0, n, rows):
-        shifts = lam + step * np.arange(k0, min(k0 + rows, n))[:, None]
-        sums = np.zeros(len(shifts), complex) if per_factor else np.array([total])
-        for c0 in range(0, width, cols):
-            block = terms(shifts, slice(c0, c0 + cols))
-            sums = _fold(sums, block if per_factor else block.reshape(1, -1))
-        total = _fold([total], sums[None, :])[0] if per_factor else sums[0]
-    return complex(total)
+    totals, libm = [complex(0.0, 0.0)] * len(ns), [0] * len(ns)
+    # A sum past the largest double is refused by ZetaValue in its lambda's
+    # turn; numpy's overflow warning would come before it, for the whole block.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pieces in _blocks(ns, rows) if width else ():
+            shifts = np.concatenate([lams[i] + step * np.arange(k0, k0 + b - a) for i, k0, a, b in pieces])[:, None]
+            sums, masks = np.zeros(len(shifts), complex) if per_factor else None, []
+            for c0 in range(0, width, cols):
+                block = terms(shifts, slice(c0, c0 + cols), masks)
+                if per_factor:
+                    sums = _fold(sums, block)
+                else:
+                    for i, _, a, b in pieces:
+                        totals[i] = _fold([totals[i]], block[a:b].reshape(1, -1))[0]
+            for i, _, a, b in pieces:
+                if per_factor:
+                    totals[i] = _fold([totals[i]], sums[None, a:b])[0]
+                libm[i] += sum(int(np.count_nonzero(mask[a:b])) for mask in masks)
+    return [
+        (complex(total), {"factors": n if width else 0, "entry_terms": n * width, "libm_terms": m})
+        for total, n, m in zip(totals, ns, libm)
+    ]
 
 
-def _ruelle_terms(used, work=None):
+def _ruelle_terms(used):
     lengths = np.array([e.length for e in used])
     mults = np.array([float(e.multiplicity) for e in used])
-    return lambda shifts, cols: mults[cols] * _log1p_block(-np.exp(-shifts * lengths[cols]), work)
+    return lambda shifts, cols, masks: mults[cols] * _log1p_block(-np.exp(-shifts * lengths[cols]), masks)
 
 
 def _with_work(value: ZetaValue, work: dict) -> ZetaValue:
@@ -189,40 +233,66 @@ def _counting_tail(
     return 2.0 * weight * c * (s / gap + 1.0) * math.exp(-gap * window) / (1.0 - x0)
 
 
-def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaValue:
-    """log R(lambda) over the spectrum's completeness window."""
-    lam, delta = _check_region(lam, delta_hint)
-    _check_phase(lam, spectrum.complete_up_to)
-    used = _window_entries(spectrum)
-    work = dict.fromkeys(_WORK_KEYS, 0)
-    total = _sum_blocks(_ruelle_terms(used, work), len(used), lam, 1, 1, False, work)
-    n_used = sum(e.multiplicity for e in used)
-    tail = _counting_tail(n_used, spectrum.complete_up_to, lam.real, delta, 1.0)
-    if used:
-        # Rounding: every term is at most e^{-Re lambda l_min} in size and
-        # carries |lambda| W ulps from the phase, the sum n more.
-        scale = 2.0**-52 * n_used * math.exp(-lam.real * spectrum.entries[0].length)
-        tail += scale * abs(lam) * spectrum.complete_up_to + scale * (len(used) + 4)
-    return _with_work(ZetaValue(
-        log_value=total, tail_bound=tail, convergence_abscissa_used=delta
-    ), work)
+class _Product(NamedTuple):
+    """One zeta product: terms(shifts, cols, masks) summed over `width`
+    entry columns at lambda + step k, as _sum_blocks does.  A ladder's
+    length follows from m_crit and l_min (_ladder_length); each factor's
+    counting tail counts m_tail classes of the given weight."""
+
+    name: str
+    terms: Callable
+    width: int
+    step: int
+    per_factor: bool
+    m_crit: int
+    l_min: float
+    m_tail: int
+    weight: float
 
 
-def _ladder(
-    name: str, terms, entries: int, lam: complex, step: int, m_crit: int,
-    l_min: float, m_tail: int, window: float, delta: float, weight: float,
-    work: dict, per_factor: bool = False,
-) -> ZetaValue:
-    """Sum the factors at lambda + step k for k < n, n being the first k
-    with m_crit e^{-(Re lambda + step k) l_min} < 1e-16; n is fixed, and
-    refused above _MAX_FACTORS or when n times the entries each factor
-    sums exceeds _MAX_ENTRY_TERMS, before any factor is evaluated.
+def _product(kind: str, spectrum: LengthSpectrum, lengths: list[float]) -> _Product:
+    """The product of kind "ruelle" (one factor), "selberg" or
+    "selberg_boundary" (on the boundary `lengths`) over the spectrum's
+    window."""
+    if kind != "selberg_boundary":
+        used = _window_entries(spectrum)
+        m_total = sum(e.multiplicity for e in used)
+        l_min = used[0].length if used else math.inf  # the entries are sorted
+        return _Product(
+            kind.capitalize(), _ruelle_terms(used), len(used), 1, kind == "selberg", m_total, l_min, m_total, 1.0,
+        )
+    for entry in spectrum.entries:
+        if entry.reflections is None:
+            raise DomainError(
+                f"entry at length {entry.length} lacks a reflections count; "
+                "the boundary zeta needs one on every entry"
+            )
+    used = [
+        (-1.0 if e.reflections % 2 == 0 else 1.0, e.length, e.multiplicity)
+        for e in _window_entries(spectrum)
+    ]
+    m_interior = sum(m for _, _, m in used)
+    # Boundary columns first, as 2 log(1 - e^{-shift l}); then each entry's
+    # m (log(1 - sign e^{-shift l}) + log(1 - e^{-(shift + 1) l})).
+    signs, lens, weights = np.array([(-1.0, l, 2.0) for l in lengths] + used).reshape(-1, 3).T
+    interior = np.arange(len(lens)) >= len(lengths)
 
-    terms, work and per_factor are as in _sum_blocks, over `entries` columns.
-    The tail bound adds each factor's counting tail (m_tail classes of
-    the given weight), the skipped factors and their counting tails.
-    """
-    s = lam.real
+    def terms(shifts, at, masks):
+        l, inner = lens[at], interior[at]
+        logs = _log1p_block(signs[at] * np.exp(-shifts * l), masks)
+        logs[:, inner] += _log1p_block(-np.exp(-(shifts + 1.0) * l[inner]), masks)
+        return weights[at] * logs
+
+    return _Product(
+        "boundary", terms, len(lens), 2, False, 2 * len(lengths) + 2 * m_interior,
+        min(lengths + [l for _, l, _ in used], default=math.inf), m_interior, 2.0,
+    )
+
+
+def _ladder_length(product: _Product, s: float) -> int:
+    """n, the first k with m_crit e^{-(s + step k) l_min} < 1e-16, refused
+    above _MAX_FACTORS or when n times the width exceeds _MAX_ENTRY_TERMS."""
+    name, step, m_crit, l_min = product.name, product.step, product.m_crit, product.l_min
     wanted = lambda k: m_crit * math.exp(-(s + step * k) * l_min) >= _FACTOR_FLOOR
     if wanted(_MAX_FACTORS):
         raise ConvergenceError(f"{name} ladder needs more than {_MAX_FACTORS} factors; refused")
@@ -233,12 +303,17 @@ def _ladder(
         n -= 1
     while wanted(n):
         n += 1
-    if n * entries > _MAX_ENTRY_TERMS:
+    if n * product.width > _MAX_ENTRY_TERMS:
         raise ConvergenceError(
-            f"{name} ladder needs {n} factors of {entries} entries, more than "
+            f"{name} ladder needs {n} factors of {product.width} entries, more than "
             f"{_MAX_ENTRY_TERMS} entry terms; refused"
         )
-    logs = _sum_blocks(terms, entries, lam, step, n, per_factor, work)
+    return n
+
+
+def _ladder_tail(product: _Product, s: float, n: int, window: float, delta: float) -> float:
+    """Each of the n factors' counting tails, the skipped factors and their counting tails."""
+    step, m_crit, l_min, m_tail, weight = product.step, product.m_crit, product.l_min, product.m_tail, product.weight
     tails = 0.0
     for k in range(n):  # the tails fall with k far faster than rounding moves them,
         tail = _counting_tail(m_tail, window, s + step * k, delta, weight)
@@ -249,8 +324,60 @@ def _ladder(
         x = math.exp(-(s + step * n) * l_min)
         tails += 2.0 * m_crit * x / -math.expm1(-step * l_min)
     tail_n = _counting_tail(m_tail, window, s + step * n, delta, weight)
-    tails += tail_n / -math.expm1(-step * window)
-    return _with_work(ZetaValue(log_value=logs, tail_bound=tails, convergence_abscissa_used=delta), work)
+    return tails + tail_n / -math.expm1(-step * window)
+
+
+def _ruelle_tail(product: _Product, lam: complex, window: float, delta: float) -> float:
+    tail = _counting_tail(product.m_tail, window, lam.real, delta, 1.0)
+    if product.width:
+        # Rounding: every term is at most e^{-Re lambda l_min} in size and
+        # carries |lambda| W ulps from the phase, the sum n more.
+        scale = 2.0**-52 * product.m_tail * math.exp(-lam.real * product.l_min)
+        tail += scale * abs(lam) * window + scale * (product.width + 4)
+    return tail
+
+
+def _zeta_grid(kind, spectrum: LengthSpectrum, lams, delta_hint: float, boundary_lengths=()):
+    """Yield the ZetaValue that kind (ruelle, selberg, or selberg_boundary on
+    boundary_lengths) gives at each lambda of lams, in order.  kind is
+    read by its name, so a functools.wraps wrapper of one is the same kind.
+
+    Each lambda is checked and its ladder sized as a call of its own would
+    be, up to the first refused.  One _sum_blocks then sums the factors of
+    those before it.  Their values are yielded in order, each with its own
+    tail bound and work record, and the refusal is raised in its place: a
+    caller sees what one call per lambda would show, to the bit.
+    """
+    kind, admitted, refusal = kind.__name__, [], None
+    try:
+        for i, lam in enumerate(lams):
+            lam, delta = _check_region(lam, delta_hint)
+            if not i:
+                lengths = [_finite_real(l, "boundary length", 0.0) for l in boundary_lengths]
+                longest = max(lengths + [spectrum.complete_up_to])
+            _check_phase(lam, longest)
+            if not i:
+                product = _product(kind, spectrum, lengths)
+            admitted.append((lam, 1 if kind == "ruelle" else _ladder_length(product, lam.real)))
+    except DnZetaError as exc:
+        refusal = exc
+    if admitted:
+        sums = _sum_blocks(product.terms, product.width, [lam for lam, _ in admitted], product.step,
+                           [n for _, n in admitted], product.per_factor)
+        for (lam, n), (total, work) in zip(admitted, sums):
+            if kind == "ruelle":
+                tail = _ruelle_tail(product, lam, spectrum.complete_up_to, delta)
+            else:
+                tail = _ladder_tail(product, lam.real, n, spectrum.complete_up_to, delta)
+            yield _with_work(ZetaValue(log_value=total, tail_bound=tail, convergence_abscissa_used=delta), work)
+    if refusal is not None:
+        raise refusal
+
+
+def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaValue:
+    """log R(lambda) over the spectrum's completeness window."""
+    [value] = _zeta_grid(ruelle, spectrum, [lam], delta_hint)
+    return value
 
 
 def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaValue:
@@ -259,16 +386,8 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
     The ladder stops before m_total e^{-(Re lambda + k) l_min} drops
     below 1e-16; its length and refusal follow the module docstring.
     """
-    lam, delta = _check_region(lam, delta_hint)
-    _check_phase(lam, spectrum.complete_up_to)
-    used = _window_entries(spectrum)
-    m_total = sum(e.multiplicity for e in used)
-    l_min = min((e.length for e in used), default=math.inf)
-    work = dict.fromkeys(_WORK_KEYS, 0)
-    return _ladder(
-        "Selberg", _ruelle_terms(used, work), len(used), lam, 1, m_total, l_min,
-        m_total, spectrum.complete_up_to, delta, 1.0, work, per_factor=True,
-    )
+    [value] = _zeta_grid(selberg, spectrum, [lam], delta_hint)
+    return value
 
 
 def selberg_boundary(
@@ -282,38 +401,8 @@ def selberg_boundary(
     as in selberg, with 2 (boundary count + interior multiplicity) for
     m_total and l_min taken over both.
     """
-    lam, delta = _check_region(lam, delta_hint)
-    lengths = [_finite_real(l, "boundary length", 0.0) for l in boundary_lengths]
-    _check_phase(lam, max(lengths + [spectrum.complete_up_to]))
-    for entry in spectrum.entries:
-        if entry.reflections is None:
-            raise DomainError(
-                f"entry at length {entry.length} lacks a reflections count; "
-                "the boundary zeta needs one on every entry"
-            )
-    used = [
-        (-1.0 if e.reflections % 2 == 0 else 1.0, e.length, e.multiplicity)
-        for e in _window_entries(spectrum)
-    ]
-    m_interior = sum(m for _, _, m in used)
-    l_min = min(lengths + [l for _, l, _ in used], default=math.inf)
-    # Boundary columns first, as 2 log(1 - e^{-shift l}); then each entry's
-    # m (log(1 - sign e^{-shift l}) + log(1 - e^{-(shift + 1) l})).
-    signs, lens, weights = np.array([(-1.0, l, 2.0) for l in lengths] + used).reshape(-1, 3).T
-    interior = np.arange(len(lens)) >= len(lengths)
-    work = dict.fromkeys(_WORK_KEYS, 0)
-
-    def terms(shifts, at):
-        l, inner = lens[at], interior[at]
-        logs = _log1p_block(signs[at] * np.exp(-shifts * l), work)
-        logs[:, inner] += _log1p_block(-np.exp(-(shifts + 1.0) * l[inner]), work)
-        return weights[at] * logs
-
-    m_crit = 2 * len(lengths) + 2 * m_interior
-    return _ladder(
-        "boundary", terms, len(lengths) + len(used), lam, 2, m_crit, l_min,
-        m_interior, spectrum.complete_up_to, delta, 2.0, work,
-    )
+    [value] = _zeta_grid(selberg_boundary, spectrum, [lam], delta_hint, boundary_lengths)
+    return value
 
 
 def ruelle_limit_order(spectrum: LengthSpectrum) -> float:

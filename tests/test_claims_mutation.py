@@ -32,7 +32,7 @@ def _times(factor):
 
 
 def _ruelle_terms_times(factor):
-    return lambda f: lambda used, work=None: _times(factor)(f(used, work))
+    return lambda f: lambda used: _times(factor)(f(used))
 
 
 def _bridge_rho_times(post_init):

@@ -301,7 +301,7 @@ class TestSpectrumSubcommand:
         assert work == {
             "subcommand": "spectrum", "certificate": "ping-pong", "depth": 8,
             "min_w": work["min_w"], "prefixes_expanded": work["prefixes_expanded"],
-            "classes_kept": json.loads(quiet_out)["total_multiplicity"],
+            "classes_kept": json.loads(quiet_out)["total_multiplicity"], "screen": "heuristic, depth 4",
         }
         assert 0.5 < work["min_w"] < 2.0 and 0 < work["prefixes_expanded"] < 2000
 
@@ -407,6 +407,38 @@ class TestZetaSubcommand:
         assert abs(row["log_value"]["re"] - expected) < 1e-12
         assert row["log_value"]["im"] == 0.0
         assert row["tail_bound"] > 0.0
+
+    def test_grid_pass_prints_what_one_call_per_lambda_printed(self, capsys, tmp_path, monkeypatch):
+        # The parsed lambdas are replaced by lists with a refusal after the
+        # first row (by the phase, by the entry-term cap); stdout, the -v
+        # records, the error and the exit code must be those of one call per
+        # lambda in turn.
+        from dnzeta import zeta_dyn
+
+        entries = tuple(SpectrumEntry(length=0.5 + 0.4 * i, multiplicity=1 + i % 3, reflections=i % 4) for i in range(3))
+        spec = tmp_path / "s.json"
+        spec.write_text(spectrum_to_json(LengthSpectrum(entries=entries, cutoff=2.0, complete_up_to=1.5)), encoding="utf-8")
+        monkeypatch.setattr(zeta_dyn, "_MAX_ENTRY_TERMS", 150)
+
+        def one_call_per_lambda(kind, spectrum, lams, delta_hint, boundary=()):
+            for lam in lams:
+                if kind is cli.selberg_boundary:
+                    yield kind(boundary, spectrum, lam, delta_hint)
+                else:
+                    yield kind(spectrum, lam, delta_hint)
+
+        seen = set()
+        for lams in ([1.5, 2.0, 2.5 + 1.0j], [40.0, complex(2.0, 1e12), 3.0], [40.0, 41.0, 1.0]):
+            monkeypatch.setattr(cli, "_parse_lambda_spec", lambda text: list(lams))
+            for kind, extra in (("ruelle", ()), ("selberg", ()), ("selberg-g0", ("--boundary", "1.0,2.5"))):
+                argv = ("zeta", "--spectrum", str(spec), "--kind", kind, "--lambda", "1", "--format", "csv", "-v", *extra)
+                got = run_cli(capsys, *argv)
+                with monkeypatch.context() as patched:
+                    patched.setattr(cli, "_zeta_grid", one_call_per_lambda)
+                    assert got == run_cli(capsys, *argv)
+                seen.add((got[0], len(got[2].splitlines())))
+        # rows, a phase refusal (exit 1) and a ladder refusal (exit 2), each after a -v record
+        assert {(0, 4), (1, 3), (2, 4)} <= seen
 
     def test_grid_csv_layout(self, capsys, tmp_path):
         spec = write_cyclic_spectrum(tmp_path / "s.json")

@@ -490,7 +490,8 @@ def _rotated_dilations(k):
 def test_enumeration_budget_guard(monkeypatch):
     # The walk counts each word it builds: the one-letter words, then the
     # children of every expanded block, the cached top levels of the trie
-    # included.  Count them from _expand with the cache cleared.
+    # included.  Count them from _expand with the cache cleared.  At l_max 10
+    # the pruned walk grows prefixes past those cached levels.
     pair = claims.schottky_pair()
     expand, built = hyperbolic._expand, []
 
@@ -501,24 +502,24 @@ def test_enumeration_budget_guard(monkeypatch):
 
     monkeypatch.setattr(hyperbolic, "_expand", counted)
     hyperbolic._trie_top.cache_clear()
-    enumerate_primitive_classes(pair, 9.0)
+    enumerate_primitive_classes(pair, 10.0)
     monkeypatch.setattr(hyperbolic, "_expand", expand)
     hyperbolic._trie_top.cache_clear()
     words = 4 + sum(built)
     cached = len(hyperbolic._trie_top(4)) - 1  # levels built once, before the walk
     assert len(built) > cached
     monkeypatch.setattr(hyperbolic, "_WORD_BUDGET", words)
-    want = enumerate_primitive_classes(pair, 9.0)
+    want = enumerate_primitive_classes(pair, 10.0)
     monkeypatch.setattr(hyperbolic, "_WORD_BUDGET", words - 1)
-    with pytest.raises(EnumerationBudgetError, match="^the walk to word depth 9 builds more than"):
-        enumerate_primitive_classes(pair, 9.0)
+    with pytest.raises(EnumerationBudgetError, match="^the walk to word depth 10 builds more than"):
+        enumerate_primitive_classes(pair, 10.0)
     # The screen is the same walk under the same budget: with room for the
     # one-letter words only, it is refused at its first step.
     monkeypatch.setattr(hyperbolic, "_WORD_BUDGET", 4)
     with pytest.raises(EnumerationBudgetError, match="^the Schottky screen of 2 generators: the walk to word depth 4 builds"):
         GroupPresentation(generators=pair.generators)
     monkeypatch.undo()
-    assert enumerate_primitive_classes(pair, 9.0) == want
+    assert enumerate_primitive_classes(pair, 10.0) == want
     # The depth-4 screen of 33 generators builds under 5M words, that of 34
     # or more does not: 100 are refused long before the full walk (tens of
     # seconds).
@@ -643,6 +644,82 @@ def test_spectrum_json_rejects_malformed(payload):
         spectrum_from_json(payload)
 
 
+def _entry_by_entry(text):
+    """spectrum_from_json as one validated SpectrumEntry per entry, in file
+    order, then the sort by (length, multiplicity, reflections or 0)."""
+    data = json.loads(text)
+    entries = []
+    for item in data["entries"]:
+        if not isinstance(item, dict):
+            raise DomainError(f"spectrum entry must be an object, got {item!r}")
+        try:
+            length = item["length"]
+            mult = item["multiplicity"]
+        except KeyError as exc:
+            raise DomainError(f"spectrum entry missing field: {exc}") from exc
+        entries.append(SpectrumEntry(length=length, multiplicity=mult, reflections=item.get("reflections")))
+    entries.sort(key=lambda e: (e.length, e.multiplicity, e.reflections or 0))
+    return LengthSpectrum(entries=tuple(entries), cutoff=data["cutoff"], complete_up_to=data["complete_up_to"])
+
+
+def _loaded(load, text):
+    try:
+        return load(text)
+    except DomainError as exc:
+        return f"refused: {exc}"
+
+
+# Entries each of which one rule refuses, as JSON text.
+_BAD_ENTRIES = (
+    "5", '"entry"', "[1.5, 2]", "null",  # not an object
+    '{"multiplicity": 2}', '{"length": 1.5}', '{"reflections": 1}',  # a missing field
+    '{"length": "1.5", "multiplicity": 2}', '{"length": true, "multiplicity": 2}',
+    '{"length": 1' + '0' * 400 + ', "multiplicity": 2}', '{"length": 0, "multiplicity": 2}',
+    '{"length": -1.5, "multiplicity": 2}', '{"length": 0.0, "multiplicity": 2}',
+    '{"length": NaN, "multiplicity": 2}', '{"length": Infinity, "multiplicity": 2}',
+    '{"length": 1.5, "multiplicity": true}', '{"length": 1.5, "multiplicity": 2.0}',
+    '{"length": 1.5, "multiplicity": 0}', '{"length": 1.5, "multiplicity": 1' + '0' * 400 + '}',
+    '{"length": 1.5, "multiplicity": 2, "reflections": -1}', '{"length": 1.5, "multiplicity": 2, "reflections": 1.0}',
+    '{"length": 1.5, "multiplicity": 2, "reflections": false}',
+)
+
+
+def test_bulk_loader_refuses_as_the_entry_by_entry_path():
+    # Two bad entries among good ones: the refusal names the first in file
+    # order, in the words one SpectrumEntry at a time would use.
+    good = ['{"length": 0.9, "multiplicity": 1, "reflections": 2}', '{"length": 2, "multiplicity": 3}',
+            '{"length": 1.25, "multiplicity": 1, "reflections": null}']
+    seen = set()
+    for first, second in itertools.product(_BAD_ENTRIES, repeat=2):
+        for at in (0, 2):
+            items = good[:at] + [first] + good[at:] + [second]
+            text = '{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [' + ", ".join(items) + "]}"
+            got = _loaded(spectrum_from_json, text)
+            assert got == _loaded(_entry_by_entry, text) and got.startswith("refused: ")
+            seen.add(got)
+    assert len(seen) == len(_BAD_ENTRIES) - 1  # one text each, but two entries lack "length"
+    # good entries load as SpectrumEntry builds them, an int length as a float
+    text = '{"cutoff": 5.0, "complete_up_to": 4.0, "entries": [' + ", ".join(good) + "]}"
+    assert spectrum_from_json(text) == _entry_by_entry(text)
+    assert [type(e.length) for e in spectrum_from_json(text).entries] == [float] * 3
+
+
+def test_bulk_loader_sorts_ties_as_before():
+    # Tied lengths in no order: sorted by (length, multiplicity, reflections
+    # or 0), and entries equal under that key (reflections 0 and absent) keep
+    # their file order.
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        items = [{"length": float(rng.choice([1.5, 2.0, 2.0000000001])), "multiplicity": int(rng.integers(1, 3))}
+                 for _ in range(12)]
+        for item in items:
+            if rng.random() < 0.7:
+                item["reflections"] = int(rng.integers(0, 2))
+        text = json.dumps({"cutoff": 5.0, "complete_up_to": 4.0, "entries": items})
+        got, want = spectrum_from_json(text), _entry_by_entry(text)
+        assert got == want and spectrum_to_json(got) == spectrum_to_json(want)
+
+
 def test_length_spectrum_validation():
     e1 = SpectrumEntry(length=1.0, multiplicity=1)
     e2 = SpectrumEntry(length=2.0, multiplicity=3)
@@ -730,16 +807,30 @@ def test_pruned_walk_writes_the_unpruned_bytes():
     assert expanded < unpruned_expanded / 2
 
 
+def _closing_sums(steps):
+    """Least W-sum of a path of one or more steps from letter u to v, never
+    onto a letter's inverse, by relaxing the paths one step at a time."""
+    n = len(steps)
+    best = {(u, v): steps[u, v] if v != u ^ 1 else math.inf for u in range(n) for v in range(n)}
+    for _ in range(n):
+        best = {(u, v): min([best[u, v]] + [best[u, w] + steps[w, v] for w in range(n) if v != w ^ 1])
+                for u, v in best}
+    return best
+
+
 def test_walk_grows_exactly_the_prefixes_within_the_cutoff():
     # The rule alone, with a made-up W (integer steps, not a length bound):
     # a class comes out iff the prefix it grows from is in the trie's top or
-    # has a W-sum within l_max; sums of exactly l_max are kept.
+    # has a W-sum, plus the least path sum from its last letter back to its
+    # first, within l_max; sums of exactly l_max are kept.
     gens = _schottky_pair(3.0, 3.0, -5.0, 0.2).generators
     unpruned = _primitive_classes(gens, "ab", 9, 13.0)
     top = len(hyperbolic._trie_top(4))
     steps = np.random.default_rng(3).integers(1, 4, (4, 4)).astype(float)
+    closing = _closing_sums(steps)
     want = [(ell, word) for ell, word in unpruned
-            if len(word) - 1 < top or sum(steps[x, y] for x, y in zip(word[:-1], word[1:-1])) <= 13.0]
+            if len(word) - 1 < top
+            or sum(steps[x, y] for x, y in zip(word[:-1], word[1:-1])) + closing[word[-2], word[0]] <= 13.0]
     assert any(len(word) - 1 >= top for _, word in want) and len(want) < len(unpruned)
     assert _primitive_classes(gens, "ab", 9, 13.0, steps) == want
 

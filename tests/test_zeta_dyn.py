@@ -316,31 +316,31 @@ def test_selberg_ladder_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
-def _reference_ladder(name, terms, entries, lam, step, m_crit, l_min, m_tail, window, delta, weight, work,
-                      per_factor=False):
-    """zeta_dyn._ladder as two Python loops: the stop rule stepped k by k, one
-    scalar counting tail per factor."""
-    s = lam.real
+def _reference_stop_rule(product, s):
+    """zeta_dyn._ladder_length as a loop: the stop rule stepped k by k."""
     n = 0
-    while m_crit and m_crit * math.exp(-(s + step * n) * l_min) >= 1e-16:
+    while product.m_crit and product.m_crit * math.exp(-(s + product.step * n) * product.l_min) >= 1e-16:
         if n == zeta_dyn._MAX_FACTORS:
-            raise ConvergenceError(f"{name} ladder needs more than {n} factors; refused")
+            raise ConvergenceError(f"{product.name} ladder needs more than {n} factors; refused")
         n += 1
-    if n * entries > zeta_dyn._MAX_ENTRY_TERMS:
+    if n * product.width > zeta_dyn._MAX_ENTRY_TERMS:
         raise ConvergenceError(
-            f"{name} ladder needs {n} factors of {entries} entries, more than "
+            f"{product.name} ladder needs {n} factors of {product.width} entries, more than "
             f"{zeta_dyn._MAX_ENTRY_TERMS} entry terms; refused"
         )
-    logs = zeta_dyn._sum_blocks(terms, entries, lam, step, n, per_factor, work)
+    return n
+
+
+def _reference_tails(product, s, n, window, delta):
+    """zeta_dyn._ladder_tail with one scalar counting tail per factor."""
     tails = 0.0
     for k in range(n):
-        tails += zeta_dyn._counting_tail(m_tail, window, s + step * k, delta, weight)
-    if m_crit:
-        x = math.exp(-(s + step * n) * l_min)
-        tails += 2.0 * m_crit * x / -math.expm1(-step * l_min)
-    tail_n = zeta_dyn._counting_tail(m_tail, window, s + step * n, delta, weight)
-    tails += tail_n / -math.expm1(-step * window)
-    return ZetaValue(log_value=logs, tail_bound=tails, convergence_abscissa_used=delta)
+        tails += zeta_dyn._counting_tail(product.m_tail, window, s + product.step * k, delta, product.weight)
+    if product.m_crit:
+        x = math.exp(-(s + product.step * n) * product.l_min)
+        tails += 2.0 * product.m_crit * x / -math.expm1(-product.step * product.l_min)
+    tail_n = zeta_dyn._counting_tail(product.m_tail, window, s + product.step * n, delta, product.weight)
+    return tails + tail_n / -math.expm1(-product.step * window)
 
 
 def _ladder_outcomes(cases):
@@ -377,7 +377,8 @@ def test_ladder_bookkeeping_matches_the_reference_loops(monkeypatch):
     monkeypatch.setattr(zeta_dyn, "_MAX_FACTORS", 60)
     monkeypatch.setattr(zeta_dyn, "_MAX_ENTRY_TERMS", 300)
     got = _ladder_outcomes(cases)
-    monkeypatch.setattr(zeta_dyn, "_ladder", _reference_ladder)
+    monkeypatch.setattr(zeta_dyn, "_ladder_length", _reference_stop_rule)
+    monkeypatch.setattr(zeta_dyn, "_ladder_tail", _reference_tails)
     want = _ladder_outcomes(cases)
     assert got == want
     # the lowered caps refuse some ladders of each kind and pass others
@@ -386,33 +387,36 @@ def test_ladder_bookkeeping_matches_the_reference_loops(monkeypatch):
     assert sum(not w.startswith("refused") for w in want) > len(want) // 2
 
 
-def _one_entry_outcomes(m_crit, l_min, shifts):
-    """selberg and the reference loops on one entry at each real lambda: repr or refusal."""
+def _one_entry_outcomes(monkeypatch, m_crit, l_min, shifts):
+    """selberg on one entry at each real lambda, its ladder sized by the closed
+    form and by the stepped loop: repr or refusal."""
     spec = LengthSpectrum(entries=(SpectrumEntry(length=l_min, multiplicity=m_crit),), cutoff=3.0, complete_up_to=3.0)
-    out = []
-    for s in (s for s in shifts if s > 0.0):
-        for call in (
-            lambda: selberg(spec, s, 0.0),
-            lambda: _reference_ladder("Selberg", zeta_dyn._ruelle_terms(spec.entries), 1, complex(s, 0.0), 1,
-                                      m_crit, l_min, m_crit, 3.0, 0.0, 1.0, dict.fromkeys(zeta_dyn._WORK_KEYS, 0),
-                                      per_factor=True),
-        ):
+
+    def outcomes():
+        out = []
+        for s in (s for s in shifts if s > 0.0):
             try:
-                out.append(repr(call()))
+                out.append(repr(selberg(spec, s, 0.0)))
             except ConvergenceError as exc:
                 out.append(str(exc))
-    return out[0::2], out[1::2]
+        return out
+
+    got = outcomes()
+    with monkeypatch.context() as patched:
+        patched.setattr(zeta_dyn, "_ladder_length", _reference_stop_rule)
+        return got, outcomes()
 
 
 def test_ladder_length_is_the_loop_length_at_every_rounding(monkeypatch):
     # n from the closed form is the first k where the stop rule's float test
     # fails, also where the closed form sits on an integer.  The terms are
     # stubbed out; the value then carries n.
-    monkeypatch.setattr(zeta_dyn, "_sum_blocks", lambda terms, width, lam, step, n, per_factor, work: complex(n, step))
+    monkeypatch.setattr(zeta_dyn, "_sum_blocks",
+                        lambda terms, width, lams, step, ns, per_factor: [(complex(n, step), {}) for n in ns])
     for m_crit in (1, 3, 6, 1000):
         for l_min in (0.01, 0.7, 2.0):
             target = math.log(m_crit / 1e-16) / l_min
-            got, want = _one_entry_outcomes(m_crit, l_min, (
+            got, want = _one_entry_outcomes(monkeypatch, m_crit, l_min, (
                 0.5, 1.0, target - 40.0, target - 40.0 + 1e-9, target + 3.0, math.nextafter(target, 0.0),
             ))
             assert got == want
@@ -420,7 +424,7 @@ def test_ladder_length_is_the_loop_length_at_every_rounding(monkeypatch):
     monkeypatch.setattr(zeta_dyn, "_MAX_FACTORS", 60)
     for m_crit in (1, 3, 6, 1000):
         target = math.log(m_crit / 1e-16) / 0.01
-        got, want = _one_entry_outcomes(m_crit, 0.01, [target - k + 0.5 for k in range(59, 63)])
+        got, want = _one_entry_outcomes(monkeypatch, m_crit, 0.01, [target - k + 0.5 for k in range(59, 63)])
         assert got == want and sum(w.endswith("refused") for w in want) == 2
 
 
@@ -450,9 +454,9 @@ def test_long_ladder_bookkeeping_is_quick(monkeypatch):
     ladders, tails = [], []
     counting_tail = zeta_dyn._counting_tail
 
-    def no_terms(terms, width, lam, step, n, per_factor, work):
-        ladders.append(n)
-        return complex(0.0, 0.0)
+    def no_terms(terms, width, lams, step, ns, per_factor):
+        ladders.extend(ns)
+        return [(complex(0.0, 0.0), {}) for _ in ns]
 
     def counted(*args):
         tails.append(args[2])
@@ -507,10 +511,10 @@ def _block_disagreements(u):
 
 def test_log1p_block_shortcut_keeps_every_bit_at_the_floor(monkeypatch):
     u = _threshold_block()
-    work = {"libm_terms": 0}
-    zeta_dyn._log1p_block(u, work)
+    masks = []
+    zeta_dyn._log1p_block(u, masks)
     skipped = (abs(u.real) < 2.0**-60) & (abs(u.imag) < 2.0**-60)
-    assert work["libm_terms"] == u.size - np.count_nonzero(skipped) and skipped.any()
+    assert [mask.tolist() for mask in masks] == [(~skipped).tolist()] and skipped.any()
     assert _block_disagreements(u) == []
     # the cases tell a loosened floor apart
     monkeypatch.setattr(zeta_dyn, "_LIBM_FLOOR", 2.0**-20)
@@ -615,6 +619,79 @@ def test_block_evaluation_is_bit_identical_to_scalar_loops(monkeypatch):
                 warnings.simplefilter("error")
                 got = (ruelle(spec, lam, 0.0), selberg(spec, lam, 0.0), selberg_boundary(boundary, spec, lam, 0.0))
             assert [repr(v.log_value) for v in got] == [repr(v) for v in values]
+
+
+def _one_point(kind, spectrum, lam, delta, boundary):
+    return kind(boundary, spectrum, lam, delta) if kind is selberg_boundary else kind(spectrum, lam, delta)
+
+
+def _outcomes(values):
+    """(repr, work) of each value a grid yields, then the refusal's type and message."""
+    out = []
+    try:
+        for value in values:
+            out.append((repr(value), value._work))
+    except (ConvergenceError, DomainError) as exc:
+        out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def test_grid_pass_equals_its_one_point_calls_bit_for_bit(monkeypatch):
+    # Seeded spectra with lambdas in no order, real and complex.  Each grid
+    # value, bar and work record must be the one-point call's, to the bit.
+    blocks = []
+    log1p_block = zeta_dyn._log1p_block
+    monkeypatch.setattr(zeta_dyn, "_log1p_block", lambda u, masks=None: blocks.append(u.shape) or log1p_block(u, masks))
+    crossed = shared = False
+    cases = _oracle_cases()
+    # long ladders (Re lambda 0.7) in full blocks; short ones in blocks of 24
+    # terms, where a block holds rows of several lambdas or part of one row
+    for block_terms, picks in ((zeta_dyn._BLOCK_TERMS, (0, 3, 9, 15)), (24, (1, 2, 4, 8, 10, 14))):
+        monkeypatch.setattr(zeta_dyn, "_BLOCK_TERMS", block_terms)
+        for spec, lam, boundary in (cases[i] for i in picks):
+            lams = [lam, complex(lam.real + 0.35, -lam.imag), complex(max(lam.real - 0.3, 0.05), 0.0), lam + 2.0]
+            for kind in (ruelle, selberg, selberg_boundary):
+                b = boundary if kind is selberg_boundary else ()
+                blocks.clear()
+                grid = _outcomes(zeta_dyn._zeta_grid(kind, spec, lams, 0.0, b))
+                grid_blocks = len(blocks)
+                loop = _outcomes(_one_point(kind, spec, z, 0.0, b) for z in lams)
+                assert grid == loop
+                assert grid_blocks <= len(blocks) - grid_blocks  # never more log1p passes than the loop
+                shared |= grid_blocks < len(blocks) - grid_blocks
+                # some ladder starts in one block and ends in the next
+                width = grid[0][1]["entry_terms"] // max(grid[0][1]["factors"], 1)
+                rows = max(1, block_terms // max(width, 1))
+                starts = np.cumsum([0] + [work["factors"] for _, work in grid])
+                crossed |= block_terms == zeta_dyn._BLOCK_TERMS and any(
+                    a // rows != (b - 1) // rows for a, b in zip(starts[:-1], starts[1:]) if b > a
+                )
+    assert crossed and shared
+
+
+def test_grid_refusal_comes_where_the_loop_raises_it(monkeypatch):
+    # A lambda refused after others, by its phase, its ladder's size or a
+    # value that is not finite: the grid yields the values before it, then
+    # raises the same error, as one call per lambda would.
+    spec = LengthSpectrum(entries=tuple(SpectrumEntry(length=0.5 + 0.4 * i, multiplicity=1 + i % 3, reflections=i % 4)
+                                        for i in range(3)), cutoff=2.0, complete_up_to=1.5)
+    huge = LengthSpectrum(entries=tuple(SpectrumEntry(length=1.0 + 0.05 * i, multiplicity=10**307, reflections=0)
+                                        for i in range(15)), cutoff=21.0, complete_up_to=20.0)
+    monkeypatch.setattr(zeta_dyn, "_MAX_ENTRY_TERMS", 150)
+    cases = (
+        (spec, [40.0, complex(2.0, 1e12), 3.0], 0.0, "DomainError"),  # the phase
+        (spec, [40.0, 41.0, 1.0], 0.0, "ConvergenceError"),  # the entry-term cap
+        (spec, [40.0, 0.2, 3.0], 0.3, "DomainError"),  # the convergence region
+        (huge, [30.0, 0.1], 0.09, "DomainError"),  # a log R that is not finite
+    )
+    for spectrum, lams, delta, refusal in cases:
+        kinds = (ruelle,) if spectrum is huge else (ruelle, selberg, selberg_boundary)
+        for kind in kinds:
+            b = [1.0] if kind is selberg_boundary else ()
+            grid = _outcomes(zeta_dyn._zeta_grid(kind, spectrum, lams, delta, b))
+            assert grid == _outcomes(_one_point(kind, spectrum, z, delta, b) for z in lams)
+            if kind is not ruelle or refusal != "ConvergenceError":
+                assert grid[-1][0] == refusal and len(grid) > 1
 
 
 def test_selberg_positivity_real_lambda():
