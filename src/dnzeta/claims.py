@@ -8,10 +8,8 @@ tolerance or frozen oracle constant lives here and nowhere else.
 A check is (name, max_err, tolerance, passed), and passed is max_err <=
 tolerance.  Each max_err is measured against a value that the checked
 code did not produce: a closed form, a frozen mpmath value, or an
-independent formula, with one exception left to ROADMAP item 12:
-"theorem4 two-path agreement" measures the pipeline's own
-error_estimate.  tests/test_claims_mutation.py breaks the checked code
-and requires every check to fail under some break.
+independent formula.  tests/test_claims_mutation.py breaks the checked
+code and requires every check to fail under some break.
 """
 
 from __future__ import annotations
@@ -52,8 +50,7 @@ from .zeta_dyn import ruelle, ruelle_limit_order, selberg
 from .zeta_reg import EigenSequence, log_det, required_tail_length
 
 _SEED = 20260818
-# eta = 2 zeta'(-1) - 1/4 + log(2 pi)/2 and zeta'(-1), to 20 digits
-_ETA = 0.33809624580377088335
+# zeta'(-1), to 20 digits
 _ZETA_PRIME_MINUS1 = -0.16542114370045092921
 _LN_PI = math.log(math.pi)
 # log det' of the eps_n = e^-n perturbed sequence, frozen from an
@@ -73,6 +70,24 @@ _LEMMA_CONTINUATIONS = (
 # log[(2 pi)^{1-2 lam} Gamma(lam) G(lam)^2 / (Gamma(1-lam) G(1-lam)^2)] at
 # the doubles nearest 0.3 and 0.8, frozen from 40-digit mpmath loggamma and barnesg
 _FUNCTIONAL_BRACKET = ((0.3, -0.057329891646147571059), (0.8, 0.22041571895666517055))
+# (Z'_G(1), Z_g0(1), chi, ell, det'(N)/ell) with det'(N)/ell the closed display
+# -Z'_G(1) e^{ell/4} / (Z_g0(1)^2 2 pi chi), to 20 digits, frozen from 40-digit mpmath at the doubles
+_THEOREM4_RATIOS = (
+    (0.25, 1.5, -1, 4.0, 0.048069776635125838179),
+    (3.7, 0.45, -2, 0.6, 1.6893164254307414378),
+    (1.9, 4.2, -5, 15.0, 0.14578386318887791678),
+    (0.3, 0.3, -3, 9.5, 1.9011965464557763399),
+)
+# (lam, Z_g0(lam), chi, ell, log det(Delta - lam(1-lam))) with the log det
+# log z - chi [eta + lam(1-lam) + (lam-1) ln 2 pi - 2 log G(lam) - log Gamma(lam)] + ell (1-2 lam)/8,
+# eta = 2 zeta'(-1) - 1/4 + ln(2 pi)/2, to 20 digits, frozen from 40-digit mpmath
+# zeta(-1, derivative=1), barnesg and loggamma at the doubles
+_DIRICHLET_LOGS = (
+    (0.3, 2.2, -1, 3.0, 1.1608329255098434828),
+    (1.0, 0.7, -4, 8.0, -0.004289960723648908944),
+    (1.75, 4.5, -2, 0.9, 2.0426291183661294573),
+    (2.6, 1.3, -3, 5.5, -6.0161527669753899174),
+)
 
 ANNULUS_MODULI = (1.00001, 1.001, 1.5, 2.0, math.e, 10.0, 100.0)
 DISC_RADII = (0.5, 1.0, 7.0)
@@ -231,23 +246,16 @@ def _functional() -> list[Check]:
 
 
 def _theorem4() -> list[Check]:
-    rng = np.random.default_rng(_SEED)
-    worst_pipeline = 0.0
-    worst_dirichlet = 0.0
-    for _ in range(1000):
-        chi = -int(rng.integers(1, 6))
-        topo = SurfaceTopology(genus=0, boundary_components=2 - chi)
-        ell = float(rng.uniform(0.1, 20.0))
-        zp = float(rng.uniform(0.2, 5.0))
-        z0 = float(rng.uniform(0.2, 5.0))
-        report = theorem4_pipeline(zp, z0, topo, ell)
-        worst_pipeline = max(worst_pipeline, report.error_estimate / abs(report.ratio))
-        direct = math.log(z0) - chi * _ETA - ell / 8.0
-        err = abs(log_dirichlet_det(1.0, z0, topo, ell) - direct) / (1.0 + abs(direct))
-        worst_dirichlet = max(worst_dirichlet, err)
+    topo = lambda chi: SurfaceTopology(genus=0, boundary_components=2 - chi)
+    reports = [(theorem4_pipeline(zp, z0, topo(chi), ell), want) for zp, z0, chi, ell, want in _THEOREM4_RATIOS]
+    worst_ratio = max(abs(got - want) / want for r, want in reports for got in (r.ratio, r.inputs["ratio_bfk"]))
+    worst_log = max(
+        abs(log_dirichlet_det(lam, z, topo(chi), ell) - want) / (1.0 + abs(want))
+        for lam, z, chi, ell, want in _DIRICHLET_LOGS
+    )
     return [
-        _check("theorem4 two-path agreement (1000 random)", worst_pipeline, 1e-12),
-        _check("dirichlet det at lambda=1 two-path agreement (1000 random)", worst_dirichlet, 1e-12),
+        _check("theorem4 closed display and surgery composition vs 40-digit values", worst_ratio, 1e-12),
+        _check("log dirichlet det at lambda=0.3,1,1.75,2.6 vs 40-digit values", worst_log, 1e-12),
     ]
 
 

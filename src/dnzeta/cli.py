@@ -42,7 +42,7 @@ from .dn_explicit import (
     cylinder_det_prime,
     disc_det_prime,
 )
-from .errors import DnZetaError, DomainError
+from .errors import DnZetaError, DomainError, _count
 from .hyperbolic import (
     GroupPresentation,
     MobiusTransform,
@@ -230,7 +230,9 @@ def _run_spectrum(args) -> _Output:
     if args.cutoff is not None:
         cutoff = float(args.cutoff)
     else:
-        cutoff = args.max_word_len * _displacement_floor(group.generators)
+        # the depth is checked first, so a bad one is refused by its own name, not as the
+        # l_max derived from it, nor by an OverflowError from the product past a double
+        cutoff = _count(args.max_word_len, "max_word_len", 1) * _displacement_floor(group.generators)
     spectrum = enumerate_primitive_classes(group, cutoff, max_word_len=args.max_word_len)
     if getattr(args, "verbose", 0):
         sys.stderr.write(json.dumps({"subcommand": "spectrum", **spectrum._work}, sort_keys=True) + "\n")

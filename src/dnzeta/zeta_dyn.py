@@ -26,7 +26,10 @@ for M classes in n entries up to the window W.  Evaluation outside the
 half-plane Re(lambda) > delta_hint is refused rather than extrapolated:
 continuation below the convergence abscissa is out of scope.  So is
 |Im lambda| l > 2^30 for the longest length l a product uses, where the
-float phase Im(lambda) l keeps too few digits for the tail bound to hold.
+float phase Im(lambda) l keeps too few digits for the tail bound to hold;
+a lambda so near 0 that a factor 1 - e^{-lambda l} rounds to 0, or
+e^{-Re(lambda) W} to 1 so that the tail bound divides by 0; and a
+window whose total multiplicity passes the largest double.
 
 Z and Z_g0 share one ladder: its length follows from the stop rule
 before any factor is evaluated, and a ladder longer than 200000
@@ -60,7 +63,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DnZetaError, DomainError, _finite_complex, _finite_real
+from .errors import _FLOAT_MAX, ConvergenceError, DnZetaError, DomainError, _finite_complex, _finite_real
 from .hyperbolic import LengthSpectrum, _window_entries
 
 _BLOCK_TERMS = 2**14
@@ -73,7 +76,6 @@ _MAX_PHASE = 2.0**30
 # Below it in size, libm's log1p(x) and atan2(x, 1.0) return x: glibc's
 # log1p does so for |x| < 2^-54, and 1 + x rounds to 1.0.
 _LIBM_FLOOR = 2.0**-60
-_WORK_KEYS = ("factors", "entry_terms", "libm_terms")
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,18 @@ def _log1p_block(u: np.ndarray, masks: list | None = None) -> np.ndarray:
     """log(1 + u) elementwise, accurate for small |u|: for u = a + ib,
     0.5 log1p(2a + a^2 + b^2) + i atan2(b, 1 + a), and log1p(a) where b == 0.
     Where |a| and |b| are both below 2^-60, log1p(x) is x and atan2(b, 1.0)
-    is b, bit for bit, so libm is skipped.  masks gets the boolean mask of
+    is b, bit for bit, so libm is skipped.  Where 1 + u rounds to 0 the real
+    part is -inf, which _zeta_grid refuses.  masks gets the boolean mask of
     the terms sent to libm."""
     a, b = u.real, u.imag
     on_axis = b == 0.0
     re = np.where(on_axis, a, 2.0 * a + a * a + b * b)
     im = np.where(on_axis, 0.0, b)
     libm = (abs(a) >= _LIBM_FLOOR) | (abs(b) >= _LIBM_FLOOR)
-    re[libm] = _libm(math.log1p, re[libm])
+    try:
+        re[libm] = _libm(math.log1p, re[libm])
+    except ValueError:  # some 1 + x rounded to 0 or below: only then a call per term that checks it
+        re[libm] = _libm(lambda x: math.log1p(x) if x > -1.0 else -math.inf, re[libm])
     off = libm & ~on_axis
     im[off] = _libm(math.atan2, b[off], 1.0 + a[off])
     if masks is not None:
@@ -212,9 +218,17 @@ def _check_region(lam, delta_hint: float) -> tuple[complex, float]:
     return lam, delta
 
 
-def _check_phase(lam: complex, longest: float) -> None:
+def _check_digits(lam: complex, longest: float, window: float) -> None:
+    """Refuse a lambda that leaves a float no digits: a phase |Im lambda| l
+    past 2^30, or e^{-Re(lambda) W} rounding to 1, as the counting tails
+    divide by 1 - e^{-(Re(lambda) + k) W}."""
     if abs(lam.imag) * longest > _MAX_PHASE:
         raise DomainError(f"|Im lambda| * l = {abs(lam.imag) * longest:.6g} > 2^30: the float phase loses its digits")
+    if math.exp(-lam.real * window) == 1.0:
+        raise DomainError(
+            f"Re lambda * W = {lam.real * window:.6g} for the window W = {window:.17g}: "
+            "e^{-Re lambda W} rounds to 1 and the tail bound has no digits"
+        )
 
 
 def _counting_tail(
@@ -355,9 +369,11 @@ def _zeta_grid(kind, spectrum: LengthSpectrum, lams, delta_hint: float, boundary
             if not i:
                 lengths = [_finite_real(l, "boundary length", 0.0) for l in boundary_lengths]
                 longest = max(lengths + [spectrum.complete_up_to])
-            _check_phase(lam, longest)
+            _check_digits(lam, longest, spectrum.complete_up_to)
             if not i:
                 product = _product(kind, spectrum, lengths)
+                if product.m_crit > _FLOAT_MAX:  # the ladder's stop rule and the tails take it as a float
+                    raise DomainError(f"the {product.name} factors' total multiplicity passes the largest double")
             admitted.append((lam, 1 if kind == "ruelle" else _ladder_length(product, lam.real)))
     except DnZetaError as exc:
         refusal = exc
@@ -365,6 +381,11 @@ def _zeta_grid(kind, spectrum: LengthSpectrum, lams, delta_hint: float, boundary
         sums = _sum_blocks(product.terms, product.width, [lam for lam, _ in admitted], product.step,
                            [n for _, n in admitted], product.per_factor)
         for (lam, n), (total, work) in zip(admitted, sums):
+            if total.real == -math.inf:
+                raise DomainError(
+                    f"the {product.name} product's log is -inf at lambda = {lam}: "
+                    "a factor rounds to 0 or the sum passes the largest double"
+                )
             if kind == "ruelle":
                 tail = _ruelle_tail(product, lam, spectrum.complete_up_to, delta)
             else:

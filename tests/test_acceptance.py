@@ -62,8 +62,8 @@ FROZEN_CLAIMS = (
     ("07", "functional", "R = Z(lam)/Z(lam+1), Schottky pair within tail bounds", 1e-14),
     (None, "functional", "functional bracket reflection antisymmetry", 1e-12),
     (None, "functional", "functional equation at the symmetry point", 1e-12),
-    ("08", "theorem4", "theorem4 two-path agreement (1000 random)", 1e-12),
-    ("08", "theorem4", "dirichlet det at lambda=1 two-path agreement (1000 random)", 1e-12),
+    ("08", "theorem4", "theorem4 closed display and surgery composition vs 40-digit values", 1e-12),
+    ("08", "theorem4", "log dirichlet det at lambda=0.3,1,1.75,2.6 vs 40-digit values", 1e-12),
     ("09", "numericdn", "conformal derivative identity residual at K=64", 1e-6),
 )
 

@@ -53,6 +53,8 @@ CONTINUATIONS = {
     "u_n = 0.2 n^3 (1 + eps_n), m=3, heads=0 vs 40-digit continuation",
 }
 LAMBERT = {"R = Z(lam)/Z(lam+1), cyclic spectrum", "R = Z(lam)/Z(lam+1), Schottky pair within tail bounds"}
+THEOREM4 = "theorem4 closed display and surgery composition vs 40-digit values"
+DIRICHLET = "log dirichlet det at lambda=0.3,1,1.75,2.6 vs 40-digit values"
 
 # (target "module:attribute.path", mutation of the original, suites, checks that fail)
 MUTATIONS = (
@@ -80,25 +82,24 @@ MUTATIONS = (
     ("claims:log_barnes_g", _plus(lambda z: 1e-6 * z), ("functional",), {
         "Barnes G recurrence", "log G(1/2) = ln2/24 + 1/8 - ln(pi)/4 - (3/2) ln A",
     }),
-    # eta and 2 log G(1) both carry zeta'(-1), and it cancels between them in
+    # eta and 2 log G(lam) both carry zeta'(-1), and it cancels between them in
     # log_dirichlet_det, so the Dirichlet row cannot see this break
     ("specfun:_ZETA_PRIME_MINUS1", lambda x: x + 1e-6, ("functional", "theorem4"), {
-        "log G(1/2) = ln2/24 + 1/8 - ln(pi)/4 - (3/2) ln A", "theorem4 two-path agreement (1000 random)",
+        "log G(1/2) = ln2/24 + 1/8 - ln(pi)/4 - (3/2) ln A", THEOREM4,
     }),
-    ("det_engine:eta_constant", lambda f: lambda: f() + 1e-6, ("theorem4",), {
-        "dirichlet det at lambda=1 two-path agreement (1000 random)",
-    }),
+    # e^{-2 eta chi} of det'(Delta_M) cancels against det(Delta)^2 in the surgery composition
+    ("det_engine:eta_constant", lambda f: lambda: f() + 1e-6, ("theorem4",), {DIRICHLET}),
     ("zeta_dyn:_FACTOR_FLOOR", lambda x: 1e-6, ("functional",), LAMBERT),
     ("zeta_dyn:_ruelle_terms", _ruelle_terms_times(1.01), ("functional",), LAMBERT),
     ("det_engine:_log_functional_bracket", _times(-1.0), ("functional",), {
         "functional bracket reflection antisymmetry", "functional equation at the symmetry point",
     }),
-    ("det_engine:zero_volume", _times(1.001), ("theorem4",), {
-        "theorem4 two-path agreement (1000 random)",
-    }),
+    ("det_engine:zero_volume", _times(1.001), ("theorem4",), {THEOREM4}),
     ("numeric_dn:_log_lengths", lambda f: lambda *args: [1.001 * v for v in f(*args)], ("numericdn",), {
         "conformal derivative identity residual at K=64",
     }),
+    # (lam - 1) ln 2 pi vanishes at lam = 1, where the surgery composition reads the Dirichlet determinant
+    ("det_engine:_LN_2PI", lambda x: x + 1e-6, ("theorem4",), {DIRICHLET}),
 )
 
 

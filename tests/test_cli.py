@@ -247,6 +247,17 @@ class TestSpectrumSubcommand:
         assert row["log_value"]["re"] < 0.0
         assert row["tail_bound"] < 1e-2
 
+    def test_non_positive_depth_names_max_word_len(self, capsys, tmp_path):
+        # the default cutoff is the depth times the displacement floor: the depth
+        # is checked first, so the refusal names the flag given, not l_max
+        gens = write_generator_pair(tmp_path / "gens.json")
+        for depth in ("0", "-3", "1" + "0" * 400):
+            code, out, err = run_cli(
+                capsys, "spectrum", "--generators", gens, "--max-word-len", depth, "--out", str(tmp_path / "s.json"),
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith("error: max_word_len must be an integer >= 1, got ") and err.count("\n") == 1
+
     def test_default_cutoff_is_word_depth_consistent(self, capsys, tmp_path):
         gens = write_generator_pair(tmp_path / "gens.json")
         out_path = tmp_path / "spectrum.json"
@@ -549,6 +560,28 @@ class TestZetaSubcommand:
         assert out == ""
         assert err.startswith("error: ")
         assert "2^30" in err
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [("ruelle", ()), ("selberg", ()), ("selberg-g0", ("--boundary", "1.0"))],
+    )
+    def test_sub_resolution_lambda_and_huge_multiplicity_are_refused(self, capsys, tmp_path, kind, extra):
+        # a factor or tail denominator that rounds to 0, and a total multiplicity
+        # past a double, ended in a traceback (ValueError, ZeroDivisionError, OverflowError)
+        spec = write_cyclic_spectrum(tmp_path / "s.json", reflections=1)
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"cutoff": 4.0, "complete_up_to": 4.0, "entries": []}', encoding="utf-8")
+        huge = tmp_path / "huge.json"
+        entries = [{"length": 1.0 + 0.05 * i, "multiplicity": 10**307, "reflections": 0} for i in range(20)]
+        huge.write_text(json.dumps({"cutoff": 21.0, "complete_up_to": 20.0, "entries": entries}), encoding="utf-8")
+        cases = [(spec, lam) for lam in ("1e-17", "1e-300", "1e-17+1e-17j", "1e-12+1e-9j")]
+        cases += [(str(empty), "1e-17"), (str(huge), "30")]
+        for path, lam in cases:
+            code, out, err = run_cli(
+                capsys, "zeta", "--spectrum", path, "--kind", kind, "--lambda", lam, "--delta-hint", "0.0", *extra,
+            )
+            assert (code, out) == (1, ""), (path, lam)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_string_cutoff_exits_one(self, capsys, tmp_path):
         # so does an integer past the largest double, whose float() raised OverflowError

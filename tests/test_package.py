@@ -157,9 +157,10 @@ def _file(name: str, text: str) -> str:
     return name
 
 
-def _spectrum_run(out: str):
+def _spectrum_run(out: str, max_word_len: int = 2):
     return cli._run_spectrum(argparse.Namespace(
-        generators=_file("g.json", f'{{"generators": [{_GENERATOR}]}}'), cutoff=None, max_word_len=2, out=out))
+        generators=_file("g.json", f'{{"generators": [{_GENERATOR}]}}'), cutoff=None, max_word_len=max_word_len,
+        out=out))
 
 
 def _zeta_run(boundary: str):
@@ -230,6 +231,7 @@ _REFUSED = {
     "cli-labels-some": lambda: cli._load_generators(
         _file("g.json", f'{{"generators": [{_GENERATOR[:-1]}, "label": "a"}}, {_GENERATOR}]}}')),
     "cli-out-unwritable": lambda: _spectrum_run("missing-dir/s.json"),
+    "cli-max-word-len-0": lambda: _spectrum_run("s.json", 0),
     "cli-boundary-malformed": lambda: _zeta_run("1.0,x"),
 }
 # Range checks of zeta_reg, refused with InvalidSequenceError.

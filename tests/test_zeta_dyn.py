@@ -694,6 +694,48 @@ def test_grid_refusal_comes_where_the_loop_raises_it(monkeypatch):
                 assert grid[-1][0] == refusal and len(grid) > 1
 
 
+def test_sub_resolution_lambda_is_refused_in_its_turn():
+    # A factor whose 1 + u rounds to 0 raised ValueError from log1p, and a
+    # window where e^{-Re(lambda) W} rounds to 1 made the counting tail divide
+    # by 0.  Each is refused with DomainError in its lambda's turn: a grid
+    # yields the values before it, to the bit, then raises.
+    spec = LengthSpectrum(entries=tuple(SpectrumEntry(length=0.5 + 0.4 * i, multiplicity=1 + i % 3, reflections=i % 4)
+                                        for i in range(3)), cutoff=2.0, complete_up_to=1.5)
+    for kind in (ruelle, selberg, selberg_boundary):
+        b = [1.0] if kind is selberg_boundary else ()
+        # e^{-Re(lambda) W} rounds to 1 at W = 1.5 for the first, third and last; a
+        # factor's 1 + u rounds to 0 for 5e-17 (at l = 0.5) and, by cancellation, 1e-12+1e-9j
+        for tiny in (1e-17, 5e-17, 1e-300, complex(1e-12, 1e-9), complex(1e-18, 1.0)):
+            with pytest.raises(DomainError):
+                _one_point(kind, spec, tiny, 0.0, b)
+            grid = _outcomes(zeta_dyn._zeta_grid(kind, spec, [2.0, tiny, 3.0], 0.0, b))
+            assert grid[0] == _outcomes([_one_point(kind, spec, 2.0, 0.0, b)])[0]
+            assert [row[0] for row in grid[1:]] == ["DomainError"]
+    # a real lambda this small keeps its factors' last digits, and its value
+    for tiny in (1e-12, 1e-9):
+        assert repr(ruelle(spec, tiny, 0.0).log_value) == repr(_reference_ruelle(spec, complex(tiny)))
+    for kind in (ruelle, selberg):
+        with pytest.raises(DomainError, match="rounds to 1"):
+            kind(_empty_spectrum(4.0), 1e-17, 0.0)
+
+
+def test_total_multiplicity_past_a_double_is_refused():
+    # float() of the count raised OverflowError in the tails and the ladder's stop rule
+    def spectrum(n):
+        return LengthSpectrum(entries=tuple(SpectrumEntry(length=1.0 + 0.05 * i, multiplicity=10**307, reflections=0)
+                                            for i in range(n)), cutoff=21.0, complete_up_to=20.0)
+    refused = (
+        lambda: ruelle(spectrum(20), 30.0, 0.0),
+        lambda: selberg(spectrum(20), 30.0, 0.0),
+        # 2 (1 + 15e307) boundary and interior factors, though the interior count fits
+        lambda: selberg_boundary([1.0], spectrum(15), 30.0, 0.0),
+    )
+    for call in refused:
+        with pytest.raises(DomainError, match="total multiplicity passes the largest double"):
+            call()
+    assert ruelle(spectrum(15), 30.0, 0.09).log_value.real < 0.0
+
+
 def test_selberg_positivity_real_lambda():
     grp = _schottky_pair()
     spec = enumerate_primitive_classes(grp, 10.0)
