@@ -19,6 +19,8 @@ The command line front end lives in dnzeta.cli (installed as the
 re-runs the headline identities stated in dnzeta.claims.
 """
 
+from types import ModuleType as _ModuleType
+
 from dnzeta.errors import (
     BarnesZeroError,
     ConvergenceError,
@@ -87,54 +89,6 @@ from dnzeta.numeric_dn import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnulusGeometry",
-    "BarnesZeroError",
-    "ConformalFactor",
-    "ConvergenceError",
-    "CylinderGeometry",
-    "DetReport",
-    "DiscGeometry",
-    "DnZetaError",
-    "DomainError",
-    "EigenSequence",
-    "EnumerationBudgetError",
-    "EvalResult",
-    "GroupPresentation",
-    "InvalidSequenceError",
-    "LengthSpectrum",
-    "MobiusTransform",
-    "PoleError",
-    "RegularizedDet",
-    "SpectrumEntry",
-    "SurfaceTopology",
-    "TruncationError",
-    "ZetaValue",
-    "annulus_det_prime",
-    "annulus_eigenvalues",
-    "cylinder_det_prime",
-    "cylinder_scattering_mode0",
-    "dirichlet_det",
-    "disc_det_prime",
-    "enumerate_primitive_classes",
-    "eta_constant",
-    "functional_equation_rhs",
-    "k_convergence_table",
-    "log_barnes_g",
-    "log_det",
-    "log_dirichlet_det",
-    "log_gamma",
-    "required_tail_length",
-    "ruelle",
-    "ruelle_limit_order",
-    "sarnak_det",
-    "selberg",
-    "selberg_boundary",
-    "spectrum_from_json",
-    "spectrum_to_json",
-    "theorem2_value",
-    "theorem4_pipeline",
-    "translation_length",
-    "zero_volume",
-    "zeta_at_zero",
-]
+# The public names are those the imports above bind, less the submodules
+# that importing them binds too.
+__all__ = sorted(name for name, obj in globals().items() if not (name.startswith("_") or isinstance(obj, _ModuleType)))

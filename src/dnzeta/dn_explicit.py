@@ -160,8 +160,6 @@ def cylinder_det_prime(geom: CylinderGeometry) -> DetReport:
     """
     ratio = geom.ell / math.pi
     boundary = 2.0 * geom.ell
-    if math.isinf(ratio * boundary):
-        raise DomainError(f"cylinder det' = 2 ell^2 / pi overflows a float at ell = {geom.ell}")
     return DetReport(
         value=ratio * boundary,
         ratio=ratio,

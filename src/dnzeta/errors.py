@@ -7,6 +7,12 @@ states that; _finite_real, _count and _finite_complex add what a scalar
 input of the API needs, and each returns the value it checked or raises
 DomainError.  _all_finite_real and _all_count say whether a whole column
 of values passes _finite_real or _count, without a call per value.
+
+The same rules bound what a result may hold: each number field of
+DetReport, EvalResult, RegularizedDet and ZetaValue passes _finite_real
+or _finite_complex, and each error bar passes _bar (finite and >= 0),
+so a value that overflowed on the way is refused with DomainError where
+the result is built, not tested again by each route that builds one.
 """
 
 import math
@@ -33,6 +39,14 @@ def _finite_real(x, name: str, above: float | None = None) -> float:
         if math.isfinite(value) and (above is None or value > above):
             return value
     raise _refuse(name, "a finite real" + ("" if above is None else f" > {above:g}"), x)
+
+
+def _bar(x, name: str) -> float:
+    """x as a float: an error bar, a number that is finite and >= 0."""
+    if isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)):
+        if 0.0 <= x <= _FLOAT_MAX:
+            return float(x)
+    raise _refuse(name, "a finite real >= 0", x)
 
 
 def _count(x, name: str, least: int) -> int:

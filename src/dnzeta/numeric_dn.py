@@ -71,6 +71,9 @@ from .errors import DomainError, TruncationError, _count, _finite_real
 _TWO_PI = 2.0 * math.pi
 _QUAD_NODES = 2048
 _LOG_STOP = -60.0 * math.log(2.0)
+# Most Lanczos basis entries one run may hold, steps x (2K + 1): 64 MiB of
+# complex doubles; a run's peak memory is about three times its basis.
+_MAX_BASIS_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,15 @@ def _log_lengths(omega0: ConformalFactor, grid: np.ndarray) -> list[float]:
     return [math.log(np.mean(np.exp(t * omega))) for t in grid]
 
 
+def _check_basis(k: int, steps: int) -> None:
+    """Refuse a Lanczos basis of `steps` vectors of 2K + 1 entries past the budget."""
+    if steps * (2 * k + 1) > _MAX_BASIS_ENTRIES:
+        raise DomainError(
+            f"Lanczos step {steps} at K = {k} would hold {steps * (2 * k + 1)} basis entries, "
+            f"more than the {_MAX_BASIS_ENTRIES} allowed; refused"
+        )
+
+
 def _lanczos(omega0: ConformalFactor, k: int, t_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Lanczos recurrence (alphas, betas) of Omega_K from e_0; betas[-1] is the residual norm.
 
@@ -133,13 +145,16 @@ def _lanczos(omega0: ConformalFactor, k: int, t_max: float) -> tuple[np.ndarray,
     recurrence stops at the first j where the Gauss error bound
     |t|^2j e^{|t| r} beta_1^2 ... beta_j^2 / (2j)! drops below 2^-60, at
     j = 2K + 1, or at beta_j = 0.  The bound is summed in logs, so no
-    grid, however far along the family, overflows it.
+    grid, however far along the family, overflows it.  A basis vector that
+    would take the basis past _MAX_BASIS_ENTRIES is refused with
+    DomainError before it is allocated.
     """
     c = np.array(omega0.coefficients)
     half = 0.5 * (c[1::2] - 1j * c[2::2])
     c_hat = np.concatenate((half[::-1].conj(), c[:1], half))
     log_t = math.log(t_max)
     log_bound = t_max * float(np.sum(np.abs(c_hat)))
+    _check_basis(k, 1)
     basis = [np.zeros(2 * k + 1, complex)]
     basis[0][k] = 1.0
     alphas, betas = [], []
@@ -156,6 +171,7 @@ def _lanczos(omega0: ConformalFactor, k: int, t_max: float) -> tuple[np.ndarray,
         log_bound += 2.0 * (log_t + math.log(betas[-1])) - math.log(2 * j * (2 * j - 1))
         if log_bound < _LOG_STOP:
             break
+        _check_basis(k, j + 1)
         basis.append(w / betas[-1])
     return np.array(alphas), np.array(betas)
 
@@ -175,7 +191,8 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     uniformly increasing t values; all are checked before any work.  A
     grid so far along the family that e^{t Omega} leaves the float range
     raises TruncationError.  ell_t is computed once per grid point for
-    every K, and each K costs one Lanczos run and one j x j eigh.
+    every K, and each K costs one Lanczos run and one j x j eigh; a run
+    whose basis would pass 2^22 entries is refused with DomainError.
     """
     if not isinstance(geometry, DiscGeometry):
         raise DomainError(f"geometry must be a DiscGeometry, got {type(geometry).__name__}")

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+from .errors import _bar, _finite_real
 
 
 @dataclass(frozen=True)
@@ -13,7 +14,9 @@ class DetReport:
     value is det' itself; ratio is det' divided by the boundary length
     in the induced conformal boundary metric, the normalization in which
     the surface results are stated.  method records which pipeline
-    produced the numbers; inputs echoes the defining parameters.
+    produced the numbers; inputs echoes the defining parameters.  A
+    value, ratio or error bar that left the float range is refused with
+    DomainError.
     """
 
     value: float
@@ -27,5 +30,6 @@ class DetReport:
     def __post_init__(self) -> None:
         if self.method not in self._METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {self._METHODS}")
-        if not (self.error_estimate >= 0.0 and math.isfinite(self.error_estimate)):
-            raise ValueError("error_estimate must be finite and nonnegative")
+        _finite_real(self.value, "det'")
+        _finite_real(self.ratio, "det' / boundary length")
+        _bar(self.error_estimate, "the error bar of det'")

@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BarnesZeroError, DomainError, PoleError, _finite_complex
+from .errors import BarnesZeroError, DomainError, PoleError, _bar, _finite_complex
 
 _EPS = 2.220446049250313e-16
 _LN_2PI = math.log(2.0 * math.pi)
@@ -54,14 +54,14 @@ def _bernoulli(two_k: int) -> float:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of a special function plus an absolute error estimate."""
+    """Value of a special function plus an absolute error estimate, both finite."""
 
     value: complex
     abs_error_estimate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_error_estimate) and self.abs_error_estimate >= 0.0):
-            raise ValueError("abs_error_estimate must be finite and nonnegative")
+        _finite_complex(self.value, "log Gamma or log G")
+        _bar(self.abs_error_estimate, "the error bar of log Gamma or log G")
 
 
 def _kadd(total: complex, comp: complex, term: complex) -> tuple[complex, complex]:
@@ -100,7 +100,8 @@ def log_gamma(z: complex) -> EvalResult:
 
     Raises PoleError within 1e-12 of a nonpositive integer and
     DomainError for Re z < -60; large positive Re z is accepted, where
-    Stirling needs no recurrence.
+    Stirling needs no recurrence, until the value leaves the float range
+    near z = 2.6e305 and EvalResult refuses it with DomainError.
     """
     z = _finite_complex(z, "log_gamma: z")
     if _near_nonpositive_int(z) is not None:
@@ -157,7 +158,9 @@ def log_barnes_g(z: complex) -> EvalResult:
 
     Raises BarnesZeroError within 1e-12 of a nonpositive integer,
     where G vanishes and its log is undefined, and DomainError for
-    Re z < -40; large positive Re z is accepted.
+    Re z < -40; large positive Re z is accepted until the value or its
+    bar leaves the float range near |z| = 1e153, where EvalResult
+    refuses it with DomainError.
     """
     z = _finite_complex(z, "log_barnes_g: z")
     if _near_nonpositive_int(z) is not None:
@@ -198,7 +201,8 @@ def log_barnes_g(z: complex) -> EvalResult:
 
     value = main + series - acc
     # main cancels; each term carries about 8 half-ulps of its own size (u = z - 1, products, log, sums)
-    terms = (0.5 * abs(u) ** 2 + 1.0 / 12.0) * abs(lu) + 0.75 * abs(u) ** 2 + 0.5 * abs(u) * _LN_2PI
+    sq = abs(u) * abs(u)  # not abs(u) ** 2: pow raises OverflowError where the product rounds to inf
+    terms = (0.5 * sq + 1.0 / 12.0) * abs(lu) + 0.75 * sq + 0.5 * abs(u) * _LN_2PI
     scale = 2.0 * terms + acc_abs + 1.0
     return EvalResult(value, trunc + acc_err + 2.0 * _EPS * scale)
 

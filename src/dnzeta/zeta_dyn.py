@@ -36,6 +36,14 @@ before any factor is evaluated, and a ladder longer than 200000
 factors, or one whose factors together take more than 2000000 entry
 terms, is refused up front with ConvergenceError.
 
+Every product reads its entry columns from one builder, _columns: a
+float length and a float weight per column, the boundary lengths first
+(Z_g0 only, weight 2), then the window entries, each weighted by its
+multiplicity as a float, so any integer multiplicity a double can hold
+is accepted by every kind.  R and Z take m log(1 - e^{-shift l}) per
+column; Z_g0 signs that first factor by the reflection count and adds
+the second factor at shift + 1 on the entry columns.
+
 A ladder (and R, a ladder of one factor) is evaluated as numpy blocks
 of factors x entries, at most 2^14 terms each.  numpy builds the
 arguments, but log1p and atan2 are libm's, mapped over each block:
@@ -63,7 +71,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import _FLOAT_MAX, ConvergenceError, DnZetaError, DomainError, _finite_complex, _finite_real
+from .errors import _FLOAT_MAX, ConvergenceError, DnZetaError, DomainError, _bar, _finite_complex, _finite_real
 from .hyperbolic import LengthSpectrum, _window_entries
 
 _BLOCK_TERMS = 2**14
@@ -93,14 +101,9 @@ class ZetaValue:
     _work: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lv = complex(self.log_value)
-        object.__setattr__(self, "log_value", lv)
-        if not (math.isfinite(lv.real) and math.isfinite(lv.imag)):
-            raise DomainError(f"log_value must be finite, got {lv}")
-        if not (self.tail_bound >= 0.0 and math.isfinite(self.tail_bound)):
-            raise DomainError(f"tail_bound must be finite and >= 0, got {self.tail_bound}")
-        if not math.isfinite(self.convergence_abscissa_used):
-            raise DomainError("convergence_abscissa_used must be finite")
+        object.__setattr__(self, "log_value", _finite_complex(self.log_value, "the log of the zeta product"))
+        _bar(self.tail_bound, "the tail bound of the zeta product")
+        _finite_real(self.convergence_abscissa_used, "the convergence abscissa used")
 
 
 def _libm(f, *args: np.ndarray) -> np.ndarray:
@@ -194,10 +197,13 @@ def _sum_blocks(terms, width: int, lams: list[complex], step: int, ns: list[int]
     ]
 
 
-def _ruelle_terms(used):
-    lengths = np.array([e.length for e in used])
-    mults = np.array([float(e.multiplicity) for e in used])
-    return lambda shifts, cols, masks: mults[cols] * _log1p_block(-np.exp(-shifts * lengths[cols]), masks)
+def _columns(used, boundary: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The float length and weight of each entry column of a product: the
+    boundary lengths first, each of weight 2, then the window entries, each
+    weighted by its multiplicity as a float (so any int a double can hold)."""
+    lengths = np.array([*boundary, *(e.length for e in used)], float)
+    weights = np.array([2.0] * len(boundary) + [float(e.multiplicity) for e in used])
+    return lengths, weights
 
 
 def _with_work(value: ZetaValue, work: dict) -> ZetaValue:
@@ -268,27 +274,23 @@ def _product(kind: str, spectrum: LengthSpectrum, lengths: list[float]) -> _Prod
     """The product of kind "ruelle" (one factor), "selberg" or
     "selberg_boundary" (on the boundary `lengths`) over the spectrum's
     window."""
-    if kind != "selberg_boundary":
-        used = _window_entries(spectrum)
-        m_total = sum(e.multiplicity for e in used)
-        l_min = used[0].length if used else math.inf  # the entries are sorted
-        return _Product(
-            kind.capitalize(), _ruelle_terms(used), len(used), 1, kind == "selberg", m_total, l_min, m_total, 1.0,
-        )
-    for entry in spectrum.entries:
+    boundary = kind == "selberg_boundary"
+    for entry in spectrum.entries if boundary else ():
         if entry.reflections is None:
             raise DomainError(
                 f"entry at length {entry.length} lacks a reflections count; "
                 "the boundary zeta needs one on every entry"
             )
-    used = [
-        (-1.0 if e.reflections % 2 == 0 else 1.0, e.length, e.multiplicity)
-        for e in _window_entries(spectrum)
-    ]
-    m_interior = sum(m for _, _, m in used)
-    # Boundary columns first, as 2 log(1 - e^{-shift l}); then each entry's
+    used = _window_entries(spectrum)
+    m_used = sum(e.multiplicity for e in used)
+    lens, weights = _columns(used, lengths)  # lengths is empty but for Z_g0
+    l_min = float(lens.min(initial=math.inf))
+    if not boundary:  # each column m log(1 - e^{-shift l})
+        terms = lambda shifts, at, masks: weights[at] * _log1p_block(-np.exp(-shifts * lens[at]), masks)
+        return _Product(kind.capitalize(), terms, len(lens), 1, kind == "selberg", m_used, l_min, m_used, 1.0)
+    # The boundary columns as 2 log(1 - e^{-shift l}); then each entry's
     # m (log(1 - sign e^{-shift l}) + log(1 - e^{-(shift + 1) l})).
-    signs, lens, weights = np.array([(-1.0, l, 2.0) for l in lengths] + used).reshape(-1, 3).T
+    signs = np.array([-1.0] * len(lengths) + [-1.0 if e.reflections % 2 == 0 else 1.0 for e in used])
     interior = np.arange(len(lens)) >= len(lengths)
 
     def terms(shifts, at, masks):
@@ -297,10 +299,7 @@ def _product(kind: str, spectrum: LengthSpectrum, lengths: list[float]) -> _Prod
         logs[:, inner] += _log1p_block(-np.exp(-(shifts + 1.0) * l[inner]), masks)
         return weights[at] * logs
 
-    return _Product(
-        "boundary", terms, len(lens), 2, False, 2 * len(lengths) + 2 * m_interior,
-        min(lengths + [l for _, l, _ in used], default=math.inf), m_interior, 2.0,
-    )
+    return _Product("boundary", terms, len(lens), 2, False, 2 * len(lengths) + 2 * m_used, l_min, m_used, 2.0)
 
 
 def _ladder_length(product: _Product, s: float) -> int:

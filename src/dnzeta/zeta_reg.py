@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidSequenceError, _is_number
+from .errors import _FLOAT_MAX, DomainError, InvalidSequenceError, _bar, _finite_real, _is_number
 from .specfun import _kadd
 
 # Slack for eigenvalues computed in floating point: a certificate
@@ -82,6 +82,8 @@ class EigenSequence:
         if not (all(map(_is_number, reals)) and all(isinstance(m, int) and _is_number(m) for _, m in head)):
             raise DomainError("sequence data must be ints or floats and head multiplicities ints "
                               "(no bools, none past a double)")
+        if sum(m for _, m in head) > _FLOAT_MAX:  # zeta_at_zero adds the count to a float
+            raise DomainError("the head multiplicities must sum to at most the largest double")
         object.__setattr__(self, "corrections", tuple(map(float, corrections)))
         object.__setattr__(self, "head", tuple((float(lam), m) for lam, m in head))
         if self.power == 0.0:
@@ -121,15 +123,16 @@ class EigenSequence:
 
 @dataclass(frozen=True)
 class RegularizedDet:
-    """log det' of an EigenSequence with its zeta(0) and truncation bound."""
+    """log det' of an EigenSequence with its zeta(0) and truncation bound, all finite."""
 
     log_value: float
     zeta_at_zero: float
     truncation_error: float
 
     def __post_init__(self) -> None:
-        if self.truncation_error < 0.0:
-            raise ValueError("truncation_error must be nonnegative")
+        _finite_real(self.log_value, "log det'")
+        _finite_real(self.zeta_at_zero, "zeta(0)")
+        _bar(self.truncation_error, "the truncation bound of log det'")
 
 
 def _geometric_tail(seq: EigenSequence) -> float:

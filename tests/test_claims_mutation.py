@@ -31,8 +31,14 @@ def _times(factor):
     return lambda f: lambda *args: factor * f(*args)
 
 
-def _ruelle_terms_times(factor):
-    return lambda f: lambda used: _times(factor)(f(used))
+def _weights_times(factor):
+    """A column builder whose weights are scaled by factor: every Euler product's terms scale with them."""
+    def mutate(f):
+        def mutated(used, boundary):
+            lengths, weights = f(used, boundary)
+            return lengths, factor * weights
+        return mutated
+    return mutate
 
 
 def _bridge_rho_times(post_init):
@@ -90,7 +96,7 @@ MUTATIONS = (
     # e^{-2 eta chi} of det'(Delta_M) cancels against det(Delta)^2 in the surgery composition
     ("det_engine:eta_constant", lambda f: lambda: f() + 1e-6, ("theorem4",), {DIRICHLET}),
     ("zeta_dyn:_FACTOR_FLOOR", lambda x: 1e-6, ("functional",), LAMBERT),
-    ("zeta_dyn:_ruelle_terms", _ruelle_terms_times(1.01), ("functional",), LAMBERT),
+    ("zeta_dyn:_columns", _weights_times(1.01), ("functional",), LAMBERT),
     ("det_engine:_log_functional_bracket", _times(-1.0), ("functional",), {
         "functional bracket reflection antisymmetry", "functional equation at the symmetry point",
     }),

@@ -140,6 +140,26 @@ class TestGeometrySubcommands:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, ratio, ratio_bfk",
+        [
+            # 2 det'(Delta_M) overflowed before the division by vol(M) det(Delta)^2; the
+            # inf bar then raised ValueError
+            (["--zg1", "280453528137227.16", "--zg01", "4.478967234699173e-144", "--chi", "-1000",
+              "--ell", "3.8557317297239475"], 5.8338602596295023e+297, 5.833860259650128e+297),
+            # det(Delta)^2 overflows, so the composition reads 0 and the bar is the whole ratio
+            (["--zg1", "1.111459008327098e168", "--zg01", "1.3877356333553645e194", "--chi", "-3",
+              "--ell", "1.182684966337537"], 4.1151648353357641e-222, 0.0),
+        ],
+        ids=["two-det-overflows", "det-squared-overflows"],
+    )
+    def test_theorem4_answers_where_an_assembly_passes_the_float_range(self, capsys, argv, ratio, ratio_bfk):
+        code, out, err = run_cli(capsys, "theorem4", *argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert (report["ratio"], report["inputs"]["ratio_bfk"]) == (ratio, ratio_bfk)
+        assert report["error_estimate"] == abs(ratio - ratio_bfk)
+
 
 class TestParserReuse:
     """main() builds its parser once per process; no call leaks into the next."""
@@ -582,6 +602,19 @@ class TestZetaSubcommand:
             )
             assert (code, out) == (1, ""), (path, lam)
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_boundary_zeta_takes_multiplicity_past_int64(self, capsys, tmp_path):
+        # 2^64 raised TypeError in the Z_g0 columns; as a float weight it is 2^64 - 1's
+        outputs = []
+        for m in (2**64, 2**64 - 1):
+            spec = tmp_path / f"m{m}.json"
+            entry = {"length": 1.0, "multiplicity": m, "reflections": 0}
+            spec.write_text(json.dumps({"cutoff": 2.0, "complete_up_to": 2.0, "entries": [entry]}), encoding="utf-8")
+            code, out, err = run_cli(capsys, "zeta", "--spectrum", str(spec), "--kind", "selberg-g0",
+                                     "--boundary", "1.0", "--lambda", "30", "--delta-hint", "0", "--format", "csv")
+            assert (code, err) == (0, "")
+            outputs.append(out.splitlines()[-1])
+        assert outputs[0] == outputs[1]
 
     def test_string_cutoff_exits_one(self, capsys, tmp_path):
         # so does an integer past the largest double, whose float() raised OverflowError

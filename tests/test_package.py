@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -36,9 +37,10 @@ from dnzeta.hyperbolic import (
     spectrum_to_json,
 )
 from dnzeta.numeric_dn import ConformalFactor, k_convergence_table
-from dnzeta.specfun import log_barnes_g, log_gamma
-from dnzeta.zeta_dyn import ruelle, selberg, selberg_boundary
-from dnzeta.zeta_reg import EigenSequence, required_tail_length
+from dnzeta.reports import DetReport
+from dnzeta.specfun import EvalResult, log_barnes_g, log_gamma
+from dnzeta.zeta_dyn import ZetaValue, ruelle, selberg, selberg_boundary
+from dnzeta.zeta_reg import EigenSequence, RegularizedDet, log_det, required_tail_length
 
 PACKAGE = Path(dnzeta.__file__).parent
 BENCH = PACKAGE.parents[1] / "bench"
@@ -233,6 +235,14 @@ _REFUSED = {
     "cli-out-unwritable": lambda: _spectrum_run("missing-dir/s.json"),
     "cli-max-word-len-0": lambda: _spectrum_run("s.json", 0),
     "cli-boundary-malformed": lambda: _zeta_run("1.0,x"),
+    # Finite inputs whose result leaves the float range, refused by the result type.
+    "log-gamma-value-inf": lambda: log_gamma(1e306),
+    "log-barnes-g-square-inf": lambda: log_barnes_g(1.4e154),
+    "dirichlet-lam-past-barnes": lambda: log_dirichlet_det(1e160, 1.0, _PANTS, 1.0),
+    "functional-lam-far-up": lambda: functional_equation_rhs(0.5 + 1e200j, _PANTS, lambda s: 0.0),
+    "log-det-inf": lambda: log_det(EigenSequence(power=1e300, prefactor=1.0, tail_multiplicity=10**10)),
+    "head-count-sum-huge": lambda: EigenSequence(power=1.0, prefactor=1.0, head=((1.0, 10**308), (2.0, 10**308))),
+    "k-basis-past-budget": lambda: k_convergence_table(DiscGeometry(1.0), _FACTOR, [0.0, 0.5, 1.0], (10**12,)),
 }
 # Range checks of zeta_reg, refused with InvalidSequenceError.
 _INVALID_SEQUENCES = {
@@ -241,6 +251,37 @@ _INVALID_SEQUENCES = {
     "sequence-rate-zero": lambda: EigenSequence(power=1.0, prefactor=1.0, decay_rate=0.0),
     "sequence-bound-negative": lambda: EigenSequence(power=1.0, prefactor=1.0, decay_bound=-1.0),
 }
+
+
+# Each result type with its number fields' names in refusals, bars (>= 0) last.
+_RESULTS = {
+    "DetReport": (lambda **kw: DetReport(**{"value": 1.0, "ratio": 1.0, "method": "closed_form", **kw}),
+                  {"value": "det'", "ratio": "det' / boundary length"},
+                  {"error_estimate": "the error bar of det'"}),
+    "EvalResult": (lambda **kw: EvalResult(**{"value": 0j, "abs_error_estimate": 0.0, **kw}),
+                   {"value": "log Gamma or log G"},
+                   {"abs_error_estimate": "the error bar of log Gamma or log G"}),
+    "RegularizedDet": (lambda **kw: RegularizedDet(**{"log_value": 0.0, "zeta_at_zero": 0.0, "truncation_error": 0.0, **kw}),
+                       {"log_value": "log det'", "zeta_at_zero": "zeta(0)"},
+                       {"truncation_error": "the truncation bound of log det'"}),
+    "ZetaValue": (lambda **kw: ZetaValue(**{"log_value": 0j, "tail_bound": 0.0, "convergence_abscissa_used": 0.0, **kw}),
+                  {"log_value": "the log of the zeta product", "convergence_abscissa_used": "the convergence abscissa used"},
+                  {"tail_bound": "the tail bound of the zeta product"}),
+}
+
+
+@pytest.mark.parametrize("result", _RESULTS)
+def test_every_result_type_refuses_a_number_past_the_float_range(result):
+    # One rule for what a result may hold: each number field finite, each bar
+    # also >= 0, refused with DomainError by its name (ValueError, or nothing, before).
+    make, values, bars = _RESULTS[result]
+    make()
+    cases = [(field, name, x) for field, name in values.items() for x in (math.inf, math.nan)]
+    cases += [(field, name, x) for field, name in bars.items() for x in (math.inf, math.nan, -1e-300)]
+    for field, name, x in cases:
+        with pytest.raises(DomainError, match=f"^{re.escape(name)} must be "):
+            make(**{field: x})
+    assert make(**dict.fromkeys(values, -1.0)) is not None  # a value may be negative
 
 
 @pytest.mark.parametrize(

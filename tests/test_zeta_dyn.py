@@ -736,6 +736,19 @@ def test_total_multiplicity_past_a_double_is_refused():
     assert ruelle(spectrum(15), 30.0, 0.09).log_value.real < 0.0
 
 
+def test_every_kind_takes_any_multiplicity_a_double_holds():
+    # Z_g0 built its columns from an array of mixed tuples, which numpy could not
+    # make float past int64: multiplicity 2^64 raised TypeError.  Every kind now
+    # weights a column by float(m), and 2^64 - 1 rounds to the same weight.
+    def spectrum(m):
+        return LengthSpectrum(entries=(SpectrumEntry(length=1.0, multiplicity=m, reflections=0),),
+                              cutoff=2.0, complete_up_to=2.0)
+
+    for kind, boundary in ((ruelle, ()), (selberg, ()), (selberg_boundary, ([1.0],))):
+        values = [repr(kind(*boundary, spectrum(m), 30.0, 0.0)) for m in (2**64, 2**64 - 1)]
+        assert values[0] == values[1]
+
+
 def test_selberg_positivity_real_lambda():
     grp = _schottky_pair()
     spec = enumerate_primitive_classes(grp, 10.0)

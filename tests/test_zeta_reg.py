@@ -212,5 +212,5 @@ class TestRequiredTailLength:
         assert required_tail_length(0.0, 1.0) == 1
 
     def test_truncation_result_type(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="the truncation bound of log det' must be a finite real >= 0"):
             RegularizedDet(log_value=0.0, zeta_at_zero=0.0, truncation_error=-1.0)
