@@ -15,7 +15,6 @@ code and requires every check to fail under some break.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import NamedTuple
 
@@ -94,7 +93,6 @@ DISC_RADII = (0.5, 1.0, 7.0)
 SCATTERING_LENGTHS = (1.0, 2.5)
 CONFORMAL_DISC = DiscGeometry(1.0)
 CONFORMAL_FACTOR = ConformalFactor((0.0, 0.3, 0.0))
-K_LADDER = (16, 32, 64)
 RESIDUAL_TOLERANCE = 1e-6
 
 
@@ -259,19 +257,9 @@ def _theorem4() -> list[Check]:
     ]
 
 
-@functools.cache
-def k_table() -> tuple[tuple[int, float], ...]:
-    """(K, residual) rows of the conformal derivative identity on the unit disc.
-
-    Computed once per process: the numericdn suite checks these rows and
-    `dnzeta verify` prints them.
-    """
-    grid = np.linspace(0.0, 1.0, 11)
-    return k_convergence_table(CONFORMAL_DISC, CONFORMAL_FACTOR, grid, K_LADDER)
-
-
 def _numericdn() -> list[Check]:
-    return [_check("conformal derivative identity residual at K=64", k_table()[-1][1], RESIDUAL_TOLERANCE)]
+    [(_, residual)] = k_convergence_table(CONFORMAL_DISC, CONFORMAL_FACTOR, np.linspace(0.0, 1.0, 11), (64,))
+    return [_check("conformal derivative identity residual at K=64", residual, RESIDUAL_TOLERANCE)]
 
 
 SUITES = {

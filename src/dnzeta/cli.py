@@ -8,9 +8,9 @@ suites of dnzeta.claims (verify).
 
 Output contract.  JSON is the canonical machine format and carries a
 "schema": 1 field plus a 12-hex config fingerprint; CSV is provided for
-lambda grids and the K-convergence table; plain is for humans.  Every
-emitted number keeps the error estimate its module reports.  Output is
-byte-deterministic for a fixed configuration.
+lambda grids only; plain is for humans.  Every emitted number keeps the
+error estimate its module reports.  Output is byte-deterministic for a
+fixed configuration; -v writes diagnostics to stderr as JSON lines.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed input
 files, inadmissible parameter combinations), 2 numerical contract
@@ -31,7 +31,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .claims import SUITES, k_table
+from .claims import SUITES
 from .det_engine import SurfaceTopology, theorem2_value, theorem4_pipeline
 from .dn_explicit import (
     AnnulusGeometry,
@@ -53,8 +53,8 @@ from .hyperbolic import (
 )
 from .zeta_dyn import _zeta_grid, ruelle, selberg, selberg_boundary
 
-# --kind and the product it evaluates over the grid
-_KINDS = {"ruelle": ruelle, "selberg": selberg, "selberg-g0": selberg_boundary}
+# --kind and the name of the one-point function whose product _zeta_grid evaluates over the grid
+_KINDS = {"ruelle": ruelle.__name__, "selberg": selberg.__name__, "selberg-g0": selberg_boundary.__name__}
 # Most rows one invocation lists (lambda grid points, annulus modes).
 _MAX_ROWS = 10_000
 
@@ -88,6 +88,12 @@ def _emit(out: _Output, fmt: str, fingerprint: str) -> None:
         sys.stdout.write("\n".join(out.lines + [f"fingerprint: {fingerprint}"]) + "\n")
     else:
         sys.stdout.write(f"# fingerprint: {fingerprint}\n" + out.csv)
+
+
+def _note(args, record: dict) -> None:
+    """Under -v, write one diagnostic record to stderr as a JSON line."""
+    if getattr(args, "verbose", 0):
+        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _report_doc(report) -> dict:
@@ -234,8 +240,7 @@ def _run_spectrum(args) -> _Output:
         # l_max derived from it, nor by an OverflowError from the product past a double
         cutoff = _count(args.max_word_len, "max_word_len", 1) * _displacement_floor(group.generators)
     spectrum = enumerate_primitive_classes(group, cutoff, max_word_len=args.max_word_len)
-    if getattr(args, "verbose", 0):
-        sys.stderr.write(json.dumps({"subcommand": "spectrum", **spectrum._work}, sort_keys=True) + "\n")
+    _note(args, {"subcommand": "spectrum", **spectrum._work})
     text = spectrum_to_json(spectrum)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -273,9 +278,7 @@ def _run_zeta(args) -> _Output:
     # -v records of the rows before it
     for lam, zv in zip(grid, _zeta_grid(_KINDS[args.kind], spectrum, grid, args.delta_hint, boundary)):
         rows.append((lam, zv))
-        if getattr(args, "verbose", 0):
-            record = {"subcommand": "zeta", "lambda": {"re": lam.real, "im": lam.imag}, **zv._work}
-            sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+        _note(args, {"subcommand": "zeta", "lambda": {"re": lam.real, "im": lam.imag}, **zv._work})
 
     doc = {
         "subcommand": "zeta",
@@ -322,8 +325,7 @@ def _run_verify(args) -> _Output:
     order = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in order:
-        if getattr(args, "verbose", 0):
-            sys.stderr.write(f"[dnzeta] verify suite {name}\n")
+        _note(args, {"subcommand": "verify", "suite": name})
         checks.extend(SUITES[name]())
     all_passed = all(c.passed for c in checks)
     doc = {
@@ -336,14 +338,8 @@ def _run_verify(args) -> _Output:
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         lines.append(f"{status}  {c.name}  max_err={c.max_err:.3e}  tol={c.tolerance:.3e}")
-    csv = None
-    if "numericdn" in order:
-        rows = k_table()
-        doc["k_table"] = [{"k": k, "residual": r} for k, r in rows]
-        lines += [f"table K={k}: residual={r:.3e}" for k, r in rows]
-        csv = "".join(["k,residual\n"] + [f"{k:d},{r:.17g}\n" for k, r in rows])
     lines.append(f"suite {args.suite}: {sum(c.passed for c in checks)}/{len(checks)} passed")
-    return _Output(doc, lines, csv, 0 if all_passed else 2)
+    return _Output(doc, lines, code=0 if all_passed else 2)
 
 
 # ---------------------------------------------------------------- wiring
@@ -436,9 +432,8 @@ def _format_and_fingerprint(args) -> tuple[str, str]:
         elif key not in ("subcommand", "format", "verbose"):
             payload["params"][key] = value
     fmt = getattr(args, "format", "plain" if args.subcommand == "verify" else "json")
-    csv_ok = args.subcommand == "zeta" or (args.subcommand == "verify" and args.suite in ("numericdn", "all"))
-    if fmt == "csv" and not csv_ok:
-        raise DomainError("csv output applies to lambda grids and the numericdn table only")
+    if fmt == "csv" and args.subcommand != "zeta":
+        raise DomainError("csv output applies to lambda grids only")
     payload["format"] = fmt
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return fmt, hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
@@ -453,8 +448,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         fmt, fingerprint = _format_and_fingerprint(args)
-        if getattr(args, "verbose", 0):
-            sys.stderr.write(f"[dnzeta] {args.subcommand} fingerprint={fingerprint}\n")
+        _note(args, {"subcommand": args.subcommand, "fingerprint": fingerprint})
         out = _DISPATCH[args.subcommand](args)
         _emit(out, fmt, fingerprint)
         return out.code

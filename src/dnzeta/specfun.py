@@ -158,9 +158,9 @@ def log_barnes_g(z: complex) -> EvalResult:
 
     Raises BarnesZeroError within 1e-12 of a nonpositive integer,
     where G vanishes and its log is undefined, and DomainError for
-    Re z < -40; large positive Re z is accepted until the value or its
-    bar leaves the float range near |z| = 1e153, where EvalResult
-    refuses it with DomainError.
+    Re z < -40; large positive Re z is accepted until the value leaves
+    the float range near |z| = 1.01e153, where EvalResult refuses it
+    with DomainError.
     """
     z = _finite_complex(z, "log_barnes_g: z")
     if _near_nonpositive_int(z) is not None:
@@ -200,11 +200,14 @@ def log_barnes_g(z: complex) -> EvalResult:
         upow *= inv2
 
     value = main + series - acc
-    # main cancels; each term carries about 8 half-ulps of its own size (u = z - 1, products, log, sums)
-    sq = abs(u) * abs(u)  # not abs(u) ** 2: pow raises OverflowError where the product rounds to inf
-    terms = (0.5 * sq + 1.0 / 12.0) * abs(lu) + 0.75 * sq + 0.5 * abs(u) * _LN_2PI
-    scale = 2.0 * terms + acc_abs + 1.0
-    return EvalResult(value, trunc + acc_err + 2.0 * _EPS * scale)
+    # main cancels; each term carries about 8 half-ulps of its own size (u = z - 1, products, log,
+    # sums).  The bar's rounding part is 2 eps (2 terms + acc_abs + 1), each part scaled by eps
+    # before it is summed: unscaled, the terms pass the largest double below |z| = 1.01e153,
+    # where the value itself is still finite.
+    sq = 4.0 * _EPS * abs(u) * abs(u)  # not abs(u) ** 2: pow raises OverflowError where the product rounds to inf
+    terms = (0.5 * sq + 4.0 * _EPS / 12.0) * abs(lu) + 0.75 * sq + 2.0 * _EPS * abs(u) * _LN_2PI
+    rounding = terms + 2.0 * _EPS * acc_abs + 2.0 * _EPS
+    return EvalResult(value, trunc + acc_err + rounding)
 
 
 def eta_constant() -> float:

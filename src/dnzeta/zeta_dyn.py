@@ -350,10 +350,9 @@ def _ruelle_tail(product: _Product, lam: complex, window: float, delta: float) -
     return tail
 
 
-def _zeta_grid(kind, spectrum: LengthSpectrum, lams, delta_hint: float, boundary_lengths=()):
-    """Yield the ZetaValue that kind (ruelle, selberg, or selberg_boundary on
-    boundary_lengths) gives at each lambda of lams, in order.  kind is
-    read by its name, so a functools.wraps wrapper of one is the same kind.
+def _zeta_grid(kind: str, spectrum: LengthSpectrum, lams, delta_hint: float, boundary_lengths=()):
+    """Yield the ZetaValue that kind ("ruelle", "selberg", or "selberg_boundary"
+    on boundary_lengths) gives at each lambda of lams, in order.
 
     Each lambda is checked and its ladder sized as a call of its own would
     be, up to the first refused.  One _sum_blocks then sums the factors of
@@ -361,7 +360,7 @@ def _zeta_grid(kind, spectrum: LengthSpectrum, lams, delta_hint: float, boundary
     tail bound and work record, and the refusal is raised in its place: a
     caller sees what one call per lambda would show, to the bit.
     """
-    kind, admitted, refusal = kind.__name__, [], None
+    admitted, refusal = [], None
     try:
         for i, lam in enumerate(lams):
             lam, delta = _check_region(lam, delta_hint)
@@ -396,7 +395,7 @@ def _zeta_grid(kind, spectrum: LengthSpectrum, lams, delta_hint: float, boundary
 
 def ruelle(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaValue:
     """log R(lambda) over the spectrum's completeness window."""
-    [value] = _zeta_grid(ruelle, spectrum, [lam], delta_hint)
+    [value] = _zeta_grid("ruelle", spectrum, [lam], delta_hint)
     return value
 
 
@@ -406,7 +405,7 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
     The ladder stops before m_total e^{-(Re lambda + k) l_min} drops
     below 1e-16; its length and refusal follow the module docstring.
     """
-    [value] = _zeta_grid(selberg, spectrum, [lam], delta_hint)
+    [value] = _zeta_grid("selberg", spectrum, [lam], delta_hint)
     return value
 
 
@@ -421,7 +420,7 @@ def selberg_boundary(
     as in selberg, with 2 (boundary count + interior multiplicity) for
     m_total and l_min taken over both.
     """
-    [value] = _zeta_grid(selberg_boundary, spectrum, [lam], delta_hint, boundary_lengths)
+    [value] = _zeta_grid("selberg_boundary", spectrum, [lam], delta_hint, boundary_lengths)
     return value
 
 

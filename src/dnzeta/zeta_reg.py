@@ -43,14 +43,19 @@ _ZETA_PRIME_0 = -0.5 * math.log(2.0 * math.pi)
 _TAIL_TOL = 1e-14
 
 
+def _check_decay(rate: float, bound: float) -> None:
+    """The decay certificate |eps_n| <= C e^{-a n} needs a finite a > 0 and a finite C >= 0."""
+    if not (rate > 0.0 and math.isfinite(rate)):
+        raise InvalidSequenceError(f"decay rate must be positive, got {rate}")
+    if bound < 0.0 or not math.isfinite(bound):
+        raise InvalidSequenceError(f"decay bound must be finite and >= 0, got {bound}")
+
+
 def required_tail_length(bound_c: float, decay_a: float) -> int:
     """Smallest N with C e^{-a N} / (1 - e^{-a}) < 1e-14 (at least 1)."""
     if not (_is_number(bound_c) and _is_number(decay_a)):
         raise DomainError("decay bound and rate must be ints or floats (no bools, none past a double)")
-    if not (decay_a > 0.0 and math.isfinite(decay_a)):
-        raise InvalidSequenceError(f"decay rate must be positive, got {decay_a}")
-    if bound_c < 0.0 or not math.isfinite(bound_c):
-        raise InvalidSequenceError(f"decay bound must be finite and >= 0, got {bound_c}")
+    _check_decay(decay_a, bound_c)
     if bound_c == 0.0:
         return 1
     n = (math.log(bound_c) - math.log(_TAIL_TOL * -math.expm1(-decay_a))) / decay_a
@@ -92,12 +97,7 @@ class EigenSequence:
             raise InvalidSequenceError(f"power must be positive, got {self.power}")
         if not (self.prefactor > 0.0 and math.isfinite(self.prefactor)):
             raise InvalidSequenceError(f"prefactor must be positive, got {self.prefactor}")
-        if not (self.decay_rate > 0.0 and math.isfinite(self.decay_rate)):
-            raise InvalidSequenceError(f"decay rate must be positive, got {self.decay_rate}")
-        if self.decay_bound < 0.0 or not math.isfinite(self.decay_bound):
-            raise InvalidSequenceError(
-                f"decay bound must be finite and >= 0, got {self.decay_bound}"
-            )
+        _check_decay(self.decay_rate, self.decay_bound)
         if not (isinstance(self.tail_multiplicity, int) and _is_number(self.tail_multiplicity) and self.tail_multiplicity >= 1):
             raise InvalidSequenceError(
                 f"tail multiplicity must be a positive integer, got {self.tail_multiplicity}"

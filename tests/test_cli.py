@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from dnzeta.claims import k_table, schottky_pair
+from dnzeta.claims import SUITES, schottky_pair
 from dnzeta import cli
 from dnzeta.cli import main
 from dnzeta.hyperbolic import LengthSpectrum, SpectrumEntry, spectrum_to_json
@@ -78,7 +78,7 @@ class TestGeometrySubcommands:
         code, out, err = run_cli(capsys, "disc", "--radius", "1.5", "-v")
         assert code == 0
         assert out == quiet_out
-        assert "fingerprint=" in err
+        assert json.loads(err) == {"fingerprint": json.loads(quiet_out)["fingerprint"], "subcommand": "disc"}
 
     def test_annulus_ratio_matches_log_law(self, capsys):
         code, out, _ = run_cli(capsys, "annulus", "--rho", "2.0")
@@ -190,7 +190,7 @@ class TestParserReuse:
 
     def test_verbosity_does_not_carry_over(self, capsys):
         code, _, err = run_cli(capsys, "-v", "disc", "--radius", "1.0", "-v")
-        assert code == 0 and "fingerprint=" in err
+        assert code == 0 and set(json.loads(err)) == {"fingerprint", "subcommand"}
         code, _, err = run_cli(capsys, "disc", "--radius", "1.0")
         assert code == 0 and err == ""
 
@@ -327,7 +327,7 @@ class TestSpectrumSubcommand:
         # stdout, and with it the fingerprint, and the spectrum file are unchanged
         assert loud_out == quiet_out and out_path.read_bytes() == quiet_file
         fingerprint, record = loud_err.splitlines()
-        assert fingerprint == f"[dnzeta] spectrum fingerprint={json.loads(quiet_out)['fingerprint']}"
+        assert json.loads(fingerprint) == {"fingerprint": json.loads(quiet_out)["fingerprint"], "subcommand": "spectrum"}
         work = json.loads(record)
         assert work == {
             "subcommand": "spectrum", "certificate": "ping-pong", "depth": 8,
@@ -413,7 +413,7 @@ class TestZetaSubcommand:
             code, loud_out, loud_err = run_cli(capsys, *argv, "-v")
             assert code == 0 and loud_out == quiet_out
             fingerprint, *records = loud_err.splitlines()
-            assert fingerprint == f"[dnzeta] zeta fingerprint={json.loads(quiet_out)['fingerprint']}"
+            assert json.loads(fingerprint) == {"fingerprint": json.loads(quiet_out)["fingerprint"], "subcommand": "zeta"}
             rows = json.loads(quiet_out)["rows"]
             assert len(records) == len(rows)
             for row, line in zip(rows, records):
@@ -453,10 +453,10 @@ class TestZetaSubcommand:
 
         def one_call_per_lambda(kind, spectrum, lams, delta_hint, boundary=()):
             for lam in lams:
-                if kind is cli.selberg_boundary:
-                    yield kind(boundary, spectrum, lam, delta_hint)
+                if kind == "selberg_boundary":
+                    yield zeta_dyn.selberg_boundary(boundary, spectrum, lam, delta_hint)
                 else:
-                    yield kind(spectrum, lam, delta_hint)
+                    yield getattr(zeta_dyn, kind)(spectrum, lam, delta_hint)
 
         seen = set()
         for lams in ([1.5, 2.0, 2.5 + 1.0j], [40.0, complex(2.0, 1e12), 3.0], [40.0, 41.0, 1.0]):
@@ -771,7 +771,7 @@ class TestVerifySubcommand:
         # -v names each suite on stderr as it starts; stdout is unchanged
         code, loud_out, err = run_cli(capsys, "verify", "--suite", "bridge", "-v")
         assert (code, loud_out) == (0, out)
-        assert err.endswith("[dnzeta] verify suite bridge\n")
+        assert err.endswith('{"subcommand": "verify", "suite": "bridge"}\n')
 
     def test_lemma_suite_json(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemma", "--format", "json")
@@ -783,25 +783,33 @@ class TestVerifySubcommand:
         assert all(c["max_err"] <= c["tolerance"] for c in doc["checks"])
 
     def test_numericdn_suite_csv(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--suite", "numericdn", "--format", "csv"
-        )
-        assert code == 0
-        lines = out.rstrip("\n").split("\n")
-        assert lines[1] == "k,residual"
-        assert len(lines) == 5
-        ks = [int(l.split(",")[0]) for l in lines[2:]]
-        residuals = [float(l.split(",")[1]) for l in lines[2:]]
-        assert ks == [16, 32, 64]
-        assert all(r <= 1e-9 for r in residuals)
-        rows = k_table()
-        assert lines[2:] == [f"{k},{r:.17g}" for k, r in rows]
-        code, out, _ = run_cli(capsys, "verify", "--suite", "numericdn", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["k_table"] == [{"k": k, "residual": r} for k, r in rows]
+        # csv is for lambda grids: the numericdn suite, and all, refuse it
+        for suite in ("numericdn", "all"):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--format", "csv")
+            assert (code, out) == (1, "")
+            assert err == "error: csv output applies to lambda grids only\n"
 
-    def test_csv_limited_to_numericdn(self, capsys):
-        assert run_cli(capsys, "verify", "--suite", "lemma", "--format", "csv")[0] == 1
+    def test_csv_limited_to_lambda_grids(self, capsys):
+        for argv in (("verify", "--suite", "lemma"), ("disc", "--radius", "1.0"), ("detdn", "--chi", "-1")):
+            code, out, err = run_cli(capsys, *argv, "--format", "csv")
+            assert (code, out) == (1, "")
+            assert err == "error: csv output applies to lambda grids only\n"
+
+    @pytest.mark.parametrize("suite", [*SUITES, "all"])
+    def test_output_is_the_checks_the_summary_and_the_fingerprint(self, capsys, suite):
+        code, doc, _ = run_cli(capsys, "verify", "--suite", suite, "--format", "json")
+        doc = json.loads(doc)
+        assert code == 0
+        assert set(doc) == {"checks", "fingerprint", "passed", "schema", "subcommand", "suite"}
+        checks = doc["checks"]
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == len(checks) + 2
+        for line, c in zip(lines, checks):
+            assert line == f"PASS  {c['name']}  max_err={c['max_err']:.3e}  tol={c['tolerance']:.3e}"
+        assert lines[-2] == f"suite {suite}: {len(checks)}/{len(checks)} passed"
+        assert lines[-1].startswith("fingerprint: ") and len(lines[-1]) == len("fingerprint: ") + 12
 
     def test_unknown_suite_exits_one(self, capsys):
         assert run_cli(capsys, "verify", "--suite", "everything")[0] == 1

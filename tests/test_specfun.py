@@ -140,6 +140,15 @@ class TestLogBarnesG:
         assert log_barnes_g(-39.5).abs_error_estimate < 1e-9
         assert log_barnes_g(1e5 + 0.5).abs_error_estimate < 1e-3
 
+    @pytest.mark.parametrize("z", [8e152, 1e153])
+    def test_finite_value_near_the_float_limit_is_returned(self, z):
+        # the rounding part of the bar once overflowed here while the value did not
+        res = log_barnes_g(z)
+        with mpmath.workdps(40):
+            gap = mpmath.mpf(res.value.real) - mpmath.log(mpmath.barnesg(z))
+        assert res.value.imag == 0.0
+        assert float(abs(gap)) <= res.abs_error_estimate
+
     def test_recurrence_property(self):
         rng = np.random.default_rng(20260818)
         for _ in range(100):

@@ -653,7 +653,7 @@ def test_grid_pass_equals_its_one_point_calls_bit_for_bit(monkeypatch):
             for kind in (ruelle, selberg, selberg_boundary):
                 b = boundary if kind is selberg_boundary else ()
                 blocks.clear()
-                grid = _outcomes(zeta_dyn._zeta_grid(kind, spec, lams, 0.0, b))
+                grid = _outcomes(zeta_dyn._zeta_grid(kind.__name__, spec, lams, 0.0, b))
                 grid_blocks = len(blocks)
                 loop = _outcomes(_one_point(kind, spec, z, 0.0, b) for z in lams)
                 assert grid == loop
@@ -688,7 +688,7 @@ def test_grid_refusal_comes_where_the_loop_raises_it(monkeypatch):
         kinds = (ruelle,) if spectrum is huge else (ruelle, selberg, selberg_boundary)
         for kind in kinds:
             b = [1.0] if kind is selberg_boundary else ()
-            grid = _outcomes(zeta_dyn._zeta_grid(kind, spectrum, lams, delta, b))
+            grid = _outcomes(zeta_dyn._zeta_grid(kind.__name__, spectrum, lams, delta, b))
             assert grid == _outcomes(_one_point(kind, spectrum, z, delta, b) for z in lams)
             if kind is not ruelle or refusal != "ConvergenceError":
                 assert grid[-1][0] == refusal and len(grid) > 1
@@ -708,7 +708,7 @@ def test_sub_resolution_lambda_is_refused_in_its_turn():
         for tiny in (1e-17, 5e-17, 1e-300, complex(1e-12, 1e-9), complex(1e-18, 1.0)):
             with pytest.raises(DomainError):
                 _one_point(kind, spec, tiny, 0.0, b)
-            grid = _outcomes(zeta_dyn._zeta_grid(kind, spec, [2.0, tiny, 3.0], 0.0, b))
+            grid = _outcomes(zeta_dyn._zeta_grid(kind.__name__, spec, [2.0, tiny, 3.0], 0.0, b))
             assert grid[0] == _outcomes([_one_point(kind, spec, 2.0, 0.0, b)])[0]
             assert [row[0] for row in grid[1:]] == ["DomainError"]
     # a real lambda this small keeps its factors' last digits, and its value
