@@ -42,9 +42,11 @@ is >= 1 (Jensen) and the bound is relative.  Lanczos stops when it
 drops below 2^-60, so per K the cost is O(j K m + j^3), not O(K^3).
 
 The first j Lanczos steps never reach a mode past j m, so once
-K >= j m the rule is that of the untruncated operator, and every such K
-reads the same residual to rounding: a ladder of large K shows the
-check's floor, not truncation converging.
+K >= j m the rule is that of the untruncated operator.  A ladder is
+walked in ascending K, and every K past the first rung whose rule is
+untruncated takes that rung's row without a Lanczos run of its own: a
+ladder of large K shows the check's floor, not truncation converging,
+and pays for that floor once.
 
 Only the t-derivative is ever tested.  Truncated determinants differ
 from zeta-regularized ones by K-dependent constants, and those constants
@@ -72,7 +74,9 @@ _TWO_PI = 2.0 * math.pi
 _QUAD_NODES = 2048
 _LOG_STOP = -60.0 * math.log(2.0)
 # Most Lanczos basis entries one run may hold, steps x (2K + 1): 64 MiB of
-# complex doubles; a run's peak memory is about three times its basis.
+# complex doubles.  The basis is one array that doubles when full, so a
+# run's peak memory, that array and its predecessor while it grows, is at
+# most three times its basis (85 MiB for a 37 MiB basis at K = 200 000).
 _MAX_BASIS_ENTRIES = 2**22
 
 
@@ -140,8 +144,9 @@ def _check_basis(k: int, steps: int) -> None:
 def _lanczos(omega0: ConformalFactor, k: int, t_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Lanczos recurrence (alphas, betas) of Omega_K from e_0; betas[-1] is the residual norm.
 
-    Omega_K applies as the banded convolution with c_hat, full
-    reorthogonalization (twice) keeps the basis orthonormal, and the
+    Omega_K applies as the banded convolution with c_hat, the basis rows
+    are written in place into one array that doubles when full, full
+    reorthogonalization (twice) keeps them orthonormal, and the
     recurrence stops at the first j where the Gauss error bound
     |t|^2j e^{|t| r} beta_1^2 ... beta_j^2 / (2j)! drops below 2^-60, at
     j = 2K + 1, or at beta_j = 0.  The bound is summed in logs, so no
@@ -155,15 +160,15 @@ def _lanczos(omega0: ConformalFactor, k: int, t_max: float) -> tuple[np.ndarray,
     log_t = math.log(t_max)
     log_bound = t_max * float(np.sum(np.abs(c_hat)))
     _check_basis(k, 1)
-    basis = [np.zeros(2 * k + 1, complex)]
-    basis[0][k] = 1.0
+    basis = np.zeros((1, 2 * k + 1), complex)
+    basis[0, k] = 1.0
     alphas, betas = [], []
     while True:
-        w = np.convolve(basis[-1], c_hat, mode="same")
-        alphas.append(np.vdot(basis[-1], w).real)
-        q = np.array(basis)
+        q = basis[: len(alphas) + 1]
+        w = np.convolve(q[-1], c_hat, mode="same")
+        alphas.append(np.vdot(q[-1], w).real)
         for _ in range(2):
-            w -= (q.conj() @ w) @ q
+            w -= (q @ w.conj()).conj() @ q
         betas.append(float(np.linalg.norm(w)))
         j = len(alphas)
         if j == 2 * k + 1 or betas[-1] == 0.0:
@@ -172,7 +177,11 @@ def _lanczos(omega0: ConformalFactor, k: int, t_max: float) -> tuple[np.ndarray,
         if log_bound < _LOG_STOP:
             break
         _check_basis(k, j + 1)
-        basis.append(w / betas[-1])
+        if j == len(basis):
+            grown = np.empty((min(2 * j, _MAX_BASIS_ENTRIES // (2 * k + 1)), 2 * k + 1), complex)
+            grown[:j] = basis
+            basis = grown
+        basis[j] = w / betas[-1]
     return np.array(alphas), np.array(betas)
 
 
@@ -183,16 +192,20 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     is taken by central differences of log (e^{t Omega})_00 -
     log(ell_t / ell_0) (the module's identity).  The residual measures
     truncation spill plus rounding and must shrink (or sit at the noise
-    floor) as K grows, until K >= j m, from where every rung reads the
-    same residual (module docstring).  Requires an exactly zero-mean
+    floor) as K grows, until K >= j m, from where every rung has the
+    same rule (module docstring).  Requires an exactly zero-mean
     factor (the trace of Omega then vanishes identically), integers
     K >= 4 * degree(omega0), so the Fourier coefficients of
     e^{t omega0/2} are resolved past their decay scale, and at least 3
     uniformly increasing t values; all are checked before any work.  A
     grid so far along the family that e^{t Omega} leaves the float range
     raises TruncationError.  ell_t is computed once per grid point for
-    every K, and each K costs one Lanczos run and one j x j eigh; a run
-    whose basis would pass 2^22 entries is refused with DomainError.
+    the whole ladder.  The distinct K are taken in ascending order, each
+    costing one Lanczos run and one j x j eigh, until a run stops after j
+    steps at K >= j m; every larger K takes that rung's row, to the bit,
+    and builds no basis.  Rows come back in the caller's order, duplicates
+    included.  A run whose basis would pass 2^22 entries is refused with
+    DomainError.
     """
     if not isinstance(geometry, DiscGeometry):
         raise DomainError(f"geometry must be a DiscGeometry, got {type(geometry).__name__}")
@@ -218,14 +231,18 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_ell = _log_lengths(omega0, grid)
         t_max = float(np.max(np.abs(grid)))
-        rows = []
-        for k in ks:
-            alphas, betas = _lanczos(omega0, k, t_max)
-            jacobi = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-            nodes, vecs = np.linalg.eigh(jacobi)
-            values = np.log(np.exp(np.outer(grid, nodes)) @ vecs[0] ** 2) - log_ell
-            if not np.all(np.isfinite(values)):
-                raise TruncationError(f"log det S_t - log(ell_t / ell_0) leaves the float range at K = {k}")
-            derivatives = (values[2:] - values[:-2]) / (2.0 * h)
-            rows.append((k, float(np.max(np.abs(derivatives)))))
-    return tuple(rows)
+        residuals = {}
+        untruncated = False
+        for k in sorted(set(ks)):
+            if not untruncated:
+                alphas, betas = _lanczos(omega0, k, t_max)
+                untruncated = k >= len(alphas) * omega0.degree
+                jacobi = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+                nodes, vecs = np.linalg.eigh(jacobi)
+                values = np.log(np.exp(np.outer(grid, nodes)) @ vecs[0] ** 2) - log_ell
+                if not np.all(np.isfinite(values)):
+                    raise TruncationError(f"log det S_t - log(ell_t / ell_0) leaves the float range at K = {k}")
+                derivatives = (values[2:] - values[:-2]) / (2.0 * h)
+                residual = float(np.max(np.abs(derivatives)))
+            residuals[k] = residual
+    return tuple((k, residuals[k]) for k in ks)

@@ -1,6 +1,7 @@
 """Tests for the truncated DN operators and the derivative identity."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -442,39 +443,87 @@ def test_k_table_checks_every_cutoff_before_any_work(monkeypatch):
     assert calls == []
 
 
+def _record_lanczos(monkeypatch):
+    """List of the K passed to every numeric_dn._lanczos call."""
+    cutoffs = []
+    lanczos = numeric_dn._lanczos
+
+    def recording(omega0, k, t_max):
+        cutoffs.append(k)
+        return lanczos(omega0, k, t_max)
+
+    monkeypatch.setattr(numeric_dn, "_lanczos", recording)
+    return cutoffs
+
+
 def test_k_table_one_pass(monkeypatch):
-    # ell_t once per grid point for the whole ladder; per K, one eigh of
-    # the Jacobi matrix, no larger than the node count, and nothing per t
+    # ell_t once per grid point for the whole ladder; the K = 16 rule of
+    # 0.3 cos theta is already untruncated (j <= 12 <= 16), so one eigh of
+    # its Jacobi matrix serves every rung, and nothing runs per t
     w = ConformalFactor((0.0, 0.3, 0.0))
     grid = np.linspace(0.0, 1.0, 3)
     ladder = (16, 32, 64, 128)
-    nodes = [len(numeric_dn._lanczos(w, k, 1.0)[0]) for k in ladder]
+    nodes = len(numeric_dn._lanczos(w, 16, 1.0)[0])
     grids = _record_lengths(monkeypatch)
     eigh_calls = _record(monkeypatch, "eigh")
     cholesky_calls = _record(monkeypatch, "cholesky")
     rows = k_convergence_table(DISC, w, grid, ladder)
     assert grids == [list(grid)]
-    assert [m.shape[0] for m in eigh_calls] == nodes
-    assert max(nodes) <= 12
+    assert [m.shape[0] for m in eigh_calls] == [nodes]
+    assert nodes <= 12
     assert cholesky_calls == []
-    assert rows == tuple(k_convergence_table(DISC, w, grid, (k,))[0] for k in ladder)
+    assert rows == tuple((k, rows[0][1]) for k in ladder)
+    assert rows[0] == k_convergence_table(DISC, w, grid, (16,))[0]
 
 
 def test_k_table_node_count_is_independent_of_k(monkeypatch):
     # Lanczos from e_0 never reaches a mode past j m, so the rule for
-    # 0.3 cos theta needs as many nodes at K = 4096 as at K = 64, and a
-    # ladder up to 4096 costs about what one rung costs.
+    # 0.3 cos theta has as many nodes at K = 4096 as at K = 64, and a
+    # ladder up to 4096 pays for its first rung only.
     w = ConformalFactor((0.0, 0.3, 0.0))
+    assert len(numeric_dn._lanczos(w, 4096, 1.0)[0]) == len(numeric_dn._lanczos(w, 64, 1.0)[0]) <= 12
     eigh_calls = _record(monkeypatch, "eigh")
     rows = k_convergence_table(DISC, w, np.linspace(0.0, 1.0, 5), (64, 4096))
     assert [k for k, _ in rows] == [64, 4096]
     assert all(residual <= 1e-14 for _, residual in rows)
-    assert eigh_calls[0].shape == eigh_calls[1].shape
+    assert len(eigh_calls) == 1
     assert eigh_calls[0].shape[0] <= 12
     ladder = (16, 256, 4096)
     rows = k_convergence_table(DISC, ConformalFactor((0.0, 0.3, -0.2, 0.15, 0.05)), [0.0, 0.5, 1.0], ladder)
     assert [k for k, _ in rows] == list(ladder)
     assert all(residual <= 1e-14 for _, residual in rows)
+    assert rows[1][1] == rows[2][1]
+
+
+def test_k_table_runs_lanczos_until_the_rule_is_untruncated(monkeypatch):
+    # A degree-3 factor at t_max 1.2 stops after j = 7 steps: K = 16 < 21
+    # truncates its rule, K = 32 does not, and 64 and 128 take the K = 32
+    # row.  A reused row is that rung's row exactly; a lone call at its
+    # own K can differ from it in the last bits, as sums over longer
+    # vectors round in another order.
+    w = ConformalFactor((0.0, 0.3, -0.2, 0.15, 0.05, -0.1, 0.08))
+    grid = np.linspace(0.0, 1.2, 3)
+    assert len(numeric_dn._lanczos(w, 32, 1.2)[0]) == 7
+    cutoffs = _record_lanczos(monkeypatch)
+    rows = k_convergence_table(DISC, w, grid, (16, 32, 64, 128))
+    assert cutoffs == [16, 32]
+    assert rows[:2] == k_convergence_table(DISC, w, grid, (16,)) + k_convergence_table(DISC, w, grid, (32,))
+    assert rows[2:] == ((64, rows[1][1]), (128, rows[1][1]))
+    cutoffs.clear()
+    k_convergence_table(DISC, ConformalFactor((0.0, 0.3, 0.0)), grid, (16, 32, 64, 128))
+    assert cutoffs == [16]
+
+
+def test_k_table_keeps_the_callers_order(monkeypatch):
+    # an unsorted ladder with a duplicate: rungs run in ascending K, once
+    # each, and the rows come back as asked
+    w = ConformalFactor((0.0, 0.3, -0.2, 0.15, 0.05, -0.1, 0.08))
+    grid = np.linspace(0.0, 1.2, 3)
+    cutoffs = _record_lanczos(monkeypatch)
+    rows = k_convergence_table(DISC, w, grid, (64, 16, 64))
+    assert cutoffs == [16, 64]
+    (_, low), (_, high) = k_convergence_table(DISC, w, grid, (16, 64))
+    assert rows == ((64, high), (16, low), (64, high))
 
 
 @pytest.mark.parametrize("k", [16, 64, 1024])
@@ -511,6 +560,74 @@ def test_lanczos_stops_at_the_first_node_count_inside_the_bound():
             assert len(betas) == j
             assert all(_log_stop_bound(w, t_max, betas[:i]) >= log_stop for i in range(1, j))
             assert _log_stop_bound(w, t_max, betas) < log_stop or j == 2 * k + 1 or betas[-1] == 0.0
+
+
+def _reference_lanczos(omega0, k, t_max):
+    """Copy-per-step loop: the basis is a list, stacked and conjugated at every step."""
+    c = np.array(omega0.coefficients)
+    half = 0.5 * (c[1::2] - 1j * c[2::2])
+    c_hat = np.concatenate((half[::-1].conj(), c[:1], half))
+    log_t = math.log(t_max)
+    log_bound = t_max * float(np.sum(np.abs(c_hat)))
+    basis = [np.zeros(2 * k + 1, complex)]
+    basis[0][k] = 1.0
+    alphas, betas = [], []
+    while True:
+        w = np.convolve(basis[-1], c_hat, mode="same")
+        alphas.append(np.vdot(basis[-1], w).real)
+        q = np.array(basis)
+        for _ in range(2):
+            w -= (q.conj() @ w) @ q
+        betas.append(float(np.linalg.norm(w)))
+        j = len(alphas)
+        if j == 2 * k + 1 or betas[-1] == 0.0:
+            break
+        log_bound += 2.0 * (log_t + math.log(betas[-1])) - math.log(2 * j * (2 * j - 1))
+        if log_bound < -60.0 * math.log(2.0):
+            break
+        basis.append(w / betas[-1])
+    return np.array(alphas), np.array(betas)
+
+
+def test_lanczos_in_place_basis_matches_copy_per_step_loop():
+    # conj(q @ conj(w)) is conj(q) @ w entry by entry, so filling one
+    # array in place changes no bit of the recurrence
+    rng = np.random.default_rng(20261019)
+    for _ in range(400):
+        degree = int(rng.integers(0, 6))
+        k = max(4 * degree, int(rng.choice([1, 2, 3, 5, 8, 16, 17, 33, 64, 100])))
+        t_max = float(rng.choice([0.05, 0.5, 1.0, 3.0, 10.0, 40.0]))
+        w = ConformalFactor(tuple(rng.normal(size=2 * degree + 1) * rng.uniform(0.05, 1.0)))
+        for got, want in zip(numeric_dn._lanczos(w, k, t_max), _reference_lanczos(w, k, t_max)):
+            assert np.array_equal(got, want)
+
+
+def test_lanczos_basis_grows_up_to_the_budget(monkeypatch):
+    # the doubling array stops at the budget: 7 steps fit a budget of
+    # exactly 7 rows, grown 1, 2, 4, 7, and a budget of 6 refuses step 7
+    w = ConformalFactor((0.0, 0.3, -0.2, 0.15, 0.05, -0.1, 0.08))
+    k = 64
+    want = _reference_lanczos(w, k, 1.2)
+    assert len(want[0]) == 7
+    monkeypatch.setattr(numeric_dn, "_MAX_BASIS_ENTRIES", 7 * (2 * k + 1))
+    for got, expected in zip(numeric_dn._lanczos(w, k, 1.2), want):
+        assert np.array_equal(got, expected)
+    monkeypatch.setattr(numeric_dn, "_MAX_BASIS_ENTRIES", 6 * (2 * k + 1))
+    with pytest.raises(DomainError, match="Lanczos step 7"):
+        numeric_dn._lanczos(w, k, 1.2)
+
+
+def test_lanczos_peak_memory_at_a_large_cutoff():
+    # K = 200 000 takes 6 steps, a 36.6 MiB basis; the doubling array and
+    # its predecessor peak at about 85 MiB
+    tracemalloc.start()
+    try:
+        alphas, _ = numeric_dn._lanczos(ConformalFactor((0.0, 0.3, 0.0)), 200_000, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(alphas) == 6
+    assert peak < 90 * 2**20
 
 
 def test_gauss_value_matches_dense_expm_inside_the_stop_bound():
