@@ -52,7 +52,6 @@ from dnzeta.dn_explicit import (
     annulus_det_prime,
     annulus_eigenvalues,
     cylinder_det_prime,
-    cylinder_scattering_mode0,
     disc_det_prime,
 )
 from dnzeta.hyperbolic import (

@@ -40,13 +40,11 @@ own correction, which cancels catastrophically when t << 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, PoleError, _finite_complex, _finite_real, _is_number, _refuse
+from .errors import DomainError, _finite_real, _is_number, _refuse
 from .reports import DetReport
-from .specfun import log_gamma
 from .zeta_reg import EigenSequence, log_det
 
 _TWO_PI = 2.0 * math.pi
@@ -167,19 +165,3 @@ def cylinder_det_prime(geom: CylinderGeometry) -> DetReport:
         inputs={"ell": geom.ell},
         error_estimate=ratio * boundary * 1e-15,
     )
-
-
-def cylinder_scattering_mode0(lam: complex) -> complex:
-    """Scattering value on constants: 2^{2 lam - 1} (Gamma(lam/2) / Gamma((1-lam)/2))^2.
-
-    Returns 0 where Gamma((1-lam)/2) has a pole (lam = 1, 3, 5, ...),
-    matching the kernel of the DN map on constants at lam = 1.  Raises
-    PoleError where Gamma(lam/2) itself has a pole (lam = 0, -2, ...).
-    """
-    lam = _finite_complex(lam, "lambda")
-    try:
-        lg_den = log_gamma((1.0 - lam) / 2.0)
-    except PoleError:
-        return 0.0
-    lg_num = log_gamma(lam / 2.0)
-    return cmath.exp(math.log(2.0) * (2.0 * lam - 1.0) + 2.0 * (lg_num.value - lg_den.value))

@@ -41,6 +41,11 @@ def _weights_times(factor):
     return mutate
 
 
+def _lengths_times(factor):
+    """A class walk whose every length is scaled by factor."""
+    return lambda f: lambda *args: [(factor * length, word) for length, word in f(*args)]
+
+
 def _bridge_rho_times(post_init):
     def mutated(self):
         post_init(self)
@@ -52,33 +57,29 @@ ANNULUS_AND_DISC = {
     *(f"annulus rho={rho:g}: det'/ell = 2pi/ln(rho)" for rho in claims.ANNULUS_MODULI),
     *(f"disc radius={radius:g}: det' = boundary length" for radius in claims.DISC_RADII),
 }
-MODE0 = {f"mode-0 Taylor |1-lambda|={eps:g}" for eps in (1e-2, 1e-3, 1e-4)}
 CONTINUATIONS = {
     "u_n = 4 n^0.5 (1 + eps_n), m=1, heads=1 vs 40-digit continuation",
     "u_n = 0.5 n^1 (1 + eps_n), m=2, heads=2 vs 40-digit continuation",
     "u_n = 0.2 n^3 (1 + eps_n), m=3, heads=0 vs 40-digit continuation",
 }
 LAMBERT = {"R = Z(lam)/Z(lam+1), cyclic spectrum", "R = Z(lam)/Z(lam+1), Schottky pair within tail bounds"}
+BRIDGE_PIPELINE = "annulus pipeline at the bridge modulus = ell/pi (10 random ell)"
+SCATTERING = {f"scattering route ell={ell:g}: (2/pi) lim = 2 ell^2/pi" for ell in claims.SCATTERING_LENGTHS}
 THEOREM4 = "theorem4 closed display and surgery composition vs 40-digit values"
 DIRICHLET = "log dirichlet det at lambda=0.3,1,1.75,2.6 vs 40-digit values"
 
 # (target "module:attribute.path", mutation of the original, suites, checks that fail)
 MUTATIONS = (
-    ("zeta_reg:_ZETA_PRIME_0", lambda x: x + 1e-6, ("appendix", "lemma"), ANNULUS_AND_DISC | CONTINUATIONS | {
-        "eps_n = e^-n sequence vs Euler-Maclaurin continuation oracle",
+    ("zeta_reg:_ZETA_PRIME_0", lambda x: x + 1e-6, ("appendix", "bridge", "lemma"), ANNULUS_AND_DISC | CONTINUATIONS | {
+        BRIDGE_PIPELINE, "eps_n = e^-n sequence vs Euler-Maclaurin continuation oracle",
     }),
     # ln c zeta(0) vanishes at c = 1: the unit disc and the eps_n = e^-n row cannot see this break
-    ("zeta_reg:_ZETA_0", lambda x: x + 1e-6, ("appendix", "lemma"), ANNULUS_AND_DISC - {
+    ("zeta_reg:_ZETA_0", lambda x: x + 1e-6, ("appendix", "bridge", "lemma"), ANNULUS_AND_DISC - {
         "disc radius=1: det' = boundary length",
-    } | CONTINUATIONS),
-    ("dn_explicit:CylinderGeometry.__post_init__", _bridge_rho_times, ("bridge",), {
-        "cylinder<->annulus identity (10 random ell)",
-    }),
-    ("claims:ruelle_limit_order", _times(1.01), ("bridge",), {
-        "scattering route ell=1: (2/pi) lim = 2 ell^2/pi",
-        "scattering route ell=2.5: (2/pi) lim = 2 ell^2/pi",
-    }),
-    ("claims:cylinder_scattering_mode0", _times(1.2), ("bridge",), MODE0),
+    } | CONTINUATIONS | {BRIDGE_PIPELINE}),
+    ("dn_explicit:CylinderGeometry.__post_init__", _bridge_rho_times, ("bridge",), {BRIDGE_PIPELINE}),
+    ("claims:ruelle_limit_order", _times(1.01), ("bridge",), SCATTERING),
+    ("hyperbolic:_primitive_classes", _lengths_times(1.01), ("bridge",), SCATTERING),
     ("claims:log_gamma", _plus(lambda z: 1e-6 * z), ("functional",), {
         "Gamma recurrence", "Barnes G recurrence", "log Gamma(1/2) = ln(pi)/2",
     }),

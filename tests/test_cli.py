@@ -765,8 +765,8 @@ class TestVerifySubcommand:
     def test_bridge_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "bridge")
         assert code == 0
-        assert "suite bridge: 6/6 passed" in out
-        assert out.count("PASS") == 6
+        assert "suite bridge: 3/3 passed" in out
+        assert out.count("PASS") == 3
         assert "FAIL" not in out
         # -v names each suite on stderr as it starts; stdout is unchanged
         code, loud_out, err = run_cli(capsys, "verify", "--suite", "bridge", "-v")

@@ -14,10 +14,9 @@ from dnzeta.dn_explicit import (
     annulus_det_prime,
     annulus_eigenvalues,
     cylinder_det_prime,
-    cylinder_scattering_mode0,
     disc_det_prime,
 )
-from dnzeta.errors import DomainError, PoleError
+from dnzeta.errors import DomainError
 from dnzeta.zeta_reg import EigenSequence, log_det
 
 TWO_PI = 2.0 * math.pi
@@ -274,48 +273,3 @@ def test_cylinder_det_prime_closed_form():
     report = cylinder_det_prime(CylinderGeometry(ell=1.0))
     assert report.ratio == pytest.approx(1.0 / math.pi, rel=1e-14)
     assert report.value == pytest.approx(2.0 / math.pi, rel=1e-14)
-
-
-def test_bridge_identity_random_lengths():
-    # Cylinder ratio ell/pi must match the annulus pipeline at the
-    # bridge modulus e^{2 pi^2 / ell}.
-    rng = np.random.default_rng(314159)
-    for _ in range(10):
-        ell = float(rng.uniform(0.1, 20.0))
-        cyl = cylinder_det_prime(CylinderGeometry(ell=ell))
-        ann = annulus_det_prime(AnnulusGeometry(rho=CylinderGeometry(ell=ell).bridge_rho))
-        assert ann.ratio == pytest.approx(cyl.ratio, rel=1e-12)
-
-
-def test_scattering_special_points():
-    assert cylinder_scattering_mode0(1.0) == 0.0
-    assert cylinder_scattering_mode0(3.0) == 0.0
-    assert cylinder_scattering_mode0(0.5) == pytest.approx(1.0, rel=1e-13)
-
-
-def test_scattering_frozen_values():
-    assert cylinder_scattering_mode0(0.75).real == pytest.approx(
-        0.13999967745248263087, rel=1e-12
-    )
-    assert cylinder_scattering_mode0(0.9).real == pytest.approx(
-        0.017790930985801221111, rel=1e-12
-    )
-    got = cylinder_scattering_mode0(0.8 + 0.1j)
-    want = 0.047330602790876914998 - 0.089808841633971231122j
-    assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def test_scattering_pole_errors():
-    with pytest.raises(PoleError):
-        cylinder_scattering_mode0(0.0)
-    with pytest.raises(PoleError):
-        cylinder_scattering_mode0(-2.0)
-
-
-@pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4])
-def test_scattering_quadratic_approach(h):
-    # S(lam) = (pi/2)(1-lam)^2 with relative defect at most 10 |1-lam|.
-    for lam in (1.0 - h, 1.0 + h):
-        lead = 0.5 * math.pi * (1.0 - lam) ** 2
-        rel = abs(cylinder_scattering_mode0(lam) / lead - 1.0)
-        assert rel <= 10.0 * h

@@ -24,7 +24,6 @@ from dnzeta.dn_explicit import (
     CylinderGeometry,
     DiscGeometry,
     annulus_eigenvalues,
-    cylinder_scattering_mode0,
 )
 from dnzeta.errors import DomainError, InvalidSequenceError
 from dnzeta.hyperbolic import (
@@ -184,7 +183,6 @@ _REFUSED = {
     "disc-bool": lambda: DiscGeometry(True),
     "disc-huge": lambda: DiscGeometry(_HUGE),
     "cylinder-huge": lambda: CylinderGeometry(_HUGE),
-    "scattering-str": lambda: cylinder_scattering_mode0("0.5"),
     "genus-bool": lambda: SurfaceTopology(True, 1),
     "genus-huger": lambda: SurfaceTopology(_HUGER, 1),
     "boundary-count-huge": lambda: SurfaceTopology(0, _HUGE),
