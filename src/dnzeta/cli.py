@@ -18,7 +18,15 @@ violation (a computation refused its own tolerance or a verify check
 failed), reported with the violated invariant's name.
 
 main(argv) may be called repeatedly in one process: the parser tree is
-built on the first call and reused by every later one.
+built on the first call and reused by every later one.  When the first
+argument names a subcommand, that subcommand's own parser (the one the
+tree would hand the rest to) parses the rest directly; anything else
+goes through the whole tree: leading shared flags, -h, an unknown name,
+an empty argv, and any string the subcommand's parser leaves over, so
+the top-level usage, help and "unrecognized arguments" error stay the
+tree's.  JSON documents are written by _json rather than json.dumps:
+with indent set, json runs its pure-Python encoder on Python 3.10 and
+3.11, which is slower than writing the same bytes here directly.
 """
 
 from __future__ import annotations
@@ -80,10 +88,37 @@ class _Output(NamedTuple):
     code: int = 0
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, newline: str = "\n") -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), for str keys only, without json's Python encoder."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{_encode_str(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(out: _Output, fmt: str, fingerprint: str) -> None:
     if fmt == "json":
         doc = dict(out.doc, schema=1, fingerprint=fingerprint)
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json(doc) + "\n")
     elif fmt == "plain":
         sys.stdout.write("\n".join(out.lines + [f"fingerprint: {fingerprint}"]) + "\n")
     else:
@@ -346,14 +381,17 @@ def _run_verify(args) -> _Output:
 
 
 # Built once per process, on the first main() call, and reused after
-# that.  Reuse carries no state between calls: parse_args returns a fresh
-# Namespace each time; the shared flags default to SUPPRESS, so --format
-# and -v from one call never reach the next; subparser progs are
-# "dnzeta <name>", independent of terminal width; and help width,
-# print_help and _Parser.error look up COLUMNS, sys.stdout and
-# sys.stderr when they run, not when the parser is built.
+# that.  Returns the tree and the name -> subparser map of its
+# _SubParsersAction; main() parses an argv that starts with a name with
+# that subparser alone, the same call the tree makes, so errors and help
+# are the same on both paths.  Reuse carries no state between calls:
+# each parse returns a fresh Namespace; the shared flags default to
+# SUPPRESS, so --format and -v from one call never reach the next;
+# subparser progs are "dnzeta <name>", independent of terminal width;
+# and help width, print_help and _Parser.error look up COLUMNS,
+# sys.stdout and sys.stderr when they run, not when the parser is built.
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     # Shared flags accept both positions (dnzeta --format json annulus /
     # dnzeta annulus --format json); SUPPRESS keeps an absent later flag
     # from clobbering an earlier one with its default.
@@ -407,7 +445,7 @@ def _build_parser() -> _Parser:
 
     p = add_parser("verify", help="self-verification suites")
     p.add_argument("--suite", choices=(*SUITES, "all"), required=True)
-    return parser
+    return parser, sub.choices
 
 
 _DISPATCH = {
@@ -441,9 +479,15 @@ def _format_and_fingerprint(args) -> tuple[str, str]:
 
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv and argv[0] in subparsers else None
     try:
-        args = parser.parse_args(argv)
+        if name is not None:
+            args, rest = subparsers[name].parse_known_args(argv[1:])
+            args.subcommand = name
+        if name is None or rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,8 +9,10 @@ import argparse
 import hashlib
 import json
 import math
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from dnzeta.claims import SUITES, schottky_pair
@@ -217,6 +219,59 @@ class TestParserReuse:
         assert max(len(line) for line in narrow.splitlines()) < max(
             len(line) for line in first[1].splitlines()
         )
+
+    # Each row runs through main() twice: as is, where an argv that starts
+    # with a subcommand name goes straight to that subcommand's parser, and
+    # with that map emptied, so the whole tree parses every row.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--format", "plain", "annulus", "--rho", "2"),
+            ("annulus", "--rho", "2", "--format", "plain"),
+            ("-v", "disc", "--radius", "1", "-v"),
+            ("-vv", "disc", "--radius", "1"),
+            ("disc", "--radius", "1", "-vv"),
+            ("-h",),
+            ("zeta", "-h"),
+            (),
+            ("no-such-command",),
+            ("annulus", "--rho", "2", "extra"),
+            ("cylinder", "--format", "plain", "--bogus"),
+            ("annulus",),
+            ("annulus", "--rho", "two"),
+            ("annulus", "--", "--rho", "2"),
+            ("annulus", "--rho", "-2"),
+            ("disc", "--rad", "3"),
+            ("disc", "--radius", "3", "--form", "plain"),
+            None,
+        ],
+        ids=lambda argv: "argv=None" if argv is None else " ".join(argv) or "empty",
+    )
+    def test_direct_dispatch_matches_the_tree(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        if argv is None:
+            monkeypatch.setattr(sys, "argv", ["dnzeta", "disc", "--radius", "2", "--format", "plain"])
+
+        def run():
+            code = main(None if argv is None else list(argv))
+            return (code, *capsys.readouterr())
+
+        direct = run()
+        tree, _ = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: (tree, {}))
+        assert run() == direct
+
+    def test_named_subcommand_skips_the_tree(self, capsys, monkeypatch):
+        tree, _ = cli._build_parser()
+        parsed = []
+        parse_args = tree.parse_args
+        monkeypatch.setattr(tree, "parse_args", lambda argv: parsed.append(argv) or parse_args(argv))
+        assert run_cli(capsys, "annulus", "--rho", "2", "--format", "plain")[0] == 0
+        assert parsed == []
+        # leftover strings and leading shared flags are the tree's to parse
+        assert run_cli(capsys, "annulus", "--rho", "2", "extra")[0] == 1
+        assert run_cli(capsys, "--format", "plain", "annulus", "--rho", "2")[0] == 0
+        assert parsed == [["annulus", "--rho", "2", "extra"], ["--format", "plain", "annulus", "--rho", "2"]]
 
 
 class TestByteDeterminism:
@@ -813,3 +868,73 @@ class TestVerifySubcommand:
 
     def test_unknown_suite_exits_one(self, capsys):
         assert run_cli(capsys, "verify", "--suite", "everything")[0] == 1
+
+
+class TestJsonWriter:
+    """_emit's writer gives the bytes of json.dumps(doc, sort_keys=True, indent=2)."""
+
+    def test_every_document_the_cli_emits(self, capsys, monkeypatch, tmp_path):
+        docs = []
+        emit = cli._emit
+
+        def recording_emit(out, fmt, fingerprint):
+            docs.append(dict(out.doc, schema=1, fingerprint=fingerprint))
+            emit(out, fmt, fingerprint)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        gens = write_generator_pair(tmp_path / "gens.json")
+        # a path with a quote, a backslash, a tab and non-ASCII letters
+        out_path = str(tmp_path / 'sp\u00e9c "\\ \t\u2202.json')
+        spectrum = write_cyclic_spectrum(tmp_path / "s.json", reflections=1)
+        grid = ("--lambda", "1.0:2.0:0.5", "--delta-hint", "0.0")
+        commands = [
+            ("annulus", "--rho", "2", "--modes", "3"),
+            ("disc", "--radius", "1"),
+            ("cylinder", "--ell", "2.5"),
+            ("spectrum", "--generators", gens, "--max-word-len", "4", "--out", out_path),
+            ("zeta", "--spectrum", spectrum, "--kind", "ruelle", *grid),
+            ("zeta", "--spectrum", spectrum, "--kind", "selberg", *grid),
+            ("zeta", "--spectrum", spectrum, "--kind", "selberg-g0", "--boundary", "1.0,2.5", *grid),
+            ("detdn", "--chi", "1"),
+            ("detdn", "--chi", "0", "--ell", "3"),
+            ("detdn", "--chi", "-2", "--limit", "0.125"),
+            ("theorem4", "--zg1", "0.25", "--zg01", "1.5", "--chi", "-1", "--ell", "4.0"),
+            ("verify", "--suite", "all", "--format", "json"),
+        ]
+        for argv in commands:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert out == json.dumps(docs[-1], sort_keys=True, indent=2) + "\n"
+        assert len(docs) == len(commands)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            [{}, [], {"b": [], "a": {}}],
+            [{"z": 1, "a": 2}, {"m": [1, 2], "c": (3, 4)}],
+            {"zeta": 1, "alpha": {"y": 2, "b": None}, "mid": [True, False]},
+            'quote " backslash \\ controls \x00\x1f\n\t\x7f non-ASCII \u00e9 \u2202 \U0001f600',
+            {"k\u00e9y \"\\\n": "v"},
+            [-0.0, 5e-324, 1e16, 1e-7, 0.1, 1.7976931348623157e308, np.float64(0.1), np.float64(-2.5e300)],
+            [10**30, -(10**30), 0, True, False, None],
+            [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)],
+            1.5,
+            None,
+        ],
+    )
+    def test_edge_documents(self, doc):
+        assert cli._json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("doc", [{"a": object()}, [np.int64(3)]])
+    def test_what_json_cannot_write_is_a_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc)
+        with pytest.raises(TypeError):
+            cli._json(doc)
+
+    def test_keys_must_be_strings(self):
+        # json.dumps would write the key 1 as "1"; every CLI document has string keys
+        with pytest.raises(TypeError):
+            cli._json({1: "int key"})
