@@ -17,77 +17,53 @@ agree:
 The command line front end lives in dnzeta.cli (installed as the
 `dnzeta` script) and exposes each route plus a `verify` subcommand that
 re-runs the headline identities stated in dnzeta.claims.
+
+Each public name is imported from its module on first use, so `import
+dnzeta` loads no submodule and a route that needs no numpy never loads
+it: numpy costs more than the explicit routes' whole cold start.
 """
 
-from types import ModuleType as _ModuleType
+import importlib as _importlib
 
-from dnzeta.errors import (
-    BarnesZeroError,
-    ConvergenceError,
-    DnZetaError,
-    DomainError,
-    EnumerationBudgetError,
-    InvalidSequenceError,
-    PoleError,
-    TruncationError,
-)
-from dnzeta.reports import DetReport
-from dnzeta.specfun import (
-    EvalResult,
-    eta_constant,
-    log_barnes_g,
-    log_gamma,
-)
-from dnzeta.zeta_reg import (
-    EigenSequence,
-    RegularizedDet,
-    log_det,
-    required_tail_length,
-    zeta_at_zero,
-)
-from dnzeta.dn_explicit import (
-    AnnulusGeometry,
-    CylinderGeometry,
-    DiscGeometry,
-    annulus_det_prime,
-    annulus_eigenvalues,
-    cylinder_det_prime,
-    disc_det_prime,
-)
-from dnzeta.hyperbolic import (
-    GroupPresentation,
-    LengthSpectrum,
-    MobiusTransform,
-    SpectrumEntry,
-    enumerate_primitive_classes,
-    spectrum_from_json,
-    spectrum_to_json,
-    translation_length,
-)
-from dnzeta.zeta_dyn import (
-    ZetaValue,
-    ruelle,
-    ruelle_limit_order,
-    selberg,
-    selberg_boundary,
-)
-from dnzeta.det_engine import (
-    SurfaceTopology,
-    dirichlet_det,
-    functional_equation_rhs,
-    log_dirichlet_det,
-    sarnak_det,
-    theorem2_value,
-    theorem4_pipeline,
-    zero_volume,
-)
-from dnzeta.numeric_dn import (
-    ConformalFactor,
-    k_convergence_table,
-)
+# The public names, by the module that defines them.  __all__ is read
+# from this table, and __getattr__ imports a name's module when the
+# name is first read.
+_HOMES = {
+    "errors": (
+        "BarnesZeroError", "ConvergenceError", "DnZetaError", "DomainError", "EnumerationBudgetError",
+        "InvalidSequenceError", "PoleError", "TruncationError",
+    ),
+    "reports": ("DetReport",),
+    "specfun": ("EvalResult", "eta_constant", "log_barnes_g", "log_gamma"),
+    "zeta_reg": ("EigenSequence", "RegularizedDet", "log_det", "required_tail_length", "zeta_at_zero"),
+    "dn_explicit": (
+        "AnnulusGeometry", "CylinderGeometry", "DiscGeometry", "annulus_det_prime", "annulus_eigenvalues",
+        "cylinder_det_prime", "disc_det_prime",
+    ),
+    "hyperbolic": (
+        "GroupPresentation", "LengthSpectrum", "MobiusTransform", "SpectrumEntry", "enumerate_primitive_classes",
+        "spectrum_from_json", "spectrum_to_json", "translation_length",
+    ),
+    "zeta_dyn": ("ZetaValue", "ruelle", "ruelle_limit_order", "selberg", "selberg_boundary"),
+    "det_engine": (
+        "SurfaceTopology", "dirichlet_det", "functional_equation_rhs", "log_dirichlet_det", "sarnak_det",
+        "theorem2_value", "theorem4_pipeline", "zero_volume",
+    ),
+    "numeric_dn": ("ConformalFactor", "k_convergence_table"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
+__all__ = sorted(_HOME)
 
-# The public names are those the imports above bind, less the submodules
-# that importing them binds too.
-__all__ = sorted(name for name, obj in globals().items() if not (name.startswith("_") or isinstance(obj, _ModuleType)))
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

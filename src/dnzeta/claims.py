@@ -10,15 +10,18 @@ tolerance.  Each max_err is measured against a value that the checked
 code did not produce: a closed form, a frozen mpmath value, or an
 independent formula.  tests/test_claims_mutation.py breaks the checked
 code and requires every check to fail under some break.
+
+Only the numpy-free layers are imported at the top: `dnzeta verify`
+imports this module for the suite names, and the appendix, lemma and
+theorem4 suites run without numpy.  The helpers and suites that need
+numpy, hyperbolic, zeta_dyn or numeric_dn import them when they run.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .det_engine import (
     SurfaceTopology,
@@ -34,17 +37,11 @@ from .dn_explicit import (
     cylinder_det_prime,
     disc_det_prime,
 )
-from .hyperbolic import (
-    GroupPresentation,
-    LengthSpectrum,
-    MobiusTransform,
-    _window_entries,
-    enumerate_primitive_classes,
-)
-from .numeric_dn import ConformalFactor, k_convergence_table
 from .specfun import log_barnes_g, log_gamma
-from .zeta_dyn import ruelle, ruelle_limit_order, selberg
 from .zeta_reg import EigenSequence, log_det, required_tail_length
+
+if TYPE_CHECKING:
+    from .hyperbolic import GroupPresentation, LengthSpectrum
 
 _SEED = 20260818
 # zeta'(-1), to 20 digits
@@ -90,7 +87,8 @@ ANNULUS_MODULI = (1.00001, 1.001, 1.5, 2.0, math.e, 10.0, 100.0)
 DISC_RADII = (0.5, 1.0, 7.0)
 SCATTERING_LENGTHS = (1.0, 2.5)
 CONFORMAL_DISC = DiscGeometry(1.0)
-CONFORMAL_FACTOR = ConformalFactor((0.0, 0.3, 0.0))
+# coefficients of the numericdn suite's ConformalFactor
+CONFORMAL_COEFFICIENTS = (0.0, 0.3, 0.0)
 RESIDUAL_TOLERANCE = 1e-6
 
 
@@ -108,6 +106,8 @@ def _check(name: str, err: float, tol: float) -> Check:
 def _cylinder_spectrum(ell: float) -> LengthSpectrum:
     # The group <diag(e^{ell/2}, e^{-ell/2})> of the hyperbolic cylinder, enumerated
     # up to 10 ell: one entry, gamma and gamma^-1 of length ell.
+    from .hyperbolic import GroupPresentation, MobiusTransform, enumerate_primitive_classes
+
     gamma = MobiusTransform(math.exp(0.5 * ell), 0.0, 0.0, math.exp(-0.5 * ell))
     return enumerate_primitive_classes(GroupPresentation((gamma,)), 10.0 * ell)
 
@@ -115,6 +115,10 @@ def _cylinder_spectrum(ell: float) -> LengthSpectrum:
 def schottky_pair() -> GroupPresentation:
     # Two hyperbolic dilations with separated axes (translation lengths
     # 2.0 and 2.4; the second axis moved off the first by a conjugation).
+    import numpy as np
+
+    from .hyperbolic import GroupPresentation, MobiusTransform
+
     def dilation(length: float) -> np.ndarray:
         lam = math.exp(0.5 * length)
         return np.array([[lam, 0.0], [0.0, 1.0 / lam]])
@@ -144,6 +148,10 @@ def _appendix() -> list[Check]:
 
 
 def _bridge() -> list[Check]:
+    import numpy as np
+
+    from .zeta_dyn import ruelle_limit_order
+
     rng = np.random.default_rng(_SEED)
     worst = 0.0
     for _ in range(10):
@@ -182,6 +190,8 @@ def _lambert(spectrum: LengthSpectrum, lam: float) -> float:
     The Lambert form of log Z(lam), summed with no Euler-product ladder;
     the j-sum stops once x^j < e^{-40}.
     """
+    from .hyperbolic import _window_entries
+
     terms = []
     for e in _window_entries(spectrum):
         for j in range(1, math.ceil(40.0 / (lam * e.length)) + 1):
@@ -190,6 +200,9 @@ def _lambert(spectrum: LengthSpectrum, lam: float) -> float:
 
 
 def _functional() -> list[Check]:
+    from .hyperbolic import enumerate_primitive_classes
+    from .zeta_dyn import ruelle, selberg
+
     checks = []
     # Gamma recurrence log Gamma(z+1) = log Gamma(z) + log z.
     worst = 0.0
@@ -248,7 +261,12 @@ def _theorem4() -> list[Check]:
 
 
 def _numericdn() -> list[Check]:
-    [(_, residual)] = k_convergence_table(CONFORMAL_DISC, CONFORMAL_FACTOR, np.linspace(0.0, 1.0, 11), (64,))
+    import numpy as np
+
+    from .numeric_dn import ConformalFactor, k_convergence_table
+
+    factor = ConformalFactor(CONFORMAL_COEFFICIENTS)
+    [(_, residual)] = k_convergence_table(CONFORMAL_DISC, factor, np.linspace(0.0, 1.0, 11), (64,))
     return [_check("conformal derivative identity residual at K=64", residual, RESIDUAL_TOLERANCE)]
 
 

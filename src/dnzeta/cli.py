@@ -27,6 +27,13 @@ the top-level usage, help and "unrecognized arguments" error stay the
 tree's.  JSON documents are written by _json rather than json.dumps:
 with indent set, json runs its pure-Python encoder on Python 3.10 and
 3.11, which is slower than writing the same bytes here directly.
+
+Imports.  The module imports at its top only the numpy-free layers the
+geometry reports, detdn and theorem4 run on (errors, dn_explicit,
+det_engine), and dnzeta.claims, whose suite names argparse needs when
+the tree is built.  hyperbolic and zeta_dyn load numpy, which costs more
+than the rest of a cold start; spectrum and zeta import them when they
+run, so no other subcommand loads numpy.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import hashlib
 import json
 import math
 import sys
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .claims import SUITES
 from .det_engine import SurfaceTopology, theorem2_value, theorem4_pipeline
@@ -51,18 +58,13 @@ from .dn_explicit import (
     disc_det_prime,
 )
 from .errors import DnZetaError, DomainError, _count
-from .hyperbolic import (
-    GroupPresentation,
-    MobiusTransform,
-    _displacement_floor,
-    enumerate_primitive_classes,
-    spectrum_from_json,
-    spectrum_to_json,
-)
-from .zeta_dyn import _zeta_grid, ruelle, selberg, selberg_boundary
 
-# --kind and the name of the one-point function whose product _zeta_grid evaluates over the grid
-_KINDS = {"ruelle": ruelle.__name__, "selberg": selberg.__name__, "selberg-g0": selberg_boundary.__name__}
+if TYPE_CHECKING:
+    from .hyperbolic import GroupPresentation
+
+# --kind, in the order of the one-point functions of zeta_dyn (ruelle, selberg,
+# selberg_boundary) whose product _zeta_grid evaluates over the grid
+_KINDS = ("ruelle", "selberg", "selberg-g0")
 # Most rows one invocation lists (lambda grid points, annulus modes).
 _MAX_ROWS = 10_000
 
@@ -200,6 +202,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_generators(path: str) -> GroupPresentation:
+    from .hyperbolic import GroupPresentation, MobiusTransform
+
     try:
         data = json.loads(_read_text(path))
     except ValueError as exc:  # also an integer past Python's 4300-digit limit
@@ -267,6 +271,8 @@ def _run_cylinder(args) -> _Output:
 
 
 def _run_spectrum(args) -> _Output:
+    from .hyperbolic import _displacement_floor, enumerate_primitive_classes, spectrum_to_json
+
     group = _load_generators(args.generators)
     if args.cutoff is not None:
         cutoff = float(args.cutoff)
@@ -295,8 +301,11 @@ def _run_spectrum(args) -> _Output:
 
 
 def _run_zeta(args) -> _Output:
+    from . import hyperbolic, zeta_dyn
+
+    kind = (zeta_dyn.ruelle, zeta_dyn.selberg, zeta_dyn.selberg_boundary)[_KINDS.index(args.kind)].__name__
     grid = _parse_lambda_spec(args.lam)
-    spectrum = spectrum_from_json(_read_text(args.spectrum))
+    spectrum = hyperbolic.spectrum_from_json(_read_text(args.spectrum))
     boundary = ()
     if args.kind == "selberg-g0":
         if not args.boundary:
@@ -311,7 +320,7 @@ def _run_zeta(args) -> _Output:
     rows = []
     # one pass over the grid; a refused lambda raises in its turn, after the
     # -v records of the rows before it
-    for lam, zv in zip(grid, _zeta_grid(_KINDS[args.kind], spectrum, grid, args.delta_hint, boundary)):
+    for lam, zv in zip(grid, zeta_dyn._zeta_grid(kind, spectrum, grid, args.delta_hint, boundary)):
         rows.append((lam, zv))
         _note(args, {"subcommand": "zeta", "lambda": {"re": lam.real, "im": lam.imag}, **zv._work})
 

@@ -360,6 +360,8 @@ def _zeta_grid(kind: str, spectrum: LengthSpectrum, lams, delta_hint: float, bou
     tail bound and work record, and the refusal is raised in its place: a
     caller sees what one call per lambda would show, to the bit.
     """
+    if kind not in ("ruelle", "selberg", "selberg_boundary"):
+        raise ValueError(f"unknown zeta kind {kind!r}; expected 'ruelle', 'selberg' or 'selberg_boundary'")
     admitted, refusal = [], None
     try:
         for i, lam in enumerate(lams):

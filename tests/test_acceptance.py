@@ -26,7 +26,7 @@ from dnzeta.dn_explicit import (
     cylinder_det_prime,
     disc_det_prime,
 )
-from dnzeta.numeric_dn import k_convergence_table
+from dnzeta.numeric_dn import ConformalFactor, k_convergence_table
 from dnzeta.zeta_reg import required_tail_length
 
 # rounding floor of the conformal derivative residual
@@ -191,7 +191,7 @@ def test_criterion_09_conformal_derivative_residual_and_k_table():
     # on 5 points of [-0.05, 0.05], where the K table must not increase
     # or must sit at the rounding floor
     assert_criterion("09")
-    geometry, omega0 = claims.CONFORMAL_DISC, claims.CONFORMAL_FACTOR
+    geometry, omega0 = claims.CONFORMAL_DISC, ConformalFactor(claims.CONFORMAL_COEFFICIENTS)
     t_grid = np.linspace(-0.05, 0.05, 5)
     table = k_convergence_table(geometry, omega0, t_grid, (16, 32, 64))
     residuals = [r for _, r in table]

@@ -78,7 +78,7 @@ MUTATIONS = (
         "disc radius=1: det' = boundary length",
     } | CONTINUATIONS | {BRIDGE_PIPELINE}),
     ("dn_explicit:CylinderGeometry.__post_init__", _bridge_rho_times, ("bridge",), {BRIDGE_PIPELINE}),
-    ("claims:ruelle_limit_order", _times(1.01), ("bridge",), SCATTERING),
+    ("zeta_dyn:ruelle_limit_order", _times(1.01), ("bridge",), SCATTERING),
     ("hyperbolic:_primitive_classes", _lengths_times(1.01), ("bridge",), SCATTERING),
     ("claims:log_gamma", _plus(lambda z: 1e-6 * z), ("functional",), {
         "Gamma recurrence", "Barnes G recurrence", "log Gamma(1/2) = ln(pi)/2",

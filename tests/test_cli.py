@@ -9,8 +9,10 @@ import argparse
 import hashlib
 import json
 import math
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,12 +508,14 @@ class TestZetaSubcommand:
         spec.write_text(spectrum_to_json(LengthSpectrum(entries=entries, cutoff=2.0, complete_up_to=1.5)), encoding="utf-8")
         monkeypatch.setattr(zeta_dyn, "_MAX_ENTRY_TERMS", 150)
 
+        grid = zeta_dyn._zeta_grid
+
         def one_call_per_lambda(kind, spectrum, lams, delta_hint, boundary=()):
+            # one-point grids, as ruelle, selberg and selberg_boundary run them; calling
+            # those would recurse, as they look up _zeta_grid in zeta_dyn, patched below
             for lam in lams:
-                if kind == "selberg_boundary":
-                    yield zeta_dyn.selberg_boundary(boundary, spectrum, lam, delta_hint)
-                else:
-                    yield getattr(zeta_dyn, kind)(spectrum, lam, delta_hint)
+                [value] = grid(kind, spectrum, [lam], delta_hint, boundary)
+                yield value
 
         seen = set()
         for lams in ([1.5, 2.0, 2.5 + 1.0j], [40.0, complex(2.0, 1e12), 3.0], [40.0, 41.0, 1.0]):
@@ -520,7 +524,7 @@ class TestZetaSubcommand:
                 argv = ("zeta", "--spectrum", str(spec), "--kind", kind, "--lambda", "1", "--format", "csv", "-v", *extra)
                 got = run_cli(capsys, *argv)
                 with monkeypatch.context() as patched:
-                    patched.setattr(cli, "_zeta_grid", one_call_per_lambda)
+                    patched.setattr(zeta_dyn, "_zeta_grid", one_call_per_lambda)
                     assert got == run_cli(capsys, *argv)
                 seen.add((got[0], len(got[2].splitlines())))
         # rows, a phase refusal (exit 1) and a ladder refusal (exit 2), each after a -v record
@@ -938,3 +942,74 @@ class TestJsonWriter:
         # json.dumps would write the key 1 as "1"; every CLI document has string keys
         with pytest.raises(TypeError):
             cli._json({1: "int key"})
+
+
+class TestColdStart:
+    # The explicit routes, detdn, theorem4 and the verify suites that need no
+    # numpy start without it; numpy alone costs more than their whole cold start.
+    ARGVS = [
+        ["annulus", "--rho", "2", "--modes", "2"],
+        ["disc", "--radius", "1"],
+        ["cylinder", "--ell", "2.5"],
+        ["detdn", "--chi", "1"],
+        ["detdn", "--chi", "0", "--ell", "3"],
+        ["detdn", "--chi", "-2", "--limit", "0.7"],
+        ["theorem4", "--zg1", "0.25", "--zg01", "1.5", "--chi", "-1", "--ell", "4.0"],
+        ["verify", "--suite", "appendix"],
+        ["verify", "--suite", "lemma"],
+        ["verify", "--suite", "theorem4"],
+    ]
+    # dnzeta.__all__ before its names were resolved on first use
+    PUBLIC = (
+        "AnnulusGeometry BarnesZeroError ConformalFactor ConvergenceError CylinderGeometry DetReport DiscGeometry "
+        "DnZetaError DomainError EigenSequence EnumerationBudgetError EvalResult GroupPresentation "
+        "InvalidSequenceError LengthSpectrum MobiusTransform PoleError RegularizedDet SpectrumEntry SurfaceTopology "
+        "TruncationError ZetaValue annulus_det_prime annulus_eigenvalues cylinder_det_prime dirichlet_det "
+        "disc_det_prime enumerate_primitive_classes eta_constant functional_equation_rhs k_convergence_table "
+        "log_barnes_g log_det log_dirichlet_det log_gamma required_tail_length ruelle ruelle_limit_order "
+        "sarnak_det selberg selberg_boundary spectrum_from_json spectrum_to_json theorem2_value theorem4_pipeline "
+        "translation_length zero_volume zeta_at_zero"
+    ).split()
+
+    @staticmethod
+    def _python(code, *args):
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, src, *args], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_route_one_subcommands_never_load_numpy(self):
+        code = (
+            "import contextlib, io, json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from dnzeta.cli import main\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[2]):\n"
+            "    for fmt in ('json', 'plain'):\n"
+            "        with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "            rc = main([*argv, '--format', fmt])\n"
+            "        runs.append([' '.join(argv), fmt, rc, len(out.getvalue()), 'numpy' in sys.modules])\n"
+            "print(json.dumps(runs))\n"
+        )
+        runs = self._python(code, json.dumps(self.ARGVS))
+        assert len(runs) == 2 * len(self.ARGVS)
+        assert [run for run in runs if run[2] != 0 or not run[3] or run[4]] == []
+
+    def test_import_loads_names_on_first_use(self):
+        code = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import dnzeta\n"
+            "bare = sorted(m for m in sys.modules if m.split('.')[0] == 'dnzeta')\n"
+            "names = {}\n"
+            "exec('from dnzeta import *', names)\n"
+            "del names['__builtins__']\n"
+            "same = all(names[k] is getattr(dnzeta, k) for k in names)\n"
+            "homes = {k: v.__module__ for k, v in names.items()}\n"
+            "print(json.dumps([bare, sorted(names), same, homes, dnzeta.__all__, sorted(set(dnzeta.__all__) - set(dir(dnzeta)))]))\n"
+        )
+        bare, star, same, homes, public, undir = self._python(code)
+        assert bare == ["dnzeta"]
+        assert star == public == sorted(self.PUBLIC) and len(star) == 48
+        assert same and undir == []
+        assert all(home.startswith("dnzeta.") for home in homes.values())

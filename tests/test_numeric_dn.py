@@ -336,7 +336,8 @@ def test_derivative_identity_small_cosine():
 def test_derivative_identity_k_table_sits_at_noise_floor():
     # the numericdn claim's factor on its grid, at K = 16, 32 and 64
     ladder = (16, 32, 64)
-    rows = k_convergence_table(claims.CONFORMAL_DISC, claims.CONFORMAL_FACTOR, np.linspace(0.0, 1.0, 11), ladder)
+    factor = ConformalFactor(claims.CONFORMAL_COEFFICIENTS)
+    rows = k_convergence_table(claims.CONFORMAL_DISC, factor, np.linspace(0.0, 1.0, 11), ladder)
     assert [k for k, _ in rows] == list(ladder)
     assert all(residual <= 1e-9 for _, residual in rows)
 

@@ -694,6 +694,23 @@ def test_grid_refusal_comes_where_the_loop_raises_it(monkeypatch):
                 assert grid[-1][0] == refusal and len(grid) > 1
 
 
+def test_grid_refuses_a_kind_it_does_not_know():
+    # The kinds are the one-point functions' names, which cli passes for
+    # --kind; a misspelt kind was summed as a Ruelle ladder (log value -0.06609
+    # for "selberg_boundry" on the claims pair at lambda 2) and is refused
+    # before any lambda.
+    pair = enumerate_primitive_classes(claims.schottky_pair(), 6.0)
+    spec = LengthSpectrum(entries=tuple(SpectrumEntry(length=e.length, multiplicity=e.multiplicity, reflections=i % 3)
+                                        for i, e in enumerate(pair.entries)), cutoff=6.0, complete_up_to=6.0)
+    for kind in (ruelle, selberg, selberg_boundary):
+        b = [1.0] if kind is selberg_boundary else ()
+        assert len(list(zeta_dyn._zeta_grid(kind.__name__, spec, [2.0], 0.55, b))) == 1
+    for kind in ("selberg_boundry", "Ruelle", "selberg-g0", ""):
+        for lams in ([2.0], []):
+            with pytest.raises(ValueError, match="^unknown zeta kind"):
+                list(zeta_dyn._zeta_grid(kind, pair, lams, 0.55))
+
+
 def test_sub_resolution_lambda_is_refused_in_its_turn():
     # A factor whose 1 + u rounds to 0 raised ValueError from log1p, and a
     # window where e^{-Re(lambda) W} rounds to 1 made the counting tail divide
