@@ -1,18 +1,21 @@
 """Zeta-regularized determinants of Dirichlet-to-Neumann maps.
 
 The package computes log det' of the Dirichlet-to-Neumann operator on
-surfaces with boundary three independent ways and checks that they
-agree:
+surfaces with boundary by three independent routes:
 
-- explicit mode sums for the disc, annulus, and flat cylinder
-  (dn_explicit), fed through a regularized-product engine that turns
-  eigenvalue asymptotics into zeta values at 0 (zeta_reg, specfun);
+- explicit mode sums for the disc and annulus (dn_explicit), fed
+  through a regularized-product engine that turns eigenvalue
+  asymptotics into zeta values at 0 (zeta_reg, specfun), and the
+  closed form of the hyperbolic cylinder;
 - dynamical zeta functions (Ruelle and Selberg) built from the length
   spectrum of a hyperbolic surface group (hyperbolic, zeta_dyn) and the
   determinant identities that tie them to the spectral side
   (det_engine);
 - finite Fourier truncations of the disc operator itself, used to
   verify the conformal variation law numerically (numeric_dn).
+
+dnzeta.claims checks each route on its own; no check yet computes one
+surface's det' by every route and compares the results.
 
 The command line front end lives in dnzeta.cli (installed as the
 `dnzeta` script) and exposes each route plus a `verify` subcommand that
@@ -44,7 +47,7 @@ _HOMES = {
         "GroupPresentation", "LengthSpectrum", "MobiusTransform", "SpectrumEntry", "enumerate_primitive_classes",
         "spectrum_from_json", "spectrum_to_json", "translation_length",
     ),
-    "zeta_dyn": ("ZetaValue", "ruelle", "ruelle_limit_order", "selberg", "selberg_boundary"),
+    "zeta_dyn": ("ZetaValue", "ruelle", "selberg", "selberg_boundary"),
     "det_engine": (
         "SurfaceTopology", "dirichlet_det", "functional_equation_rhs", "log_dirichlet_det", "sarnak_det",
         "theorem2_value", "theorem4_pipeline", "zero_volume",

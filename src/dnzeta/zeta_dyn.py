@@ -424,32 +424,3 @@ def selberg_boundary(
     """
     [value] = _zeta_grid("selberg_boundary", spectrum, [lam], delta_hint, boundary_lengths)
     return value
-
-
-def ruelle_limit_order(spectrum: LengthSpectrum) -> float:
-    """lim_{mu -> 0} R(mu) / mu^2 for a cyclic spectrum {(ell, 1) x 2}.
-
-    ell is read from the spectrum, whose lengths must agree to 1e-9 (1 + ell).
-    Richardson (Neville) extrapolation of (expm1(-mu ell) / mu)^2 at the
-    nodes mu = 1e-2 .. 1e-5; the raw column converges at order mu and
-    the extrapolant reaches the limit ell^2 to 1e-10 relative.  Other
-    spectra are refused: their limit point sits below the convergence
-    abscissa and would need analytic continuation.
-    """
-    entries = spectrum.entries
-    if sum(e.multiplicity for e in entries) != 2 or (
-        entries[-1].length - entries[0].length > 1e-9 * (1.0 + entries[0].length)
-    ):
-        raise DomainError(
-            "limit order is defined only for the cyclic spectrum "
-            "{(ell, 1) x 2}; non-elementary spectra are refused"
-        )
-    ell = entries[0].length
-
-    nodes = (1e-2, 1e-3, 1e-4, 1e-5)
-    table = [(math.expm1(-mu * ell) / mu) ** 2 for mu in nodes]
-    for level in range(1, len(nodes)):
-        for i in range(len(nodes) - level):
-            num = nodes[i] * table[i + 1] - nodes[i + level] * table[i]
-            table[i] = num / (nodes[i] - nodes[i + level])
-    return table[0]

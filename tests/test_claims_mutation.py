@@ -46,6 +46,15 @@ def _lengths_times(factor):
     return lambda f: lambda *args: [(factor * length, word) for length, word in f(*args)]
 
 
+def _multiplicity_one(f):
+    """A spectrum builder whose every entry counts once: gamma without gamma^-1."""
+    def mutated(*args):
+        spectrum = f(*args)
+        entries = tuple(dataclasses.replace(e, multiplicity=1) for e in spectrum.entries)
+        return dataclasses.replace(spectrum, entries=entries)
+    return mutated
+
+
 def _bridge_rho_times(post_init):
     def mutated(self):
         post_init(self)
@@ -78,7 +87,7 @@ MUTATIONS = (
         "disc radius=1: det' = boundary length",
     } | CONTINUATIONS | {BRIDGE_PIPELINE}),
     ("dn_explicit:CylinderGeometry.__post_init__", _bridge_rho_times, ("bridge",), {BRIDGE_PIPELINE}),
-    ("zeta_dyn:ruelle_limit_order", _times(1.01), ("bridge",), SCATTERING),
+    ("claims:_cylinder_spectrum", _multiplicity_one, ("bridge",), SCATTERING),
     ("hyperbolic:_primitive_classes", _lengths_times(1.01), ("bridge",), SCATTERING),
     ("claims:log_gamma", _plus(lambda z: 1e-6 * z), ("functional",), {
         "Gamma recurrence", "Barnes G recurrence", "log Gamma(1/2) = ln(pi)/2",

@@ -966,7 +966,7 @@ class TestColdStart:
         "InvalidSequenceError LengthSpectrum MobiusTransform PoleError RegularizedDet SpectrumEntry SurfaceTopology "
         "TruncationError ZetaValue annulus_det_prime annulus_eigenvalues cylinder_det_prime dirichlet_det "
         "disc_det_prime enumerate_primitive_classes eta_constant functional_equation_rhs k_convergence_table "
-        "log_barnes_g log_det log_dirichlet_det log_gamma required_tail_length ruelle ruelle_limit_order "
+        "log_barnes_g log_det log_dirichlet_det log_gamma required_tail_length ruelle "
         "sarnak_det selberg selberg_boundary spectrum_from_json spectrum_to_json theorem2_value theorem4_pipeline "
         "translation_length zero_volume zeta_at_zero"
     ).split()
@@ -1010,6 +1010,6 @@ class TestColdStart:
         )
         bare, star, same, homes, public, undir = self._python(code)
         assert bare == ["dnzeta"]
-        assert star == public == sorted(self.PUBLIC) and len(star) == 48
+        assert star == public == sorted(self.PUBLIC) and len(star) == 47
         assert same and undir == []
         assert all(home.startswith("dnzeta.") for home in homes.values())

@@ -19,7 +19,7 @@ from dnzeta.det_engine import (
     _log_functional_bracket,
 )
 from dnzeta.hyperbolic import LengthSpectrum, SpectrumEntry
-from dnzeta.zeta_dyn import ruelle_limit_order, selberg
+from dnzeta.zeta_dyn import selberg
 
 ETA = 0.33809624580377088335
 ZETA_PRIME_MINUS1 = -0.16542114370045092921
@@ -181,20 +181,6 @@ def test_theorem2_matches_annulus_pipeline():
         rho = CylinderGeometry(ell).bridge_rho
         ratio_annulus = annulus_det_prime(AnnulusGeometry(rho)).ratio
         assert ratio_t2 == pytest.approx(ratio_annulus, rel=1e-12)
-
-
-def test_theorem2_matches_limit_order_route():
-    # (2/pi) lim R(mu)/mu^2 = det'(N); rescaling by boundary/(2 ell)
-    # and normalizing reproduces the cylinder case.
-    for ell in (1.0, 2.5):
-        lim = ruelle_limit_order(_cyclic_spectrum(ell))
-        det_prime = (2.0 / math.pi) * lim
-        assert det_prime == pytest.approx(2.0 * ell**2 / math.pi, rel=1e-10)
-        boundary = 2.0 * ell
-        ratio = det_prime * (boundary / (2.0 * ell)) / boundary
-        assert ratio == pytest.approx(
-            theorem2_value(CYLINDER, ell=ell).ratio, rel=1e-10
-        )
 
 
 def test_sarnak_det_examples():

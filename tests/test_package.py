@@ -43,6 +43,7 @@ from dnzeta.zeta_reg import EigenSequence, RegularizedDet, log_det, required_tai
 
 PACKAGE = Path(dnzeta.__file__).parent
 BENCH = PACKAGE.parents[1] / "bench"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def test_every_public_name_resolves():
@@ -50,6 +51,14 @@ def test_every_public_name_resolves():
     missing = [name for name in dnzeta.__all__ if not hasattr(dnzeta, name)]
     assert missing == []
     assert len(set(dnzeta.__all__)) == len(dnzeta.__all__)
+
+
+def test_every_readme_python_block_runs():
+    # A README snippet that uses a deleted or renamed public name fails here.
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
 
 
 def _sources():

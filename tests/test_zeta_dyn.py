@@ -22,7 +22,6 @@ from dnzeta.hyperbolic import (
 from dnzeta.zeta_dyn import (
     ZetaValue,
     ruelle,
-    ruelle_limit_order,
     selberg,
     selberg_boundary,
 )
@@ -988,64 +987,6 @@ def test_ruelle_tail_bound_covers_rounding(lam):
     diff = got.log_value - want
     diff = complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi))
     assert abs(diff) <= got.tail_bound
-
-
-def test_limit_order_unit_length():
-    spec = _cyclic_spectrum(1.0)
-    assert ruelle_limit_order(spec) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_limit_order_longer_geodesic():
-    spec = _cyclic_spectrum(2.5)
-    assert ruelle_limit_order(spec) == pytest.approx(6.25, rel=1e-10)
-
-
-def test_limit_order_accepts_split_multiplicity():
-    ell = 1.6
-    spec = LengthSpectrum(
-        entries=(
-            SpectrumEntry(length=ell, multiplicity=1),
-            SpectrumEntry(length=ell, multiplicity=1),
-        ),
-        cutoff=8.0,
-        complete_up_to=8.0,
-    )
-    assert ruelle_limit_order(spec) == pytest.approx(ell**2, rel=1e-10)
-
-
-def test_limit_order_extrapolation_is_order_mu():
-    # The raw column converges at first order in mu.
-    ell = 2.5
-    errors = []
-    for mu in (1e-2, 1e-3, 1e-4):
-        f = (math.expm1(-mu * ell) / mu) ** 2
-        errors.append(abs(f - ell**2) / ell**2)
-    assert errors[1] <= errors[0] / 5.0
-    assert errors[2] <= errors[1] / 5.0
-    # Leading error term is mu * ell exactly.
-    assert errors[0] == pytest.approx(1e-2 * ell, rel=0.15)
-
-
-def test_limit_order_refuses_non_cyclic():
-    grp = _schottky_pair()
-    spec = enumerate_primitive_classes(grp, 8.0)
-    with pytest.raises(DomainError):
-        ruelle_limit_order(spec)
-    with pytest.raises(DomainError):
-        ruelle_limit_order(_empty_spectrum())
-
-
-def test_limit_order_reads_ell_from_the_spectrum():
-    # Two single classes count as the cyclic pair only while their
-    # lengths agree to the tie slack 1e-9 (1 + ell).
-    def pair(second):
-        entries = (SpectrumEntry(length=2.0, multiplicity=1), SpectrumEntry(length=second, multiplicity=1))
-        return LengthSpectrum(entries=entries, cutoff=8.0, complete_up_to=8.0)
-
-    assert ruelle_limit_order(pair(2.0 + 1e-9)) == pytest.approx(4.0, rel=1e-9)
-    for second in (2.0 + 4e-9, 2.5):
-        with pytest.raises(DomainError):
-            ruelle_limit_order(pair(second))
 
 
 def test_zeta_values_deterministic():
