@@ -38,7 +38,7 @@ _HOMES = {
     ),
     "reports": ("DetReport",),
     "specfun": ("EvalResult", "eta_constant", "log_barnes_g", "log_gamma"),
-    "zeta_reg": ("EigenSequence", "RegularizedDet", "log_det", "required_tail_length", "zeta_at_zero"),
+    "zeta_reg": ("EigenSequence", "RegularizedDet", "log_det", "required_tail_length"),
     "dn_explicit": (
         "AnnulusGeometry", "CylinderGeometry", "DiscGeometry", "annulus_det_prime", "annulus_eigenvalues",
         "cylinder_det_prime", "disc_det_prime",
@@ -47,10 +47,9 @@ _HOMES = {
         "GroupPresentation", "LengthSpectrum", "MobiusTransform", "SpectrumEntry", "enumerate_primitive_classes",
         "spectrum_from_json", "spectrum_to_json", "translation_length",
     ),
-    "zeta_dyn": ("ZetaValue", "ruelle", "selberg", "selberg_boundary"),
+    "zeta_dyn": ("ZetaValue", "ruelle", "selberg"),
     "det_engine": (
-        "SurfaceTopology", "dirichlet_det", "functional_equation_rhs", "log_dirichlet_det", "sarnak_det",
-        "theorem2_value", "theorem4_pipeline", "zero_volume",
+        "SurfaceTopology", "functional_equation_rhs", "log_dirichlet_det", "theorem2_value", "theorem4_pipeline",
     ),
     "numeric_dn": ("ConformalFactor", "k_convergence_table"),
 }

@@ -62,9 +62,8 @@ from .errors import DnZetaError, DomainError, _count
 if TYPE_CHECKING:
     from .hyperbolic import GroupPresentation
 
-# --kind, in the order of the one-point functions of zeta_dyn (ruelle, selberg,
-# selberg_boundary) whose product _zeta_grid evaluates over the grid
-_KINDS = ("ruelle", "selberg", "selberg-g0")
+# --kind -> the kind of product zeta_dyn._zeta_grid evaluates over the grid
+_KINDS = {"ruelle": "ruelle", "selberg": "selberg", "selberg-g0": "selberg_boundary"}
 # Most rows one invocation lists (lambda grid points, annulus modes).
 _MAX_ROWS = 10_000
 
@@ -190,6 +189,8 @@ def _parse_lambda_spec(text: str) -> list[complex]:
 
 def _topology_from_chi(chi: int) -> SurfaceTopology:
     # genus-0 bordered model: chi = 2 - N, so N = 2 - chi boundaries.
+    if chi > 1:
+        raise DomainError(f"--chi must be at most 1, as a bordered surface has at least one boundary, got {chi}")
     return SurfaceTopology(genus=0, boundary_components=2 - chi)
 
 
@@ -303,7 +304,6 @@ def _run_spectrum(args) -> _Output:
 def _run_zeta(args) -> _Output:
     from . import hyperbolic, zeta_dyn
 
-    kind = (zeta_dyn.ruelle, zeta_dyn.selberg, zeta_dyn.selberg_boundary)[_KINDS.index(args.kind)].__name__
     grid = _parse_lambda_spec(args.lam)
     spectrum = hyperbolic.spectrum_from_json(_read_text(args.spectrum))
     boundary = ()
@@ -320,7 +320,7 @@ def _run_zeta(args) -> _Output:
     rows = []
     # one pass over the grid; a refused lambda raises in its turn, after the
     # -v records of the rows before it
-    for lam, zv in zip(grid, zeta_dyn._zeta_grid(kind, spectrum, grid, args.delta_hint, boundary)):
+    for lam, zv in zip(grid, zeta_dyn._zeta_grid(_KINDS[args.kind], spectrum, grid, args.delta_hint, boundary)):
         rows.append((lam, zv))
         _note(args, {"subcommand": "zeta", "lambda": {"re": lam.real, "im": lam.imag}, **zv._work})
 

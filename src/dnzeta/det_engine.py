@@ -61,11 +61,6 @@ def _exp(log_value: float, name: str) -> float:
     return math.exp(log_value)
 
 
-def zero_volume(topology: SurfaceTopology) -> float:
-    """Renormalized volume -2 pi chi of the uniformized interior."""
-    return -2.0 * math.pi * topology.euler
-
-
 def _log_functional_bracket(lam: complex) -> complex:
     """log[(2 pi)^{1-2 lam} Gamma(lam) G(lam)^2 / (Gamma(1-lam) G(1-lam)^2)]."""
     lam = complex(lam)
@@ -157,16 +152,6 @@ def theorem2_value(
     )
 
 
-def sarnak_det(zprime_g_at_1: float, topology: SurfaceTopology) -> float:
-    """det'(Delta_M) = Z'_G(1) e^{-2 eta chi} on the double M.
-
-    topology describes the bordered half whose double is M (the double
-    itself is closed and has chi(M) = 2 chi).  Evaluated in log space.
-    """
-    z = _finite_real(zprime_g_at_1, "Z'_G(1)", 0.0)
-    return _exp(math.log(z) - 2.0 * eta_constant() * topology.euler, "det'(Delta_M)")
-
-
 def log_dirichlet_det(
     lam: float,
     z_g0_at_lam: float,
@@ -176,7 +161,7 @@ def log_dirichlet_det(
     """log det(Delta - lam(1-lam)) for the Dirichlet Laplacian.
 
     Safe in the large-lam regime where the determinant itself
-    under- or overflows.
+    under- or overflows.  At lam = 1 this is log Z_g0(1) - chi eta - ell/8.
     """
     chi = topology.euler
     if chi >= 0:
@@ -194,16 +179,6 @@ def log_dirichlet_det(
         - lg
     )
     return math.log(z) - chi * factor + ell * (1.0 - 2.0 * lam) / 8.0
-
-
-def dirichlet_det(
-    lam: float,
-    z_g0_at_lam: float,
-    topology: SurfaceTopology,
-    boundary_length: float,
-) -> float:
-    """det(Delta - lam(1-lam)); at lam = 1 this is Z_g0(1) e^{-chi eta - ell/8}."""
-    return _exp(log_dirichlet_det(lam, z_g0_at_lam, topology, boundary_length), "det(Delta - lam(1-lam))")
 
 
 def theorem4_pipeline(
@@ -236,9 +211,9 @@ def theorem4_pipeline(
         - math.log(2.0 * math.pi * (-chi))
     )
     ratio_closed = _exp(log_ratio_closed, "det'(N)/ell")
-    det_m = sarnak_det(zp, topology)
-    det_x = dirichlet_det(1.0, z0, topology, ell)
-    vol_m = 2.0 * zero_volume(topology)
+    det_m = _exp(math.log(zp) - 2.0 * eta_constant() * chi, "det'(Delta_M)")
+    det_x = _exp(log_dirichlet_det(1.0, z0, topology, ell), "det(Delta - lam(1-lam))")
+    vol_m = 2.0 * (-2.0 * math.pi * chi)
     denominator = vol_m * det_x * det_x
     if denominator == 0.0:
         raise DomainError(f"vol(M) det(Delta)^2 underflows to 0 (det(Delta) = {det_x:.17g})")

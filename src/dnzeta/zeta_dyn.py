@@ -54,8 +54,8 @@ terms of a long ladder cost no Python-level call.  The terms are summed
 left to right in the order of the scalar loop (entry by entry, R
 factor by factor), so the values are the same to the bit.
 
-A grid of lambdas is one pass (_zeta_grid; ruelle, selberg and
-selberg_boundary are its one-point grids).  Each lambda is checked and
+A grid of lambdas is one pass (_zeta_grid; ruelle and selberg are its
+one-point grids, and Z_g0 has no other entry).  Each lambda is checked and
 its ladder sized, then the factors of every ladder fill shared blocks
 in turn, each block one set of exp and log1p passes, and each lambda's
 terms are folded in its own order: row sums for Z, one running total
@@ -206,11 +206,6 @@ def _columns(used, boundary: list[float]) -> tuple[np.ndarray, np.ndarray]:
     return lengths, weights
 
 
-def _with_work(value: ZetaValue, work: dict) -> ZetaValue:
-    object.__setattr__(value, "_work", work)
-    return value
-
-
 def _check_region(lam, delta_hint: float) -> tuple[complex, float]:
     """(lam, delta_hint) as a complex and a float, with delta_hint >= 0 and Re lam > delta_hint."""
     lam, delta = _finite_complex(lam, "lambda"), _finite_real(delta_hint, "delta_hint")
@@ -359,6 +354,9 @@ def _zeta_grid(kind: str, spectrum: LengthSpectrum, lams, delta_hint: float, bou
     those before it.  Their values are yielded in order, each with its own
     tail bound and work record, and the refusal is raised in its place: a
     caller sees what one call per lambda would show, to the bit.
+    "selberg_boundary" needs a reflections count on every spectrum entry;
+    its step-2 ladder is sized as selberg's, with m_total = 2 (boundary
+    count + interior multiplicity) and l_min taken over both.
     """
     if kind not in ("ruelle", "selberg", "selberg_boundary"):
         raise ValueError(f"unknown zeta kind {kind!r}; expected 'ruelle', 'selberg' or 'selberg_boundary'")
@@ -390,7 +388,9 @@ def _zeta_grid(kind: str, spectrum: LengthSpectrum, lams, delta_hint: float, bou
                 tail = _ruelle_tail(product, lam, spectrum.complete_up_to, delta)
             else:
                 tail = _ladder_tail(product, lam.real, n, spectrum.complete_up_to, delta)
-            yield _with_work(ZetaValue(log_value=total, tail_bound=tail, convergence_abscissa_used=delta), work)
+            value = ZetaValue(log_value=total, tail_bound=tail, convergence_abscissa_used=delta)
+            object.__setattr__(value, "_work", work)
+            yield value
     if refusal is not None:
         raise refusal
 
@@ -410,17 +410,3 @@ def selberg(spectrum: LengthSpectrum, lam: complex, delta_hint: float) -> ZetaVa
     [value] = _zeta_grid("selberg", spectrum, [lam], delta_hint)
     return value
 
-
-def selberg_boundary(
-    boundary_lengths, spectrum: LengthSpectrum, lam: complex, delta_hint: float
-) -> ZetaValue:
-    """log Z_g0(lambda): squared boundary factors times the
-    reflection-signed interior product, on the step-2 ladder.
-
-    Every spectrum entry must carry a reflections count n_c; the sign
-    of its first factor is -(-1)^{n_c}.  The ladder is sized and refused
-    as in selberg, with 2 (boundary count + interior multiplicity) for
-    m_total and l_min taken over both.
-    """
-    [value] = _zeta_grid("selberg_boundary", spectrum, [lam], delta_hint, boundary_lengths)
-    return value

@@ -87,7 +87,7 @@ class EigenSequence:
         if not (all(map(_is_number, reals)) and all(isinstance(m, int) and _is_number(m) for _, m in head)):
             raise DomainError("sequence data must be ints or floats and head multiplicities ints "
                               "(no bools, none past a double)")
-        if sum(m for _, m in head) > _FLOAT_MAX:  # zeta_at_zero adds the count to a float
+        if sum(m for _, m in head) > _FLOAT_MAX:  # log_det adds the count to a float for zeta(0)
             raise DomainError("the head multiplicities must sum to at most the largest double")
         object.__setattr__(self, "corrections", tuple(map(float, corrections)))
         object.__setattr__(self, "head", tuple((float(lam), m) for lam, m in head))
@@ -135,17 +135,6 @@ class RegularizedDet:
         _bar(self.truncation_error, "the truncation bound of log det'")
 
 
-def _geometric_tail(seq: EigenSequence) -> float:
-    n_tail = len(seq.corrections)
-    first = seq.decay_bound * math.exp(-seq.decay_rate * (n_tail + 1))
-    return first / -math.expm1(-seq.decay_rate)
-
-
-def zeta_at_zero(seq: EigenSequence) -> float:
-    """zeta_u(0): tail_multiplicity * zeta(0) plus the head count."""
-    return seq.tail_multiplicity * _ZETA_0 + sum(m for _, m in seq.head)
-
-
 def log_det(seq: EigenSequence) -> RegularizedDet:
     """Regularized log determinant -zeta_u'(0) of the sequence."""
     log1p_sum = comp = 0.0
@@ -161,6 +150,7 @@ def log_det(seq: EigenSequence) -> RegularizedDet:
             "correction list too short for a certified truncation bound: "
             f"C e^(-a (N+1)) = {first_missing} >= 1/2"
         )
-    trunc = seq.tail_multiplicity * _geometric_tail(seq) / (1.0 - first_missing)
-    return RegularizedDet(value, zeta_at_zero(seq), trunc)
+    # sum_{n>N} |log1p(eps_n)| <= [C e^{-a(N+1)} / (1 - e^{-a})] / (1 - C e^{-a(N+1)})
+    trunc = seq.tail_multiplicity * (first_missing / -math.expm1(-seq.decay_rate)) / (1.0 - first_missing)
+    return RegularizedDet(value, seq.tail_multiplicity * _ZETA_0 + sum(m for _, m in seq.head), trunc)
 

@@ -453,6 +453,20 @@ class TestSpectrumSubcommand:
 
 
 class TestZetaSubcommand:
+    def test_kind_choices_are_the_keys_of_kinds(self):
+        # --kind offers exactly the keys of cli._KINDS, in order, and the
+        # grid takes each value as a kind of product
+        from dnzeta import zeta_dyn
+
+        _, subparsers = cli._build_parser()
+        [kind] = [action for action in subparsers["zeta"]._actions if action.dest == "kind"]
+        assert list(kind.choices) == list(cli._KINDS) == ["ruelle", "selberg", "selberg-g0"]
+        assert "--kind {ruelle,selberg,selberg-g0}" in subparsers["zeta"].format_usage()
+        spectrum = LengthSpectrum(entries=(SpectrumEntry(1.0, 2, 0),), cutoff=2.0, complete_up_to=2.0)
+        for name in cli._KINDS.values():
+            [value] = zeta_dyn._zeta_grid(name, spectrum, [2.0], 0.0)
+            assert value.log_value.real < 0.0
+
     def test_verbose_reports_ladder_work_on_stderr_only(self, capsys, tmp_path):
         # past a few factors the entry at length 3 falls below 2^-60 and skips libm
         entries = (SpectrumEntry(length=1.0, multiplicity=2, reflections=1),
@@ -511,8 +525,8 @@ class TestZetaSubcommand:
         grid = zeta_dyn._zeta_grid
 
         def one_call_per_lambda(kind, spectrum, lams, delta_hint, boundary=()):
-            # one-point grids, as ruelle, selberg and selberg_boundary run them; calling
-            # those would recurse, as they look up _zeta_grid in zeta_dyn, patched below
+            # one-point grids of the unpatched pass; the patched name is what
+            # cli._run_zeta looks up in zeta_dyn
             for lam in lams:
                 [value] = grid(kind, spectrum, [lam], delta_hint, boundary)
                 yield value
@@ -776,6 +790,21 @@ class TestDetSubcommands:
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("detdn", "--chi", "2"),
+            ("theorem4", "--zg1", "0.25", "--zg01", "1.5", "--chi", "3", "--ell", "4"),
+        ],
+    )
+    def test_chi_above_one_is_refused_by_its_flag(self, capsys, argv):
+        # a bordered surface has chi = 2 - 2g - n <= 1; chi = 2 was refused
+        # as "boundary count ... got 0", a value no flag had given
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --chi must be at most 1") and err.count("\n") == 1
+        assert f"got {argv[argv.index('--chi') + 1]}" in err
+
     def test_rewired_stdout_is_pinned(self, capsys):
         # sha256 of json and plain stdout of the subcommands that read the
         # mode-0 eigenvalue, the disc geometry and theorem2_value's case split
@@ -964,11 +993,10 @@ class TestColdStart:
         "AnnulusGeometry BarnesZeroError ConformalFactor ConvergenceError CylinderGeometry DetReport DiscGeometry "
         "DnZetaError DomainError EigenSequence EnumerationBudgetError EvalResult GroupPresentation "
         "InvalidSequenceError LengthSpectrum MobiusTransform PoleError RegularizedDet SpectrumEntry SurfaceTopology "
-        "TruncationError ZetaValue annulus_det_prime annulus_eigenvalues cylinder_det_prime dirichlet_det "
+        "TruncationError ZetaValue annulus_det_prime annulus_eigenvalues cylinder_det_prime "
         "disc_det_prime enumerate_primitive_classes eta_constant functional_equation_rhs k_convergence_table "
         "log_barnes_g log_det log_dirichlet_det log_gamma required_tail_length ruelle "
-        "sarnak_det selberg selberg_boundary spectrum_from_json spectrum_to_json theorem2_value theorem4_pipeline "
-        "translation_length zero_volume zeta_at_zero"
+        "selberg spectrum_from_json spectrum_to_json theorem2_value theorem4_pipeline translation_length"
     ).split()
 
     @staticmethod
@@ -1010,6 +1038,6 @@ class TestColdStart:
         )
         bare, star, same, homes, public, undir = self._python(code)
         assert bare == ["dnzeta"]
-        assert star == public == sorted(self.PUBLIC) and len(star) == 47
+        assert star == public == sorted(self.PUBLIC) and len(star) == 42
         assert same and undir == []
         assert all(home.startswith("dnzeta.") for home in homes.values())

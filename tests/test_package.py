@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dnzeta
-from dnzeta import claims, cli
+from dnzeta import claims, cli, zeta_dyn
 from dnzeta.det_engine import (
     SurfaceTopology,
     functional_equation_rhs,
@@ -38,7 +38,7 @@ from dnzeta.hyperbolic import (
 from dnzeta.numeric_dn import ConformalFactor, k_convergence_table
 from dnzeta.reports import DetReport
 from dnzeta.specfun import EvalResult, log_barnes_g, log_gamma
-from dnzeta.zeta_dyn import ZetaValue, ruelle, selberg, selberg_boundary
+from dnzeta.zeta_dyn import ZetaValue, ruelle, selberg
 from dnzeta.zeta_reg import EigenSequence, RegularizedDet, log_det, required_tail_length
 
 PACKAGE = Path(dnzeta.__file__).parent
@@ -68,39 +68,40 @@ def _sources():
     return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in files]
 
 
-def _reached_names():
-    """Names each file imports by name, reads as <layer>.<name>, or calls by name.
-
-    Returns (imported or read as an attribute anywhere, {module: names called in it}).
-    """
+def _reaches():
+    """(file, layer, name) for each name a file imports from a module of the
+    package, or reads off one as <layer>.<name>; `from dnzeta import name`
+    has layer "dnzeta"."""
     layers = {path.stem for path in PACKAGE.glob("*.py")}
-    reached = set()
-    called = {}
+    found = set()
     for path, tree in _sources():
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                reached.update(alias.name for alias in node.names)
+            if isinstance(node, ast.ImportFrom) and node.module:
+                found.update((path, node.module.rpartition(".")[2], alias.name) for alias in node.names)
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 if node.value.id in layers:
-                    reached.add(node.attr)
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                called.setdefault(path.stem, set()).add(node.func.id)
-    return reached, called
+                    found.add((path, node.value.id, node.attr))
+    return found
 
 
 def test_every_public_function_is_reached():
     # Every function in __all__ backs a claim, a CLI path or a benchmark
-    # workload: some module of the package (not __init__) or some bench
-    # script imports it or reads it off its layer, or its own module calls it.
-    # Test files do not count; a name only tests reach should go.
-    reached, called = _reached_names()
+    # workload: some other module of the package (not __init__) or some
+    # bench script imports it from its module, or reads it off its layer.
+    # A call from its own module does not count: a name only its module
+    # uses is a private helper or an expression to inline.  Test files do
+    # not count either; a name only tests reach should go.
+    reaches = _reaches()
     unreached = []
     for name in dnzeta.__all__:
         obj = getattr(dnzeta, name)
         if not inspect.isfunction(obj):
             continue
         home = obj.__module__.rpartition(".")[2]
-        if name not in reached and name not in called.get(home, set()):
+        if not any(
+            attr == name and layer in (home, "dnzeta") and path != PACKAGE / f"{home}.py"
+            for path, layer, attr in reaches
+        ):
             unreached.append(name)
     assert unreached == []
 
@@ -173,6 +174,12 @@ def _spectrum_run(out: str, max_word_len: int = 2):
         out=out))
 
 
+def _selberg_boundary(boundary_lengths, spectrum, lam, delta_hint):
+    """log Z_g0(lambda) as the CLI's selberg-g0 kind reaches it: a one-point grid."""
+    [value] = zeta_dyn._zeta_grid("selberg_boundary", spectrum, [lam], delta_hint, boundary_lengths)
+    return value
+
+
 def _zeta_run(boundary: str):
     return cli._run_zeta(argparse.Namespace(
         lam="1.5", spectrum=_file("s.json", spectrum_to_json(_SPECTRUM)), kind="selberg-g0", boundary=boundary,
@@ -231,8 +238,8 @@ _REFUSED = {
         '{"cutoff": 2.0, "complete_up_to": 2.0, "entries": [{"length": 1.0}]}'),
     "ruelle-lam-str": lambda: ruelle(_SPECTRUM, "1.5", 0.0),
     "selberg-lam-bool": lambda: selberg(_SPECTRUM, True, 0.0),
-    "boundary-length-str": lambda: selberg_boundary(["1.0"], _SPECTRUM, 1.5, 0.0),
-    "boundary-length-huge": lambda: selberg_boundary([_HUGE], _SPECTRUM, 1.5, 0.0),
+    "boundary-length-str": lambda: _selberg_boundary(["1.0"], _SPECTRUM, 1.5, 0.0),
+    "boundary-length-huge": lambda: _selberg_boundary([_HUGE], _SPECTRUM, 1.5, 0.0),
     "cli-lambda-grid-inf": lambda: cli._parse_lambda_spec("1:inf:0.5"),
     "cli-generator-not-an-object": lambda: cli._load_generators(_file("g.json", '{"generators": [1]}')),
     "cli-label-not-a-string": lambda: cli._load_generators(

@@ -23,8 +23,13 @@ from dnzeta.zeta_dyn import (
     ZetaValue,
     ruelle,
     selberg,
-    selberg_boundary,
 )
+
+
+def _selberg_boundary(boundary_lengths, spectrum, lam, delta_hint):
+    """log Z_g0(lambda) as the CLI's selberg-g0 kind reaches it: a one-point grid."""
+    [value] = zeta_dyn._zeta_grid("selberg_boundary", spectrum, [lam], delta_hint, boundary_lengths)
+    return value
 
 
 def _dilation(t):
@@ -125,7 +130,7 @@ def test_work_counts_each_factor_and_entry_term():
         cases = (
             (ruelle(spec, lam, 0.0), 1 if used else 0, len(used)),
             (selberg(spec, lam, 0.0), _reference_ladder_length(lam, 1, m_used, l_min), len(used)),
-            (selberg_boundary(boundary, spec, lam, 0.0),
+            (_selberg_boundary(boundary, spec, lam, 0.0),
              _reference_ladder_length(lam, 2, 2 * len(boundary) + 2 * m_used, min(boundary + [l_min])),
              len(boundary) + len(used)),
         )
@@ -274,7 +279,7 @@ def test_boundary_zeta_refuses_long_ladder_up_front():
     spec = _spectrum_with_short_length()
     start = time.perf_counter()
     with pytest.raises(ConvergenceError, match="boundary ladder"):
-        selberg_boundary([1.0], spec, 0.5, 0.0)
+        _selberg_boundary([1.0], spec, 0.5, 0.0)
     # the refusal must not pay for the 200000 factors it caps (seconds here)
     assert time.perf_counter() - start < 1.0
 
@@ -297,7 +302,7 @@ def test_ladders_refuse_too_many_entry_terms_up_front(monkeypatch):
     with pytest.raises(ConvergenceError, match="Selberg ladder .* entry terms"):
         selberg(spec, 0.5, 0.0)
     with pytest.raises(ConvergenceError, match="boundary ladder .* entry terms"):
-        selberg_boundary([1.0], spec, 0.5, 0.0)
+        _selberg_boundary([1.0], spec, 0.5, 0.0)
     assert time.perf_counter() - start < 0.5
 
 
@@ -346,7 +351,7 @@ def _ladder_outcomes(cases):
     """repr of each Selberg and boundary value, or the refusal's message."""
     out = []
     for spec, lam, delta, boundary in cases:
-        for call in (lambda: selberg(spec, lam, delta), lambda: selberg_boundary(boundary, spec, lam, delta)):
+        for call in (lambda: selberg(spec, lam, delta), lambda: _selberg_boundary(boundary, spec, lam, delta)):
             try:
                 out.append(repr(call()))
             except ConvergenceError as exc:
@@ -616,12 +621,16 @@ def test_block_evaluation_is_bit_identical_to_scalar_loops(monkeypatch):
         for (spec, lam, boundary), values in zip(cases, want):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = (ruelle(spec, lam, 0.0), selberg(spec, lam, 0.0), selberg_boundary(boundary, spec, lam, 0.0))
+                got = (ruelle(spec, lam, 0.0), selberg(spec, lam, 0.0), _selberg_boundary(boundary, spec, lam, 0.0))
             assert [repr(v.log_value) for v in got] == [repr(v) for v in values]
 
 
+# the _zeta_grid kind each one-point call evaluates
+_GRID_KIND = {ruelle: "ruelle", selberg: "selberg", _selberg_boundary: "selberg_boundary"}
+
+
 def _one_point(kind, spectrum, lam, delta, boundary):
-    return kind(boundary, spectrum, lam, delta) if kind is selberg_boundary else kind(spectrum, lam, delta)
+    return kind(boundary, spectrum, lam, delta) if kind is _selberg_boundary else kind(spectrum, lam, delta)
 
 
 def _outcomes(values):
@@ -649,10 +658,10 @@ def test_grid_pass_equals_its_one_point_calls_bit_for_bit(monkeypatch):
         monkeypatch.setattr(zeta_dyn, "_BLOCK_TERMS", block_terms)
         for spec, lam, boundary in (cases[i] for i in picks):
             lams = [lam, complex(lam.real + 0.35, -lam.imag), complex(max(lam.real - 0.3, 0.05), 0.0), lam + 2.0]
-            for kind in (ruelle, selberg, selberg_boundary):
-                b = boundary if kind is selberg_boundary else ()
+            for kind in (ruelle, selberg, _selberg_boundary):
+                b = boundary if kind is _selberg_boundary else ()
                 blocks.clear()
-                grid = _outcomes(zeta_dyn._zeta_grid(kind.__name__, spec, lams, 0.0, b))
+                grid = _outcomes(zeta_dyn._zeta_grid(_GRID_KIND[kind], spec, lams, 0.0, b))
                 grid_blocks = len(blocks)
                 loop = _outcomes(_one_point(kind, spec, z, 0.0, b) for z in lams)
                 assert grid == loop
@@ -684,26 +693,26 @@ def test_grid_refusal_comes_where_the_loop_raises_it(monkeypatch):
         (huge, [30.0, 0.1], 0.09, "DomainError"),  # a log R that is not finite
     )
     for spectrum, lams, delta, refusal in cases:
-        kinds = (ruelle,) if spectrum is huge else (ruelle, selberg, selberg_boundary)
+        kinds = (ruelle,) if spectrum is huge else (ruelle, selberg, _selberg_boundary)
         for kind in kinds:
-            b = [1.0] if kind is selberg_boundary else ()
-            grid = _outcomes(zeta_dyn._zeta_grid(kind.__name__, spectrum, lams, delta, b))
+            b = [1.0] if kind is _selberg_boundary else ()
+            grid = _outcomes(zeta_dyn._zeta_grid(_GRID_KIND[kind], spectrum, lams, delta, b))
             assert grid == _outcomes(_one_point(kind, spectrum, z, delta, b) for z in lams)
             if kind is not ruelle or refusal != "ConvergenceError":
                 assert grid[-1][0] == refusal and len(grid) > 1
 
 
 def test_grid_refuses_a_kind_it_does_not_know():
-    # The kinds are the one-point functions' names, which cli passes for
-    # --kind; a misspelt kind was summed as a Ruelle ladder (log value -0.06609
+    # The kinds are the values of cli._KINDS, one per --kind; a misspelt
+    # kind was summed as a Ruelle ladder (log value -0.06609
     # for "selberg_boundry" on the claims pair at lambda 2) and is refused
     # before any lambda.
     pair = enumerate_primitive_classes(claims.schottky_pair(), 6.0)
     spec = LengthSpectrum(entries=tuple(SpectrumEntry(length=e.length, multiplicity=e.multiplicity, reflections=i % 3)
                                         for i, e in enumerate(pair.entries)), cutoff=6.0, complete_up_to=6.0)
-    for kind in (ruelle, selberg, selberg_boundary):
-        b = [1.0] if kind is selberg_boundary else ()
-        assert len(list(zeta_dyn._zeta_grid(kind.__name__, spec, [2.0], 0.55, b))) == 1
+    for kind in (ruelle, selberg, _selberg_boundary):
+        b = [1.0] if kind is _selberg_boundary else ()
+        assert len(list(zeta_dyn._zeta_grid(_GRID_KIND[kind], spec, [2.0], 0.55, b))) == 1
     for kind in ("selberg_boundry", "Ruelle", "selberg-g0", ""):
         for lams in ([2.0], []):
             with pytest.raises(ValueError, match="^unknown zeta kind"):
@@ -717,14 +726,14 @@ def test_sub_resolution_lambda_is_refused_in_its_turn():
     # yields the values before it, to the bit, then raises.
     spec = LengthSpectrum(entries=tuple(SpectrumEntry(length=0.5 + 0.4 * i, multiplicity=1 + i % 3, reflections=i % 4)
                                         for i in range(3)), cutoff=2.0, complete_up_to=1.5)
-    for kind in (ruelle, selberg, selberg_boundary):
-        b = [1.0] if kind is selberg_boundary else ()
+    for kind in (ruelle, selberg, _selberg_boundary):
+        b = [1.0] if kind is _selberg_boundary else ()
         # e^{-Re(lambda) W} rounds to 1 at W = 1.5 for the first, third and last; a
         # factor's 1 + u rounds to 0 for 5e-17 (at l = 0.5) and, by cancellation, 1e-12+1e-9j
         for tiny in (1e-17, 5e-17, 1e-300, complex(1e-12, 1e-9), complex(1e-18, 1.0)):
             with pytest.raises(DomainError):
                 _one_point(kind, spec, tiny, 0.0, b)
-            grid = _outcomes(zeta_dyn._zeta_grid(kind.__name__, spec, [2.0, tiny, 3.0], 0.0, b))
+            grid = _outcomes(zeta_dyn._zeta_grid(_GRID_KIND[kind], spec, [2.0, tiny, 3.0], 0.0, b))
             assert grid[0] == _outcomes([_one_point(kind, spec, 2.0, 0.0, b)])[0]
             assert [row[0] for row in grid[1:]] == ["DomainError"]
     # a real lambda this small keeps its factors' last digits, and its value
@@ -744,7 +753,7 @@ def test_total_multiplicity_past_a_double_is_refused():
         lambda: ruelle(spectrum(20), 30.0, 0.0),
         lambda: selberg(spectrum(20), 30.0, 0.0),
         # 2 (1 + 15e307) boundary and interior factors, though the interior count fits
-        lambda: selberg_boundary([1.0], spectrum(15), 30.0, 0.0),
+        lambda: _selberg_boundary([1.0], spectrum(15), 30.0, 0.0),
     )
     for call in refused:
         with pytest.raises(DomainError, match="total multiplicity passes the largest double"):
@@ -760,7 +769,7 @@ def test_every_kind_takes_any_multiplicity_a_double_holds():
         return LengthSpectrum(entries=(SpectrumEntry(length=1.0, multiplicity=m, reflections=0),),
                               cutoff=2.0, complete_up_to=2.0)
 
-    for kind, boundary in ((ruelle, ()), (selberg, ()), (selberg_boundary, ([1.0],))):
+    for kind, boundary in ((ruelle, ()), (selberg, ()), (_selberg_boundary, ([1.0],))):
         values = [repr(kind(*boundary, spectrum(m), 30.0, 0.0)) for m in (2**64, 2**64 - 1)]
         assert values[0] == values[1]
 
@@ -828,7 +837,7 @@ def test_boundary_zeta_boundary_only_closed_form():
     # Z_g0(lam) = prod_k (1 - e^{-(lam+2k) l})^2.
     lb = 1.5
     lam = 1.25
-    val = selberg_boundary([lb], _empty_spectrum(), lam, 0.0)
+    val = _selberg_boundary([lb], _empty_spectrum(), lam, 0.0)
     direct = 0.0
     for k in range(400):
         direct += 2.0 * math.log1p(-math.exp(-(lam + 2.0 * k) * lb))
@@ -845,7 +854,7 @@ def test_boundary_zeta_odd_reflection_sign():
         cutoff=6.0,
         complete_up_to=6.0,
     )
-    val = selberg_boundary([], spec, lam, 0.0)
+    val = _selberg_boundary([], spec, lam, 0.0)
     direct = 0.0
     for k in range(300):
         shift = lam + 2.0 * k
@@ -862,7 +871,7 @@ def test_boundary_zeta_even_reflection_sign():
         cutoff=6.0,
         complete_up_to=6.0,
     )
-    val = selberg_boundary([], spec, lam, 0.0)
+    val = _selberg_boundary([], spec, lam, 0.0)
     direct = 0.0
     for k in range(300):
         shift = lam + 2.0 * k
@@ -884,7 +893,7 @@ def test_boundary_zeta_synthetic_oracle():
         complete_up_to=5.0,
     )
     for lam in (1.3, 2.0, complex(1.6, 0.8)):
-        val = selberg_boundary(boundary, spec, lam, 0.0)
+        val = _selberg_boundary(boundary, spec, lam, 0.0)
         direct = complex(0.0, 0.0)
         for k in range(400):
             shift = lam + 2.0 * k
@@ -908,20 +917,20 @@ def test_boundary_zeta_requires_reflections():
         complete_up_to=6.0,
     )
     with pytest.raises(DomainError):
-        selberg_boundary([1.0], spec, 1.5, 0.0)
+        _selberg_boundary([1.0], spec, 1.5, 0.0)
 
 
 def test_boundary_zeta_rejects_bad_boundary_lengths():
     spec = _empty_spectrum()
     with pytest.raises(DomainError):
-        selberg_boundary([-1.0], spec, 1.5, 0.0)
+        _selberg_boundary([-1.0], spec, 1.5, 0.0)
     with pytest.raises(DomainError):
-        selberg_boundary([math.inf], spec, 1.5, 0.0)
+        _selberg_boundary([math.inf], spec, 1.5, 0.0)
 
 
 def test_boundary_zeta_region_check():
     with pytest.raises(DomainError):
-        selberg_boundary([1.0], _empty_spectrum(), 0.3, 0.5)
+        _selberg_boundary([1.0], _empty_spectrum(), 0.3, 0.5)
 
 
 def test_phase_past_float_digits_is_refused():
@@ -940,9 +949,9 @@ def test_phase_past_float_digits_is_refused():
         complete_up_to=1.0,
     )
     ruelle(reflected, 2.0 + 1e8j, 0.0)
-    selberg_boundary([1.0], reflected, 2.0 + 1e8j, 0.0)
+    _selberg_boundary([1.0], reflected, 2.0 + 1e8j, 0.0)
     with pytest.raises(DomainError, match="2\\^30"):
-        selberg_boundary([1.0, 100.0], reflected, 2.0 + 1e8j, 0.0)
+        _selberg_boundary([1.0, 100.0], reflected, 2.0 + 1e8j, 0.0)
 
 
 def test_admitted_large_phase_stays_within_tail_bound():

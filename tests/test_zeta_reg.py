@@ -12,7 +12,6 @@ from dnzeta.zeta_reg import (
     RegularizedDet,
     log_det,
     required_tail_length,
-    zeta_at_zero,
 )
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -46,15 +45,15 @@ def _random_sequence(rng):
 class TestZetaAtZero:
     def test_plain_tail(self):
         seq = EigenSequence(power=1.0, prefactor=1.0)
-        assert zeta_at_zero(seq) == -0.5
+        assert log_det(seq).zeta_at_zero == -0.5
 
     def test_multiplicity_two(self):
         seq = EigenSequence(power=1.0, prefactor=1.0, tail_multiplicity=2)
-        assert zeta_at_zero(seq) == -1.0
+        assert log_det(seq).zeta_at_zero == -1.0
 
     def test_head_shifts_by_multiplicity(self):
         seq = EigenSequence(power=1.0, prefactor=1.0, head=((5.0, 1),))
-        assert zeta_at_zero(seq) == 0.5
+        assert log_det(seq).zeta_at_zero == 0.5
 
 
 class TestLogDet:
@@ -124,7 +123,7 @@ class TestScale:
             base = log_det(seq)
             head = tuple((t * lam, m) for lam, m in seq.head)
             scaled = log_det(dataclasses.replace(seq, prefactor=t * seq.prefactor, head=head))
-            want = base.log_value + math.log(t) * zeta_at_zero(seq)
+            want = base.log_value + math.log(t) * base.zeta_at_zero
             assert abs(scaled.log_value - want) <= 1e-12 * (1.0 + abs(want))
 
 
