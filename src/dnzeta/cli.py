@@ -8,9 +8,12 @@ suites of dnzeta.claims (verify).
 
 Output contract.  JSON is the canonical machine format and carries a
 "schema": 1 field plus a 12-hex config fingerprint; CSV is provided for
-lambda grids only; plain is for humans.  Every emitted number keeps the
-error estimate its module reports.  Output is byte-deterministic for a
-fixed configuration; -v writes diagnostics to stderr as JSON lines.
+lambda grids only; plain is for humans.  A subcommand builds its JSON
+document once, and _emit renders only the format asked for from it: a
+json call formats no plain line or csv row, and a plain or csv call
+writes no JSON.  Every emitted number keeps the error estimate its
+module reports.  Output is byte-deterministic for a fixed configuration;
+-v writes diagnostics to stderr as JSON lines.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed input
 files, inadmissible parameter combinations), 2 numerical contract
@@ -44,7 +47,7 @@ import hashlib
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .claims import SUITES
 from .det_engine import SurfaceTopology, theorem2_value, theorem4_pipeline
@@ -80,15 +83,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _Output(NamedTuple):
-    """What a subcommand prints: its document, plain lines, csv text if any, exit code."""
-
-    doc: dict
-    lines: list[str]
-    csv: str | None = None
-    code: int = 0
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -116,14 +110,15 @@ def _json(value, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(out: _Output, fmt: str, fingerprint: str) -> None:
+def _emit(doc: dict, args, fmt: str, fingerprint: str) -> None:
+    """Write doc in fmt: plain lines and csv rows are rendered from it only when printed."""
     if fmt == "json":
-        doc = dict(out.doc, schema=1, fingerprint=fingerprint)
-        sys.stdout.write(_json(doc) + "\n")
+        sys.stdout.write(_json(dict(doc, schema=1, fingerprint=fingerprint)) + "\n")
     elif fmt == "plain":
-        sys.stdout.write("\n".join(out.lines + [f"fingerprint: {fingerprint}"]) + "\n")
+        lines = _DISPATCH[args.subcommand][1](doc, args)
+        sys.stdout.write("\n".join(lines + [f"fingerprint: {fingerprint}"]) + "\n")
     else:
-        sys.stdout.write(f"# fingerprint: {fingerprint}\n" + out.csv)
+        sys.stdout.write(f"# fingerprint: {fingerprint}\n" + _csv_zeta(doc))
 
 
 def _note(args, record: dict) -> None:
@@ -142,15 +137,16 @@ def _report_doc(report) -> dict:
     }
 
 
-def _report_lines(report) -> list[str]:
+def _report_lines(report: dict) -> list[str]:
     lines = [
-        f"value = {_fmt(report.value)}",
-        f"ratio = {_fmt(report.ratio)}",
-        f"method = {report.method}",
-        f"error_estimate = {_fmt(report.error_estimate)}",
+        f"value = {_fmt(report['value'])}",
+        f"ratio = {_fmt(report['ratio'])}",
+        f"method = {report['method']}",
+        f"error_estimate = {_fmt(report['error_estimate'])}",
     ]
-    for key in sorted(report.inputs):
-        lines.append(f"input {key} = {report.inputs[key]}")
+    inputs = report["inputs"]
+    for key in sorted(inputs):
+        lines.append(f"input {key} = {inputs[key]}")
     return lines
 
 
@@ -229,20 +225,19 @@ def _load_generators(path: str) -> GroupPresentation:
 
 
 # ---------------------------------------------------------------- subcommands
+#
+# Each _run_<name>(args) returns its document and exit code;
+# _plain_<name>(doc, args) renders its plain lines from that document, and
+# reads args only for a value the document does not carry.
 
 
-def _run_annulus(args) -> _Output:
+def _run_annulus(args) -> tuple[dict, int]:
     if args.modes is not None and not 0 <= args.modes < _MAX_ROWS:
         raise DomainError(f"--modes must lie in 0..{_MAX_ROWS - 1}, got {args.modes}")
     geom = AnnulusGeometry(args.rho)
     report = annulus_det_prime(geom)
     listed = range(args.modes + 1) if args.modes is not None else ()
     modes = [{"n": n, "eigenvalues": list(annulus_eigenvalues(geom, n))} for n in listed]
-    lines = [f"rho = {_fmt(geom.rho)}", f"boundary_length = {_fmt(geom.boundary_length)}"]
-    lines += _report_lines(report)
-    for row in modes:
-        eigs = ", ".join(_fmt(v) for v in row["eigenvalues"])
-        lines.append(f"mode {row['n']}: {eigs}")
     doc = {
         "subcommand": "annulus",
         "geometry": {"rho": geom.rho, "alpha": geom.alpha, "boundary_length": geom.boundary_length},
@@ -250,16 +245,29 @@ def _run_annulus(args) -> _Output:
     }
     if modes:
         doc["modes"] = modes
-    return _Output(doc, lines)
+    return doc, 0
 
 
-def _run_disc(args) -> _Output:
+def _plain_annulus(doc, args) -> list[str]:
+    geom = doc["geometry"]
+    lines = [f"rho = {_fmt(geom['rho'])}", f"boundary_length = {_fmt(geom['boundary_length'])}"]
+    lines += _report_lines(doc["report"])
+    for row in doc.get("modes", ()):
+        eigs = ", ".join(_fmt(v) for v in row["eigenvalues"])
+        lines.append(f"mode {row['n']}: {eigs}")
+    return lines
+
+
+def _run_disc(args) -> tuple[dict, int]:
     report = disc_det_prime(DiscGeometry(args.radius))
-    doc = {"subcommand": "disc", "radius": args.radius, "report": _report_doc(report)}
-    return _Output(doc, [f"radius = {_fmt(args.radius)}"] + _report_lines(report))
+    return {"subcommand": "disc", "radius": args.radius, "report": _report_doc(report)}, 0
 
 
-def _run_cylinder(args) -> _Output:
+def _plain_disc(doc, args) -> list[str]:
+    return [f"radius = {_fmt(doc['radius'])}"] + _report_lines(doc["report"])
+
+
+def _run_cylinder(args) -> tuple[dict, int]:
     geom = CylinderGeometry(args.ell)
     report = cylinder_det_prime(geom)
     doc = {
@@ -267,11 +275,16 @@ def _run_cylinder(args) -> _Output:
         "geometry": {"ell": geom.ell, "bridge_rho": geom.bridge_rho},
         "report": _report_doc(report),
     }
-    lines = [f"ell = {_fmt(geom.ell)}", f"bridge_rho = {_fmt(geom.bridge_rho)}"]
-    return _Output(doc, lines + _report_lines(report))
+    return doc, 0
 
 
-def _run_spectrum(args) -> _Output:
+def _plain_cylinder(doc, args) -> list[str]:
+    geom = doc["geometry"]
+    lines = [f"ell = {_fmt(geom['ell'])}", f"bridge_rho = {_fmt(geom['bridge_rho'])}"]
+    return lines + _report_lines(doc["report"])
+
+
+def _run_spectrum(args) -> tuple[dict, int]:
     from .hyperbolic import _displacement_floor, enumerate_primitive_classes, spectrum_to_json
 
     group = _load_generators(args.generators)
@@ -297,11 +310,14 @@ def _run_spectrum(args) -> _Output:
         "complete_up_to": spectrum.complete_up_to,
         "out": args.out,
     }
-    lines = [f"{k} = {v}" for k, v in sorted(summary.items()) if k != "subcommand"]
-    return _Output(summary, lines)
+    return summary, 0
 
 
-def _run_zeta(args) -> _Output:
+def _plain_spectrum(doc, args) -> list[str]:
+    return [f"{k} = {v}" for k, v in sorted(doc.items()) if k != "subcommand"]
+
+
+def _run_zeta(args) -> tuple[dict, int]:
     from . import hyperbolic, zeta_dyn
 
     grid = _parse_lambda_spec(args.lam)
@@ -338,34 +354,48 @@ def _run_zeta(args) -> _Output:
             for lam, zv in rows
         ],
     }
-    lines = [f"kind = {args.kind}", f"spectrum = {args.spectrum}"]
-    csv = ["re_lambda,im_lambda,log_abs,arg,tail_bound"]
-    for lam, zv in rows:
+    return doc, 0
+
+
+def _plain_zeta(doc, args) -> list[str]:
+    lines = [f"kind = {doc['kind']}", f"spectrum = {args.spectrum}"]
+    for row in doc["rows"]:
+        lam, log_value = row["lambda"], row["log_value"]
         lines.append(
-            f"lambda {_fmt(lam.real)}{lam.imag:+.17g}j: log_re={_fmt(zv.log_value.real)} "
-            f"log_im={_fmt(zv.log_value.imag)} tail_bound={_fmt(zv.tail_bound)}"
+            f"lambda {_fmt(lam['re'])}{lam['im']:+.17g}j: log_re={_fmt(log_value['re'])} "
+            f"log_im={_fmt(log_value['im'])} tail_bound={_fmt(row['tail_bound'])}"
         )
-        csv.append(
-            f"{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(zv.log_value.real)},"
-            f"{_fmt(zv.log_value.imag)},{_fmt(zv.tail_bound)}"
-        )
-    return _Output(doc, lines, "\n".join(csv) + "\n")
+    return lines
 
 
-def _run_detdn(args) -> _Output:
+def _csv_zeta(doc) -> str:
+    csv = ["re_lambda,im_lambda,log_abs,arg,tail_bound"]
+    for row in doc["rows"]:
+        lam, log_value = row["lambda"], row["log_value"]
+        csv.append(",".join(map(_fmt, (lam["re"], lam["im"], log_value["re"], log_value["im"], row["tail_bound"]))))
+    return "\n".join(csv) + "\n"
+
+
+def _run_detdn(args) -> tuple[dict, int]:
     report = theorem2_value(_topology_from_chi(args.chi), ell=args.ell, supplied_limit=args.limit)
-    doc = {"subcommand": "detdn", "chi": args.chi, "report": _report_doc(report)}
-    return _Output(doc, [f"chi = {args.chi}"] + _report_lines(report))
+    return {"subcommand": "detdn", "chi": args.chi, "report": _report_doc(report)}, 0
 
 
-def _run_theorem4(args) -> _Output:
+def _plain_detdn(doc, args) -> list[str]:
+    return [f"chi = {doc['chi']}"] + _report_lines(doc["report"])
+
+
+def _run_theorem4(args) -> tuple[dict, int]:
     topo = _topology_from_chi(args.chi)
     report = theorem4_pipeline(args.zg1, args.zg01, topo, args.ell)
-    doc = {"subcommand": "theorem4", "chi": args.chi, "report": _report_doc(report)}
-    return _Output(doc, [f"chi = {args.chi}", f"ell = {_fmt(args.ell)}"] + _report_lines(report))
+    return {"subcommand": "theorem4", "chi": args.chi, "report": _report_doc(report)}, 0
 
 
-def _run_verify(args) -> _Output:
+def _plain_theorem4(doc, args) -> list[str]:
+    return [f"chi = {doc['chi']}", f"ell = {_fmt(args.ell)}"] + _report_lines(doc["report"])
+
+
+def _run_verify(args) -> tuple[dict, int]:
     order = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in order:
@@ -378,12 +408,17 @@ def _run_verify(args) -> _Output:
         "checks": [c._asdict() for c in checks],
         "passed": all_passed,
     }
+    return doc, 0 if all_passed else 2
+
+
+def _plain_verify(doc, args) -> list[str]:
+    checks = doc["checks"]
     lines = []
     for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        lines.append(f"{status}  {c.name}  max_err={c.max_err:.3e}  tol={c.tolerance:.3e}")
-    lines.append(f"suite {args.suite}: {sum(c.passed for c in checks)}/{len(checks)} passed")
-    return _Output(doc, lines, code=0 if all_passed else 2)
+        status = "PASS" if c["passed"] else "FAIL"
+        lines.append(f"{status}  {c['name']}  max_err={c['max_err']:.3e}  tol={c['tolerance']:.3e}")
+    lines.append(f"suite {doc['suite']}: {sum(c['passed'] for c in checks)}/{len(checks)} passed")
+    return lines
 
 
 # ---------------------------------------------------------------- wiring
@@ -457,16 +492,20 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
+# subcommand -> (_run_<name>, _plain_<name>)
 _DISPATCH = {
-    "annulus": _run_annulus,
-    "disc": _run_disc,
-    "cylinder": _run_cylinder,
-    "spectrum": _run_spectrum,
-    "zeta": _run_zeta,
-    "detdn": _run_detdn,
-    "theorem4": _run_theorem4,
-    "verify": _run_verify,
+    "annulus": (_run_annulus, _plain_annulus),
+    "disc": (_run_disc, _plain_disc),
+    "cylinder": (_run_cylinder, _plain_cylinder),
+    "spectrum": (_run_spectrum, _plain_spectrum),
+    "zeta": (_run_zeta, _plain_zeta),
+    "detdn": (_run_detdn, _plain_detdn),
+    "theorem4": (_run_theorem4, _plain_theorem4),
+    "verify": (_run_verify, _plain_verify),
 }
+# Writes the fingerprint's canonical text, the text of json.dumps(payload,
+# sort_keys=True, separators=(",", ":")), which builds a new encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _format_and_fingerprint(args) -> tuple[str, str]:
@@ -482,8 +521,7 @@ def _format_and_fingerprint(args) -> tuple[str, str]:
     if fmt == "csv" and args.subcommand != "zeta":
         raise DomainError("csv output applies to lambda grids only")
     payload["format"] = fmt
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return fmt, hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+    return fmt, hashlib.sha256(_CANONICAL.encode(payload).encode("utf-8")).hexdigest()[:12]
 
 
 def main(argv=None) -> int:
@@ -501,10 +539,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         fmt, fingerprint = _format_and_fingerprint(args)
-        _note(args, {"subcommand": args.subcommand, "fingerprint": fingerprint})
-        out = _DISPATCH[args.subcommand](args)
-        _emit(out, fmt, fingerprint)
-        return out.code
+        if getattr(args, "verbose", 0):
+            _note(args, {"subcommand": args.subcommand, "fingerprint": fingerprint})
+        doc, code = _DISPATCH[args.subcommand][0](args)
+        _emit(doc, args, fmt, fingerprint)
+        return code
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

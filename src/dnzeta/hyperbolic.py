@@ -82,7 +82,7 @@ class MobiusTransform:
     def trace(self) -> float:
         return self.a + self.d
 
-    def classify(self) -> str:
+    def _classify(self) -> str:
         tr = abs(self.trace)
         if tr > 2.0 + _TOL:
             return "hyperbolic"
@@ -95,7 +95,7 @@ class MobiusTransform:
 
 def translation_length(m: MobiusTransform) -> float:
     """Translation length 2 arccosh(|tr| / 2) of a hyperbolic element."""
-    kind = m.classify()
+    kind = m._classify()
     if kind != "hyperbolic":
         raise DomainError(f"translation length needs a hyperbolic element, got {kind}")
     return 2.0 * math.acosh(0.5 * abs(m.trace))
@@ -206,7 +206,7 @@ def _primitive_classes(
     if failed:
         word, prod = min(failed)
         label = "*".join(labels[x // 2] + "^-1" * (x % 2) for x in word)
-        raise DomainError(f"word {label} is {MobiusTransform(*prod).classify()}, not hyperbolic; "
+        raise DomainError(f"word {label} is {MobiusTransform(*prod)._classify()}, not hyperbolic; "
                           "input is not a separated free system")
     if work is not None:
         work["prefixes_expanded"] = expanded

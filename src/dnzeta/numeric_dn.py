@@ -102,18 +102,18 @@ class ConformalFactor:
             )
 
     @property
-    def mean(self) -> float:
+    def _mean(self) -> float:
         return self.coefficients[0]
 
     @property
-    def degree(self) -> int:
+    def _degree(self) -> int:
         return (len(self.coefficients) - 1) // 2
 
     def evaluate(self, theta):
         """Pointwise values; accepts a scalar or an ndarray of angles."""
         th = np.asarray(theta, dtype=float)
         out = np.full(th.shape, self.coefficients[0])
-        for m in range(1, self.degree + 1):
+        for m in range(1, self._degree + 1):
             out += self.coefficients[2 * m - 1] * np.cos(m * th)
             out += self.coefficients[2 * m] * np.sin(m * th)
         if th.shape == ():
@@ -211,14 +211,14 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
         raise DomainError(f"geometry must be a DiscGeometry, got {type(geometry).__name__}")
     if not isinstance(omega0, ConformalFactor):
         raise DomainError(f"omega0 must be a ConformalFactor, got {type(omega0).__name__}")
-    if omega0.mean != 0.0:
-        raise DomainError(f"omega0 must have exactly zero mean, got {omega0.mean}")
+    if omega0._mean != 0.0:
+        raise DomainError(f"omega0 must have exactly zero mean, got {omega0._mean}")
     ks = tuple(k_values)
     if not ks:
         raise DomainError("k_values must be nonempty")
     for k in ks:
-        if _count(k, "mode cutoff K", 1) < 4 * omega0.degree:
-            raise TruncationError(f"K = {k} is below the required 4 * degree = {4 * omega0.degree}")
+        if _count(k, "mode cutoff K", 1) < 4 * omega0._degree:
+            raise TruncationError(f"K = {k} is below the required 4 * degree = {4 * omega0._degree}")
     grid = np.array([_finite_real(t, "t_grid entry") for t in (t_grid if np.ndim(t_grid) == 1 else ())])
     if grid.size < 3:
         raise DomainError(f"t_grid needs at least 3 points, got shape {np.shape(t_grid)}")
@@ -236,7 +236,7 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
         for k in sorted(set(ks)):
             if not untruncated:
                 alphas, betas = _lanczos(omega0, k, t_max)
-                untruncated = k >= len(alphas) * omega0.degree
+                untruncated = k >= len(alphas) * omega0._degree
                 jacobi = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
                 nodes, vecs = np.linalg.eigh(jacobi)
                 values = np.log(np.exp(np.outer(grid, nodes)) @ vecs[0] ** 2) - log_ell

@@ -805,37 +805,75 @@ class TestDetSubcommands:
         assert err.startswith("error: --chi must be at most 1") and err.count("\n") == 1
         assert f"got {argv[argv.index('--chi') + 1]}" in err
 
-    def test_rewired_stdout_is_pinned(self, capsys):
-        # sha256 of json and plain stdout of the subcommands that read the
-        # mode-0 eigenvalue, the disc geometry and theorem2_value's case split
-        cases = {
-            "annulus-2": ("annulus", "--rho", "2", "--modes", "3"),
-            "annulus-1.0001": ("annulus", "--rho", "1.0001", "--modes", "0"),
-            "disc": ("disc", "--radius", "2.5"),
-            "detdn-0": ("detdn", "--chi", "0", "--ell", "3"),
-            "detdn-2": ("detdn", "--chi", "-2", "--limit", "0.125"),
-            "theorem4": ("theorem4", "--zg1", "0.25", "--zg01", "1.5", "--chi", "-1", "--ell", "4"),
-        }
+    # sha256 of the stdout of each subcommand in each format it prints: the
+    # subcommands that read the mode-0 eigenvalue, the disc geometry and
+    # theorem2_value's case split, and one call of every other subcommand.
+    # spectrum and zeta run in the test's directory on relative paths, as a
+    # path enters the document and the fingerprint.
+    PINNED_ARGVS = {
+        "annulus-2": ("annulus", "--rho", "2", "--modes", "3"),
+        "annulus-1.0001": ("annulus", "--rho", "1.0001", "--modes", "0"),
+        "disc": ("disc", "--radius", "2.5"),
+        "detdn-0": ("detdn", "--chi", "0", "--ell", "3"),
+        "detdn-2": ("detdn", "--chi", "-2", "--limit", "0.125"),
+        "theorem4": ("theorem4", "--zg1", "0.25", "--zg01", "1.5", "--chi", "-1", "--ell", "4"),
+        "cylinder": ("cylinder", "--ell", "3"),
+        "verify": ("verify", "--suite", "appendix"),
+        "spectrum": ("spectrum", "--generators", "gens.json", "--max-word-len", "8", "--out", "pair.json"),
+        "zeta": ("zeta", "--spectrum", "pair.json", "--kind", "ruelle", "--lambda", "1.0:3.0:0.5", "--delta-hint", "0.55"),
+    }
+    PINNED = {
+        ("annulus-2", "json"): "73afee6e68e9da3d2e4d0b6ce5af8fc2bce76ebfa1a54bd61f0e63af2b3c5157",
+        ("annulus-2", "plain"): "a669a80488cdd8204c4e1ae40499469db8a2eb29bac6c642b996a849534e3867",
+        ("annulus-1.0001", "json"): "e3406c9851d71be533f6ed453c37b40cc3c9c1d186c8cd37f701adde57179c3f",
+        ("annulus-1.0001", "plain"): "643fae91600873b9392a77c0fcec0222e77b8c9f62583c457b9f61191248ec5a",
+        ("disc", "json"): "78b10de8cabf4bf3e047a9bd2e2d9b0fb5088ac89e5d1b95108def4ea8084a1c",
+        ("disc", "plain"): "23a954377baf91269a2a486afbed67bf21a7ac893ab90fe5d55fcd751ee949e7",
+        ("detdn-0", "json"): "371ced73bac5fbd19375627ca165b385b9497481dce2b6aec021f79528935c60",
+        ("detdn-0", "plain"): "0ae7c530e92e374afee6a060ce46e88eb3e5cc752d2bae0042652e34b38715af",
+        ("detdn-2", "json"): "1557c6bf4738a93890a45aea396a9dc573518a56e2fb81f2961b04be5648d4bb",
+        ("detdn-2", "plain"): "22fd11e400a9598f7499e91923f66272838bcca8a05eae54337f020da2b5865d",
+        ("theorem4", "json"): "782f17d49788e74272c53e62587b6cd2fd5cebc54f1e548f204e58e646d5b2ce",
+        ("theorem4", "plain"): "ca2437ecde31f170f8d407c5db9524402a23dbfa28ff754b6ffd2f5a0cf8e7bb",
+        ("cylinder", "json"): "9516f59f740bc7f49aa7b237250b31a9817c57d0588a62b9038f503cfce180a8",
+        ("cylinder", "plain"): "e7b3e79209567aab5cdfebe3ed0511420607071532ac9e030bc3fe74a0209a65",
+        ("verify", "json"): "a443c840903cf773f75ec6849c3aef73210fd841ea404d9522ea2ec1bd705a86",
+        ("verify", "plain"): "98f87037afa6ad6ab0aa2a321f46459e37a503e1ab9ad399641d607791f7a172",
+        ("spectrum", "json"): "418ef17df72c31503fd1241a73dbb30dd8fd5d7351afc69fcef250ed9c257b1c",
+        ("spectrum", "plain"): "fe9963de1af01feb1a2a59703bb95939a36d25bfa6a1f6f50ee33129dcb9265e",
+        ("zeta", "json"): "bfff2d08ce01715753ecfa6fcc93dcca63ed50d3fe12bb20c67bf0e9e2f57ac8",
+        ("zeta", "plain"): "8e00e41c733116f7f1251d587559f356ba29ca069d3b7f79f84bc5a476b0cd6d",
+        ("zeta", "csv"): "a474e9c9a1143da2975b59d62a5725af78d950b766312dfd76abdb3ad7c09120",
+    }
+
+    def pinned_digests(self, capsys, tmp_path, monkeypatch, formats):
+        """(key, format) -> sha256 of stdout, for each pinned case printed in one of formats."""
+        monkeypatch.chdir(tmp_path)
+        write_generator_pair(tmp_path / "gens.json")
         digests = {}
-        for key, argv in cases.items():
-            for fmt in ("json", "plain"):
-                code, out, _ = run_cli(capsys, *argv, "--format", fmt)
-                assert code == 0
-                digests[key, fmt] = hashlib.sha256(out.encode()).hexdigest()
-        assert digests == {
-            ("annulus-2", "json"): "73afee6e68e9da3d2e4d0b6ce5af8fc2bce76ebfa1a54bd61f0e63af2b3c5157",
-            ("annulus-2", "plain"): "a669a80488cdd8204c4e1ae40499469db8a2eb29bac6c642b996a849534e3867",
-            ("annulus-1.0001", "json"): "e3406c9851d71be533f6ed453c37b40cc3c9c1d186c8cd37f701adde57179c3f",
-            ("annulus-1.0001", "plain"): "643fae91600873b9392a77c0fcec0222e77b8c9f62583c457b9f61191248ec5a",
-            ("disc", "json"): "78b10de8cabf4bf3e047a9bd2e2d9b0fb5088ac89e5d1b95108def4ea8084a1c",
-            ("disc", "plain"): "23a954377baf91269a2a486afbed67bf21a7ac893ab90fe5d55fcd751ee949e7",
-            ("detdn-0", "json"): "371ced73bac5fbd19375627ca165b385b9497481dce2b6aec021f79528935c60",
-            ("detdn-0", "plain"): "0ae7c530e92e374afee6a060ce46e88eb3e5cc752d2bae0042652e34b38715af",
-            ("detdn-2", "json"): "1557c6bf4738a93890a45aea396a9dc573518a56e2fb81f2961b04be5648d4bb",
-            ("detdn-2", "plain"): "22fd11e400a9598f7499e91923f66272838bcca8a05eae54337f020da2b5865d",
-            ("theorem4", "json"): "782f17d49788e74272c53e62587b6cd2fd5cebc54f1e548f204e58e646d5b2ce",
-            ("theorem4", "plain"): "ca2437ecde31f170f8d407c5db9524402a23dbfa28ff754b6ffd2f5a0cf8e7bb",
-        }
+        for key, argv in self.PINNED_ARGVS.items():
+            for fmt in formats:
+                if (key, fmt) in self.PINNED:
+                    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+                    assert code == 0, (key, fmt)
+                    digests[key, fmt] = hashlib.sha256(out.encode()).hexdigest()
+        return digests
+
+    def test_rewired_stdout_is_pinned(self, capsys, tmp_path, monkeypatch):
+        assert self.pinned_digests(capsys, tmp_path, monkeypatch, ("json", "plain", "csv")) == self.PINNED
+
+    def test_each_format_is_rendered_only_when_printed(self, capsys, tmp_path, monkeypatch):
+        # a json call formats no plain line or csv row, and a plain or csv
+        # call writes no json document; each still prints its pinned bytes
+        def refuse(*args):
+            raise AssertionError("rendered a format that is not printed")
+
+        monkeypatch.setattr(cli, "_fmt", refuse)
+        json_digests = self.pinned_digests(capsys, tmp_path, monkeypatch, ("json",))
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_json", refuse)
+        text_digests = self.pinned_digests(capsys, tmp_path, monkeypatch, ("plain", "csv"))
+        assert {**json_digests, **text_digests} == self.PINNED
 
     def test_theorem4_two_path(self, capsys):
         code, out, _ = run_cli(
@@ -910,9 +948,9 @@ class TestJsonWriter:
         docs = []
         emit = cli._emit
 
-        def recording_emit(out, fmt, fingerprint):
-            docs.append(dict(out.doc, schema=1, fingerprint=fingerprint))
-            emit(out, fmt, fingerprint)
+        def recording_emit(doc, args, fmt, fingerprint):
+            docs.append(dict(doc, schema=1, fingerprint=fingerprint))
+            emit(doc, args, fmt, fingerprint)
 
         monkeypatch.setattr(cli, "_emit", recording_emit)
         gens = write_generator_pair(tmp_path / "gens.json")

@@ -62,12 +62,12 @@ def test_normalization_rejects_bad_matrices(entries):
 
 
 def test_classification():
-    assert MobiusTransform(1.0, 0.0, 0.0, 1.0).classify() == "identity"
-    assert MobiusTransform(1.0, 1.0, 0.0, 1.0).classify() == "parabolic"
+    assert MobiusTransform(1.0, 0.0, 0.0, 1.0)._classify() == "identity"
+    assert MobiusTransform(1.0, 1.0, 0.0, 1.0)._classify() == "parabolic"
     th = 0.3
     rot = MobiusTransform(math.cos(th), -math.sin(th), math.sin(th), math.cos(th))
-    assert rot.classify() == "elliptic"
-    assert _dilation(2.0).classify() == "hyperbolic"
+    assert rot._classify() == "elliptic"
+    assert _dilation(2.0)._classify() == "hyperbolic"
 
 
 def test_translation_length_dilation():
@@ -178,7 +178,7 @@ def test_screen_matches_word_order_reference():
                 a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
             if abs(a + d) <= 2.0 + 1e-12:
                 label = "*".join("ab"[x // 2] + "^-1" * (x % 2) for x in w)
-                want = _screen_message(label, MobiusTransform(a, b, c, d).classify())
+                want = _screen_message(label, MobiusTransform(a, b, c, d)._classify())
                 break
         try:
             GroupPresentation(generators=gens)

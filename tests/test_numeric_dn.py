@@ -44,7 +44,7 @@ def multiplication_matrix(omega0, k):
     convolution in the complex basis and never builds this matrix.
     """
     coeffs = omega0.coefficients
-    m = min(omega0.degree, 2 * k)
+    m = min(omega0._degree, 2 * k)
     a, b = np.zeros((2, 2 * k + 1))
     a[0] = 2.0 * coeffs[0]
     a[1 : m + 1] = coeffs[1 : 2 * m : 2]
@@ -98,10 +98,10 @@ def _family(w, k, t):
 
 def test_factor_mean_and_degree():
     w = ConformalFactor((0.25, 0.3, -0.2, 0.0, 0.1))
-    assert w.mean == 0.25
-    assert w.degree == 2
-    assert ConformalFactor((0.7,)).degree == 0
-    assert ConformalFactor((0.0, 0.0, 0.0)).degree == 1
+    assert w._mean == 0.25
+    assert w._degree == 2
+    assert ConformalFactor((0.7,))._degree == 0
+    assert ConformalFactor((0.0, 0.0, 0.0))._degree == 1
 
 
 @pytest.mark.parametrize(
@@ -175,7 +175,7 @@ def _reference_multiplication_matrix(omega0, k):
     if c0 != 0.0:
         np.fill_diagonal(mat, c0)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for m in range(1, omega0.degree + 1):
+    for m in range(1, omega0._degree + 1):
         a_m = omega0.coefficients[2 * m - 1]
         b_m = omega0.coefficients[2 * m]
         half_a = 0.5 * a_m
