@@ -27,9 +27,13 @@ tree would hand the rest to) parses the rest directly; anything else
 goes through the whole tree: leading shared flags, -h, an unknown name,
 an empty argv, and any string the subcommand's parser leaves over, so
 the top-level usage, help and "unrecognized arguments" error stay the
-tree's.  JSON documents are written by _json rather than json.dumps:
-with indent set, json runs its pure-Python encoder on Python 3.10 and
-3.11, which is slower than writing the same bytes here directly.
+tree's.  zeta reads its spectrum file on every call, and parses each text
+of at most 64 KiB (ASCII) once per process: the parsed spectra of the 32
+such texts used last are kept, at most 2 MiB of text, so a rewritten file
+is parsed again and a larger text is parsed on every call.  JSON
+documents are written by _json rather than json.dumps: with indent set,
+json runs its pure-Python encoder on Python 3.10 and 3.11, which is
+slower than writing the same bytes here directly.
 
 Imports.  The module imports at its top only the numpy-free layers the
 geometry reports, detdn and theorem4 run on (errors, dn_explicit,
@@ -63,7 +67,7 @@ from .dn_explicit import (
 from .errors import DnZetaError, DomainError, _count
 
 if TYPE_CHECKING:
-    from .hyperbolic import GroupPresentation
+    from .hyperbolic import GroupPresentation, LengthSpectrum
 
 # --kind -> the kind of product zeta_dyn._zeta_grid evaluates over the grid
 _KINDS = {"ruelle": "ruelle", "selberg": "selberg", "selberg-g0": "selberg_boundary"}
@@ -121,10 +125,9 @@ def _emit(doc: dict, args, fmt: str, fingerprint: str) -> None:
         sys.stdout.write(f"# fingerprint: {fingerprint}\n" + _csv_zeta(doc))
 
 
-def _note(args, record: dict) -> None:
-    """Under -v, write one diagnostic record to stderr as a JSON line."""
-    if getattr(args, "verbose", 0):
-        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+def _note(record: dict) -> None:
+    """Write one -v diagnostic record to stderr as a JSON line; callers build it only under -v."""
+    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _report_doc(report) -> dict:
@@ -196,6 +199,23 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
+
+
+# The longest spectrum text zeta parses once per process (see the module
+# docstring); only an ASCII text is cached, so 32 of them hold at most
+# 2 MiB.  A parse error propagates and is not cached.  Sharing one
+# LengthSpectrum between calls is safe: it and its entries are frozen, the
+# zeta grid only reads it, and the parse is a function of the text alone.
+# spectrum_from_json is looked up on the module at each miss, so a wrapper
+# put there sees every parse.
+_CACHED_TEXT = 64 * 1024
+
+
+@functools.lru_cache(maxsize=32)
+def _parsed_spectrum(text: str) -> LengthSpectrum:
+    from . import hyperbolic
+
+    return hyperbolic.spectrum_from_json(text)
 
 
 def _load_generators(path: str) -> GroupPresentation:
@@ -295,7 +315,8 @@ def _run_spectrum(args) -> tuple[dict, int]:
         # l_max derived from it, nor by an OverflowError from the product past a double
         cutoff = _count(args.max_word_len, "max_word_len", 1) * _displacement_floor(group.generators)
     spectrum = enumerate_primitive_classes(group, cutoff, max_word_len=args.max_word_len)
-    _note(args, {"subcommand": "spectrum", **spectrum._work})
+    if getattr(args, "verbose", 0):
+        _note({"subcommand": "spectrum", **spectrum._work})
     text = spectrum_to_json(spectrum)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -321,7 +342,13 @@ def _run_zeta(args) -> tuple[dict, int]:
     from . import hyperbolic, zeta_dyn
 
     grid = _parse_lambda_spec(args.lam)
-    spectrum = hyperbolic.spectrum_from_json(_read_text(args.spectrum))
+    try:
+        text = _read_text(args.spectrum)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"invalid spectrum JSON in {args.spectrum}: {exc}") from exc
+    # the file is read on every call, so a rewritten one is parsed again
+    parse = _parsed_spectrum if len(text) <= _CACHED_TEXT and text.isascii() else hyperbolic.spectrum_from_json
+    spectrum = parse(text)
     boundary = ()
     if args.kind == "selberg-g0":
         if not args.boundary:
@@ -334,11 +361,13 @@ def _run_zeta(args) -> tuple[dict, int]:
         raise DomainError("--boundary applies to kind selberg-g0 only")
 
     rows = []
+    verbose = getattr(args, "verbose", 0)
     # one pass over the grid; a refused lambda raises in its turn, after the
     # -v records of the rows before it
     for lam, zv in zip(grid, zeta_dyn._zeta_grid(_KINDS[args.kind], spectrum, grid, args.delta_hint, boundary)):
         rows.append((lam, zv))
-        _note(args, {"subcommand": "zeta", "lambda": {"re": lam.real, "im": lam.imag}, **zv._work})
+        if verbose:
+            _note({"subcommand": "zeta", "lambda": {"re": lam.real, "im": lam.imag}, **zv._work})
 
     doc = {
         "subcommand": "zeta",
@@ -398,8 +427,10 @@ def _plain_theorem4(doc, args) -> list[str]:
 def _run_verify(args) -> tuple[dict, int]:
     order = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
+    verbose = getattr(args, "verbose", 0)
     for name in order:
-        _note(args, {"subcommand": "verify", "suite": name})
+        if verbose:
+            _note({"subcommand": "verify", "suite": name})
         checks.extend(SUITES[name]())
     all_passed = all(c.passed for c in checks)
     doc = {
@@ -540,7 +571,7 @@ def main(argv=None) -> int:
     try:
         fmt, fingerprint = _format_and_fingerprint(args)
         if getattr(args, "verbose", 0):
-            _note(args, {"subcommand": args.subcommand, "fingerprint": fingerprint})
+            _note({"subcommand": args.subcommand, "fingerprint": fingerprint})
         doc, code = _DISPATCH[args.subcommand][0](args)
         _emit(doc, args, fmt, fingerprint)
         return code

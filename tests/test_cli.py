@@ -497,6 +497,40 @@ class TestZetaSubcommand:
                 else:
                     assert work["factors"] > 10 and 0 < work["libm_terms"] < work["factors"] * logs
 
+    def test_non_utf8_spectrum_is_refused(self, capsys, tmp_path):
+        # bytes that are not UTF-8 are refused with one "error: ..." line and
+        # exit 1, as the generators file refuses them, not a UnicodeDecodeError
+        path = tmp_path / "s.json"
+        path.write_bytes(b'\xff\xfe{"cutoff": 4.0, "complete_up_to": 4.0, "entries": []}')
+        code, out, err = run_cli(capsys, "zeta", "--spectrum", str(path), "--kind", "ruelle",
+                                 "--lambda", "1.5", "--delta-hint", "0.0")
+        assert (code, out) == (1, "")
+        assert err == (f"error: invalid spectrum JSON in {path}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+        code, out, err = run_cli(capsys, "spectrum", "--generators", str(path), "--max-word-len", "4",
+                                 "--out", str(tmp_path / "out.json"))
+        assert (code, out) == (1, "")
+        assert err == (f"error: malformed generators JSON in {path}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+
+    def test_verbose_records_are_built_only_under_v(self, capsys, tmp_path, monkeypatch):
+        # without -v no subcommand reaches _note, so no record is built
+        spec = write_cyclic_spectrum(tmp_path / "s.json")
+        gens = write_generator_pair(tmp_path / "gens.json")
+        cases = (("zeta", "--spectrum", spec, "--kind", "selberg", "--lambda", "1.0:2.0:0.5", "--delta-hint", "0.0"),
+                 ("verify", "--suite", "all"),
+                 ("spectrum", "--generators", gens, "--max-word-len", "4", "--out", str(tmp_path / "out.json")))
+        quiet = [run_cli(capsys, *argv) for argv in cases]
+        loud = [run_cli(capsys, *argv, "-v") for argv in cases]
+        assert [err.count("\n") for _, _, err in loud] == [4, 7, 2]
+
+        def refuse(*record):
+            raise AssertionError(f"-v record built without -v: {record}")
+
+        monkeypatch.setattr(cli, "_note", refuse)
+        assert [run_cli(capsys, *argv) for argv in cases] == quiet
+        assert all(err == "" for _, _, err in quiet)
+
     def test_cyclic_ruelle_matches_closed_form(self, capsys, tmp_path):
         spec = write_cyclic_spectrum(tmp_path / "s.json", length=1.0)
         code, out, _ = run_cli(
@@ -725,11 +759,14 @@ class TestZetaSubcommand:
         digests = {}
         for kind, extra in (("selberg", ()), ("selberg-g0", ("--boundary", "1.0,2.5"))):
             for fmt in ("json", "plain", "csv"):
-                code, out, _ = run_cli(
-                    capsys, "zeta", "--spectrum", "refl.json", "--kind", kind,
-                    "--lambda", "0.8:1.8:0.5", "--delta-hint", "0.3", "--format", fmt, *extra,
-                )
+                argv = ("zeta", "--spectrum", "refl.json", "--kind", kind,
+                        "--lambda", "0.8:1.8:0.5", "--delta-hint", "0.3", "--format", fmt, *extra)
+                # a parse of the file, then the spectrum the cache kept from it
+                cli._parsed_spectrum.cache_clear()
+                code, out, _ = run_cli(capsys, *argv)
                 assert code == 0
+                assert run_cli(capsys, *argv) == (0, out, "")
+                assert cli._parsed_spectrum.cache_info()[:2] == (1, 1)  # hits, misses
                 digests[kind, fmt] = hashlib.sha256(out.encode()).hexdigest()
         assert digests == {
             ("selberg", "json"): "bd0f83283648bb33965b1af8c0bc1786294434e9f952f193ede35c8bd1cfe288",
@@ -739,6 +776,72 @@ class TestZetaSubcommand:
             ("selberg-g0", "plain"): "9d78b080b6375e414555059a0893860cf542428a7bf336dd62293cc73014e014",
             ("selberg-g0", "csv"): "08d0c8ff0c8814d72d02292e2dde0e4e4e891e8be9fee5aec1aba58eb91be687",
         }
+
+class TestSpectrumCache:
+    """zeta parses each small spectrum text once per process; the file is read on every call."""
+
+    ARGV = ("--kind", "ruelle", "--lambda", "1.0:2.0:0.5", "--delta-hint", "0.0")
+
+    def zeta(self, capsys, path):
+        return run_cli(capsys, "zeta", "--spectrum", str(path), *self.ARGV)
+
+    def fresh(self, capsys, path):
+        cli._parsed_spectrum.cache_clear()
+        return self.zeta(capsys, path)
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The texts that reach hyperbolic.spectrum_from_json."""
+        from dnzeta import hyperbolic
+
+        texts = []
+        parse = hyperbolic.spectrum_from_json
+        monkeypatch.setattr(hyperbolic, "spectrum_from_json", lambda text: texts.append(text) or parse(text))
+        return texts
+
+    def test_rewritten_file_is_parsed_again(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        write_cyclic_spectrum(path, length=1.0)
+        first = self.zeta(capsys, path)
+        size = path.stat().st_size
+        write_cyclic_spectrum(path, length=2.0)
+        assert path.stat().st_size == size
+        second = self.zeta(capsys, path)
+        assert second[0] == 0 and second != first
+        assert second == self.fresh(capsys, path)
+
+    def test_refusals_are_not_cached(self, capsys, tmp_path, parses):
+        path = tmp_path / "s.json"
+        path.write_text('{"cutoff": "4.0", "complete_up_to": 4.0, "entries": []}', encoding="utf-8")
+        for _ in range(2):
+            code, out, err = self.zeta(capsys, path)
+            assert (code, out) == (1, "") and "cutoff must be a finite real > 0" in err
+        assert len(parses) == 2
+        write_cyclic_spectrum(path)
+        answer = self.zeta(capsys, path)
+        assert answer[0] == 0 and answer == self.fresh(capsys, path)
+
+    def test_cache_is_bounded(self, capsys, tmp_path, parses):
+        path = tmp_path / "s.json"
+        text = spectrum_to_json(LengthSpectrum(entries=(SpectrumEntry(1.0, 2),), cutoff=10.0, complete_up_to=10.0))
+        # JSON whitespace pads a text to the bound, and one past it; a
+        # non-ASCII text is parsed on every call whatever its length
+        cases = ((text.ljust(64 * 1024), 1), (text.ljust(64 * 1024 + 1), 2),
+                 (text[:-1] + ', "note": "\u00e9"}', 2))
+        for padded, reached in cases:
+            cli._parsed_spectrum.cache_clear()
+            parses.clear()
+            path.write_text(padded, encoding="utf-8")
+            outputs = {self.zeta(capsys, path) for _ in range(2)}
+            assert len(outputs) == 1 and outputs.pop()[0] == 0
+            assert len(parses) == reached
+        # the 32 texts used last are kept, and no more
+        cli._parsed_spectrum.cache_clear()
+        for i in range(40):
+            path.write_text(text.ljust(len(text) + i), encoding="utf-8")
+            assert self.zeta(capsys, path)[0] == 0
+        assert cli._parsed_spectrum.cache_info()[2:] == (32, 32)  # maxsize, currsize
+
 
 class TestDetSubcommands:
     def test_detdn_disc_like(self, capsys):
