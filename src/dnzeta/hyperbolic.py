@@ -79,11 +79,11 @@ class MobiusTransform:
             raise DomainError(f"normalization failed, |det - 1| = {abs(det - 1.0)}")
 
     @property
-    def trace(self) -> float:
+    def _trace(self) -> float:
         return self.a + self.d
 
     def _classify(self) -> str:
-        tr = abs(self.trace)
+        tr = abs(self._trace)
         if tr > 2.0 + _TOL:
             return "hyperbolic"
         if tr < 2.0 - _TOL:
@@ -98,7 +98,7 @@ def translation_length(m: MobiusTransform) -> float:
     kind = m._classify()
     if kind != "hyperbolic":
         raise DomainError(f"translation length needs a hyperbolic element, got {kind}")
-    return 2.0 * math.acosh(0.5 * abs(m.trace))
+    return 2.0 * math.acosh(0.5 * abs(m._trace))
 
 
 def _default_labels(k: int) -> tuple[str, ...]:

@@ -24,10 +24,18 @@ Jacobi's complementary-minor identity reads det S_t off one entry:
 
 D', the radius R and ell_0 are constant in t and drop out, so the check
 compares that Galerkin value with the quadrature mean of e^{t omega0},
-which is ell_t / ell_0.  It measures how well the truncation resolves
-e^{t omega0}; it does not test the DN spectrum, which needs a
-weighted-Steklov det'.  The disc type is dn_explicit's DiscGeometry: its
-radius is validated there and drops out here.
+which is ell_t / ell_0.  That mean is a trapezoid rule on 2048 fixed
+angles, and omega0 is summed on them from cached cos(m theta) and
+sin(m theta) tables, which depend on the harmonic m alone (the first
+64 harmonics are kept, 2 MiB), so no request recomputes them.  The rule aliases
+e^{t omega0} by at most e^{|t| r} (|t| r)^q / q! relative, with
+q = ceil(2048 / m) and r as below; a factor and grid whose bound passes
+2^-60 are refused with TruncationError before any work, since the
+residual would report that error as truncation.  The check measures
+how well the truncation resolves e^{t omega0}; it does not test the DN
+spectrum, which needs a weighted-Steklov det'.  The disc type is
+dn_explicit's DiscGeometry: its radius is validated there and drops
+out here.
 
 The entry is a Gauss quadrature (Golub and Welsch, Math. Comp. 23, 1969;
 Golub and Meurant, Matrices, Moments and Quadrature, 2010).  Omega
@@ -62,6 +70,7 @@ leaving det'/ell fixed without any truncation argument.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,6 +81,8 @@ from .errors import DomainError, TruncationError, _count, _finite_real
 
 _TWO_PI = 2.0 * math.pi
 _QUAD_NODES = 2048
+# Most harmonics whose node tables (2 x 16 KiB) are kept: at most 2 MiB.
+_HARMONIC_TABLES = 64
 _LOG_STOP = -60.0 * math.log(2.0)
 # Most Lanczos basis entries one run may hold, steps x (2K + 1): 64 MiB of
 # complex doubles.  The basis is one array that doubles when full, so a
@@ -109,27 +120,64 @@ class ConformalFactor:
     def _degree(self) -> int:
         return (len(self.coefficients) - 1) // 2
 
-    def evaluate(self, theta):
-        """Pointwise values; accepts a scalar or an ndarray of angles."""
-        th = np.asarray(theta, dtype=float)
-        out = np.full(th.shape, self.coefficients[0])
-        for m in range(1, self._degree + 1):
-            out += self.coefficients[2 * m - 1] * np.cos(m * th)
-            out += self.coefficients[2 * m] * np.sin(m * th)
-        if th.shape == ():
-            return float(out)
-        return out
+
+@functools.lru_cache(maxsize=_HARMONIC_TABLES)
+def _node_harmonic(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos(m theta) and sin(m theta) on the quadrature nodes."""
+    angles = m * (np.arange(_QUAD_NODES) * (_TWO_PI / _QUAD_NODES))
+    table = np.cos(angles), np.sin(angles)
+    for values in table:
+        values.flags.writeable = False
+    return table
 
 
 def _log_lengths(omega0: ConformalFactor, grid: np.ndarray) -> list[float]:
     """log(ell_t / ell_0) at each t, from one evaluation of omega0 on the quadrature nodes.
 
-    Periodic trapezoid rule on 2048 uniform angles, spectrally accurate
-    for trigonometric-polynomial exponents: the quadrature error sits
-    far below 1e-12 relative.
+    Periodic trapezoid rule on 2048 uniform angles.  omega0 is summed
+    term by term, c0 + a_m cos(m theta) + b_m sin(m theta) in ascending
+    m, from the tables of _node_harmonic, which depend on m alone; those
+    of the first _HARMONIC_TABLES harmonics (32 KiB each) are cached.
+    The rule aliases e^{t omega0} by at most e^{|t| r} (|t| r)^q / q!
+    relative, q = ceil(2048 / degree) (_check_aliasing), which
+    k_convergence_table holds below 2^-60.
     """
-    omega = omega0.evaluate(np.arange(_QUAD_NODES) * (_TWO_PI / _QUAD_NODES))
+    coeffs = omega0.coefficients
+    omega = np.full(_QUAD_NODES, coeffs[0])
+    for m in range(1, omega0._degree + 1):
+        # A walk over more harmonics than the cache holds would evict each
+        # table just before its next use, so those past it are not cached.
+        harmonic = _node_harmonic if m <= _HARMONIC_TABLES else _node_harmonic.__wrapped__
+        cos_m, sin_m = harmonic(m)
+        omega += coeffs[2 * m - 1] * cos_m
+        omega += coeffs[2 * m] * sin_m
     return [math.log(np.mean(np.exp(t * omega))) for t in grid]
+
+
+def _check_aliasing(omega0: ConformalFactor, t_max: float) -> None:
+    """Refuse a factor whose e^{t omega0} the 2048-node rule aliases past 2^-60 relative.
+
+    The rule is exact on harmonics below 2048 and folds each higher one
+    onto a lower one.  The terms of e^{t omega0} = sum_n (t omega0)^n / n!
+    reach harmonic 2048 only from n >= q = ceil(2048 / degree), and the
+    coefficients of (t omega0)^n sum to at most (|t| r)^n in absolute
+    value, with r = sum |c_hat| = sum_m hypot(a_m, b_m) as in _lanczos.
+    So the folded part is at most the tail e^{|t| r} (|t| r)^q / q! of
+    the exponential series, relative to a mean >= 1 (Jensen, zero
+    mean).  The bound is summed in logs.
+    """
+    degree = omega0._degree
+    coeffs = omega0.coefficients
+    x = t_max * sum(math.hypot(a, b) for a, b in zip(coeffs[1::2], coeffs[2::2]))
+    if x == 0.0:  # omega0 = 0 (any degree): e^{t omega0} = 1 has nothing to alias
+        return
+    q = -(-_QUAD_NODES // degree)
+    log_bound = x + q * math.log(x) - math.lgamma(q + 1)
+    if log_bound > _LOG_STOP:
+        raise TruncationError(
+            f"the {_QUAD_NODES}-node rule for ell_t aliases e^(t omega0) of degree {degree} "
+            f"at |t| = {t_max:g} by up to e^{log_bound:.4g} relative, more than 2^-60; refused"
+        )
 
 
 def _check_basis(k: int, steps: int) -> None:
@@ -197,14 +245,17 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     factor (the trace of Omega then vanishes identically), integers
     K >= 4 * degree(omega0), so the Fourier coefficients of
     e^{t omega0/2} are resolved past their decay scale, and at least 3
-    uniformly increasing t values; all are checked before any work.  A
-    grid so far along the family that e^{t Omega} leaves the float range
-    raises TruncationError.  ell_t is computed once per grid point for
-    the whole ladder.  The distinct K are taken in ascending order, each
-    costing one Lanczos run and one j x j eigh, until a run stops after j
-    steps at K >= j m; every larger K takes that rung's row, to the bit,
-    and builds no basis.  Rows come back in the caller's order, duplicates
-    included.  A run whose basis would pass 2^22 entries is refused with
+    uniformly increasing t values; all are checked before any work, and
+    so is the quadrature of ell_t: a factor whose e^{t omega0} the
+    2048-node rule would alias by more than 2^-60 relative at the grid's
+    largest |t| (_check_aliasing) raises TruncationError naming its
+    degree.  A grid so far along the family that e^{t Omega} leaves the
+    float range raises TruncationError.  ell_t is computed once per grid
+    point for the whole ladder.  The distinct K are taken in ascending
+    order, each costing one Lanczos run and one j x j eigh, until a run
+    stops after j steps at K >= j m; every larger K takes that rung's
+    row, to the bit, and builds no basis.  Rows come back in the
+    caller's order, duplicates included.  A run whose basis would pass 2^22 entries is refused with
     DomainError.
     """
     if not isinstance(geometry, DiscGeometry):
@@ -226,11 +277,12 @@ def k_convergence_table(geometry, omega0: ConformalFactor, t_grid, k_values) -> 
     h = float(steps[0])
     if h <= 0.0 or np.any(np.abs(steps - h) > 1e-12 * max(1.0, abs(h))):
         raise DomainError("t_grid must be uniformly increasing")
+    t_max = float(np.max(np.abs(grid)))
+    _check_aliasing(omega0, t_max)
 
     # Overflow far along the family is refused by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_ell = _log_lengths(omega0, grid)
-        t_max = float(np.max(np.abs(grid)))
         residuals = {}
         untruncated = False
         for k in sorted(set(ks)):

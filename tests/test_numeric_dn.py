@@ -113,20 +113,51 @@ def test_factor_rejects_bad_coefficients(coeffs):
         ConformalFactor(coeffs)
 
 
-def test_factor_evaluate_matches_direct_sum():
+def _direct_sum(omega0, theta):
+    """omega0 at the angles theta: c0 + sum_m a_m cos(m theta) + b_m sin(m theta), in ascending m."""
+    coeffs = omega0.coefficients
+    out = np.full(theta.shape, coeffs[0])
+    for m in range(1, omega0._degree + 1):
+        out += coeffs[2 * m - 1] * np.cos(m * theta)
+        out += coeffs[2 * m] * np.sin(m * theta)
+    return out
+
+
+def test_log_lengths_match_the_direct_sum_to_the_bit():
+    # The cached node tables hold the very np.cos(m theta), np.sin(m theta)
+    # a direct sum computes, added in the same order, so every ell_t is
+    # the direct sum's to the bit, on both sides of t = 0 and for degrees
+    # past the number of tables the cache keeps.
     w = ConformalFactor((0.2, 0.3, -0.4, 0.05, 0.11))
     theta = np.linspace(0.0, TWO_PI, 37)
-    direct = (
-        0.2
-        + 0.3 * np.cos(theta)
-        - 0.4 * np.sin(theta)
-        + 0.05 * np.cos(2 * theta)
-        + 0.11 * np.sin(2 * theta)
-    )
-    assert np.max(np.abs(w.evaluate(theta) - direct)) < 1e-15
-    val = w.evaluate(0.7)
-    assert isinstance(val, float)
-    assert val == pytest.approx(float(w.evaluate(np.array(0.7))), abs=0.0)
+    written_out = 0.2 + 0.3 * np.cos(theta) - 0.4 * np.sin(theta) + 0.05 * np.cos(2 * theta) + 0.11 * np.sin(2 * theta)
+    assert np.max(np.abs(_direct_sum(w, theta) - written_out)) < 1e-15
+    nodes = np.arange(2048) * (TWO_PI / 2048)
+    grid = np.linspace(-1.2, 1.2, 9)
+    rng = np.random.default_rng(20261021)
+    degrees = [*range(1, 9), numeric_dn._HARMONIC_TABLES + 3]
+    for degree in degrees:
+        w = ConformalFactor((float(rng.uniform(-0.3, 0.3)), *(rng.uniform(-0.6, 0.6, 2 * degree) / degree)))
+        omega = _direct_sum(w, nodes)
+        direct = [math.log(np.mean(np.exp(t * omega))) for t in grid]
+        assert numeric_dn._log_lengths(w, grid) == direct
+
+
+def test_node_tables_are_read_only_and_bounded():
+    cos_m, sin_m = numeric_dn._node_harmonic(3)
+    for table in (cos_m, sin_m):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    assert numeric_dn._node_harmonic(3)[0] is cos_m
+    assert numeric_dn._node_harmonic.cache_info().maxsize == numeric_dn._HARMONIC_TABLES == 64
+    # A degree-100 walk through 64 least-recently-used tables would miss
+    # every one on every call; the harmonics past the bound go uncached.
+    w = ConformalFactor((0.0,) + (1e-3, 0.0) * 100)
+    numeric_dn._log_lengths(w, [0.0, 1.0])
+    before = numeric_dn._node_harmonic.cache_info()
+    numeric_dn._log_lengths(w, [0.0, 1.0])
+    after = numeric_dn._node_harmonic.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses, after.currsize) == (64, 0, 64)
 
 
 # ---------------------------------------------------------------- geometry and cutoff
@@ -163,7 +194,7 @@ def test_multiplication_matrix_matches_quadrature():
     nodes = 4096
     theta = np.arange(nodes) * (TWO_PI / nodes)
     phi = _basis_samples(k, theta)
-    oracle = (phi * w.evaluate(theta)) @ phi.T * (TWO_PI / nodes)
+    oracle = (phi * _direct_sum(w, theta)) @ phi.T * (TWO_PI / nodes)
     assert np.max(np.abs(mat - oracle)) < 1e-13
 
 
@@ -263,7 +294,7 @@ def test_family_kernel_aligns_with_factor_exponential():
     nodes = 4096
     theta = np.arange(nodes) * (TWO_PI / nodes)
     phi = _basis_samples(12, theta)
-    coef = phi @ np.exp(0.5 * t * w.evaluate(theta)) * (TWO_PI / nodes)
+    coef = phi @ np.exp(0.5 * t * _direct_sum(w, theta)) * (TWO_PI / nodes)
     coef /= np.linalg.norm(coef)
     assert np.max(np.abs(v - coef)) < 1e-12
 
@@ -675,6 +706,31 @@ def test_k_table_refuses_a_grid_too_far_along_the_family(grid):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(TruncationError):
             k_convergence_table(DISC, ConformalFactor((0.0, 0.6, 0.0)), grid, (16,))
+
+
+def test_k_table_refuses_a_factor_the_node_rule_aliases(monkeypatch):
+    # 2048 nodes put cos(1024 theta) at +-1, so the rule reads ell_t / ell_0
+    # as cosh(0.3 t) where it is I_0(0.3 t): 0.022 off in the log at t = 1,
+    # which the residual would report as truncation.  The refusal names
+    # the degree and comes before any work.
+    lengths = _record_lengths(monkeypatch)
+    eighs = _record(monkeypatch, "eigh")
+    for degree in (1024, 2048):
+        w = ConformalFactor((0.0,) + (0.0, 0.0) * (degree - 1) + (0.3, 0.0))
+        with pytest.raises(TruncationError, match=f"degree {degree} "):
+            k_convergence_table(DISC, w, [0.0, 0.5, 1.0], (4 * degree,))
+    assert lengths == [] and eighs == []
+
+
+def test_aliasing_check_accepts_the_claim_ci_and_workload_factors():
+    numeric_dn._check_aliasing(ConformalFactor(claims.CONFORMAL_COEFFICIENTS), 1.0)
+    numeric_dn._check_aliasing(ConformalFactor((0.0, 0.3, -0.2, 0.15, 0.05)), 1.0)
+    # the benchmark's largest factors: degree 1 to 3, |a_m|, |b_m| up to 0.6 / m, t up to 1.2
+    for degree in (1, 2, 3):
+        coeffs = [0.0]
+        for m in range(1, degree + 1):
+            coeffs += [0.6 / m, -0.6 / m]
+        numeric_dn._check_aliasing(ConformalFactor(tuple(coeffs)), 1.2)
 
 
 def test_log_det_s_is_the_pseudo_determinant_of_the_family():
