@@ -223,7 +223,7 @@ def _load_generators(path: str) -> GroupPresentation:
 
     try:
         data = json.loads(_read_text(path))
-    except ValueError as exc:  # also an integer past Python's 4300-digit limit
+    except (ValueError, RecursionError) as exc:  # also past Python's 4300-digit limit or nesting depth
         raise DomainError(f"malformed generators JSON in {path}: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("generators"), list):
         raise DomainError('generators file must be {"generators": [{"a":..,"b":..,"c":..,"d":..}, ...]}')
@@ -357,7 +357,7 @@ def _run_zeta(args) -> tuple[dict, int]:
             boundary = [float(x) for x in args.boundary.split(",")]
         except ValueError as exc:
             raise DomainError(f"malformed --boundary list {args.boundary!r}") from exc
-    elif args.boundary:
+    elif args.boundary is not None:
         raise DomainError("--boundary applies to kind selberg-g0 only")
 
     rows = []

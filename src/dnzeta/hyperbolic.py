@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EnumerationBudgetError, _all_count, _all_finite_real, _count, _finite_real
+from .errors import DomainError, EnumerationBudgetError, _count, _finite_real
 
 _TOL = 1e-12
 _LENGTH_TIE = 1e-9
@@ -364,8 +364,8 @@ class SpectrumEntry:
 
     @classmethod
     def _checked(cls, length: float, multiplicity: int, reflections: int | None) -> "SpectrumEntry":
-        """An entry from fields known to pass __post_init__'s rules, checked
-        by the caller or valid by construction: they are not checked again."""
+        """An entry from fields valid by construction (the walk's float
+        lengths > 0 and counts >= 1): __post_init__'s rules are not run."""
         entry = object.__new__(cls)
         entry.__dict__.update(length=length, multiplicity=multiplicity, reflections=reflections)
         return entry
@@ -485,7 +485,7 @@ def spectrum_from_json(text: str) -> LengthSpectrum:
     reflection counts; entries are sorted and validated."""
     try:
         data = json.loads(text)
-    except ValueError as exc:  # also an integer past Python's 4300-digit limit
+    except (ValueError, RecursionError) as exc:  # also past Python's 4300-digit limit or nesting depth
         raise DomainError(f"invalid spectrum JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError("spectrum JSON must be an object")
@@ -510,23 +510,11 @@ def _entry_from_json(item) -> SpectrumEntry:
 
 
 def _entries_from_json(raw_entries: list) -> list[SpectrumEntry]:
-    """The entries of a spectrum file, sorted by (length, multiplicity,
-    reflections or 0).  Each field is checked as a column of the file, by
-    the errors rules; only when a column fails are the entries built one
-    at a time, so the refusal names the first bad entry in file order, in
-    SpectrumEntry's words."""
-    try:
-        rows = [(item["length"], item["multiplicity"], item.get("reflections")) for item in raw_entries]
-    except (TypeError, KeyError):  # an entry that is not an object, or lacks a field
-        rows = None
-    lengths, mults, refls = zip(*rows) if rows else ((), (), ())
-    if rows is not None and _all_finite_real(lengths, 0.0) and _all_count(mults, 1) and _all_count(
-            [r for r in refls if r is not None], 0):
-        lengths = list(map(float, lengths))
-        entries = list(map(SpectrumEntry._checked, lengths, mults, refls))
-    else:
-        entries = [_entry_from_json(item) for item in raw_entries]
-        lengths = [e.length for e in entries]
+    """The entries of a spectrum file, each built by SpectrumEntry in file
+    order, so a refusal names the first bad entry; then sorted by (length,
+    multiplicity, reflections or 0)."""
+    entries = [_entry_from_json(item) for item in raw_entries]
+    lengths = [e.length for e in entries]
     if any(map(operator.ge, lengths, lengths[1:])):  # strictly rising lengths already follow the key
         entries.sort(key=lambda e: (e.length, e.multiplicity, e.reflections or 0))
     return entries

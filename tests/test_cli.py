@@ -513,6 +513,20 @@ class TestZetaSubcommand:
         assert err == (f"error: malformed generators JSON in {path}: 'utf-8' codec can't decode byte 0xff "
                        "in position 0: invalid start byte\n")
 
+    def test_too_deeply_nested_json_is_refused(self, capsys, tmp_path):
+        # 1200 nested brackets passed json's nesting depth and ended in a
+        # RecursionError traceback; both files are refused with one line
+        path = tmp_path / "deep.json"
+        path.write_text('{"entries": ' + "[" * 1200 + "]" * 1200 + "}", encoding="utf-8")
+        code, out, err = run_cli(capsys, "zeta", "--spectrum", str(path), "--kind", "ruelle",
+                                 "--lambda", "1.5", "--delta-hint", "0.0")
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("error: invalid spectrum JSON: ")
+        code, out, err = run_cli(capsys, "spectrum", "--generators", str(path), "--max-word-len", "4",
+                                 "--out", str(tmp_path / "out.json"))
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith(f"error: malformed generators JSON in {path}: ")
+
     def test_verbose_records_are_built_only_under_v(self, capsys, tmp_path, monkeypatch):
         # without -v no subcommand reaches _note, so no record is built
         spec = write_cyclic_spectrum(tmp_path / "s.json")
@@ -658,10 +672,13 @@ class TestZetaSubcommand:
         args = ("zeta", "--spectrum", plain, "--kind", "selberg-g0",
                 "--lambda", "1.5", "--delta-hint", "0.0", "--boundary", "1.0,1.0")
         assert run_cli(capsys, *args)[0] == 1
-        # and the other kinds reject --boundary outright
-        args = ("zeta", "--spectrum", plain, "--kind", "ruelle",
-                "--lambda", "1.5", "--delta-hint", "0.0", "--boundary", "1.0")
-        assert run_cli(capsys, *args)[0] == 1
+        # and the other kinds reject --boundary outright, an empty list too
+        for kind in ("ruelle", "selberg"):
+            for boundary in ("1.0", ""):
+                args = ("zeta", "--spectrum", plain, "--kind", kind,
+                        "--lambda", "1.5", "--delta-hint", "0.0", "--boundary", boundary)
+                code, _, err = run_cli(capsys, *args)
+                assert code == 1 and err == "error: --boundary applies to kind selberg-g0 only\n"
 
     def test_below_abscissa_is_validation_error(self, capsys, tmp_path):
         spec = write_cyclic_spectrum(tmp_path / "s.json")

@@ -684,7 +684,7 @@ _BAD_ENTRIES = (
 )
 
 
-def test_bulk_loader_refuses_as_the_entry_by_entry_path():
+def test_spectrum_json_refuses_the_first_bad_entry():
     # Two bad entries among good ones: the refusal names the first in file
     # order, in the words one SpectrumEntry at a time would use.
     good = ['{"length": 0.9, "multiplicity": 1, "reflections": 2}', '{"length": 2, "multiplicity": 3}',
@@ -704,7 +704,7 @@ def test_bulk_loader_refuses_as_the_entry_by_entry_path():
     assert [type(e.length) for e in spectrum_from_json(text).entries] == [float] * 3
 
 
-def test_bulk_loader_sorts_ties_as_before():
+def test_spectrum_json_sorts_ties_by_the_entry_key():
     # Tied lengths in no order: sorted by (length, multiplicity, reflections
     # or 0), and entries equal under that key (reflections 0 and absent) keep
     # their file order.

@@ -265,6 +265,8 @@ _REFUSED = {
     "spectrum-entry-not-an-object": lambda: spectrum_from_json('{"cutoff": 2.0, "complete_up_to": 2.0, "entries": [1]}'),
     "spectrum-entry-missing-field": lambda: spectrum_from_json(
         '{"cutoff": 2.0, "complete_up_to": 2.0, "entries": [{"length": 1.0}]}'),
+    "spectrum-json-too-deep": lambda: spectrum_from_json(
+        '{"cutoff": 2.0, "complete_up_to": 2.0, "entries": ' + "[" * 1200 + "]" * 1200 + "}"),
     "ruelle-lam-str": lambda: ruelle(_SPECTRUM, "1.5", 0.0),
     "selberg-lam-bool": lambda: selberg(_SPECTRUM, True, 0.0),
     "boundary-length-str": lambda: _selberg_boundary(["1.0"], _SPECTRUM, 1.5, 0.0),
@@ -275,6 +277,8 @@ _REFUSED = {
         _file("g.json", f'{{"generators": [{_GENERATOR[:-1]}, "label": 5}}]}}')),
     "cli-labels-some": lambda: cli._load_generators(
         _file("g.json", f'{{"generators": [{_GENERATOR[:-1]}, "label": "a"}}, {_GENERATOR}]}}')),
+    "cli-generators-json-too-deep": lambda: cli._load_generators(
+        _file("g.json", '{"generators": ' + "[" * 1200 + "]" * 1200 + "}")),
     "cli-out-unwritable": lambda: _spectrum_run("missing-dir/s.json"),
     "cli-max-word-len-0": lambda: _spectrum_run("s.json", 0),
     "cli-boundary-malformed": lambda: _zeta_run("1.0,x"),
