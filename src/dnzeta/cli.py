@@ -30,10 +30,15 @@ the top-level usage, help and "unrecognized arguments" error stay the
 tree's.  zeta reads its spectrum file on every call, and parses each text
 of at most 64 KiB (ASCII) once per process: the parsed spectra of the 32
 such texts used last are kept, at most 2 MiB of text, so a rewritten file
-is parsed again and a larger text is parsed on every call.  JSON
-documents are written by _json rather than json.dumps: with indent set,
-json runs its pure-Python encoder on Python 3.10 and 3.11, which is
-slower than writing the same bytes here directly.
+is parsed again and a larger text is parsed on every call.  spectrum
+rewrites its --out file in place, never emptied first: it opens the file
+without O_TRUNC, writes from offset 0 and then cuts a regular file to the
+length written.  On ext4 a truncate-then-rewrite frees the old blocks
+and flushes the new ones at close, about a seventh of an in-process
+spectrum call on the benchmark's depth-9 groups.  JSON documents are
+written by _json rather than json.dumps: with indent set, json runs its
+pure-Python encoder on Python 3.10 and 3.11, which is slower than
+writing the same bytes here directly.
 
 Imports.  The module imports at its top only the numpy-free layers the
 geometry reports, detdn and theorem4 run on (errors, dn_explicit,
@@ -50,6 +55,8 @@ import functools
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 from typing import TYPE_CHECKING
 
@@ -319,8 +326,11 @@ def _run_spectrum(args) -> tuple[dict, int]:
         _note({"subcommand": "spectrum", **spectrum._work})
     text = spectrum_to_json(spectrum)
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        # in place, never emptied first; a FIFO, tty or /dev/null has no length to cut
+        with open(args.out, "w", encoding="utf-8", opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666)) as handle:
             handle.write(text + "\n")
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
     except OSError as exc:
         raise DomainError(f"cannot write {args.out}: {exc}") from exc
     summary = {
@@ -348,7 +358,12 @@ def _run_zeta(args) -> tuple[dict, int]:
         raise DomainError(f"invalid spectrum JSON in {args.spectrum}: {exc}") from exc
     # the file is read on every call, so a rewritten one is parsed again
     parse = _parsed_spectrum if len(text) <= _CACHED_TEXT and text.isascii() else hyperbolic.spectrum_from_json
-    spectrum = parse(text)
+    try:
+        spectrum = parse(text)
+    except DomainError as exc:
+        if isinstance(exc.__cause__, (ValueError, RecursionError)):  # the text is not JSON: name the file
+            raise DomainError(f"invalid spectrum JSON in {args.spectrum}: {exc.__cause__}") from exc.__cause__
+        raise
     boundary = ()
     if args.kind == "selberg-g0":
         if not args.boundary:

@@ -6,11 +6,14 @@ two identical invocations must print identical bytes.
 """
 
 import argparse
+import errno
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -452,6 +455,80 @@ class TestSpectrumSubcommand:
         assert "cannot read" in err
 
 
+class TestSpectrumOut:
+    """spectrum rewrites --out in place: no O_TRUNC, then a regular file is cut to the bytes written."""
+
+    def spectrum(self, capsys, tmp_path, out, depth="8"):
+        gens = write_generator_pair(tmp_path / "gens.json")
+        return run_cli(capsys, "spectrum", "--generators", gens, "--max-word-len", depth, "--out", str(out))
+
+    def fresh(self, capsys, tmp_path):
+        out = tmp_path / "fresh.json"
+        assert self.spectrum(capsys, tmp_path, out)[0] == 0
+        return out.read_bytes()
+
+    def test_longer_file_ends_as_a_fresh_write(self, capsys, tmp_path):
+        out = tmp_path / "s.json"
+        out.write_bytes(b"x" * 100_000)
+        code, _, err = self.spectrum(capsys, tmp_path, out)
+        assert (code, err) == (0, "")
+        assert out.read_bytes() == self.fresh(capsys, tmp_path)
+
+    def test_hard_link_sees_the_new_bytes(self, capsys, tmp_path):
+        # the inode is kept, as O_TRUNC kept it; a rename over the path would not
+        out, link = tmp_path / "s.json", tmp_path / "link.json"
+        out.write_bytes(b"x" * 10_000)
+        os.link(out, link)
+        inode = out.stat().st_ino
+        assert self.spectrum(capsys, tmp_path, out)[0] == 0
+        assert out.stat().st_ino == inode
+        assert link.read_bytes() == out.read_bytes() == self.fresh(capsys, tmp_path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs and /dev/null")
+    def test_devnull_and_fifo_are_written_not_cut(self, capsys, tmp_path):
+        # neither has a length to cut, and ftruncate would refuse both
+        code, _, err = self.spectrum(capsys, tmp_path, "/dev/null")
+        assert (code, err) == (0, "")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, err = self.spectrum(capsys, tmp_path, fifo)
+        reader.join(10.0)
+        assert (code, err) == (0, "")
+        assert received == [self.fresh(capsys, tmp_path)]
+
+    def test_refused_walk_leaves_the_file_as_it_was(self, capsys, tmp_path):
+        # the word budget refuses depth 24 inside the walk, before --out is opened
+        out = tmp_path / "s.json"
+        out.write_bytes(b"old bytes\n")
+        code, out_text, err = self.spectrum(capsys, tmp_path, out, depth="24")
+        assert (code, out_text) == (2, "") and err.startswith("EnumerationBudgetError: ")
+        assert out.read_bytes() == b"old bytes\n"
+
+    def test_out_is_opened_without_o_trunc(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "s.json"
+        out.write_bytes(b"x" * 10_000)
+        flags, real_open = [], os.open
+
+        def spy(path, flag, *rest):
+            if os.fspath(path) == str(out):
+                flags.append(flag)
+            return real_open(path, flag, *rest)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert self.spectrum(capsys, tmp_path, out)[0] == 0
+        assert len(flags) == 1 and flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+
+    @pytest.mark.parametrize("target, errno_", [("missing/s.json", errno.ENOENT), (".", errno.EISDIR)])
+    def test_unwritable_out_names_the_path(self, capsys, tmp_path, target, errno_):
+        out = str(tmp_path / target)
+        code, out_text, err = self.spectrum(capsys, tmp_path, out)
+        assert (code, out_text) == (1, "")
+        assert err == f"error: cannot write {out}: {OSError(errno_, os.strerror(errno_), out)}\n"
+
+
 class TestZetaSubcommand:
     def test_kind_choices_are_the_keys_of_kinds(self):
         # --kind offers exactly the keys of cli._KINDS, in order, and the
@@ -521,11 +598,22 @@ class TestZetaSubcommand:
         code, out, err = run_cli(capsys, "zeta", "--spectrum", str(path), "--kind", "ruelle",
                                  "--lambda", "1.5", "--delta-hint", "0.0")
         assert (code, out) == (1, "") and err.count("\n") == 1
-        assert err.startswith("error: invalid spectrum JSON: ")
+        assert err.startswith(f"error: invalid spectrum JSON in {path}: ")
         code, out, err = run_cli(capsys, "spectrum", "--generators", str(path), "--max-word-len", "4",
                                  "--out", str(tmp_path / "out.json"))
         assert (code, out) == (1, "") and err.count("\n") == 1
         assert err.startswith(f"error: malformed generators JSON in {path}: ")
+
+    @pytest.mark.parametrize("text", ["{not json", "{not json \u00e9"])
+    def test_text_that_is_not_json_names_the_file(self, capsys, tmp_path, text):
+        # an ASCII text goes through the parse cache, a non-ASCII one straight to the parser
+        path = tmp_path / "s.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "zeta", "--spectrum", str(path), "--kind", "ruelle",
+                                 "--lambda", "1.5", "--delta-hint", "0.0")
+        assert (code, out) == (1, "")
+        assert err == (f"error: invalid spectrum JSON in {path}: Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1)\n")
 
     def test_verbose_records_are_built_only_under_v(self, capsys, tmp_path, monkeypatch):
         # without -v no subcommand reaches _note, so no record is built
