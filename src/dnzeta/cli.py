@@ -242,6 +242,8 @@ def _load_generators(path: str) -> GroupPresentation:
             gens.append(MobiusTransform(item["a"], item["b"], item["c"], item["d"]))
         except KeyError as exc:
             raise DomainError(f"generator {i} missing entry: {exc}") from exc
+        except DomainError as exc:
+            raise DomainError(f"generator {i}: {exc}") from exc
         label = item.get("label", "")
         if not isinstance(label, str):
             raise DomainError(f"generator {i} label must be a JSON string, got {json.dumps(label)}")

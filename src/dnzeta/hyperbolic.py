@@ -11,10 +11,9 @@ is needed.  The Fredricksen-Kessler-Maiorana prenecklace walk (Ruskey,
 Savage and Wang, "Generating necklaces", J. Algorithms 13, 1992) yields
 those words a length at a time, on numpy blocks of prefixes that carry
 their matrix products, and keeps only the classes under the length
-cutoff.  The Schottky screen of GroupPresentation is the same walk to 4
-letters.  Generator i is letter 2i, its inverse letter 2i + 1 = 2i ^ 1.
+cutoff.  Generator i is letter 2i, its inverse letter 2i + 1 = 2i ^ 1.
 
-A GroupPresentation then looks for ping-pong arcs (Borthwick, Spectral
+A GroupPresentation looks for ping-pong arcs (Borthwick, Spectral
 Theory of Infinite-Area Hyperbolic Surfaces, ch. 15-16; McMullen, Amer.
 J. Math. 120, 1998): disjoint closed arcs D(x), g mapping the outside of
 D(g^-1) onto D(g).  W[u, v], the distance of the boundary geodesics of
@@ -22,7 +21,8 @@ D(u^-1) and D(v), summed over the consecutive letters of a cyclically
 reduced word is at most its length, so below the trie's top levels the walk
 drops prefixes whose W-sum, plus the least W-sum of a path back from the
 last letter to the first, passes the cutoff (plus 1e-9 relative and 1e-12).
-Without arcs W = 0 and nothing is dropped.
+Without arcs W = 0, nothing is dropped, and the group is screened by the
+same walk to 4 letters instead.
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ class MobiusTransform:
             vals = [-v for v in vals]
         for name, v in zip("abcd", vals):
             object.__setattr__(self, name, v)
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > _TOL:
-            raise DomainError(f"normalization failed, |det - 1| = {abs(det - 1.0)}")
+        ad, bc = self.a * self.d, self.b * self.c
+        # ad - bc cancels to about u (|ad| + |bc|); an inf or NaN fails either test
+        if not abs(ad - bc - 1.0) <= _TOL * (abs(ad) + abs(bc)) < math.inf:
+            raise DomainError(f"normalization failed, |det - 1| = {abs(ad - bc - 1.0)}")
 
     @property
     def _trace(self) -> float:
@@ -127,17 +128,27 @@ def _expand(n_letters: int, words: np.ndarray, periods: np.ndarray):
 
 @functools.lru_cache(maxsize=16)
 def _trie_top(n_letters: int):
-    """The one-letter words as top[0] and, as top[n], the _expand step of the
-    length-n words while one block holds them.  A prenecklace has no letter
-    below its first, so words opening with the last generator's letters are
-    its powers: not grown."""
+    """The trie's top levels for the walk's fused pass, the prenecklaces of
+    lengths 1 to T while each level but the T-th fits one block: the parent
+    rows of the _expand step that built each level (None for the one-letter
+    words) and the count of words before each level; over all levels in
+    level order, the words as one bytes object with each word's start and a
+    last end, then each word's last letter and class flag; the T-th level,
+    the frontier: its words, periods, and the W indices u * n_letters + v
+    of its consecutive letters (row j for letters j, j + 1).  A prenecklace has no letter below its first, so words
+    opening with the last generator's letters are its powers: not grown."""
     words, periods = np.arange(n_letters, dtype=np.uint8)[None], np.ones(n_letters, np.intp)
-    top = [(None, None, words, periods, periods > 0), _expand(n_letters, words[:, :-2], periods[:-2])]
+    top = [(None, words[0], words, periods, periods > 0), _expand(n_letters, words[:, :-2], periods[:-2])]
     while 0 < len(top[-1][3]) <= _CHUNK:
         top.append(_expand(n_letters, *top[-1][2:4]))
-    for array in (array for step in top for array in step if array is not None):
+    text = b"".join(step[2].T.tobytes() for step in top)
+    starts = (0, *itertools.accumulate(len(step[2]) for step in top for _ in step[3]))
+    words, periods = top[-1][2:4]
+    arrays = (np.concatenate([step[1] for step in top]).astype(np.intp), np.concatenate([step[4] for step in top]),
+              words, periods, np.multiply(words[:-1], n_letters, dtype=np.intp) + words[1:])
+    for array in (*(step[0] for step in top[1:]), *arrays):
         array.flags.writeable = False
-    return tuple(top)
+    return (tuple(step[0] for step in top), (0, *itertools.accumulate(len(step[3]) for step in top)), text, starts, *arrays)
 
 
 def _primitive_classes(
@@ -145,64 +156,84 @@ def _primitive_classes(
     step_bounds: np.ndarray | None = None, work: dict | None = None,
 ) -> list[tuple[float, bytes]]:
     """(length, word) of the primitive classes of at most w_max letters and
-    length at most l_max (plus the tie slack), in word order.  Blocks of
-    prefixes of one length (words, periods, products as (2, 2, block), sums
-    of step_bounds) wait on a stack; a step expands at most _CHUNK, updating
-    products entry by entry as a*e + b*g like scalar code.  A product with an
+    length at most l_max (plus the tie slack), in word order.  Products are
+    updated entry by entry as a*e + b*g like scalar code.  One fused pass
+    takes the trie's top levels (_trie_top): their products level by level
+    into one (2, 2, n) buffer, then the traces, classes and failures of all
+    of them at once, and the frontier's sums of step_bounds (W-sums).  Below
+    the top, blocks of prefixes of one length (words, periods, products,
+    W-sums) wait on a stack; a step expands at most _CHUNK.  A product with an
     inf or NaN entry is not grown (no extension's trace is finite), nor a
     prefix whose sum plus the closing bound from its last letter back to its
-    first (_closing_bounds) passes the cutoff.  The least failing (|tr| <= 2)
-    class word is reported, as a walk in word order meets it.  work gets the
-    prefixes expanded.  Every word built (the one-letter words, the children
-    of each expanded chunk) counts against _WORD_BUDGET; past it,
-    EnumerationBudgetError."""
+    first (_closing_bounds) passes the cutoff.  Class words are sliced from
+    one bytes object per block.  The least failing (|tr| <= 2) class word is
+    reported.  work gets the prefixes expanded.  Every word built (the top's,
+    the children of each expanded chunk) counts against _WORD_BUDGET; past
+    it, EnumerationBudgetError."""
     n_letters = 2 * len(generators)
-    top = _trie_top(n_letters)
+    top_rows, offsets, top_text, top_starts, top_letters, top_class, words, periods, pairs = _trie_top(n_letters)
     limit = l_max + _LENGTH_TIE
     # Only traces under this meet the length test (the margin covers rounding).
     trace_cut = 2.0 * math.cosh(min(0.5 * limit, 710.0)) * (1.0 + 1e-6)
     cells = np.array([(g.a, g.d, g.b, -g.b, g.c, -g.c, g.d, g.a) for g in generators])
-    prods = letter_mats = cells.reshape(-1, 2, 2, 2).transpose(1, 2, 0, 3).reshape(2, 2, -1)
+    letter_mats = cells.reshape(-1, 2, 2, 2).transpose(1, 2, 0, 3).reshape(2, 2, -1)
     steps = np.zeros(n_letters * n_letters) if step_bounds is None else step_bounds.ravel()
     closing = np.zeros(n_letters * n_letters) if step_bounds is None else _closing_bounds(step_bounds).ravel()
-    prune, bounds, expanded, built = limit * (1.0 + 1e-9) + 1e-12, np.zeros(n_letters), 0, n_letters
-    (_, _, words, periods, is_class), out, failed, stack = top[0], [], [], []
+    prune, out, failed, stack = limit * (1.0 + 1e-9) + 1e-12, [], [], []
+    depth = min(len(top_rows), w_max)
+    built, expanded = offsets[depth], offsets[depth - 1]
+    if built > _WORD_BUDGET:
+        raise EnumerationBudgetError(f"the walk to word depth {w_max} builds more than {_WORD_BUDGET} words")
+
+    def harvest(prods, is_class, text, starts):
+        # classes within the cutoff go to out, or if one fails (the walk is then refused) the block's
+        # least failing word to failed
+        t = np.abs(prods[0, 0] + prods[1, 1])
+        cand = (is_class & (t <= trace_cut)).nonzero()[0]
+        traces = t.take(cand)
+        if len(fails := cand[traces <= 2.0 + _TOL]):
+            k = min(fails.tolist(), key=lambda k: text[starts[k]:starts[k + 1]])
+            failed.append((text[starts[k]:starts[k + 1]], prods[:, :, k].ravel().tolist()))
+            return
+        for k, tk in zip(cand.tolist(), traces.tolist()):
+            if (ell := 2.0 * math.acosh(0.5 * tk)) <= limit:
+                out.append((ell, text[starts[k]:starts[k + 1]]))
+
+    def grow(words, periods, prods, bounds):
+        # stack the prefixes some extension of which may stay within the cutoff
+        live = bounds + closing.take(np.multiply(words[-1], n_letters, dtype=np.intp) + words[0]) <= prune
+        if not np.isfinite(prods).all():
+            live &= np.isfinite(prods).all(axis=(0, 1))
+        if not live.all():  # take: a boolean index of prods costs more
+            idx = live.nonzero()[0]
+            words, periods, prods, bounds = (a.take(idx, -1) for a in (words, periods, prods, bounds))
+        if len(periods):
+            stack.append((words, periods, prods, bounds))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            t = np.abs(prods[0, 0] + prods[1, 1])
-            for k in (is_class & (t <= trace_cut)).nonzero()[0].tolist():
-                if t[k] <= 2.0 + _TOL:  # the block's least failure: it is in word order
-                    failed.append((words[:, k].tobytes(), prods[:, :, k].ravel().tolist()))
-                    break
-                if (ell := 2.0 * math.acosh(0.5 * t[k])) <= limit:
-                    out.append((ell, words[:, k].tobytes()))
-            if len(words) < w_max:
-                if len(words) >= len(top):
-                    live = bounds + closing.take(np.multiply(words[-1], n_letters, dtype=np.intp) + words[0]) <= prune
-                    if not np.isfinite(prods).all():
-                        live &= np.isfinite(prods).all(axis=(0, 1))
-                    if not live.all():  # take: a boolean index of prods costs more
-                        idx = live.nonzero()[0]
-                        words, periods, prods, bounds = (a.take(idx, -1) for a in (words, periods, prods, bounds))
-                if len(periods):
-                    stack.append((words, periods, prods, bounds))
-            if not stack:
-                break
+        prods = letter_mats.take(top_letters[:built], axis=2)  # then each level times its parents
+        for k in range(1, depth):
+            left, right = prods[..., offsets[k - 1]:offsets[k]].take(top_rows[k], axis=2), prods[..., offsets[k]:offsets[k + 1]]
+            np.add(left[:, :1] * right[:1], left[:, 1:] * right[1:], out=right)
+        harvest(prods, top_class[:built], top_text, top_starts)
+        if depth < w_max:  # the frontier's W-sums: an axis-0 sum adds the rows in order, as the DFS does
+            grow(words, periods, prods[..., expanded:], steps.take(pairs).sum(axis=0))
+        while stack:
             words, periods, prods, bounds = stack.pop()
             if len(periods) > _CHUNK:
                 stack.append((words[:, _CHUNK:], periods[_CHUNK:], prods[..., _CHUNK:], bounds[_CHUNK:]))
                 words, periods, prods, bounds = (a[..., :_CHUNK] for a in (words, periods, prods, bounds))
             n = len(words)
             expanded += len(periods)
-            step = top[n] if n < len(top) else _expand(n_letters, words, periods)
-            rows, nxt, words, periods, is_class = step
+            rows, nxt, words, periods, is_class = _expand(n_letters, words, periods)
             built += len(rows)
             if built > _WORD_BUDGET:
                 raise EnumerationBudgetError(f"the walk to word depth {w_max} builds more than {_WORD_BUDGET} words")
             left, right = prods.take(rows, axis=2), letter_mats.take(nxt, axis=2)
             prods = left[:, :1] * right[:1] + left[:, 1:] * right[1:]
+            harvest(prods, is_class, words.T.tobytes(), range(0, (n + 1) * (len(rows) + 1), n + 1))
             if n + 1 < w_max:  # the W-sums of the blocks that may be grown
-                bounds = bounds.take(rows) + steps.take(np.multiply(words[-2], n_letters, dtype=np.intp) + nxt)
+                grow(words, periods, prods, bounds.take(rows) + steps.take(np.multiply(words[-2], n_letters, dtype=np.intp) + nxt))
     if failed:
         word, prod = min(failed)
         label = "*".join(labels[x // 2] + "^-1" * (x % 2) for x in word)
@@ -308,15 +339,16 @@ def _arc_bounds(arcs: list[list[float]]) -> np.ndarray | None:
 class GroupPresentation:
     """Generators of a group assumed free and convex co-compact.
 
-    Construction screens every primitive conjugacy class of word length
+    Construction searches for ping-pong arcs; _step_bounds holds their W,
+    or None.  Arcs prove the group free and every class hyperbolic.  Without
+    them construction screens every primitive conjugacy class of word length
     at most 4: each must be hyperbolic, otherwise the input cannot be a
     separated free system (a relation shows up as an identity word, a
     tangency as a parabolic one).  The screen is the enumerator's own
     block walk to depth 4, keeping no class, under the walk's word budget
     (past it, an EnumerationBudgetError that names the screen); the
     lexicographically least failing word is reported.  It is a heuristic
-    filter, and `dnzeta spectrum -v` says so.  Construction then searches
-    for ping-pong arcs; _step_bounds holds their W, or None.
+    filter, and `dnzeta spectrum -v` says which of the two the group had.
     """
 
     generators: tuple[MobiusTransform, ...]
@@ -340,11 +372,13 @@ class GroupPresentation:
         if len(set(labels)) != len(labels):
             raise DomainError("labels must be distinct")
         object.__setattr__(self, "labels", labels)
-        try:
-            _primitive_classes(gens, labels, _SCREEN_DEPTH, 0.0)
-        except EnumerationBudgetError as exc:
-            raise EnumerationBudgetError(f"the Schottky screen of {len(gens)} generators: {exc}") from exc
-        object.__setattr__(self, "_step_bounds", _ping_pong(gens))
+        bounds = _ping_pong(gens)
+        if bounds is None:
+            try:
+                _primitive_classes(gens, labels, _SCREEN_DEPTH, 0.0)
+            except EnumerationBudgetError as exc:
+                raise EnumerationBudgetError(f"the Schottky screen of {len(gens)} generators: {exc}") from exc
+        object.__setattr__(self, "_step_bounds", bounds)
 
 
 @dataclass(frozen=True)
@@ -427,18 +461,20 @@ def enumerate_primitive_classes(
     """Length spectrum of primitive conjugacy classes with l <= l_max.
 
     Classes are reduced cyclic words; gamma and gamma^-1 are distinct
-    (oriented) classes.  Ties within 1e-9 merge into one entry's
-    multiplicity.  The word depth is chosen as ceil(l_max / d) where d
-    is the per-letter displacement floor of the generator set (half the
-    shortest generator length), unless max_word_len pins it explicitly.
+    (oriented) classes.  Ties within 1e-9 of a run's least length merge
+    into one entry of that length.  The word depth is chosen as
+    ceil(l_max / d) where d is the per-letter displacement floor of the
+    generator set (half the shortest generator length), unless
+    max_word_len pins it explicitly.
     complete_up_to = min(l_max, depth * d) is a heuristic: no class
     shorter than it is proven present.  A ping-pong certificate lets the
     walk skip prefixes whose extensions all pass l_max.  The walk counts
     the words it builds and raises EnumerationBudgetError once they pass
     5,000,000, so the pruned walk, not the depth, decides what is refused.
     The spectrum's _work records the certificate, its least W, the depth,
-    prefixes expanded, classes kept, and that the group's construction
-    screen is a heuristic filter of the words up to _SCREEN_DEPTH letters.
+    prefixes expanded, classes kept, and the group's construction screen:
+    "heuristic, depth 4", a filter of the words up to _SCREEN_DEPTH letters,
+    or "none, ping-pong certified" when the arcs stood in for it.
     """
     l_max = _finite_real(l_max, "l_max", 0.0)
     d_min = _displacement_floor(group.generators)
@@ -446,16 +482,13 @@ def enumerate_primitive_classes(
     bounds, letters = group._step_bounds, np.arange(2 * len(group.generators))
     work = {"certificate": "none" if bounds is None else "ping-pong", "depth": w_max,
             "min_w": 0.0 if bounds is None else float(bounds[letters != (letters ^ 1)[:, None]].min()),
-            "screen": f"heuristic, depth {_SCREEN_DEPTH}"}
+            "screen": f"heuristic, depth {_SCREEN_DEPTH}" if bounds is None else "none, ping-pong certified"}
     classes = _primitive_classes(group.generators, group.labels, w_max, l_max, bounds, work)
     work["classes_kept"] = len(classes)
-    classes.sort()
-    entries = []
-    i = 0
-    while i < len(classes):
-        base = classes[i][0]
-        j = i
-        while j < len(classes) and classes[j][0] - base <= _LENGTH_TIE:
+    lengths, entries, i = sorted(ell for ell, _ in classes), [], 0
+    while i < len(lengths):
+        base, j = lengths[i], i
+        while j < len(lengths) and lengths[j] - base <= _LENGTH_TIE:
             j += 1
         entries.append(SpectrumEntry._checked(base, j - i, None))  # a float length > 0, a count >= 1
         i = j

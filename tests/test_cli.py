@@ -392,7 +392,7 @@ class TestSpectrumSubcommand:
         assert work == {
             "subcommand": "spectrum", "certificate": "ping-pong", "depth": 8,
             "min_w": work["min_w"], "prefixes_expanded": work["prefixes_expanded"],
-            "classes_kept": json.loads(quiet_out)["total_multiplicity"], "screen": "heuristic, depth 4",
+            "classes_kept": json.loads(quiet_out)["total_multiplicity"], "screen": "none, ping-pong certified",
         }
         assert 0.5 < work["min_w"] < 2.0 and 0 < work["prefixes_expanded"] < 2000
 
@@ -433,6 +433,18 @@ class TestSpectrumSubcommand:
                         '"a": 1' + '0' * 400 + ', "b": 0.0', '"a": 1' + '0' * 5000 + ', "b": 0.0'):
             bad.write_text(f'{{"generators": [{{{entries}, "c": 0.0, "d": 0.1353}}]}}', encoding="utf-8")
             assert run_cli(capsys, *args)[0] == 1
+
+    def test_bad_matrix_refusal_names_its_generator(self, capsys, tmp_path):
+        # as a missing entry does ("generator 0 missing entry: 'd'"), a refused matrix names its generator
+        bad = tmp_path / "bad.json"
+        args = ("spectrum", "--generators", str(bad), "--max-word-len", "4", "--out", str(tmp_path / "o.json"))
+        good = '{"a": 2.0, "b": 0.0, "c": 0.0, "d": 0.5}'
+        for second, message in (('{"a": "2", "b": 0.0, "c": 0.0, "d": 0.5}', "matrix entry must be a finite real, got '2'"),
+                                ('{"a": 1.0, "b": 0.0, "c": 0.0, "d": -1.0}',
+                                 "need a positive determinant (orientation-preserving), got det = -1.0")):
+            bad.write_text(f'{{"generators": [{good}, {second}]}}', encoding="utf-8")
+            assert run_cli(capsys, *args) == (1, "", f"error: generator 1: {message}\n")
+        assert not (tmp_path / "o.json").exists()
 
     def test_more_than_128_generators_exit_one(self, capsys, tmp_path):
         # a word stores one letter per byte: 130 generators ended in an IndexError

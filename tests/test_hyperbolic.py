@@ -54,11 +54,42 @@ def test_normalization_sign_canonical():
 
 @pytest.mark.parametrize(
     "entries",
-    [(1.0, 0.0, 0.0, -1.0), (1.0, 2.0, 2.0, 4.0), (math.inf, 0.0, 0.0, 1.0), ("2", 0, 0, 0.5), (True, 0, 0, 1)],
+    [(1.0, 0.0, 0.0, -1.0), (1.0, 2.0, 2.0, 4.0), (math.inf, 0.0, 0.0, 1.0), ("2", 0, 0, 0.5), (True, 0, 0, 1),
+     (math.nan, 0.0, 0.0, 1.0), (1e-7, 0.0, 0.0, 1e-6)],  # the last: det 1e-13
 )
 def test_normalization_rejects_bad_matrices(entries):
     with pytest.raises(DomainError):
         MobiusTransform(*entries)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(1e200, 1e200, 1e200, 1e200), (1e303, 0.0, 0.0, 1e-314)],
+    ids=["det-nan", "rescaled-entry-inf"],
+)
+def test_normalization_refuses_what_it_cannot_rescale(entries):
+    # finite entries whose ad - bc is inf - inf = NaN, or one that overflows
+    # when det 1e-11 is scaled to 1: no finite matrix of determinant one
+    with pytest.raises(DomainError, match="^normalization failed, "):
+        MobiusTransform(*entries)
+
+
+def test_normalization_tolerance_scales_with_the_products():
+    # ad - bc cancels to about u (|ad| + |bc|), so a fixed 1e-12 refused valid
+    # generators with large entries: hyperbolic elements whose axis ends lie
+    # close together in (0.05, 20), as this one with trace 5.75
+    m = MobiusTransform(281.695, -3480.15, 22.34, -275.992)
+    assert abs(m.a * m.d - m.b * m.c - 1.0) > 1e-12
+    assert m._classify() == "hyperbolic"
+    rng = np.random.default_rng(43)
+    past_fixed = 0
+    for _ in range(2000):
+        p, q = np.sort(np.exp(rng.uniform(math.log(0.05), math.log(20.0), 2)))
+        g = _bench_pair(1.0, float(rng.uniform(1.0, 4.0)), float(p), float(q))[1]
+        ad, bc = g.a * g.d, g.b * g.c
+        assert abs(ad - bc - 1.0) <= 1e-12 * (abs(ad) + abs(bc))
+        past_fixed += abs(ad - bc - 1.0) > 1e-12
+    assert past_fixed > 0
 
 
 def test_classification():
@@ -362,6 +393,20 @@ def test_close_axes_spectrum_bytes_are_pinned(depth, digest):
     assert _spectrum_digest(spec) == digest
 
 
+@pytest.mark.parametrize(
+    ("name", "l_max", "depth", "expanded"),
+    [("claims", 10.0, None, 699), ("close", 13.5, 9, 2483), ("close", 16.5, 11, 17304),
+     ("uncertified", 6.0, None, 7363), ("separated", 30.0, 7, 434)],
+)
+def test_prefixes_expanded_are_pinned(name, l_max, depth, expanded):
+    # The counts of the level-by-level walk, which grew the trie's top one
+    # level at a time: the fused top and its frontier's W-sums prune alike.
+    group = {"claims": claims.schottky_pair, "close": lambda: _schottky_pair(3.0, 3.0, -5.0, 0.2),
+             "uncertified": lambda: GroupPresentation(_bench_pair(1.3, 2.9, -2.6, 0.55)),
+             "separated": lambda: GroupPresentation(_separated_generators(3))}[name]()
+    assert enumerate_primitive_classes(group, l_max, max_word_len=depth)._work["prefixes_expanded"] == expanded
+
+
 def _separated_generators(k):
     # Translation length 6 on the disjoint axes (0, inf), (-2, -1), (-8, -4).
     g0, g1 = _schottky_pair(6.0, 6.0, -2.0, -1.0).generators
@@ -506,7 +551,7 @@ def test_enumeration_budget_guard(monkeypatch):
     monkeypatch.setattr(hyperbolic, "_expand", expand)
     hyperbolic._trie_top.cache_clear()
     words = 4 + sum(built)
-    cached = len(hyperbolic._trie_top(4)) - 1  # levels built once, before the walk
+    cached = len(hyperbolic._trie_top(4)[0]) - 1  # levels built once, before the walk
     assert len(built) > cached
     monkeypatch.setattr(hyperbolic, "_WORD_BUDGET", words)
     want = enumerate_primitive_classes(pair, 10.0)
@@ -514,12 +559,15 @@ def test_enumeration_budget_guard(monkeypatch):
     with pytest.raises(EnumerationBudgetError, match="^the walk to word depth 10 builds more than"):
         enumerate_primitive_classes(pair, 10.0)
     # The screen is the same walk under the same budget: with room for the
-    # one-letter words only, it is refused at its first step.
+    # one-letter words only, it is refused at its first step.  The pair above
+    # has ping-pong arcs, so it is not screened; a pair without them is.
     monkeypatch.setattr(hyperbolic, "_WORD_BUDGET", 4)
+    assert GroupPresentation(generators=pair.generators)._step_bounds is not None
     with pytest.raises(EnumerationBudgetError, match="^the Schottky screen of 2 generators: the walk to word depth 4 builds"):
-        GroupPresentation(generators=pair.generators)
+        GroupPresentation(generators=_bench_pair(1.3, 2.9, -2.6, 0.55))
     monkeypatch.undo()
     assert enumerate_primitive_classes(pair, 10.0) == want
+    assert GroupPresentation(generators=_bench_pair(1.3, 2.9, -2.6, 0.55))._step_bounds is None
     # The depth-4 screen of 33 generators builds under 5M words, that of 34
     # or more does not: 100 are refused long before the full walk (tens of
     # seconds).
@@ -529,6 +577,17 @@ def test_enumeration_budget_guard(monkeypatch):
                        match="^the Schottky screen of 100 generators: the walk to word depth 4 builds more than 5000000 words$"):
         GroupPresentation(generators=_rotated_dilations(100))
     assert time.perf_counter() - start < 5.0
+
+
+def test_many_certified_generators_are_built_unscreened():
+    # The depth-4 screen of 34 or more generators passes the word budget
+    # (above), but 40 dilations of length 6 on disjoint axes have ping-pong
+    # arcs, so they are not screened, and a shallow walk is cheap.
+    gens = tuple(_bench_pair(6.0, 6.0, 3.0 * i + 1.0, 3.0 * i + 2.0)[1] for i in range(40))
+    spec = enumerate_primitive_classes(GroupPresentation(gens), 13.0, max_word_len=3)
+    assert spec._work["screen"] == "none, ping-pong certified"
+    assert spec._work["classes_kept"] == 80 == sum(e.multiplicity for e in spec.entries)
+    assert all(abs(e.length - 6.0) < 1e-6 for e in spec.entries)  # g and g^-1 of each generator
 
 
 @pytest.mark.parametrize("k", [129, 130, 300])
@@ -825,7 +884,7 @@ def test_walk_grows_exactly_the_prefixes_within_the_cutoff():
     # first, within l_max; sums of exactly l_max are kept.
     gens = _schottky_pair(3.0, 3.0, -5.0, 0.2).generators
     unpruned = _primitive_classes(gens, "ab", 9, 13.0)
-    top = len(hyperbolic._trie_top(4))
+    top = len(hyperbolic._trie_top(4)[0])
     steps = np.random.default_rng(3).integers(1, 4, (4, 4)).astype(float)
     closing = _closing_sums(steps)
     want = [(ell, word) for ell, word in unpruned
@@ -884,6 +943,49 @@ def test_transposed_or_unshrunk_bounds_break_a_check():
     # without the 1e-9 margin, rounding puts some power's W-sum above its length
     singles = [g for g in groups if len(g.generators) == 1]
     assert min(_bound_slack(g, g._step_bounds / (1.0 - 1e-9), 7) for g in singles) < 0.0
+
+
+def _certified_samples():
+    """Seeded groups of three laws: schottky-build's (a dilation and a second
+    axis (-U_log(0.2, 5), U_log(0.2, 5)), lengths U(1, 4)), two disjoint
+    axes (0, inf) and (p, q), 0 < p < q, and three generators."""
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        la, lb = rng.uniform(1.0, 4.0, 2)
+        p, q = -math.exp(rng.uniform(math.log(0.2), math.log(5.0))), math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+        yield "schottky-build", (la, lb, p, q)
+    rng = np.random.default_rng(11)
+    for _ in range(1500):
+        la, lb = rng.uniform(0.3, 4.0, 2)
+        yield "disjoint", (la, lb, *np.sort(np.exp(rng.uniform(math.log(0.05), math.log(20.0), 2))))
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        (p1, q1), (p2, q2) = np.sort(rng.uniform(-6.0, 6.0, (2, 2)), axis=1)
+        yield "three", (*rng.uniform(1.5, 5.0, 3), p1, q1, p2, q2)
+
+
+def test_certified_groups_pass_the_screen():
+    # Ping-pong arcs prove every class hyperbolic, so a certified group is
+    # not screened: the depth-4 screen would pass every one of them.
+    certified, least_w = {"schottky-build": 0, "disjoint": 0, "three": 0}, math.inf
+    for law, draw in _certified_samples():
+        if law == "three":
+            la, lb, lc, p1, q1, p2, q2 = draw
+            gens = _bench_pair(la, lb, p1, q1) + _bench_pair(la, lc, p2, q2)[1:]
+        else:
+            gens = _bench_pair(*draw)
+        try:
+            group = GroupPresentation(gens)
+        except DomainError:
+            continue
+        if group._step_bounds is not None:
+            _primitive_classes(group.generators, group.labels, 4, 0.0)
+            certified[law] += 1
+            letters = np.arange(2 * len(gens))
+            least_w = min(least_w, group._step_bounds[letters != (letters ^ 1)[:, None]].min())
+    # 2378, 402 and 202 groups are certified, the least W among them 0.037
+    assert certified["schottky-build"] > 2300 and certified["disjoint"] > 350 and certified["three"] > 150
+    assert 0.03 < least_w < 0.04
 
 
 def test_touching_arcs_are_not_certified():
