@@ -27,18 +27,17 @@ tree would hand the rest to) parses the rest directly; anything else
 goes through the whole tree: leading shared flags, -h, an unknown name,
 an empty argv, and any string the subcommand's parser leaves over, so
 the top-level usage, help and "unrecognized arguments" error stay the
-tree's.  zeta reads its spectrum file on every call, and parses each text
-of at most 64 KiB (ASCII) once per process: the parsed spectra of the 32
-such texts used last are kept, at most 2 MiB of text, so a rewritten file
-is parsed again and a larger text is parsed on every call.  spectrum
-rewrites its --out file in place, never emptied first: it opens the file
-without O_TRUNC, writes from offset 0 and then cuts a regular file to the
-length written.  On ext4 a truncate-then-rewrite frees the old blocks
-and flushes the new ones at close, about a seventh of an in-process
-spectrum call on the benchmark's depth-9 groups.  JSON documents are
-written by _json rather than json.dumps: with indent set, json runs its
-pure-Python encoder on Python 3.10 and 3.11, which is slower than
-writing the same bytes here directly.
+tree's.  zeta reads its spectrum file on every call and hands the text
+to hyperbolic.spectrum_from_json, which keeps the spectra of small
+texts, so a rewritten file is parsed again.  spectrum rewrites its --out
+file in place, never emptied first: it opens the file without O_TRUNC,
+writes from offset 0 and then cuts a regular file to the length written.
+On ext4 a truncate-then-rewrite frees the old blocks and flushes the new
+ones at close, about a seventh of an in-process spectrum call on the
+benchmark's depth-9 groups.  JSON documents are written by _json rather
+than json.dumps: with indent set, json runs its pure-Python encoder on
+Python 3.10 and 3.11, which is slower than writing the same bytes here
+directly.
 
 Imports.  The module imports at its top only the numpy-free layers the
 geometry reports, detdn and theorem4 run on (errors, dn_explicit,
@@ -74,7 +73,7 @@ from .dn_explicit import (
 from .errors import DnZetaError, DomainError, _count
 
 if TYPE_CHECKING:
-    from .hyperbolic import GroupPresentation, LengthSpectrum
+    from .hyperbolic import GroupPresentation
 
 # --kind -> the kind of product zeta_dyn._zeta_grid evaluates over the grid
 _KINDS = {"ruelle": "ruelle", "selberg": "selberg", "selberg-g0": "selberg_boundary"}
@@ -208,23 +207,6 @@ def _read_text(path: str) -> str:
         raise DomainError(f"cannot read {path}: {exc}") from exc
 
 
-# The longest spectrum text zeta parses once per process (see the module
-# docstring); only an ASCII text is cached, so 32 of them hold at most
-# 2 MiB.  A parse error propagates and is not cached.  Sharing one
-# LengthSpectrum between calls is safe: it and its entries are frozen, the
-# zeta grid only reads it, and the parse is a function of the text alone.
-# spectrum_from_json is looked up on the module at each miss, so a wrapper
-# put there sees every parse.
-_CACHED_TEXT = 64 * 1024
-
-
-@functools.lru_cache(maxsize=32)
-def _parsed_spectrum(text: str) -> LengthSpectrum:
-    from . import hyperbolic
-
-    return hyperbolic.spectrum_from_json(text)
-
-
 def _load_generators(path: str) -> GroupPresentation:
     from .hyperbolic import GroupPresentation, MobiusTransform
 
@@ -354,17 +336,12 @@ def _run_zeta(args) -> tuple[dict, int]:
     from . import hyperbolic, zeta_dyn
 
     grid = _parse_lambda_spec(args.lam)
-    try:
-        text = _read_text(args.spectrum)
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"invalid spectrum JSON in {args.spectrum}: {exc}") from exc
-    # the file is read on every call, so a rewritten one is parsed again
-    parse = _parsed_spectrum if len(text) <= _CACHED_TEXT and text.isascii() else hyperbolic.spectrum_from_json
-    try:
-        spectrum = parse(text)
-    except DomainError as exc:
-        if isinstance(exc.__cause__, (ValueError, RecursionError)):  # the text is not JSON: name the file
-            raise DomainError(f"invalid spectrum JSON in {args.spectrum}: {exc.__cause__}") from exc.__cause__
+    try:  # the file is read on every call, so a rewritten one is parsed again
+        spectrum = hyperbolic.spectrum_from_json(_read_text(args.spectrum))
+    except (UnicodeDecodeError, DomainError) as exc:
+        bad = exc.__cause__ or exc
+        if isinstance(bad, (ValueError, RecursionError)):  # the text is not UTF-8 or not JSON: name the file
+            raise DomainError(f"invalid spectrum JSON in {args.spectrum}: {bad}") from bad
         raise
     boundary = ()
     if args.kind == "selberg-g0":

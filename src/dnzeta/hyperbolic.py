@@ -31,7 +31,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import string
 from dataclasses import dataclass, field
 
@@ -396,14 +395,6 @@ class SpectrumEntry:
         if self.reflections is not None:
             _count(self.reflections, "reflections", 0)
 
-    @classmethod
-    def _checked(cls, length: float, multiplicity: int, reflections: int | None) -> "SpectrumEntry":
-        """An entry from fields valid by construction (the walk's float
-        lengths > 0 and counts >= 1): __post_init__'s rules are not run."""
-        entry = object.__new__(cls)
-        entry.__dict__.update(length=length, multiplicity=multiplicity, reflections=reflections)
-        return entry
-
 
 @dataclass(frozen=True)
 class LengthSpectrum:
@@ -490,7 +481,7 @@ def enumerate_primitive_classes(
         base, j = lengths[i], i
         while j < len(lengths) and lengths[j] - base <= _LENGTH_TIE:
             j += 1
-        entries.append(SpectrumEntry._checked(base, j - i, None))  # a float length > 0, a count >= 1
+        entries.append(SpectrumEntry(base, j - i))
         i = j
     spectrum = LengthSpectrum(entries=tuple(entries), cutoff=l_max, complete_up_to=min(l_max, w_max * d_min))
     object.__setattr__(spectrum, "_work", work)
@@ -513,9 +504,26 @@ def spectrum_to_json(spectrum: LengthSpectrum) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def spectrum_from_json(text: str) -> LengthSpectrum:
+def spectrum_from_json(text: str | bytes | bytearray) -> LengthSpectrum:
     """Parse a spectrum, including externally supplied ones with
-    reflection counts; entries are sorted and validated."""
+    reflection counts; entries are sorted and validated.
+
+    An ASCII str of at most 64 KiB is parsed once per process: the spectra
+    of the 32 such texts parsed last are kept and shared by every caller,
+    which is safe because a LengthSpectrum and its entries are frozen.  A
+    refusal is not kept.  A longer or non-ASCII text, bytes or bytearray is
+    parsed on every call."""
+    if isinstance(text, str) and len(text) <= 64 * 1024 and text.isascii():
+        return _parsed_spectrum(text)
+    return _spectrum_from_text(text)
+
+
+@functools.lru_cache(maxsize=32)
+def _parsed_spectrum(text: str) -> LengthSpectrum:
+    return _spectrum_from_text(text)
+
+
+def _spectrum_from_text(text: str | bytes | bytearray) -> LengthSpectrum:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also past Python's 4300-digit limit or nesting depth
@@ -546,8 +554,4 @@ def _entries_from_json(raw_entries: list) -> list[SpectrumEntry]:
     """The entries of a spectrum file, each built by SpectrumEntry in file
     order, so a refusal names the first bad entry; then sorted by (length,
     multiplicity, reflections or 0)."""
-    entries = [_entry_from_json(item) for item in raw_entries]
-    lengths = [e.length for e in entries]
-    if any(map(operator.ge, lengths, lengths[1:])):  # strictly rising lengths already follow the key
-        entries.sort(key=lambda e: (e.length, e.multiplicity, e.reflections or 0))
-    return entries
+    return sorted(map(_entry_from_json, raw_entries), key=lambda e: (e.length, e.multiplicity, e.reflections or 0))

@@ -151,7 +151,7 @@ def _log_lengths(omega0: ConformalFactor, grid: np.ndarray) -> list[float]:
         cos_m, sin_m = harmonic(m)
         omega += coeffs[2 * m - 1] * cos_m
         omega += coeffs[2 * m] * sin_m
-    return [math.log(np.mean(np.exp(t * omega))) for t in grid]
+    return [math.log(np.mean(np.exp(t * omega))) if t else 0.0 for t in grid]  # ell_0 / ell_0 is exactly 1
 
 
 def _check_aliasing(omega0: ConformalFactor, t_max: float) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from dnzeta.claims import SUITES, schottky_pair
-from dnzeta import cli
+from dnzeta import cli, hyperbolic
 from dnzeta.cli import main
 from dnzeta.hyperbolic import LengthSpectrum, SpectrumEntry, spectrum_to_json
 
@@ -879,11 +879,11 @@ class TestZetaSubcommand:
                 argv = ("zeta", "--spectrum", "refl.json", "--kind", kind,
                         "--lambda", "0.8:1.8:0.5", "--delta-hint", "0.3", "--format", fmt, *extra)
                 # a parse of the file, then the spectrum the cache kept from it
-                cli._parsed_spectrum.cache_clear()
+                hyperbolic._parsed_spectrum.cache_clear()
                 code, out, _ = run_cli(capsys, *argv)
                 assert code == 0
                 assert run_cli(capsys, *argv) == (0, out, "")
-                assert cli._parsed_spectrum.cache_info()[:2] == (1, 1)  # hits, misses
+                assert hyperbolic._parsed_spectrum.cache_info()[:2] == (1, 1)  # hits, misses
                 digests[kind, fmt] = hashlib.sha256(out.encode()).hexdigest()
         assert digests == {
             ("selberg", "json"): "bd0f83283648bb33965b1af8c0bc1786294434e9f952f193ede35c8bd1cfe288",
@@ -903,17 +903,15 @@ class TestSpectrumCache:
         return run_cli(capsys, "zeta", "--spectrum", str(path), *self.ARGV)
 
     def fresh(self, capsys, path):
-        cli._parsed_spectrum.cache_clear()
+        hyperbolic._parsed_spectrum.cache_clear()
         return self.zeta(capsys, path)
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        """The texts that reach hyperbolic.spectrum_from_json."""
-        from dnzeta import hyperbolic
-
+        """The texts hyperbolic.spectrum_from_json parses, those it does not find in its cache."""
         texts = []
-        parse = hyperbolic.spectrum_from_json
-        monkeypatch.setattr(hyperbolic, "spectrum_from_json", lambda text: texts.append(text) or parse(text))
+        parse = hyperbolic._spectrum_from_text
+        monkeypatch.setattr(hyperbolic, "_spectrum_from_text", lambda text: texts.append(text) or parse(text))
         return texts
 
     def test_rewritten_file_is_parsed_again(self, capsys, tmp_path):
@@ -946,18 +944,35 @@ class TestSpectrumCache:
         cases = ((text.ljust(64 * 1024), 1), (text.ljust(64 * 1024 + 1), 2),
                  (text[:-1] + ', "note": "\u00e9"}', 2))
         for padded, reached in cases:
-            cli._parsed_spectrum.cache_clear()
+            hyperbolic._parsed_spectrum.cache_clear()
             parses.clear()
             path.write_text(padded, encoding="utf-8")
             outputs = {self.zeta(capsys, path) for _ in range(2)}
             assert len(outputs) == 1 and outputs.pop()[0] == 0
             assert len(parses) == reached
         # the 32 texts used last are kept, and no more
-        cli._parsed_spectrum.cache_clear()
+        hyperbolic._parsed_spectrum.cache_clear()
         for i in range(40):
             path.write_text(text.ljust(len(text) + i), encoding="utf-8")
             assert self.zeta(capsys, path)[0] == 0
-        assert cli._parsed_spectrum.cache_info()[2:] == (32, 32)  # maxsize, currsize
+        assert hyperbolic._parsed_spectrum.cache_info()[2:] == (32, 32)  # maxsize, currsize
+
+    def test_library_callers_share_the_cache(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "s.json"
+        text = Path(write_cyclic_spectrum(path)).read_text(encoding="utf-8")
+        made, parse = [], hyperbolic._spectrum_from_text
+        monkeypatch.setattr(hyperbolic, "_spectrum_from_text", lambda text: made.append(parse(text)) or made[-1])
+        # a zeta call parses the text, and the library's call on it finds that spectrum
+        assert self.fresh(capsys, path)[0] == 0
+        assert hyperbolic.spectrum_from_json(text) is made[0]
+        assert hyperbolic._parsed_spectrum.cache_info()[:2] == (1, 1)  # hits, misses
+        # a text past 64 KiB or not ASCII, and bytes or bytearray, are parsed on every call and not kept
+        kept = hyperbolic._parsed_spectrum.cache_info()
+        for other in (text.ljust(64 * 1024 + 1), text[:-1] + ', "note": "\u00e9"}', text.encode(),
+                      bytearray(text.encode())):
+            assert hyperbolic.spectrum_from_json(other) == made[0]
+        assert len(made) == 5
+        assert hyperbolic._parsed_spectrum.cache_info() == kept
 
 
 class TestDetSubcommands:
